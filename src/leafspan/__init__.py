@@ -32,11 +32,8 @@ from .families import (
 from .graph import (
     Fifteenths,
     Graph,
-    VertexClass,
-    classify,
-    contract,
-    cost,
     cost15,
+    degree_counts,
     is_isomorphic,
 )
 from .ledger import (
@@ -44,7 +41,6 @@ from .ledger import (
     LedgerAudit,
     StepRecord,
     alpha_prime,
-    profit,
     table_violations,
     verify_ledger,
 )
@@ -60,10 +56,8 @@ from .oracle import (
 )
 from .reduction import (
     ReductionEvent,
-    ReductionTrace,
     apply_event,
     find_reduction,
-    lift_tree,
     lift_tree_logged,
     reduce_fully,
 )
@@ -82,23 +76,19 @@ __all__ = [
     "OracleBudgetError",
     "PartialTree",
     "ReductionEvent",
-    "ReductionTrace",
     "SpanningTree",
     "StalePlanError",
     "StepPlan",
     "StepRecord",
-    "VertexClass",
     "alpha_prime",
     "apply_event",
     "apply_step",
     "build",
     "check_spanning_tree",
     "choose_bases",
-    "classify",
     "classify_exclusion",
-    "contract",
-    "cost",
     "cost15",
+    "degree_counts",
     "enumerate_regular_graphs",
     "exact_u",
     "find_reduction",
@@ -106,12 +96,10 @@ __all__ = [
     "h_graph",
     "is_isomorphic",
     "levels",
-    "lift_tree",
     "lift_tree_logged",
     "max_leaf_tree",
     "min_cds",
     "next_step",
-    "profit",
     "random_connected",
     "reduce_fully",
     "split_z4",

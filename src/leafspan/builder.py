@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Fifteenths, Graph, cost15
+from .graph import Fifteenths, Graph, cost15, degree_counts
 from .ledger import Ledger, StepRecord, alpha_prime
 from .oracle import (
     ORACLE_MAX_N,
@@ -39,7 +39,7 @@ from .oracle import (
     classify_exclusion,
     max_leaf_tree,
 )
-from .reduction import ReductionTrace, apply_event, lift_tree_logged, reduce_fully
+from .reduction import ReductionEvent, apply_event, lift_tree_logged, reduce_fully
 from .trees import SpanningTree, edge_key
 
 
@@ -74,12 +74,6 @@ class PartialTree:
 
     def tree_degree(self, v: int) -> int:
         return len(self.children[v]) + (0 if self.parent[v] == -1 else 1)
-
-    def is_leaf(self, v: int) -> bool:
-        return self.tree_degree(v) == 1
-
-    def leaf_vertices(self) -> set[int]:
-        return {v for v in self.vertices if self.tree_degree(v) == 1}
 
     def leaf_count(self) -> int:
         return sum(1 for v in self.vertices if self.tree_degree(v) == 1)
@@ -117,10 +111,6 @@ class PartialTree:
         return {
             edge_key(v, p) for v, p in self.parent.items() if p != -1
         }
-
-
-def alpha_prime15(g: Graph, f: PartialTree) -> int:
-    return alpha_prime(g, f).num
 
 
 def levels(g: Graph, f: PartialTree) -> tuple[set[int], set[int]]:
@@ -479,8 +469,7 @@ def apply_step(g: Graph, f: PartialTree, plan: StepPlan) -> list[StepRecord]:
             f"{plan.label}: only {db_total} deaths, promised {plan.nominal_db}"
         )
     added = tuple(children)
-    dt = sum(1 for v in added if g.degree(v) >= 4)
-    ds = sum(1 for v in added if g.degree(v) == 3)
+    ds, dt = degree_counts(g, added)
     records = [StepRecord.make(plan.label, du, plan.nominal_db, dt, ds, added)]
     records += [
         StepRecord.make("Z0", 0, 1, 0, 0) for _ in range(db_total - plan.nominal_db)
@@ -544,8 +533,7 @@ def split_z4(
     du = leaves_after - leaves_before
     db = leaves_after - dead_before  # every leaf of a spanning tree is dead
     added = sorted(f.outside)
-    dt = sum(1 for v in added if g.degree(v) >= 4)
-    ds = sum(1 for v in added if g.degree(v) == 3)
+    ds, dt = degree_counts(g, added)
     record = StepRecord.make("Z4", du, db, dt, ds, tuple(added))
     if record.profit15 < 0:
         raise EngineDefect("split lost potential")
@@ -565,7 +553,7 @@ class BuildReport:
     cost: Fifteenths
     alpha: Fifteenths
     ledger: Ledger
-    reduction_trace: ReductionTrace
+    reduction_trace: list[ReductionEvent]
     base_case: str
     recursion_depth: int
     exclusion: ExclusionKind | None
@@ -593,15 +581,14 @@ class _EngineResult:
 
 def _base_record(g: Graph, f: PartialTree, label: str) -> StepRecord:
     vs = sorted(f.vertices)
-    dt = sum(1 for v in vs if g.degree(v) >= 4)
-    ds = sum(1 for v in vs if g.degree(v) == 3)
+    ds, dt = degree_counts(g, vs)
     return StepRecord.make(label, f.leaf_count(), len(f.dead), dt, ds, vs)
 
 
 def _run_from_base(g: Graph, base: PartialTree, case: str) -> _EngineResult:
     f = base.copy()
     base_rec = _base_record(g, f, f"{case}-base")
-    if base_rec.profit15 != alpha_prime15(g, f):
+    if base_rec.profit15 != alpha_prime(g, f).num:
         raise EngineDefect("base record does not match the base potential")
     steps: list[StepRecord] = []
     running15 = base_rec.profit15
@@ -620,7 +607,7 @@ def _run_from_base(g: Graph, base: PartialTree, case: str) -> _EngineResult:
         for rec in apply_step(g, f, plan):
             steps.append(rec)
             running15 += rec.profit15
-        if alpha_prime15(g, f) != running15:
+        if alpha_prime(g, f).num != running15:
             raise EngineDefect(f"potential drifted after {plan.label}")
     if edges is None:
         raise EngineDefect("step budget exhausted before spanning")
@@ -632,8 +619,7 @@ def _run_from_base(g: Graph, base: PartialTree, case: str) -> _EngineResult:
 
 def _spanning_record(g: Graph, tree: SpanningTree, label: str) -> StepRecord:
     u = tree.leaf_count()
-    dt = sum(1 for v in range(g.n) if g.degree(v) >= 4)
-    ds = sum(1 for v in range(g.n) if g.degree(v) == 3)
+    ds, dt = degree_counts(g)
     return StepRecord.make(label, u, u, dt, ds, tuple(range(g.n)))
 
 
@@ -669,7 +655,7 @@ def build(g: Graph) -> BuildReport:
         # happened) on the stage just before the last event: one rule
         # application away from an exception the bound is back to +2, and
         # that stage has at most 9 vertices.
-        lift_trace = ReductionTrace(trace[:-1]) if trace else ReductionTrace()
+        lift_trace = trace[:-1]
         stage_graph = _replay(g, lift_trace) if trace else reduced
         result = _exact_result(stage_graph, "exclusion-direct")
         case = "exclusion-direct"

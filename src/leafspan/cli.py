@@ -14,8 +14,8 @@ import sys
 
 from . import families
 from .builder import build
-from .graph import Fifteenths, Graph
-from .oracle import ORACLE_MAX_N, OracleBudgetError, exact_u, max_leaf_tree
+from .graph import Fifteenths, Graph, degree_counts
+from .oracle import ORACLE_MAX_N, exact_u, max_leaf_tree
 from .trees import edge_key
 
 
@@ -110,7 +110,7 @@ def cmd_build(args) -> int:
     try:
         g = read_graph(args.input)
         report = build(g)
-    except (InputError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     parts = [
@@ -134,6 +134,7 @@ def cmd_build(args) -> int:
             "tree_parents": report.tree,
             "reductions": len(report.reduction_trace),
             "oracle_fallback": report.oracle_fallback,
+            "defects": list(report.defects),
             "steps": report.ledger.log_lines(),
         }
         print(json.dumps(payload))
@@ -150,7 +151,7 @@ def cmd_oracle(args) -> int:
         g = read_graph(args.input)
         u = exact_u(g)
         parents = max_leaf_tree(g)
-    except (InputError, OracleBudgetError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"u={u}")
@@ -159,11 +160,15 @@ def cmd_oracle(args) -> int:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    v = int(text)
-    return v, v
+    bad = InputError(f"bad size range {text!r}: expected N or LO..HI with LO <= HI")
+    lo, sep, hi = text.partition("..")
+    try:
+        lo_n, hi_n = int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise bad from None
+    if lo_n > hi_n:
+        raise bad
+    return lo_n, hi_n
 
 
 def _sweep_regimes(n: int, dmin: int | None, dmax: int | None):
@@ -181,8 +186,7 @@ def _sweep_regimes(n: int, dmin: int | None, dmax: int | None):
 
 def _sweep_row(g: Graph, oracle_max: int) -> dict:
     report = build(g)
-    s = sum(1 for v in range(g.n) if g.degree(v) == 3)
-    t = sum(1 for v in range(g.n) if g.degree(v) >= 4)
+    s, t = degree_counts(g)
     row = {
         "n": g.n,
         "e": g.edge_count,
@@ -217,13 +221,21 @@ def cmd_sweep(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     rows: list[dict] = []
     failures: list[str] = []
+    try:
+        if args.oracle_max > ORACLE_MAX_N:
+            raise InputError(f"--oracle-max above the exact-search limit {ORACLE_MAX_N}")
+        if args.family in ("h", "c2"):
+            lo, hi = _parse_range(args.n or ("2..5" if args.family == "h" else "6..8"))
+            make = families.h_graph if args.family == "h" else families.square_of_cycle
+            named = [make(n) for n in range(lo, hi + 1)]
+        else:
+            lo, hi = _parse_range(args.sizes)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.family in ("h", "c2"):
-        lo, hi = _parse_range(args.n or ("2..5" if args.family == "h" else "6..8"))
-        for n in range(lo, hi + 1):
-            g = families.h_graph(n) if args.family == "h" else families.square_of_cycle(n)
-            rows.append(_sweep_row(g, args.oracle_max))
+        rows = [_sweep_row(g, args.oracle_max) for g in named]
     else:
-        lo, hi = _parse_range(args.sizes)
         for n in range(lo, hi + 1):
             regimes = [
                 r for r in _sweep_regimes(n, args.dmin, args.dmax)
@@ -272,6 +284,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.n is None and args.family != "g8":
+        print(f"error: --family {args.family} needs --n", file=sys.stderr)
+        return 2
     try:
         if args.family == "c2":
             g = families.square_of_cycle(int(args.n))

@@ -8,16 +8,7 @@ together with an old-id -> new-id mapping so traces can be replayed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from itertools import combinations
-
-
-class VertexClass(Enum):
-    """Degree class: S = degree 3, T = degree >= 4, OTHER = degree <= 2."""
-
-    S = "S"
-    T = "T"
-    OTHER = "other"
 
 
 # Per-vertex cost in fifteenths: 2/5 for T, 1/5 for S, 0 otherwise.
@@ -79,10 +70,6 @@ class Graph:
         self.adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in sets)
 
     # -- basic queries ------------------------------------------------
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        self._check(v)
-        return self.adj[v]
 
     def degree(self, v: int) -> int:
         self._check(v)
@@ -151,15 +138,6 @@ class Graph:
         return Graph(len(order), edges), remap
 
 
-def classify(g: Graph, v: int) -> VertexClass:
-    d = g.degree(v)
-    if d >= 4:
-        return VertexClass.T
-    if d == 3:
-        return VertexClass.S
-    return VertexClass.OTHER
-
-
 def vertex_cost15(g: Graph, v: int) -> int:
     d = g.degree(v)
     if d >= 4:
@@ -169,41 +147,23 @@ def vertex_cost15(g: Graph, v: int) -> int:
     return 0
 
 
+def degree_counts(g: Graph, vertices=None) -> tuple[int, int]:
+    """(s, t): how many of `vertices` (default: all of g) have degree 3 / >= 4."""
+    vs = range(g.n) if vertices is None else vertices
+    s = t = 0
+    for v in vs:
+        d = g.degree(v)
+        if d >= 4:
+            t += 1
+        elif d == 3:
+            s += 1
+    return s, t
+
+
 def cost15(g: Graph, vertices=None) -> int:
     """Cost of a vertex set (default: all of g) in fifteenths."""
     vs = range(g.n) if vertices is None else vertices
     return sum(vertex_cost15(g, v) for v in vs)
-
-
-def cost(g: Graph) -> Fifteenths:
-    return Fifteenths(cost15(g))
-
-
-def contract(g: Graph, u: int, v: int) -> tuple[Graph, dict[int, int]]:
-    """Contract edge uv; the merged vertex keeps slot u, parallel edges collapse.
-
-    Returns the re-indexed graph and the old-id -> new-id map (v is dropped).
-    """
-    if not g.has_edge(u, v):
-        raise ValueError(f"({u},{v}) is not an edge")
-    remap: dict[int, int] = {}
-    new = 0
-    for old in range(g.n):
-        if old == v:
-            continue
-        remap[old] = new
-        new += 1
-    edges = set()
-    for a, b in g.edges():
-        if {a, b} == {u, v}:
-            continue
-        if a == v:
-            a = u
-        if b == v:
-            b = u
-        if a != b:
-            edges.add((min(remap[a], remap[b]), max(remap[a], remap[b])))
-    return Graph(g.n - 1, edges), remap
 
 
 def triangle_counts(g: Graph) -> list[int]:

@@ -62,20 +62,12 @@ class StepRecord:
         return f"{self.label} {self.du} {self.db} {self.dt} {self.ds} {self.profit15}"
 
 
-def profit(rec: StepRecord) -> Fifteenths:
-    return Fifteenths(profit15_of(rec.du, rec.db, rec.dt, rec.ds))
-
-
 @dataclass
 class Ledger:
     """Base-tree record plus the ordered step log of one build."""
 
     base: StepRecord
     steps: list[StepRecord]
-
-    @property
-    def base_alpha(self) -> Fifteenths:
-        return Fifteenths(self.base.profit15)
 
     @property
     def total_alpha(self) -> Fifteenths:

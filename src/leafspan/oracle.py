@@ -2,36 +2,21 @@
 
 For connected graphs on n >= 3 vertices the maximum number of spanning-tree
 leaves equals n minus the size of a minimum connected dominating set, so the
-oracle searches vertex subsets.  Two interchangeable search backends exist:
-
-* a numba @njit kernel scanning all bitmasks with best-size pruning (the
-  default when numba is importable), and
-* a pure-Python ascending-cardinality scan over itertools.combinations.
-
-Set LEAFSPAN_BACKEND=python (or numba) to force one; see
-benchmarks/bench_oracle.py for a timing comparison.  Both are exact and are
-cross-checked in the test suite.
+oracle searches vertex subsets in ascending cardinality, each size in
+lexicographic order; the first connected dominating subset found is both
+minimum and the lexicographic tie-break winner.  Domination and
+connectivity are tested on integer bitmasks.
 """
 
 from __future__ import annotations
 
-import os
 from enum import Enum
 from itertools import combinations
-
-import numpy as np
 
 from . import families
 from .graph import Graph, is_isomorphic
 
 ORACLE_MAX_N = 16
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is present in normal installs
-    HAVE_NUMBA = False
 
 
 class OracleBudgetError(ValueError):
@@ -42,17 +27,6 @@ class ExclusionKind(Enum):
     C6sq = "C6sq"
     C8sq = "C8sq"
     G8 = "G8"
-
-
-def backend_name(override: str | None = None) -> str:
-    choice = override or os.environ.get("LEAFSPAN_BACKEND", "auto")
-    if choice not in ("auto", "numba", "python"):
-        raise ValueError(f"unknown backend {choice!r}")
-    if choice == "auto":
-        return "numba" if HAVE_NUMBA else "python"
-    if choice == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    return choice
 
 
 def adjacency_masks(g: Graph) -> list[int]:
@@ -98,50 +72,6 @@ def _min_cds_py(g: Graph) -> list[int]:
     raise AssertionError("connected graph must have a connected dominating set")
 
 
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _min_cds_size_kernel(adj: np.ndarray, closed: np.ndarray, n: int) -> int:  # pragma: no cover - jitted
-        full = (np.int64(1) << n) - 1
-        best = n
-        for mask in range(1, 1 << n):
-            m = np.int64(mask)
-            pc = 0
-            t = m
-            while t:
-                pc += 1
-                t &= t - 1
-            if pc >= best:
-                continue
-            cover = np.int64(0)
-            for v in range(n):
-                if (m >> v) & 1:
-                    cover |= closed[v]
-            if cover != full:
-                continue
-            reached = m & (-m)
-            changed = True
-            while changed:
-                changed = False
-                for v in range(n):
-                    if (reached >> v) & 1:
-                        grown = reached | (adj[v] & m)
-                        if grown != reached:
-                            reached = grown
-                            changed = True
-            if reached == m:
-                best = pc
-        return best
-
-
-def _min_cds_size(g: Graph, backend: str) -> int:
-    if backend == "numba":
-        adj = np.array(adjacency_masks(g), dtype=np.int64)
-        closed = np.array([adj[v] | (1 << v) for v in range(g.n)], dtype=np.int64)
-        return int(_min_cds_size_kernel(adj, closed, g.n))
-    return len(_min_cds_py(g))
-
-
 def _require_small(g: Graph) -> None:
     if g.n > ORACLE_MAX_N:
         raise OracleBudgetError(
@@ -149,33 +79,24 @@ def _require_small(g: Graph) -> None:
         )
 
 
-def min_cds(g: Graph, backend: str | None = None) -> list[int]:
+def min_cds(g: Graph) -> list[int]:
     """Minimum connected dominating set, lexicographically smallest on ties."""
     _require_small(g)
     if not g.is_connected():
         raise ValueError("graph must be connected")
     if g.n < 3:
         raise ValueError("connected dominating set duality needs n >= 3")
-    which = backend_name(backend)
-    if which == "python":
-        return _min_cds_py(g)
-    k = _min_cds_size(g, "numba")
-    adj = adjacency_masks(g)
-    closed = [adj[v] | (1 << v) for v in range(g.n)]
-    full = (1 << g.n) - 1
-    for subset in combinations(range(g.n), k):
-        cover = 0
-        mask = 0
-        for v in subset:
-            cover |= closed[v]
-            mask |= 1 << v
-        if cover == full and _is_connected_mask(mask, adj):
-            return list(subset)
-    raise AssertionError("kernel size has no witness; backend disagreement")
+    return _min_cds_py(g)
 
 
-def exact_u(g: Graph, backend: str | None = None) -> int:
-    """Maximum number of leaves over all spanning trees of g (exact)."""
+def exact_u(g: Graph, backend: str = "python") -> int:
+    """Maximum number of leaves over all spanning trees of g (exact).
+
+    `backend` accepts only "python", the one search there is; the keyword
+    stays so that callers which name it keep working.
+    """
+    if backend != "python":
+        raise ValueError(f"unknown backend {backend!r}; only 'python' exists")
     _require_small(g)
     if not g.is_connected():
         raise ValueError("graph must be connected")
@@ -183,7 +104,7 @@ def exact_u(g: Graph, backend: str | None = None) -> int:
         raise ValueError("need at least two vertices")
     if g.n == 2:
         return 2
-    return g.n - _min_cds_size(g, backend_name(backend))
+    return g.n - len(_min_cds_py(g))
 
 
 def tree_from_cds(g: Graph, dom: list[int]) -> list[int]:
@@ -215,14 +136,14 @@ def tree_from_cds(g: Graph, dom: list[int]) -> list[int]:
     return parents
 
 
-def max_leaf_tree(g: Graph, backend: str | None = None) -> list[int]:
+def max_leaf_tree(g: Graph) -> list[int]:
     """A spanning tree attaining exact_u(g), as a parent array."""
     _require_small(g)
     if not g.is_connected():
         raise ValueError("graph must be connected")
     if g.n == 2:
         return [-1, 0]
-    return tree_from_cds(g, min_cds(g, backend))
+    return tree_from_cds(g, min_cds(g))
 
 
 _EXCLUSION_FIXTURES: list[tuple[ExclusionKind, Graph]] | None = None

@@ -37,10 +37,6 @@ class ReductionEvent:
     remap: dict[int, int]
 
 
-class ReductionTrace(list):
-    """Ordered list of ReductionEvent."""
-
-
 def _shift_remap(n: int, removed: int) -> dict[int, int]:
     return {old: old - (old > removed) for old in range(n) if old != removed}
 
@@ -93,11 +89,11 @@ def apply_event(g: Graph, ev: ReductionEvent) -> Graph:
     return Graph(g.n - 1, edges)
 
 
-def reduce_fully(g: Graph) -> tuple[Graph, ReductionTrace]:
+def reduce_fully(g: Graph) -> tuple[Graph, list[ReductionEvent]]:
     """Apply events until neither rule matches; cost is checked at each event."""
     if not g.is_connected():
         raise ValueError("graph must be connected")
-    trace = ReductionTrace()
+    trace: list[ReductionEvent] = []
     cur = g
     while True:
         ev = find_reduction(cur)
@@ -141,7 +137,7 @@ def _undo_event(ev: ReductionEvent, tree: SpanningTree) -> SpanningTree:
 
 
 def lift_tree_logged(
-    trace: ReductionTrace, tree: SpanningTree
+    trace: list[ReductionEvent], tree: SpanningTree
 ) -> tuple[SpanningTree, list[tuple[str, int]]]:
     """Undo `trace` in reverse; returns the lifted tree and per-event leaf gains."""
     if len(tree.edges) != tree.n - 1:
@@ -157,9 +153,3 @@ def lift_tree_logged(
             raise AssertionError(f"{ev.kind} undo lost a leaf")
         log.append((f"{ev.kind}-undo", gain))
     return cur, log
-
-
-def lift_tree(trace: ReductionTrace, tree: SpanningTree) -> SpanningTree:
-    """Spanning tree of the original graph with at least as many leaves."""
-    lifted, _ = lift_tree_logged(trace, tree)
-    return lifted

@@ -9,8 +9,6 @@ from __future__ import annotations
 import time
 from itertools import combinations
 
-import pytest
-
 from leafspan import (
     Fifteenths,
     GenerationError,
@@ -22,25 +20,18 @@ from leafspan import (
     exact_u,
     g8,
     h_graph,
-    lift_tree,
+    lift_tree_logged,
     random_connected,
     reduce_fully,
     square_of_cycle,
     table_violations,
     verify_ledger,
 )
-from leafspan.oracle import backend_name
 from leafspan.trees import SpanningTree, check_spanning_tree
 
 from conftest import random_spanning_tree
 
 PLUS_TWO = Fifteenths.whole(2)
-
-
-def _warm_backend():
-    # exclude one-off JIT compilation from timed sections
-    exact_u(square_of_cycle(6))
-
 
 collected_ledgers: list[tuple[Graph, object, object]] = []
 
@@ -53,7 +44,6 @@ def _audited_build(g: Graph):
 
 
 def test_criterion_1_named_graph_exactness():
-    _warm_backend()
     t0 = time.perf_counter()
     expected = [
         (square_of_cycle(6), 4, Fifteenths(24)),
@@ -162,7 +152,7 @@ def test_criterion_5_reduction_properties():
         reduced, trace = reduce_fully(g)
         assert cost15(reduced) == cost15(g)
         tree = SpanningTree(reduced.n, frozenset(random_spanning_tree(reduced, seed)))
-        lifted = lift_tree(trace, tree)
+        lifted = lift_tree_logged(trace, tree)[0]
         check_spanning_tree(g, lifted)
         assert lifted.leaf_count() >= tree.leaf_count()
     elapsed = time.perf_counter() - t0
@@ -242,9 +232,3 @@ def test_criterion_7_exclusion_completeness():
         "PASS criterion 7: exclusion completeness over the connected "
         "4-regular catalogs on 6 and 8 vertices"
     )
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _report_backend():
-    print(f"\n[oracle backend: {backend_name()}]")
-    yield

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from leafspan import Graph, g8, h_graph, square_of_cycle
+import leafspan.builder as builder_mod
+from leafspan import EngineDefect, Graph, g8, h_graph, square_of_cycle
 from leafspan.cli import (
     main,
     parse_edge_list,
@@ -111,7 +112,7 @@ def test_build_command_k2(tmp_path, capsys):
     assert "leaves=2" in out and "cost=0/15" in out and "alpha=30/15" in out
 
 
-def test_build_command_json(tmp_path, capsys):
+def test_build_command_json(tmp_path, capsys, monkeypatch):
     path = _write(tmp_path, h_graph(2))
     code = main(["build", path, "--json"])
     payload = json.loads(capsys.readouterr().out)
@@ -119,6 +120,22 @@ def test_build_command_json(tmp_path, capsys):
     assert payload["leaves"] == 6 and payload["alpha15"] == 30
     assert payload["bound_ok"] is True
     assert len(payload["tree_parents"]) == 12
+    assert payload["defects"] == []
+
+    # a defect the driver survives still shows in the payload
+    real = builder_mod._run_from_base
+    calls = []
+
+    def flaky(g, base, case):
+        calls.append(case)
+        if len(calls) == 1:
+            raise EngineDefect("first base poisoned")
+        return real(g, base, case)
+
+    monkeypatch.setattr(builder_mod, "_run_from_base", flaky)
+    assert main(["build", path, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["defects"]) == 1 and "poisoned" in payload["defects"][0]
 
 
 def test_build_command_rejects_disconnected(tmp_path, capsys):
@@ -126,6 +143,30 @@ def test_build_command_rejects_disconnected(tmp_path, capsys):
     code = main(["build", path])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "{tmp}/missing"],
+        ["build", "{tmp}"],
+        ["oracle", "{tmp}/missing"],
+        ["gen", "--family", "h"],
+        ["gen", "--family", "c2"],
+        ["sweep", "--sizes", "abc"],
+        ["sweep", "--family", "h", "--n", "x"],
+        ["sweep", "--sizes", "5..3"],
+        ["sweep", "--sizes", "17", "--oracle-max", "20"],
+    ],
+    ids=lambda argv: " ".join(argv).replace("{tmp}", "TMP"),
+)
+def test_bad_input_is_one_error_line(argv, tmp_path, capsys):
+    code = main([arg.format(tmp=tmp_path) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_oracle_command(tmp_path, capsys):

@@ -9,11 +9,8 @@ from hypothesis import strategies as st
 from leafspan import (
     Fifteenths,
     Graph,
-    VertexClass,
-    classify,
-    contract,
-    cost,
     cost15,
+    degree_counts,
     g8,
     h_graph,
     is_isomorphic,
@@ -51,62 +48,29 @@ def test_adjacency_symmetric_and_simple():
 
 
 def test_classify_examples():
-    assert classify(square_of_cycle(6), 0) is VertexClass.T
+    # degree classes as (s, t): s counts degree 3, t counts degree >= 4
+    assert degree_counts(square_of_cycle(6)) == (0, 6)
     k4 = Graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
-    assert classify(k4, 2) is VertexClass.S
-    assert classify(Graph(2, [(0, 1)]), 0) is VertexClass.OTHER
+    assert degree_counts(k4) == (4, 0)
+    assert degree_counts(Graph(2, [(0, 1)])) == (0, 0)
+    assert degree_counts(h_graph(2)) == (4, 8)
+    assert degree_counts(h_graph(2), [0, 4, 5]) == (2, 1)
+    assert degree_counts(k4, []) == (0, 0)
     with pytest.raises(ValueError):
-        classify(k4, 4)
+        degree_counts(k4, [4])
 
 
 def test_cost_examples():
-    assert cost(square_of_cycle(6)) == Fifteenths(36)  # 12/5
-    assert cost(h_graph(2)) == Fifteenths.whole(4)
-    assert cost(Graph(2, [(0, 1)])) == Fifteenths(0)
+    assert cost15(square_of_cycle(6)) == 36  # 12/5
+    assert cost15(h_graph(2)) == 60  # 4
+    assert cost15(Graph(2, [(0, 1)])) == 0
+    assert cost15(h_graph(2), []) == 0
 
 
-def test_cost_sums_class_costs():
-    g = h_graph(3)
-    per_class = {VertexClass.T: 6, VertexClass.S: 3, VertexClass.OTHER: 0}
-    assert cost15(g) == sum(per_class[classify(g, v)] for v in range(g.n))
-
-
-def test_contract_triangle_collapses_parallel_edges():
-    tri = Graph(3, [(0, 1), (1, 2), (0, 2)])
-    h, remap = contract(tri, 0, 1)
-    assert h.n == 2 and h.edge_count == 1
-    assert remap == {0: 0, 2: 1}
-
-
-def test_contract_path_middle_edge():
-    p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    h, _ = contract(p4, 1, 2)
-    assert h.n == 3 and sorted(h.edges()) == [(0, 1), (1, 2)]
-
-
-def test_contract_requires_edge():
-    with pytest.raises(ValueError):
-        contract(Graph(3, [(0, 1)]), 0, 2)
-
-
-def test_contract_degree3_pair_with_disjoint_neighborhoods():
-    # two adjacent degree-3 vertices, no common neighbor: merged degree is 4
-    # and the cost is unchanged
-    g = h_graph(2)
-    pair = None
-    for a in range(g.n):
-        if g.degree(a) != 3:
-            continue
-        for b in g.adj[a]:
-            if g.degree(b) == 3 and not (g.adj[a] & g.adj[b]):
-                pair = (a, b)
-                break
-        if pair:
-            break
-    assert pair is not None
-    h, remap = contract(g, *pair)
-    assert h.degree(remap[pair[0]]) == 4
-    assert cost15(h) == cost15(g)
+def test_cost_sums_class_costs(graph_pool):
+    for g in graph_pool:
+        s, t = degree_counts(g)
+        assert cost15(g) == 6 * t + 3 * s
 
 
 def test_components_examples():

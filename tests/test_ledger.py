@@ -10,7 +10,6 @@ from leafspan import (
     alpha_prime,
     build,
     h_graph,
-    profit,
     square_of_cycle,
     table_violations,
     verify_ledger,
@@ -21,11 +20,11 @@ from leafspan.ledger import TABLE_FLOORS, profit15_of
 
 def test_profit_examples():
     # one expensive vertex becoming a new leaf
-    assert profit(StepRecord.make("A1", 1, 0, 1, 0)) == Fifteenths(7)
+    assert StepRecord.make("A1", 1, 0, 1, 0).profit15 == 7
     # a bookkeeping death
-    assert profit(StepRecord.make("Z0", 0, 1, 0, 0)) == Fifteenths(2)
+    assert StepRecord.make("Z0", 0, 1, 0, 0).profit15 == 2
     # dead-end absorption of a rich fringe vertex
-    assert profit(StepRecord.make("Z1.1", 0, 4, 1, 0)) == Fifteenths(2)
+    assert StepRecord.make("Z1.1", 0, 4, 1, 0).profit15 == 2
 
 
 def test_profit_formula():

@@ -8,12 +8,11 @@ from leafspan import (
     cost15,
     find_reduction,
     h_graph,
-    lift_tree,
     lift_tree_logged,
     reduce_fully,
     square_of_cycle,
 )
-from leafspan.reduction import ReductionTrace, apply_event
+from leafspan.reduction import apply_event
 from leafspan.trees import SpanningTree, check_spanning_tree
 
 from conftest import random_spanning_tree
@@ -45,6 +44,7 @@ def test_r2_on_h2():
     assert g.has_edge(ev.x, ev.a)
     assert not (g.adj[ev.x] & g.adj[ev.a])
     h = apply_event(g, ev)
+    assert h.degree(ev.remap[ev.x]) == 4  # the merged vertex
     assert cost15(h) == cost15(g)
 
 
@@ -90,7 +90,7 @@ def test_lift_r1_bridge_in_tree():
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])  # C4
     reduced, trace = reduce_fully(g)  # down to a triangle
     tree = SpanningTree(3, frozenset({(0, 1), (1, 2)}))
-    lifted = lift_tree(trace, tree)
+    lifted = lift_tree_logged(trace, tree)[0]
     check_spanning_tree(g, lifted)
     assert lifted.leaf_count() >= tree.leaf_count()
 
@@ -117,7 +117,7 @@ def test_lift_r2_both_orientations():
     # a leaf and as an internal vertex, checking leaf counts by enumeration
     g = h_graph(2)
     reduced, trace = reduce_fully(g)
-    first = ReductionTrace(trace[:1])
+    first = trace[:1]
     stage = apply_event(g, trace[0])
     seen_leaf = seen_internal = False
     for seed in range(60):
@@ -125,7 +125,7 @@ def test_lift_r2_both_orientations():
         tree = SpanningTree(stage.n, frozenset(chosen))
         merged = trace[0].remap[trace[0].x]
         deg = tree.degrees()[merged]
-        lifted = lift_tree(first, tree)
+        lifted = lift_tree_logged(first, tree)[0]
         check_spanning_tree(g, lifted)
         assert lifted.leaf_count() >= tree.leaf_count()
         if deg == 1:
@@ -140,7 +140,7 @@ def test_lift_monotone_on_random_graphs(graph_pool):
         reduced, trace = reduce_fully(g)
         chosen = random_spanning_tree(reduced, seed=i)
         tree = SpanningTree(reduced.n, frozenset(chosen))
-        lifted = lift_tree(trace, tree)
+        lifted = lift_tree_logged(trace, tree)[0]
         check_spanning_tree(g, lifted)
         assert lifted.leaf_count() >= tree.leaf_count()
 
@@ -149,4 +149,4 @@ def test_lift_rejects_invalid_tree():
     g = cycle(5)
     _, trace = reduce_fully(g)
     with pytest.raises(ValueError):
-        lift_tree(trace, SpanningTree(3, frozenset({(0, 1)})))
+        lift_tree_logged(trace, SpanningTree(3, frozenset({(0, 1)})))
