@@ -17,7 +17,7 @@ from .builder import (
     apply_step,
     build,
     choose_bases,
-    levels,
+    fringe,
     next_step,
     split_z4,
 )
@@ -56,10 +56,10 @@ from .oracle import (
 )
 from .reduction import (
     ReductionEvent,
-    apply_event,
     find_reduction,
     lift_tree_logged,
     reduce_fully,
+    replay,
 )
 from .trees import SpanningTree, check_spanning_tree
 
@@ -81,7 +81,6 @@ __all__ = [
     "StepPlan",
     "StepRecord",
     "alpha_prime",
-    "apply_event",
     "apply_step",
     "build",
     "check_spanning_tree",
@@ -92,16 +91,17 @@ __all__ = [
     "enumerate_regular_graphs",
     "exact_u",
     "find_reduction",
+    "fringe",
     "g8",
     "h_graph",
     "is_isomorphic",
-    "levels",
     "lift_tree_logged",
     "max_leaf_tree",
     "min_cds",
     "next_step",
     "random_connected",
     "reduce_fully",
+    "replay",
     "split_z4",
     "square_of_cycle",
     "table_violations",

@@ -39,7 +39,7 @@ from .oracle import (
     classify_exclusion,
     max_leaf_tree,
 )
-from .reduction import ReductionEvent, apply_event, lift_tree_logged, reduce_fully
+from .reduction import ReductionEvent, lift_tree_logged, reduce_fully, replay
 from .trees import SpanningTree, edge_key
 
 
@@ -113,13 +113,9 @@ class PartialTree:
         }
 
 
-def levels(g: Graph, f: PartialTree) -> tuple[set[int], set[int]]:
-    """Outside vertices adjacent to the tree, and those one step further."""
-    level1 = {v for v in f.outside if g.adj[v] & f.vertices}
-    level2 = {
-        v for v in f.outside - level1 if g.adj[v] & level1
-    }
-    return level1, level2
+def fringe(g: Graph, f: PartialTree) -> set[int]:
+    """Outside vertices adjacent to the tree."""
+    return {v for v in f.outside if g.adj[v] & f.vertices}
 
 
 @dataclass(frozen=True)
@@ -230,35 +226,35 @@ def next_step(g: Graph, f: PartialTree) -> StepPlan | None:
         if len(frontier) >= 2:
             return StepPlan("A2", ((x, frontier[0]), (x, frontier[1])), 1, 0)
 
-    level1, level2 = levels(g, f)
+    border = fringe(g, f)
 
-    for x in sorted(level1):
+    for x in sorted(border):
         frontier = sorted(g.adj[x] & outside)
         if len(frontier) >= 3:
             anchor = min(g.adj[x] & f.vertices)
             att = ((anchor, x), (x, frontier[0]), (x, frontier[1]), (x, frontier[2]))
             return StepPlan("A3", att, 2, 0)
 
-    for x in sorted(level1):
+    for x in sorted(border):
         if g.degree(x) != 3:
             continue
         frontier = sorted(g.adj[x] & outside)
         if len(frontier) != 1:
             continue
         y = frontier[0]
-        if g.degree(y) >= 4 and y in level2:
+        if g.degree(y) >= 4 and y not in border:
             grand = sorted(g.adj[y] - {x})[:3]
             anchor = min(g.adj[x] & f.vertices)
             att = ((anchor, x), (x, y)) + tuple((y, w) for w in grand)
             return StepPlan("A4", att, 2, 1)
 
     for kind, wants_t in (("M", True), ("N", False)):
-        for x in sorted(level1):
+        for x in sorted(border):
             right_class = g.degree(x) >= 4 if wants_t else g.degree(x) == 3
             if right_class and len(g.adj[x] & outside) == 2:
                 return _plan_chain(g, f, x, kind)
 
-    for w in sorted(level1):
+    for w in sorted(border):
         if g.adj[w] & outside:
             continue
         anchor = min(g.adj[w] & f.vertices)
@@ -272,8 +268,8 @@ def next_step(g: Graph, f: PartialTree) -> StepPlan | None:
         return StepPlan(label, ((anchor, w),), 0, db)
 
     pair = None
-    for v in sorted(level1):
-        mates = sorted(w for w in g.adj[v] & level1 if w > v)
+    for v in sorted(border):
+        mates = sorted(w for w in g.adj[v] & border if w > v)
         if mates:
             pair = (v, mates[0])
             break
@@ -292,7 +288,7 @@ def next_step(g: Graph, f: PartialTree) -> StepPlan | None:
         db = 6 if label == "Z2.2" else 5
         return StepPlan(label, ((anchor_v, v), (anchor_w, w)), 0, db)
 
-    for w in sorted(level1):
+    for w in sorted(border):
         frontier = sorted(g.adj[w] & outside)
         if len(frontier) != 1:
             raise EngineDefect("fringe vertex with several outside neighbors at Z3")
@@ -487,10 +483,10 @@ def split_z4(
     Returns the combined spanning edge set, the composite record, and the
     maximum child recursion depth.
     """
-    level1, _ = levels(g, f)
-    if not level1:
+    border = fringe(g, f)
+    if not border:
         raise EngineDefect("split with an empty fringe")
-    for w in sorted(level1):
+    for w in sorted(border):
         anchors = g.adj[w] & f.vertices
         if (
             g.degree(w) < 4
@@ -502,13 +498,12 @@ def split_z4(
 
     leaves_before = f.leaf_count()
     dead_before = len(f.dead)
-    sub, remap = g.induced(f.outside)
-    inv = {new: old for old, new in remap.items()}
+    sub, outside = g.induced(f.outside)
     combined = set(f.edge_set())
     child_depth = 0
     for comp in sub.components():
-        comp_old = sorted(inv[v] for v in comp)
-        h, hmap = g.induced(comp_old)
+        comp_old = [outside[v] for v in comp]
+        h, _ = g.induced(comp_old)
         if h.n < 2:
             raise EngineDefect("singleton outside component at the split")
         if classify_exclusion(h) is not None:
@@ -517,13 +512,12 @@ def split_z4(
         child_depth = max(child_depth, report.recursion_depth)
         if report.alpha < Fifteenths.whole(2):
             raise EngineDefect("component build missed the recursion bound")
-        hinv = {new: old for old, new in hmap.items()}
         for u, v in report.spanning_tree.edges:
-            combined.add(edge_key(hinv[u], hinv[v]))
+            combined.add(edge_key(comp_old[u], comp_old[v]))
         cut = min(
             (w, a)
             for w in comp_old
-            if w in level1
+            if w in border
             for a in g.adj[w] & f.vertices
         )
         combined.add(edge_key(*cut))
@@ -623,13 +617,6 @@ def _spanning_record(g: Graph, tree: SpanningTree, label: str) -> StepRecord:
     return StepRecord.make(label, u, u, dt, ds, tuple(range(g.n)))
 
 
-def _replay(g: Graph, events) -> Graph:
-    cur = g
-    for ev in events:
-        cur = apply_event(cur, ev)
-    return cur
-
-
 def _exact_result(stage: Graph, case: str) -> _EngineResult:
     parents = max_leaf_tree(stage)
     st = SpanningTree.from_parents(parents)
@@ -649,6 +636,7 @@ def build(g: Graph) -> BuildReport:
     input_kind = kind if not trace else None
     defects: list[str] = []
     oracle_fallback = False
+    lift_trace, stage_graph = trace, reduced
 
     if kind is not None:
         # Exact search on the exception graph itself, or (when reductions
@@ -656,7 +644,7 @@ def build(g: Graph) -> BuildReport:
         # application away from an exception the bound is back to +2, and
         # that stage has at most 9 vertices.
         lift_trace = trace[:-1]
-        stage_graph = _replay(g, lift_trace) if trace else reduced
+        stage_graph = replay(g, lift_trace)
         result = _exact_result(stage_graph, "exclusion-direct")
         case = "exclusion-direct"
     elif all(reduced.degree(v) <= 2 for v in range(reduced.n)):
@@ -668,26 +656,20 @@ def build(g: Graph) -> BuildReport:
         rec = _spanning_record(reduced, st, "path-direct-base")
         result = _EngineResult(set(edges), Ledger(rec, []), 0, st.leaf_count())
         case = "path-direct"
-        lift_trace = trace
-        stage_graph = reduced
     else:
         result, case, defects, oracle_fallback = _run_ensemble(reduced)
-        lift_trace = trace
-        stage_graph = reduced
 
     engine_tree = SpanningTree(stage_graph.n, frozenset(result.edges))
     lifted, lift_log = lift_tree_logged(lift_trace, engine_tree)
     ledger = result.ledger
     for label, gain in lift_log:
         if gain:
-            ledger.steps.append(
-                StepRecord.make(label, gain, gain, 0, 0)
-            )
+            ledger.steps.append(StepRecord.make(label, gain, gain, 0, 0))
     final_leaves = lifted.leaf_count()
     total_cost = cost15(g)
     alpha = Fifteenths(15 * final_leaves - total_cost)
 
-    report = BuildReport(
+    return BuildReport(
         tree=lifted.parents(),
         leaves=final_leaves,
         cost=Fifteenths(total_cost),
@@ -701,12 +683,11 @@ def build(g: Graph) -> BuildReport:
         oracle_fallback=oracle_fallback,
         defects=tuple(defects),
     )
-    return report
 
 
 def _run_ensemble(reduced: Graph) -> tuple[_EngineResult, str, list[str], bool]:
     bases = choose_bases(reduced)
-    case = bases[0][1]
+    case = kept = bases[0][1]
     defects: list[str] = []
     best: _EngineResult | None = None
     for base, label in bases:
@@ -725,12 +706,12 @@ def _run_ensemble(reduced: Graph) -> tuple[_EngineResult, str, list[str], bool]:
             if reduced.degree(center) < 3:
                 continue
             try:
-                res = _run_from_base(reduced, star_base(reduced, center), case)
+                res = _run_from_base(reduced, star_base(reduced, center), "star-retry")
             except EngineDefect as exc:
                 defects.append(f"retry star {center}: {exc}")
                 continue
             if best is None or res.leaves > best.leaves:
-                best = res
+                best, kept = res, "star-retry"
 
     if (best is None or 15 * best.leaves < required15) and reduced.n <= ORACLE_MAX_N:
         exact = _exact_result(reduced, case)
@@ -738,4 +719,4 @@ def _run_ensemble(reduced: Graph) -> tuple[_EngineResult, str, list[str], bool]:
             return exact, case, defects, True
     if best is None:
         raise EngineDefect("; ".join(defects) or "no base tree produced a result")
-    return best, case, defects, False
+    return best, kept, defects, False

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
 from . import families
 from .builder import build
@@ -87,7 +88,7 @@ def parse_graph6(line: str) -> Graph:
 
 
 def read_graph(source: str) -> Graph:
-    text = sys.stdin.read() if source == "-" else open(source).read()
+    text = sys.stdin.read() if source == "-" else Path(source).read_text()
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -1,8 +1,8 @@
 """Simple undirected graphs and the exact cost arithmetic used throughout.
 
 Vertices are dense integers 0..n-1.  Graphs are immutable after
-construction; operations that change the vertex set return a new graph
-together with an old-id -> new-id mapping so traces can be replayed.
+construction; `Graph.induced` is the one place that re-indexes a vertex
+subset, and it returns the sorted old ids beside the new graph.
 """
 
 from __future__ import annotations
@@ -125,8 +125,8 @@ class Graph:
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.components()) == 1
 
-    def induced(self, vertices) -> tuple["Graph", dict[int, int]]:
-        """Induced subgraph on `vertices`; returns (graph, old->new map)."""
+    def induced(self, vertices) -> tuple["Graph", list[int]]:
+        """Induced subgraph on `vertices`; new vertex i is old vertex order[i]."""
         order = sorted(set(vertices))
         remap = {old: new for new, old in enumerate(order)}
         edges = [
@@ -135,11 +135,11 @@ class Graph:
             for v in self.adj[u]
             if u < v and v in remap
         ]
-        return Graph(len(order), edges), remap
+        return Graph(len(order), edges), order
 
 
-def vertex_cost15(g: Graph, v: int) -> int:
-    d = g.degree(v)
+def degree_cost15(d: int) -> int:
+    """Cost of one vertex of degree d in fifteenths."""
     if d >= 4:
         return T_COST15
     if d == 3:
@@ -163,7 +163,7 @@ def degree_counts(g: Graph, vertices=None) -> tuple[int, int]:
 def cost15(g: Graph, vertices=None) -> int:
     """Cost of a vertex set (default: all of g) in fifteenths."""
     vs = range(g.n) if vertices is None else vertices
-    return sum(vertex_cost15(g, v) for v in vs)
+    return sum(degree_cost15(g.degree(v)) for v in vs)
 
 
 def triangle_counts(g: Graph) -> list[int]:

@@ -8,24 +8,26 @@ unchanged and never decreasing the best achievable leaf count:
 * R2: two adjacent degree-3 vertices with disjoint neighborhoods are
   contracted into a single degree-4 vertex.
 
-A spanning tree of the reduced graph lifts back through the recorded
-events in reverse order without ever losing a leaf.
+Every event names vertices by their ids in the input graph.  The rules
+run on one mutable copy of the input's adjacency sets (a removed vertex's
+set is emptied) and the survivors are re-indexed once, at the end, in
+increasing input-id order.  A spanning tree of the reduced graph lifts
+back through the events in reverse order without ever losing a leaf.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, cost15
-from .trees import SpanningTree, edge_key
+from .graph import Graph, degree_cost15
+from .trees import SpanningTree
 
 
 @dataclass(frozen=True)
 class ReductionEvent:
     """One applied rule, with enough context to replay or undo it.
 
-    All vertex ids are in the pre-event graph's id space; `remap` sends
-    surviving old ids to the densely re-indexed new ids.
+    All vertex ids are ids in the input graph of the reduction.
     """
 
     kind: str  # "R1" or "R2"
@@ -34,106 +36,110 @@ class ReductionEvent:
     b: int  # R1: second neighbor; R2: unused (-1)
     nbrs_kept: frozenset[int]  # R2: neighbors of a1 (excluding a2)
     nbrs_dropped: frozenset[int]  # R2: neighbors of a2 (excluding a1)
-    remap: dict[int, int]
+
+    @property
+    def removed(self) -> int:
+        """The vertex the event deletes: x for R1, a2 for R2."""
+        return self.x if self.kind == "R1" else self.a
+
+    @property
+    def touched(self) -> tuple[int, ...]:
+        """The vertices whose degree on apply, or tree degree on undo, can change."""
+        return (self.x, self.a, self.b) if self.kind == "R1" else (self.x, self.a)
 
 
-def _shift_remap(n: int, removed: int) -> dict[int, int]:
-    return {old: old - (old > removed) for old in range(n) if old != removed}
+def _first_event(adj) -> ReductionEvent | None:
+    for x, nx in enumerate(adj):
+        if len(nx) == 2:
+            a, b = sorted(nx)
+            if b not in adj[a]:
+                return ReductionEvent("R1", x, a, b, frozenset(), frozenset())
+    for a1, n1 in enumerate(adj):
+        if len(n1) != 3:
+            continue
+        for a2 in sorted(n1):
+            if a2 <= a1 or len(adj[a2]) != 3 or n1 & adj[a2]:
+                continue
+            kept, dropped = frozenset(n1 - {a2}), frozenset(adj[a2] - {a1})
+            return ReductionEvent("R2", a1, a2, -1, kept, dropped)
+    return None
 
 
 def find_reduction(g: Graph) -> ReductionEvent | None:
     """First applicable event: smallest-x R1, else lexicographically first R2."""
-    for x in range(g.n):
-        if g.degree(x) == 2:
-            a, b = sorted(g.adj[x])
-            if not g.has_edge(a, b):
-                return ReductionEvent(
-                    "R1", x, a, b, frozenset(), frozenset(), _shift_remap(g.n, x)
-                )
-    for a1 in range(g.n):
-        if g.degree(a1) != 3:
-            continue
-        for a2 in sorted(g.adj[a1]):
-            if a2 <= a1 or g.degree(a2) != 3:
-                continue
-            if g.adj[a1] & g.adj[a2]:
-                continue
-            return ReductionEvent(
-                "R2",
-                a1,
-                a2,
-                -1,
-                g.adj[a1] - {a2},
-                g.adj[a2] - {a1},
-                _shift_remap(g.n, a2),
-            )
-    return None
+    return _first_event(g.adj)
 
 
-def apply_event(g: Graph, ev: ReductionEvent) -> Graph:
-    remap = ev.remap
+def _link(adj: list[set[int]], u: int, v: int) -> None:
+    adj[u].add(v)
+    adj[v].add(u)
+
+
+def _apply(adj: list[set[int]], ev: ReductionEvent) -> None:
+    """Empty the removed vertex's set; R1 joins a and b, R2 moves a2's edges to a1."""
+    gone = ev.removed
+    nbrs, adj[gone] = adj[gone], set()
+    for w in nbrs:
+        adj[w].remove(gone)
     if ev.kind == "R1":
-        edges = {
-            edge_key(remap[u], remap[v]) for u, v in g.edges() if ev.x not in (u, v)
-        }
-        edges.add(edge_key(remap[ev.a], remap[ev.b]))
-        return Graph(g.n - 1, edges)
-    edges = set()
-    for u, v in g.edges():
-        if {u, v} == {ev.x, ev.a}:
-            continue
-        u2 = ev.x if u == ev.a else u
-        v2 = ev.x if v == ev.a else v
-        if u2 != v2:
-            edges.add(edge_key(remap[u2], remap[v2]))
-    return Graph(g.n - 1, edges)
+        _link(adj, ev.a, ev.b)
+    else:
+        for w in nbrs - {ev.x}:
+            _link(adj, ev.x, w)
+
+
+def _compact(adj: list[set[int]], events: list[ReductionEvent]) -> Graph:
+    n = len(adj)
+    full = Graph(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
+    return full.induced(_survivors(n, events))[0]
+
+
+def _survivors(n: int, events: list[ReductionEvent]) -> list[int]:
+    removed = {ev.removed for ev in events}
+    return [v for v in range(n) if v not in removed]
+
+
+def replay(g: Graph, events: list[ReductionEvent]) -> Graph:
+    """The graph reached from g through `events`, re-indexed once."""
+    adj = [set(s) for s in g.adj]
+    for ev in events:
+        _apply(adj, ev)
+    return _compact(adj, events)
 
 
 def reduce_fully(g: Graph) -> tuple[Graph, list[ReductionEvent]]:
     """Apply events until neither rule matches; cost is checked at each event."""
     if not g.is_connected():
         raise ValueError("graph must be connected")
+    adj = [set(s) for s in g.adj]
     trace: list[ReductionEvent] = []
-    cur = g
-    while True:
-        ev = find_reduction(cur)
-        if ev is None:
-            return cur, trace
-        nxt = apply_event(cur, ev)
-        if cost15(nxt) != cost15(cur):
+    while (ev := _first_event(adj)) is not None:
+        before = sum(degree_cost15(len(adj[v])) for v in ev.touched)
+        _apply(adj, ev)
+        if sum(degree_cost15(len(adj[v])) for v in ev.touched) != before:
             raise AssertionError(f"{ev.kind} changed the cost")
         trace.append(ev)
-        cur = nxt
+    return _compact(adj, trace), trace
 
 
-def _undo_event(ev: ReductionEvent, tree: SpanningTree) -> SpanningTree:
-    inverse = {new: old for old, new in ev.remap.items()}
-    edges = {edge_key(inverse[u], inverse[v]) for u, v in tree.edges}
+def _undo(adj: list[set[int]], ev: ReductionEvent) -> None:
     if ev.kind == "R1":
-        bridged = edge_key(ev.a, ev.b)
-        if bridged in edges:
-            edges.remove(bridged)
-            edges.add(edge_key(ev.a, ev.x))
-            edges.add(edge_key(ev.x, ev.b))
-        else:
-            # x re-enters as a leaf; it hangs off a by convention
-            edges.add(edge_key(ev.a, ev.x))
-        return SpanningTree(tree.n + 1, frozenset(edges))
+        if ev.b in adj[ev.a]:
+            adj[ev.a].remove(ev.b)
+            adj[ev.b].remove(ev.a)
+            _link(adj, ev.x, ev.b)
+        # otherwise x re-enters as a leaf; it hangs off a by convention
+        _link(adj, ev.a, ev.x)
+        return
     a1, a2 = ev.x, ev.a
-    rebuilt = set()
-    for u, v in edges:
-        if a1 not in (u, v):
-            rebuilt.add((u, v))
-            continue
-        w = v if u == a1 else u
-        if w in ev.nbrs_kept:
-            rebuilt.add(edge_key(a1, w))
-        elif w in ev.nbrs_dropped:
-            rebuilt.add(edge_key(a2, w))
-        else:
+    for w in list(adj[a1]):
+        if w in ev.nbrs_dropped:
+            adj[a1].remove(w)
+            adj[w].remove(a1)
+            _link(adj, a2, w)
+        elif w not in ev.nbrs_kept:
             raise ValueError(f"tree edge to {w} matches neither split endpoint")
-    rebuilt.add(edge_key(a1, a2))
-    return SpanningTree(tree.n + 1, frozenset(rebuilt))
+    _link(adj, a1, a2)
 
 
 def lift_tree_logged(
@@ -143,13 +149,18 @@ def lift_tree_logged(
     if len(tree.edges) != tree.n - 1:
         raise ValueError("input is not a tree (wrong edge count)")
     tree.parents()  # raises when disconnected
+    n = tree.n + len(trace)
+    ids = _survivors(n, trace)
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in tree.edges:
+        _link(adj, ids[u], ids[v])
     log: list[tuple[str, int]] = []
-    cur = tree
     for ev in reversed(trace):
-        before = cur.leaf_count()
-        cur = _undo_event(ev, cur)
-        gain = cur.leaf_count() - before
+        before = sum(len(adj[v]) == 1 for v in ev.touched)
+        _undo(adj, ev)
+        gain = sum(len(adj[v]) == 1 for v in ev.touched) - before
         if gain < 0:
             raise AssertionError(f"{ev.kind} undo lost a leaf")
         log.append((f"{ev.kind}-undo", gain))
-    return cur, log
+    edges = frozenset((u, v) for u in range(n) for v in adj[u] if u < v)
+    return SpanningTree(n, edges), log

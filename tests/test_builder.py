@@ -12,15 +12,17 @@ from leafspan import (
     choose_bases,
     cost15,
     exact_u,
+    fringe,
     h_graph,
-    levels,
     next_step,
+    random_connected,
+    reduce_fully,
     split_z4,
     square_of_cycle,
     table_violations,
     verify_ledger,
 )
-from leafspan.builder import PartialTree, StalePlanError, star_base
+from leafspan.builder import PartialTree, StalePlanError, _run_from_base, star_base
 from leafspan.trees import SpanningTree, check_spanning_tree
 
 from conftest import make_state
@@ -29,23 +31,17 @@ from conftest import make_state
 def test_levels_on_c6sq():
     g = square_of_cycle(6)
     f = PartialTree(g, 0)
-    level1, level2 = levels(g, f)
-    assert level1 == set(g.adj[0]) and len(level1) == 4
-    assert level2 == {3}
+    border = fringe(g, f)
+    assert border == set(g.adj[0]) and len(border) == 4
 
 
 def test_levels_spanning_tree_empty():
     g = square_of_cycle(6)
-    report = build(g)
-    f = PartialTree(g, 0)
-    for v, p in enumerate(report.tree):
-        if p >= 0 and v != 0:
-            pass  # levels() only needs some spanning state; use a star fill
     f2 = star_base(g, 0)
     while not f2.spans():
         plan = next_step(g, f2)
         apply_step(g, f2, plan)
-    assert levels(g, f2) == (set(), set())
+    assert fringe(g, f2) == set()
 
 
 def test_levels_on_h2_block():
@@ -54,9 +50,7 @@ def test_levels_on_h2_block():
     for v in (1, 2, 3):
         f.attach(0, v)
     f.sweep_dead()
-    level1, level2 = levels(g, f)
-    assert level1 == {4, 5}  # the block's two degree-3 ports
-    assert level2 == {10, 11}  # neighboring ports across the bridges
+    assert fringe(g, f) == {4, 5}  # the block's two degree-3 ports
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +361,6 @@ def test_apply_step_rejects_stale_plan():
 
 
 def test_dead_marks_match_adjacency_at_every_boundary():
-    from leafspan import reduce_fully
-
     gr, _ = reduce_fully(h_graph(2))
     for base, _label in choose_bases(gr):
         f = base.copy()
@@ -436,6 +428,28 @@ def test_build_rejects_bad_input():
         build(Graph(1))
     with pytest.raises(ValueError):
         build(Graph(4, [(0, 1), (2, 3)]))
+
+
+@pytest.mark.parametrize(
+    "args",
+    # random_graph_pool(2000, sizes=(3, 40), seed=99) indices 98 and 1300
+    [(17, 2, 3, 208233642), (16, 2, 3, 185619017)],
+)
+def test_star_retry_is_reported(args):
+    g = random_connected(*args)
+    reduced, _ = reduce_fully(g)
+    bases = choose_bases(reduced)
+    assert reduced.n == 9 and {label for _, label in bases} == {"B5"}
+    required15 = cost15(reduced) + 30
+    assert all(
+        15 * _run_from_base(reduced, base, label).leaves < required15
+        for base, label in bases
+    )
+    r = build(g)
+    assert r.base_case == "star-retry"
+    assert r.ledger.base.label == "star-retry-base"
+    assert r.bound_ok and not r.oracle_fallback and not r.defects
+    assert verify_ledger(g, r.ledger, r.spanning_tree).ok
 
 
 def test_build_spanning_and_sound(graph_pool):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from leafspan import (
@@ -9,10 +11,11 @@ from leafspan import (
     find_reduction,
     h_graph,
     lift_tree_logged,
+    random_connected,
     reduce_fully,
+    replay,
     square_of_cycle,
 )
-from leafspan.reduction import apply_event
 from leafspan.trees import SpanningTree, check_spanning_tree
 
 from conftest import random_spanning_tree
@@ -27,7 +30,7 @@ def test_r1_on_path():
     ev = find_reduction(g)
     assert ev is not None and ev.kind == "R1"
     assert ev.x == 1 and (ev.a, ev.b) == (0, 2)
-    h = apply_event(g, ev)
+    h = replay(g, [ev])
     assert h.n == 2 and h.edges() == [(0, 1)]
 
 
@@ -43,8 +46,9 @@ def test_r2_on_h2():
     assert g.degree(ev.x) == 3 and g.degree(ev.a) == 3
     assert g.has_edge(ev.x, ev.a)
     assert not (g.adj[ev.x] & g.adj[ev.a])
-    h = apply_event(g, ev)
-    assert h.degree(ev.remap[ev.x]) == 4  # the merged vertex
+    h = replay(g, [ev])
+    assert ev.removed == ev.a > ev.x  # so the merged vertex keeps the id x
+    assert h.degree(ev.x) == 4
     assert cost15(h) == cost15(g)
 
 
@@ -79,10 +83,7 @@ def test_cost_preserved_and_replay(graph_pool):
     for g in graph_pool[:60]:
         reduced, trace = reduce_fully(g)
         assert cost15(reduced) == cost15(g)
-        cur = g
-        for ev in trace:
-            cur = apply_event(cur, ev)
-        assert cur == reduced
+        assert replay(g, trace) == reduced
 
 
 def test_lift_r1_bridge_in_tree():
@@ -118,12 +119,12 @@ def test_lift_r2_both_orientations():
     g = h_graph(2)
     reduced, trace = reduce_fully(g)
     first = trace[:1]
-    stage = apply_event(g, trace[0])
+    stage = replay(g, first)
     seen_leaf = seen_internal = False
     for seed in range(60):
         chosen = random_spanning_tree(stage, seed)
         tree = SpanningTree(stage.n, frozenset(chosen))
-        merged = trace[0].remap[trace[0].x]
+        merged = trace[0].x  # a2 > x is the removed endpoint
         deg = tree.degrees()[merged]
         lifted = lift_tree_logged(first, tree)[0]
         check_spanning_tree(g, lifted)
@@ -150,3 +151,38 @@ def test_lift_rejects_invalid_tree():
     _, trace = reduce_fully(g)
     with pytest.raises(ValueError):
         lift_tree_logged(trace, SpanningTree(3, frozenset({(0, 1)})))
+
+
+def subdivided(core, n, seed):
+    """`core` with n - core.n new vertices spread over its edges, ids shuffled."""
+    rng = random.Random(seed)
+    edges = core.edges()
+    inner = [0] * len(edges)
+    for _ in range(n - core.n):
+        inner[rng.randrange(len(edges))] += 1
+    path_edges = []
+    nxt = core.n
+    for (u, v), k in zip(edges, inner):
+        path = [u, *range(nxt, nxt + k), v]
+        nxt += k
+        path_edges += zip(path, path[1:])
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(perm[u], perm[v]) for u, v in path_edges])
+
+
+@pytest.mark.parametrize(
+    "k, n", [(20, 200), (24, 330), (28, 450), (32, 580), (26, 700), (None, 2000)]
+)
+def test_reduce_and_lift_beyond_the_oracle(k, n):
+    # a k-vertex degree-3..4 core subdivided to n vertices; a cycle for k=None
+    g = cycle(n) if k is None else subdivided(random_connected(k, 3, 4, n), n, n)
+    reduced, trace = reduce_fully(g)
+    assert replay(g, trace) == reduced
+    removed = [ev.removed for ev in trace]
+    assert len(set(removed)) == len(removed) == g.n - reduced.n
+    assert all(0 <= v < g.n for v in removed)
+    tree = SpanningTree(reduced.n, frozenset(random_spanning_tree(reduced, g.n)))
+    lifted, log = lift_tree_logged(trace, tree)
+    check_spanning_tree(g, lifted)
+    assert sum(gain for _, gain in log) == lifted.leaf_count() - tree.leaf_count()
