@@ -19,6 +19,18 @@ Step catalog, tried strictly in order each round (first match wins):
   Z1-Z3 dead-end moves that add no alive leaf but kill several
   Z4  cut the fringe, recursively span the outside, reattach components
 
+`PartialTree.attach` keeps the counts the catalog reads up to date in
+O(degree of the attached vertex): tree degrees, outside-neighbour counts,
+the leaf count, the cost of the tree in fifteenths, the fringe and the A1
+/ A2 candidate sets; after a step only the vertices it touched are tested
+for death.  A step therefore costs time in its own neighbourhood, not in
+the size of the tree.  The potential is checked against the running sum
+of the ledger after every step from these counts.  The from-scratch
+recount (`ledger.alpha_prime`, which counts leaves from the parent links
+and the cost over the tree's vertices) runs on every base and at the end
+of every engine run that spans without a Z4 split; the test suite runs it,
+with a rescan of the fringe and the dead marks, after every step.
+
 Every committed step appends records to the ledger; extra dead leaves
 beyond a case's nominal count become explicit Z0 records.  The final
 bound leaves >= cost + 2 (cost + 8/5 for the exceptions) is re-checked
@@ -31,8 +43,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Fifteenths, Graph, cost15, degree_counts
-from .ledger import Ledger, StepRecord, alpha_prime
+from .graph import Fifteenths, Graph, cost15, degree_cost15, degree_counts
+from .ledger import DEAD_GAIN15, LEAF_GAIN15, Ledger, StepRecord, alpha_prime
 from .oracle import (
     ORACLE_MAX_N,
     ExclusionKind,
@@ -52,7 +64,20 @@ class StalePlanError(ValueError):
 
 
 class PartialTree:
-    """Tree under construction: parent links, dead-leaf marks, outside set."""
+    """Tree under construction: parent links, dead-leaf marks, outside set.
+
+    `attach` keeps these counts up to date in O(degree of the attached
+    vertex): `deg[v]`, the tree degree of tree vertex v; `out[v]`, the
+    number of outside neighbours of any vertex v; `leaves`, the tree
+    vertices of tree degree 1 (the root too, once it has one child);
+    `cost`, the cost of the tree vertices in fifteenths; `border`, the
+    fringe; and the two sets A1 and A2 choose from, `inner_open` (tree
+    vertices of tree degree >= 2 with an outside neighbour) and `rich`
+    (tree vertices with >= 2 outside neighbours).  Dead marks change only
+    in `sweep_dead`, which tests the vertices attached since the last
+    sweep and their tree neighbours: no other vertex can have become a
+    dead leaf.
+    """
 
     def __init__(self, g: Graph, root: int) -> None:
         self.g = g
@@ -61,6 +86,16 @@ class PartialTree:
         self.children: dict[int, set[int]] = {root: set()}
         self.dead: set[int] = set()
         self.outside: set[int] = set(range(g.n)) - {root}
+        self.deg = [0] * g.n
+        self.out = [len(nbrs) for nbrs in g.adj]
+        for w in g.adj[root]:
+            self.out[w] -= 1
+        self.leaves = 0
+        self.cost = degree_cost15(len(g.adj[root]))
+        self.border: set[int] = set(g.adj[root])
+        self.inner_open: set[int] = set()
+        self.rich: set[int] = {root} if self.out[root] >= 2 else set()
+        self._touched: set[int] = set()
 
     def copy(self) -> "PartialTree":
         other = PartialTree.__new__(PartialTree)
@@ -70,39 +105,75 @@ class PartialTree:
         other.children = {v: set(c) for v, c in self.children.items()}
         other.dead = set(self.dead)
         other.outside = set(self.outside)
+        other.deg = list(self.deg)
+        other.out = list(self.out)
+        other.leaves = self.leaves
+        other.cost = self.cost
+        other.border = set(self.border)
+        other.inner_open = set(self.inner_open)
+        other.rich = set(self.rich)
+        other._touched = set(self._touched)
         return other
 
-    def tree_degree(self, v: int) -> int:
-        return len(self.children[v]) + (0 if self.parent[v] == -1 else 1)
-
-    def leaf_count(self) -> int:
-        return sum(1 for v in self.vertices if self.tree_degree(v) == 1)
+    def potential15(self) -> int:
+        """13 leaves + 2 dead leaves - cost, in fifteenths, from the counts."""
+        return LEAF_GAIN15 * self.leaves + DEAD_GAIN15 * len(self.dead) - self.cost
 
     def attach(self, parent: int, child: int) -> None:
+        adj = self.g.adj
         if parent not in self.vertices:
             raise ValueError(f"parent {parent} not in tree")
         if child not in self.outside:
             raise ValueError(f"child {child} not outside the tree")
-        if not self.g.has_edge(parent, child):
+        if child not in adj[parent]:
             raise ValueError(f"({parent},{child}) is not a graph edge")
         if parent in self.dead:
             raise ValueError(f"parent {parent} is a dead leaf")
+        outside, border = self.outside, self.border
         self.vertices.add(child)
-        self.outside.remove(child)
+        outside.remove(child)
+        border.discard(child)
         self.parent[child] = parent
         self.children[child] = set()
         self.children[parent].add(child)
-
-    def sweep_dead(self) -> list[int]:
-        """Mark every alive leaf whose whole neighborhood is in the tree."""
-        newly = []
-        for v in self.vertices:
-            if v in self.dead or self.tree_degree(v) != 1:
+        deg, out = self.deg, self.out
+        deg[parent] += 1
+        if deg[parent] == 1:  # the root's first child
+            self.leaves += 1
+        elif deg[parent] == 2:
+            self.leaves -= 1
+        deg[child] = 1
+        self.leaves += 1
+        self.cost += degree_cost15(len(adj[child]))
+        touched, inner_open, rich = self._touched, self.inner_open, self.rich
+        touched.add(child)
+        if out[child] >= 2:
+            rich.add(child)
+        # every neighbour loses one outside neighbour; of the tree vertices
+        # only the parent changes its degree
+        for w in adj[child]:
+            o = out[w] = out[w] - 1
+            if w in outside:
+                border.add(w)
                 continue
-            if self.g.adj[v] <= self.vertices:
-                newly.append(v)
-        self.dead.update(newly)
-        return newly
+            touched.add(w)
+            if o == 0:
+                inner_open.discard(w)
+            elif deg[w] >= 2:
+                inner_open.add(w)
+            if o == 1:
+                rich.discard(w)
+
+    def sweep_dead(self) -> None:
+        """Mark every alive leaf whose whole neighborhood is in the tree.
+
+        Only vertices attached since the last sweep and their tree
+        neighbours can have become such leaves, so only they are tested.
+        """
+        for v in self._touched:
+            if self.deg[v] == 1 and not self.out[v]:
+                self.dead.add(v)
+        self._touched.clear()
 
     def spans(self) -> bool:
         return not self.outside
@@ -114,8 +185,8 @@ class PartialTree:
 
 
 def fringe(g: Graph, f: PartialTree) -> set[int]:
-    """Outside vertices adjacent to the tree."""
-    return {v for v in f.outside if g.adj[v] & f.vertices}
+    """Outside vertices adjacent to the tree (the set f keeps; do not mutate)."""
+    return f.border
 
 
 @dataclass(frozen=True)
@@ -213,52 +284,49 @@ def next_step(g: Graph, f: PartialTree) -> StepPlan | None:
     """First applicable step of the catalog, fully planned; None when spanning."""
     if f.spans():
         return None
-    outside = f.outside
+    adj, outside, out = g.adj, f.outside, f.out
 
-    for x in sorted(f.vertices):
-        if f.tree_degree(x) >= 2:
-            frontier = sorted(g.adj[x] & outside)
-            if frontier:
-                return StepPlan("A1", ((x, frontier[0]),), 1, 0)
+    if f.inner_open:
+        x = min(f.inner_open)
+        return StepPlan("A1", ((x, min(adj[x] & outside)),), 1, 0)
 
-    for x in sorted(f.vertices):
-        frontier = sorted(g.adj[x] & outside)
-        if len(frontier) >= 2:
-            return StepPlan("A2", ((x, frontier[0]), (x, frontier[1])), 1, 0)
+    if f.rich:
+        x = min(f.rich)
+        y1, y2 = sorted(adj[x] & outside)[:2]
+        return StepPlan("A2", ((x, y1), (x, y2)), 1, 0)
 
-    border = fringe(g, f)
+    border = f.border
+    order = sorted(border)
 
-    for x in sorted(border):
-        frontier = sorted(g.adj[x] & outside)
-        if len(frontier) >= 3:
-            anchor = min(g.adj[x] & f.vertices)
+    for x in order:
+        if out[x] >= 3:
+            frontier = sorted(adj[x] & outside)
+            anchor = min(adj[x] & f.vertices)
             att = ((anchor, x), (x, frontier[0]), (x, frontier[1]), (x, frontier[2]))
             return StepPlan("A3", att, 2, 0)
 
-    for x in sorted(border):
-        if g.degree(x) != 3:
+    for x in order:
+        if len(adj[x]) != 3 or out[x] != 1:
             continue
-        frontier = sorted(g.adj[x] & outside)
-        if len(frontier) != 1:
-            continue
-        y = frontier[0]
-        if g.degree(y) >= 4 and y not in border:
-            grand = sorted(g.adj[y] - {x})[:3]
-            anchor = min(g.adj[x] & f.vertices)
+        (y,) = adj[x] & outside
+        if len(adj[y]) >= 4 and y not in border:
+            grand = sorted(adj[y] - {x})[:3]
+            anchor = min(adj[x] & f.vertices)
             att = ((anchor, x), (x, y)) + tuple((y, w) for w in grand)
             return StepPlan("A4", att, 2, 1)
 
     for kind, wants_t in (("M", True), ("N", False)):
-        for x in sorted(border):
-            right_class = g.degree(x) >= 4 if wants_t else g.degree(x) == 3
-            if right_class and len(g.adj[x] & outside) == 2:
+        for x in order:
+            d = len(adj[x])
+            right_class = d >= 4 if wants_t else d == 3
+            if right_class and out[x] == 2:
                 return _plan_chain(g, f, x, kind)
 
-    for w in sorted(border):
-        if g.adj[w] & outside:
+    for w in order:
+        if out[w]:
             continue
-        anchor = min(g.adj[w] & f.vertices)
-        d = g.degree(w)
+        anchor = min(adj[w] & f.vertices)
+        d = len(adj[w])
         if d >= 4:
             label, db = "Z1.1", 4
         elif d == 3:
@@ -268,40 +336,39 @@ def next_step(g: Graph, f: PartialTree) -> StepPlan | None:
         return StepPlan(label, ((anchor, w),), 0, db)
 
     pair = None
-    for v in sorted(border):
-        mates = sorted(w for w in g.adj[v] & border if w > v)
+    for v in order:
+        mates = [w for w in adj[v] & border if w > v]
         if mates:
-            pair = (v, mates[0])
+            pair = (v, min(mates))
             break
     if pair is not None:
         v, w = pair
-        dv, dw = g.degree(v), g.degree(w)
+        dv, dw = len(adj[v]), len(adj[w])
         if dv <= 2 or dw <= 2:
             raise EngineDefect("degree-2 vertex in an adjacent fringe pair")
         if dv == 3 and dw == 3:
             raise EngineDefect("adjacent degree-3 fringe pair in a reduced graph")
-        anchor_v = min(g.adj[v] & f.vertices)
-        anchor_w = min(g.adj[w] & f.vertices)
+        anchor_v = min(adj[v] & f.vertices)
+        anchor_w = min(adj[w] & f.vertices)
         if anchor_v == anchor_w:
             raise EngineDefect("fringe pair shares an anchor leaf")
         label = "Z2.2" if (dv >= 4 and dw >= 4) else "Z2.1"
         db = 6 if label == "Z2.2" else 5
         return StepPlan(label, ((anchor_v, v), (anchor_w, w)), 0, db)
 
-    for w in sorted(border):
-        frontier = sorted(g.adj[w] & outside)
-        if len(frontier) != 1:
+    for w in order:
+        if out[w] != 1:
             raise EngineDefect("fringe vertex with several outside neighbors at Z3")
-        v = frontier[0]
-        if g.degree(v) <= 2:
-            dw = g.degree(w)
+        (v,) = adj[w] & outside
+        if len(adj[v]) <= 2:
+            dw = len(adj[w])
             if dw == 3:
                 label, db = "Z3.1", 2
             elif dw >= 4:
                 label, db = "Z3.2", 3
             else:
                 raise EngineDefect("degree-2 fringe vertex at Z3")
-            anchor = min(g.adj[w] & f.vertices)
+            anchor = min(adj[w] & f.vertices)
             return StepPlan(label, ((anchor, w), (w, v)), 0, db)
 
     return StepPlan("Z4", (), 0, 0)
@@ -314,15 +381,16 @@ def _plan_chain(g: Graph, f: PartialTree, x: int, kind: str) -> StepPlan:
     through the sub-case ladder; every set below is taken with respect to
     the tree as it stands *before* the composite.
     """
+    adj = g.adj
     tree_v = f.vertices
     outside = f.outside
-    in_t = lambda v: g.degree(v) >= 4  # noqa: E731
+    in_t = lambda v: len(adj[v]) >= 4  # noqa: E731
 
-    anchors = g.adj[x] & tree_v
+    anchors = adj[x] & tree_v
     if kind == "M" and len(anchors) < 2:
         raise EngineDefect("composite root should touch two tree leaves")
     base_att = [(min(anchors), x)]
-    y1, y2 = sorted(g.adj[x] & outside)
+    y1, y2 = sorted(adj[x] & outside)
     base_att += [(x, y1), (x, y2)]
     prefix_db = 1 if kind == "M" else 0
     lab = lambda s: kind + s  # noqa: E731
@@ -331,7 +399,7 @@ def _plan_chain(g: Graph, f: PartialTree, x: int, kind: str) -> StepPlan:
         return StepPlan(lab("1"), tuple(base_att), 1, prefix_db)
 
     w1 = outside - {x, y1, y2}
-    d_w1 = lambda v: len(g.adj[v] & w1)  # noqa: E731
+    d_w1 = lambda v: len(adj[v] & w1)  # noqa: E731
     if in_t(y1) and in_t(y2):
         if (d_w1(y2), -y2) > (d_w1(y1), -y1):
             y1, y2 = y2, y1
@@ -340,20 +408,20 @@ def _plan_chain(g: Graph, f: PartialTree, x: int, kind: str) -> StepPlan:
 
     deep1 = d_w1(y1)
     if deep1 >= 3:
-        grown = sorted(g.adj[y1] & w1)[:3]
+        grown = sorted(adj[y1] & w1)[:3]
         att = base_att + [(y1, w) for w in grown]
         return StepPlan(lab("2"), tuple(att), 3, prefix_db)
     if deep1 <= 1:
-        if not (g.adj[y1] & tree_v):
+        if not (adj[y1] & tree_v):
             raise EngineDefect("shallow branch vertex must touch the tree")
         if in_t(y2):
             return StepPlan(lab("3.1"), tuple(base_att), 1, prefix_db + 4)
         return StepPlan(lab("3.2"), tuple(base_att), 1, prefix_db + 2)
 
-    z1, z2 = sorted(g.adj[y1] & w1)
+    z1, z2 = sorted(adj[y1] & w1)
     att4 = base_att + [(y1, z1), (y1, z2)]
 
-    touching = [v for v in sorted({y2, z1, z2}) if g.adj[v] & tree_v]
+    touching = [v for v in sorted({y2, z1, z2}) if adj[v] & tree_v]
     if touching:
         v = touching[0]
         if in_t(v):
@@ -363,47 +431,47 @@ def _plan_chain(g: Graph, f: PartialTree, x: int, kind: str) -> StepPlan:
     if any(not in_t(v) for v in (y2, z1, z2)):
         return StepPlan(lab("4.2"), tuple(att4), 2, prefix_db)
 
-    if g.adj[y2] == frozenset({x, y1, z1, z2}):
+    if adj[y2] == frozenset({x, y1, z1, z2}):
         return StepPlan(lab("4.3"), tuple(att4), 2, prefix_db + 1)
 
-    if not g.has_edge(y1, y2) or g.degree(y1) != 4 or g.degree(y2) != 4:
+    if y2 not in adj[y1] or len(adj[y1]) != 4 or len(adj[y2]) != 4:
         raise EngineDefect("branch pair structure violated past case 4.3")
 
     w2 = w1 - {z1, z2}
-    d_w2 = lambda v: len(g.adj[v] & w2)  # noqa: E731
+    d_w2 = lambda v: len(adj[v] & w2)  # noqa: E731
     for z in (z1, z2):
         if d_w2(z) >= 3:
-            grown = sorted(g.adj[z] & w2)[:3]
+            grown = sorted(adj[z] & w2)[:3]
             att = att4 + [(z, w) for w in grown]
             return StepPlan(lab("4.4"), tuple(att), 4, prefix_db)
 
-    eligible = [z for z in (z1, z2) if not g.has_edge(y2, z)]
+    eligible = [z for z in (z1, z2) if z not in adj[y2]]
     if not eligible:
         raise EngineDefect("both chord vertices adjacent to the branch mate")
     z_a = eligible[0]
     z_b = z2 if z_a == z1 else z1
     if d_w2(z_a) != 2:
         raise EngineDefect("selected chord vertex lost its two deep neighbors")
-    p1, p2 = sorted(g.adj[z_a] & w2)
+    p1, p2 = sorted(adj[z_a] & w2)
     att45 = att4 + [(z_a, p1), (z_a, p2)]
 
     for p in (p1, p2):
-        if in_t(p) and (g.adj[p] & tree_v):
+        if in_t(p) and (adj[p] & tree_v):
             return StepPlan(lab("4.5.1"), tuple(att45), 3, prefix_db + 2)
     if any(not in_t(p) for p in (p1, p2)):
         return StepPlan(lab("4.5.2"), tuple(att45), 3, prefix_db)
 
     w3 = w2 - {p1, p2}
-    d_w3 = lambda v: len(g.adj[v] & w3)  # noqa: E731
+    d_w3 = lambda v: len(adj[v] & w3)  # noqa: E731
     if any(d_w3(v) == 0 for v in (y2, z_b, p1, p2)):
         return StepPlan(lab("4.5.3"), tuple(att45), 3, prefix_db + 1)
 
     deep = [p for p in (p1, p2) if d_w3(p) >= 2]
     if deep:
         p = deep[0]
-        grand = sorted(g.adj[p] & w3)[:2]
+        grand = sorted(adj[p] & w3)[:2]
         att = att45 + [(p, q) for q in grand]
-        anchored = [q for q in grand if g.adj[q] & tree_v]
+        anchored = [q for q in grand if adj[q] & tree_v]
         if not anchored:
             return StepPlan(lab("4.5.4"), tuple(att), 4, prefix_db)
         if in_t(anchored[0]):
@@ -412,27 +480,27 @@ def _plan_chain(g: Graph, f: PartialTree, x: int, kind: str) -> StepPlan:
 
     # closing configuration: both deep vertices see exactly one vertex
     # further out, and the neighborhood chase pins the whole 4-regular blob
-    p_opts = [p for p in (p1, p2) if not g.has_edge(y2, p)]
+    p_opts = [p for p in (p1, p2) if p not in adj[y2]]
     if not p_opts:
         raise EngineDefect("branch mate adjacent to both deep vertices")
     p_a = p_opts[0]
     p_b = p2 if p_a == p1 else p1
     checks = [
-        g.has_edge(p_a, p_b),
-        g.has_edge(p_a, z_b),
-        not g.has_edge(z_b, p_b),
-        g.has_edge(y2, p_b),
-        g.has_edge(z_a, z_b),
+        p_b in adj[p_a],
+        z_b in adj[p_a],
+        p_b not in adj[z_b],
+        p_b in adj[y2],
+        z_b in adj[z_a],
     ]
     if not all(checks):
         raise EngineDefect("closing configuration violated")
-    closers = g.adj[y2] & w3
+    closers = adj[y2] & w3
     if len(closers) != 1:
         raise EngineDefect("branch mate should see exactly one closing vertex")
     r = next(iter(closers))
-    if any(not g.has_edge(v, r) for v in (p_a, p_b, z_b)) or (g.adj[r] & tree_v):
+    if any(r not in adj[v] for v in (p_a, p_b, z_b)) or (adj[r] & tree_v):
         raise EngineDefect("closing vertex adjacency violated")
-    r_parent = min(v for v in (y2, z_b, p1, p2) if g.has_edge(v, r))
+    r_parent = min(v for v in (y2, z_b, p1, p2) if r in adj[v])
     att = att45 + [(r_parent, r)]
     return StepPlan(lab("4.5.5"), tuple(att), 3, prefix_db + 4)
 
@@ -443,10 +511,10 @@ def _plan_chain(g: Graph, f: PartialTree, x: int, kind: str) -> StepPlan:
 
 def apply_step(g: Graph, f: PartialTree, plan: StepPlan) -> list[StepRecord]:
     """Commit a plan; returns its record plus Z0 records for extra deaths."""
-    children = [c for _, c in plan.attachments]
-    if len(set(children)) != len(children) or any(c in f.vertices for c in children):
+    children = tuple(c for _, c in plan.attachments)
+    if len(set(children)) != len(children) or not f.outside.issuperset(children):
         raise StalePlanError(f"{plan.label}: plan does not match the tree state")
-    leaves_before = f.leaf_count()
+    leaves_before = f.leaves
     dead_before = len(f.dead)
     for parent, child in plan.attachments:
         try:
@@ -454,7 +522,7 @@ def apply_step(g: Graph, f: PartialTree, plan: StepPlan) -> list[StepRecord]:
         except ValueError as exc:
             raise StalePlanError(f"{plan.label}: {exc}") from exc
     f.sweep_dead()
-    du = f.leaf_count() - leaves_before
+    du = f.leaves - leaves_before
     db_total = len(f.dead) - dead_before
     if du != plan.nominal_du:
         raise EngineDefect(
@@ -464,9 +532,8 @@ def apply_step(g: Graph, f: PartialTree, plan: StepPlan) -> list[StepRecord]:
         raise EngineDefect(
             f"{plan.label}: only {db_total} deaths, promised {plan.nominal_db}"
         )
-    added = tuple(children)
-    ds, dt = degree_counts(g, added)
-    records = [StepRecord.make(plan.label, du, plan.nominal_db, dt, ds, added)]
+    ds, dt = degree_counts(g, children)
+    records = [StepRecord.make(plan.label, du, plan.nominal_db, dt, ds, children)]
     records += [
         StepRecord.make("Z0", 0, 1, 0, 0) for _ in range(db_total - plan.nominal_db)
     ]
@@ -489,14 +556,14 @@ def split_z4(
     for w in sorted(border):
         anchors = g.adj[w] & f.vertices
         if (
-            g.degree(w) < 4
-            or len(g.adj[w] & f.outside) != 1
+            len(g.adj[w]) < 4
+            or f.out[w] != 1
             or len(anchors) < 3
-            or any(f.tree_degree(v) != 1 for v in anchors)
+            or any(f.deg[v] != 1 for v in anchors)
         ):
             raise EngineDefect("fringe vertex breaks the split preconditions")
 
-    leaves_before = f.leaf_count()
+    leaves_before = f.leaves
     dead_before = len(f.dead)
     sub, outside = g.induced(f.outside)
     combined = set(f.edge_set())
@@ -554,6 +621,9 @@ class BuildReport:
     spanning_tree: SpanningTree
     oracle_fallback: bool = False
     defects: tuple[str, ...] = ()
+    # growth-engine runs this build made (star retries included; the builds
+    # of a Z4 split's outside components count in their own reports)
+    engine_runs: int = 0
 
     @property
     def required_alpha(self) -> Fifteenths:
@@ -576,7 +646,7 @@ class _EngineResult:
 def _base_record(g: Graph, f: PartialTree, label: str) -> StepRecord:
     vs = sorted(f.vertices)
     ds, dt = degree_counts(g, vs)
-    return StepRecord.make(label, f.leaf_count(), len(f.dead), dt, ds, vs)
+    return StepRecord.make(label, f.leaves, len(f.dead), dt, ds, vs)
 
 
 def _run_from_base(g: Graph, base: PartialTree, case: str) -> _EngineResult:
@@ -591,6 +661,8 @@ def _run_from_base(g: Graph, base: PartialTree, case: str) -> _EngineResult:
     for _ in range(2 * g.n + 8):
         plan = next_step(g, f)
         if plan is None:
+            if alpha_prime(g, f).num != running15:
+                raise EngineDefect("recounted potential differs from the ledger")
             edges = f.edge_set()
             break
         if plan.label == "Z4":
@@ -601,7 +673,7 @@ def _run_from_base(g: Graph, base: PartialTree, case: str) -> _EngineResult:
         for rec in apply_step(g, f, plan):
             steps.append(rec)
             running15 += rec.profit15
-        if alpha_prime(g, f).num != running15:
+        if f.potential15() != running15:
             raise EngineDefect(f"potential drifted after {plan.label}")
     if edges is None:
         raise EngineDefect("step budget exhausted before spanning")
@@ -636,6 +708,7 @@ def build(g: Graph) -> BuildReport:
     input_kind = kind if not trace else None
     defects: list[str] = []
     oracle_fallback = False
+    engine_runs = 0
     lift_trace, stage_graph = trace, reduced
 
     if kind is not None:
@@ -657,7 +730,7 @@ def build(g: Graph) -> BuildReport:
         result = _EngineResult(set(edges), Ledger(rec, []), 0, st.leaf_count())
         case = "path-direct"
     else:
-        result, case, defects, oracle_fallback = _run_ensemble(reduced)
+        result, case, defects, oracle_fallback, engine_runs = _run_ensemble(reduced)
 
     engine_tree = SpanningTree(stage_graph.n, frozenset(result.edges))
     lifted, lift_log = lift_tree_logged(lift_trace, engine_tree)
@@ -682,11 +755,15 @@ def build(g: Graph) -> BuildReport:
         spanning_tree=lifted,
         oracle_fallback=oracle_fallback,
         defects=tuple(defects),
+        engine_runs=engine_runs,
     )
 
 
-def _run_ensemble(reduced: Graph) -> tuple[_EngineResult, str, list[str], bool]:
+def _run_ensemble(
+    reduced: Graph,
+) -> tuple[_EngineResult, str, list[str], bool, int]:
     bases = choose_bases(reduced)
+    runs = len(bases)
     case = kept = bases[0][1]
     defects: list[str] = []
     best: _EngineResult | None = None
@@ -705,6 +782,7 @@ def _run_ensemble(reduced: Graph) -> tuple[_EngineResult, str, list[str], bool]:
         for center in range(reduced.n):
             if reduced.degree(center) < 3:
                 continue
+            runs += 1
             try:
                 res = _run_from_base(reduced, star_base(reduced, center), "star-retry")
             except EngineDefect as exc:
@@ -716,7 +794,7 @@ def _run_ensemble(reduced: Graph) -> tuple[_EngineResult, str, list[str], bool]:
     if (best is None or 15 * best.leaves < required15) and reduced.n <= ORACLE_MAX_N:
         exact = _exact_result(reduced, case)
         if best is None or exact.leaves > best.leaves:
-            return exact, case, defects, True
+            return exact, case, defects, True, runs
     if best is None:
         raise EngineDefect("; ".join(defects) or "no base tree produced a result")
-    return best, kept, defects, False
+    return best, kept, defects, False, runs

@@ -136,6 +136,7 @@ def cmd_build(args) -> int:
             "reductions": len(report.reduction_trace),
             "oracle_fallback": report.oracle_fallback,
             "defects": list(report.defects),
+            "engine_runs": report.engine_runs,
             "steps": report.ledger.log_lines(),
         }
         print(json.dumps(payload))

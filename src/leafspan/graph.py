@@ -147,12 +147,23 @@ def degree_cost15(d: int) -> int:
     return 0
 
 
+def _in_range(g: Graph, vertices) -> list[int] | range:
+    """`vertices` (default: all of g) as a sequence, range-checked once."""
+    if vertices is None:
+        return range(g.n)
+    vs = list(vertices)
+    if vs and (min(vs) < 0 or max(vs) >= g.n):
+        bad = next(v for v in vs if not 0 <= v < g.n)
+        raise ValueError(f"vertex {bad} out of range for n={g.n}")
+    return vs
+
+
 def degree_counts(g: Graph, vertices=None) -> tuple[int, int]:
     """(s, t): how many of `vertices` (default: all of g) have degree 3 / >= 4."""
-    vs = range(g.n) if vertices is None else vertices
+    adj = g.adj
     s = t = 0
-    for v in vs:
-        d = g.degree(v)
+    for v in _in_range(g, vertices):
+        d = len(adj[v])
         if d >= 4:
             t += 1
         elif d == 3:
@@ -162,8 +173,8 @@ def degree_counts(g: Graph, vertices=None) -> tuple[int, int]:
 
 def cost15(g: Graph, vertices=None) -> int:
     """Cost of a vertex set (default: all of g) in fifteenths."""
-    vs = range(g.n) if vertices is None else vertices
-    return sum(degree_cost15(g.degree(v)) for v in vs)
+    adj = g.adj
+    return sum(degree_cost15(len(adj[v])) for v in _in_range(g, vertices))
 
 
 def triangle_counts(g: Graph) -> list[int]:

@@ -78,8 +78,15 @@ class Ledger:
 
 
 def alpha_prime(g: Graph, f) -> Fifteenths:
-    """Potential of a partial tree; `f` needs leaf/dead/vertex accessors."""
-    u = f.leaf_count()
+    """Potential of a partial tree `f`, recounted from scratch.
+
+    Leaves are counted from `f.parent` / `f.children` and the cost is taken
+    over `f.vertices`, not read from the counts a `PartialTree` keeps, so
+    this is the reference those counts are checked against.
+    """
+    u = sum(
+        1 for v in f.vertices if len(f.children[v]) + (f.parent[v] != -1) == 1
+    )
     b = len(f.dead)
     return Fifteenths(LEAF_GAIN15 * u + DEAD_GAIN15 * b - cost15(g, f.vertices))
 

@@ -4,8 +4,43 @@ import random
 
 import pytest
 
-from leafspan import Graph, GenerationError, random_connected
+from leafspan import Graph, GenerationError, alpha_prime, builder, fringe, random_connected
 from leafspan.builder import PartialTree
+from leafspan.ledger import DEAD_GAIN15, LEAF_GAIN15
+
+
+def audit_counts(g: Graph, f: PartialTree) -> None:
+    """The counts `f` keeps agree with a from-scratch recount of its tree."""
+    counted = LEAF_GAIN15 * f.leaves + DEAD_GAIN15 * len(f.dead) - f.cost
+    assert alpha_prime(g, f).num == counted
+    assert fringe(g, f) == {v for v in f.outside if g.adj[v] & f.vertices}
+    tree_deg = {v: len(f.children[v]) + (f.parent[v] != -1) for v in f.vertices}
+    outside_nbrs = {v: len(g.adj[v] & f.outside) for v in f.vertices}
+    assert f.dead == {
+        v for v in f.vertices if tree_deg[v] == 1 and not outside_nbrs[v]
+    }
+    assert f.inner_open == {
+        v for v in f.vertices if tree_deg[v] >= 2 and outside_nbrs[v]
+    }
+    assert f.rich == {v for v in f.vertices if outside_nbrs[v] >= 2}
+
+
+@pytest.fixture(autouse=True)
+def audit_every_step(monkeypatch):
+    """Recount every partial tree from scratch after each step of every build.
+
+    Production builds recount only at the base and at the end of each engine
+    run; the engine looks `apply_step` up at call time, so this wrapper sees
+    every step the tests make the engine take.
+    """
+    step = builder.apply_step
+
+    def audited(g, f, plan):
+        records = step(g, f, plan)
+        audit_counts(g, f)
+        return records
+
+    monkeypatch.setattr(builder, "apply_step", audited)
 
 
 def make_state(n, edges, tree_edges, root=0) -> tuple[Graph, PartialTree]:

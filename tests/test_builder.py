@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from leafspan import (
@@ -65,7 +67,7 @@ def test_choose_bases_b1_double_star():
     g = Graph(8, edges)
     bases = choose_bases(g)
     assert bases[0][1] == "B1"
-    assert bases[0][0].leaf_count() >= 6
+    assert bases[0][0].leaves >= 6
 
 
 def test_choose_bases_b3_star():
@@ -75,14 +77,14 @@ def test_choose_bases_b3_star():
     g = Graph(6, edges)
     bases = choose_bases(g)
     assert bases[0][1] == "B3"
-    assert bases[0][0].leaf_count() == 5
+    assert bases[0][0].leaves == 5
 
 
 def test_choose_bases_c6sq_is_b7():
     bases = choose_bases(square_of_cycle(6))
     assert all(label == "B7" for _, label in bases)
     assert len(bases) == 6
-    assert bases[0][0].leaf_count() == 4
+    assert bases[0][0].leaves == 4
 
 
 def test_choose_bases_cubic_is_b6():
@@ -366,7 +368,7 @@ def test_dead_marks_match_adjacency_at_every_boundary():
         f = base.copy()
         while True:
             for v in f.vertices:
-                if f.tree_degree(v) == 1:
+                if len(f.children[v]) + (f.parent[v] != -1) == 1:
                     assert (v in f.dead) == (gr.adj[v] <= f.vertices)
                 else:
                     assert v not in f.dead
@@ -400,7 +402,7 @@ def test_split_z4_two_components():
     edges += [(13, 14), (13, 15), (13, 16), (14, 15), (14, 16), (15, 16)]
     g = Graph(17, edges)
     f = star_base(g, 0)
-    u_before = f.leaf_count()
+    u_before = f.leaves
     combined, record, depth = split_z4(g, f)
     st = SpanningTree(17, frozenset(combined))
     check_spanning_tree(g, st)
@@ -448,8 +450,43 @@ def test_star_retry_is_reported(args):
     r = build(g)
     assert r.base_case == "star-retry"
     assert r.ledger.base.label == "star-retry-base"
+    centers = [v for v in range(reduced.n) if reduced.degree(v) >= 3]
+    assert r.engine_runs == len(bases) + len(centers)
     assert r.bound_ok and not r.oracle_fallback and not r.defects
     assert verify_ledger(g, r.ledger, r.spanning_tree).ok
+
+
+@pytest.mark.parametrize(
+    "make, leaves, alpha15, base, log_sha256",
+    [
+        pytest.param(
+            lambda: random_connected(160, 3, 4, seed=7),
+            77,
+            435,
+            "B1",
+            "1ff430f8aa79af76da66f65925ed6eeb7ca545fcb081d449ad99b46e2a5ffb9b",
+            id="random_connected(160,3,4,seed=7)",
+        ),
+        pytest.param(
+            lambda: h_graph(20),
+            42,
+            30,
+            "B7",
+            "6d4226bfc922a0dba22893beaf058e27500f7809a4170b15387e3c836238cb4b",
+            id="h_graph(20)",
+        ),
+    ],
+)
+def test_engine_output_pinned_beyond_the_oracle(make, leaves, alpha15, base, log_sha256):
+    # every step choice shows in the ledger log, so its hash pins the whole run
+    g = make()
+    r = build(g)
+    assert (r.leaves, r.alpha, r.base_case) == (leaves, Fifteenths(alpha15), base)
+    log = "\n".join(r.ledger.log_lines()).encode()
+    assert hashlib.sha256(log).hexdigest() == log_sha256
+    # settled on the first tier: one engine run per base of the first case
+    assert not r.oracle_fallback and not r.defects
+    assert r.engine_runs == len(choose_bases(reduce_fully(g)[0]))
 
 
 def test_build_spanning_and_sound(graph_pool):

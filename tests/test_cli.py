@@ -5,7 +5,15 @@ import json
 import pytest
 
 import leafspan.builder as builder_mod
-from leafspan import EngineDefect, Graph, g8, h_graph, square_of_cycle
+from leafspan import (
+    EngineDefect,
+    Graph,
+    choose_bases,
+    g8,
+    h_graph,
+    reduce_fully,
+    square_of_cycle,
+)
 from leafspan.cli import (
     main,
     parse_edge_list,
@@ -121,6 +129,7 @@ def test_build_command_json(tmp_path, capsys, monkeypatch):
     assert payload["bound_ok"] is True
     assert len(payload["tree_parents"]) == 12
     assert payload["defects"] == []
+    assert payload["engine_runs"] == len(choose_bases(reduce_fully(h_graph(2))[0]))
 
     # a defect the driver survives still shows in the payload
     real = builder_mod._run_from_base
@@ -136,6 +145,7 @@ def test_build_command_json(tmp_path, capsys, monkeypatch):
     assert main(["build", path, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["defects"]) == 1 and "poisoned" in payload["defects"][0]
+    assert payload["engine_runs"] == len(calls)
 
 
 def test_build_command_rejects_disconnected(tmp_path, capsys):
