@@ -700,10 +700,8 @@ def build(g: Graph) -> BuildReport:
     """Construct a spanning tree of g meeting the leaf bound; see module doc."""
     if g.n < 2:
         raise ValueError("need at least two vertices")
-    if not g.is_connected():
-        raise ValueError("graph must be connected")
 
-    reduced, trace = reduce_fully(g)
+    reduced, trace = reduce_fully(g)  # raises ValueError when g is disconnected
     kind = classify_exclusion(reduced)
     input_kind = kind if not trace else None
     defects: list[str] = []

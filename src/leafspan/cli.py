@@ -297,10 +297,11 @@ def cmd_gen(args) -> int:
         elif args.family == "h":
             g = families.h_graph(int(args.n))
         elif args.family == "random":
+            n = int(args.n)
+            dmin = args.dmin if args.dmin is not None else 1
+            dmax = args.dmax if args.dmax is not None else n - 1
             seed = args.seed if args.seed is not None else _default_seed()
-            g = families.random_connected(
-                int(args.n), args.dmin or 1, args.dmax or int(args.n) - 1, seed
-            )
+            g = families.random_connected(n, dmin, dmax, seed)
         else:  # pragma: no cover - argparse restricts choices
             raise InputError(f"unknown family {args.family}")
     except (ValueError, families.GenerationError) as exc:

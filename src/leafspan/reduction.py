@@ -13,10 +13,29 @@ run on one mutable copy of the input's adjacency sets (a removed vertex's
 set is emptied) and the survivors are re-indexed once, at the end, in
 increasing input-id order.  A spanning tree of the reduced graph lifts
 back through the events in reverse order without ever losing a leaf.
+
+The next event is always the smallest-x R1, else the lexicographically
+first R2 pair (a1, a2).  Neither rule makes a vertex match that did not
+match before, except that R1 can create an R2 pair, so one forward pass
+over R1 and then one over R2 find every event in that order in O(n):
+
+* R1 on x keeps every degree; a and b swap x for each other, no other
+  set changes and every removed edge ends at x.  If a (likewise b) has
+  degree 2, its other neighbor is not adjacent to x (else it would be b,
+  and x would not match), so a matched R1 already.
+* R2 on (a1, a2) gives a1 degree 4 and moves a2's other neighbors to a1;
+  no other set changes, and every removed edge ends at a2.  A moved
+  neighbor w of degree 2 matches R1 afterwards only if its other
+  neighbor q is not adjacent to a1, so q was not adjacent to a2 either.
+  A pair (w, z) is not disjoint if z was also a2's neighbor (both now see
+  a1); otherwise z's set is unchanged and w traded a2, not adjacent to z,
+  for a1, so the pair matched before.  R2 never makes an R1 match, so
+  after the first R2 none follows.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .graph import Graph, degree_cost15
@@ -48,26 +67,39 @@ class ReductionEvent:
         return (self.x, self.a, self.b) if self.kind == "R1" else (self.x, self.a)
 
 
-def _first_event(adj) -> ReductionEvent | None:
-    for x, nx in enumerate(adj):
-        if len(nx) == 2:
-            a, b = sorted(nx)
-            if b not in adj[a]:
-                return ReductionEvent("R1", x, a, b, frozenset(), frozenset())
-    for a1, n1 in enumerate(adj):
-        if len(n1) != 3:
-            continue
-        for a2 in sorted(n1):
-            if a2 <= a1 or len(adj[a2]) != 3 or n1 & adj[a2]:
-                continue
-            kept, dropped = frozenset(n1 - {a2}), frozenset(adj[a2] - {a1})
-            return ReductionEvent("R2", a1, a2, -1, kept, dropped)
+def _r1_at(adj, x: int) -> ReductionEvent | None:
+    if len(adj[x]) == 2:
+        a, b = sorted(adj[x])
+        if b not in adj[a]:
+            return ReductionEvent("R1", x, a, b, frozenset(), frozenset())
     return None
+
+
+def _r2_at(adj, a1: int) -> ReductionEvent | None:
+    n1 = adj[a1]
+    if len(n1) == 3:
+        for a2 in sorted(n1):
+            if a2 > a1 and len(adj[a2]) == 3 and not n1 & adj[a2]:
+                kept, dropped = frozenset(n1 - {a2}), frozenset(adj[a2] - {a1})
+                return ReductionEvent("R2", a1, a2, -1, kept, dropped)
+    return None
+
+
+def _events(adj) -> Iterator[ReductionEvent]:
+    """Yield events in scan order; the caller applies each to adj before resuming.
+
+    An applied event leaves its vertex unmatched (R1 empties x, R2 gives a1
+    degree 4), and no event makes a vertex behind the cursor match again.
+    """
+    for match in (_r1_at, _r2_at):
+        for v in range(len(adj)):
+            if (ev := match(adj, v)) is not None:
+                yield ev
 
 
 def find_reduction(g: Graph) -> ReductionEvent | None:
     """First applicable event: smallest-x R1, else lexicographically first R2."""
-    return _first_event(g.adj)
+    return next(_events(g.adj), None)
 
 
 def _link(adj: list[set[int]], u: int, v: int) -> None:
@@ -113,7 +145,7 @@ def reduce_fully(g: Graph) -> tuple[Graph, list[ReductionEvent]]:
         raise ValueError("graph must be connected")
     adj = [set(s) for s in g.adj]
     trace: list[ReductionEvent] = []
-    while (ev := _first_event(adj)) is not None:
+    for ev in _events(adj):
         before = sum(degree_cost15(len(adj[v])) for v in ev.touched)
         _apply(adj, ev)
         if sum(degree_cost15(len(adj[v])) for v in ev.touched) != before:

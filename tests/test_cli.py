@@ -160,9 +160,12 @@ def test_build_command_rejects_disconnected(tmp_path, capsys):
     [
         ["build", "{tmp}/missing"],
         ["build", "{tmp}"],
+        ["build", "{tmp}/disconnected.txt"],
         ["oracle", "{tmp}/missing"],
         ["gen", "--family", "h"],
         ["gen", "--family", "c2"],
+        ["gen", "--family", "random", "--n", "8", "--dmax", "0", "--seed", "1"],
+        ["gen", "--family", "random", "--n", "8", "--dmin", "0", "--seed", "1"],
         ["sweep", "--sizes", "abc"],
         ["sweep", "--family", "h", "--n", "x"],
         ["sweep", "--sizes", "5..3"],
@@ -171,6 +174,7 @@ def test_build_command_rejects_disconnected(tmp_path, capsys):
     ids=lambda argv: " ".join(argv).replace("{tmp}", "TMP"),
 )
 def test_bad_input_is_one_error_line(argv, tmp_path, capsys):
+    _write(tmp_path, Graph(4, [(0, 1), (2, 3)]), "disconnected.txt")
     code = main([arg.format(tmp=tmp_path) for arg in argv])
     captured = capsys.readouterr()
     assert code == 2

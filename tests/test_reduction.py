@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from leafspan import (
     Graph,
+    ReductionEvent,
     classify_exclusion,
     cost15,
     find_reduction,
@@ -18,7 +20,7 @@ from leafspan import (
 )
 from leafspan.trees import SpanningTree, check_spanning_tree
 
-from conftest import random_spanning_tree
+from conftest import random_graph_pool, random_spanning_tree
 
 
 def cycle(n):
@@ -171,12 +173,20 @@ def subdivided(core, n, seed):
     return Graph(n, [(perm[u], perm[v]) for u, v in path_edges])
 
 
+SUBDIVIDED = [(20, 200), (24, 330), (28, 450), (32, 580), (26, 700)]
+
+
+def subdivided_core(k, n):
+    """A k-vertex degree-3..4 core subdivided to n vertices."""
+    return subdivided(random_connected(k, 3, 4, n), n, n)
+
+
 @pytest.mark.parametrize(
-    "k, n", [(20, 200), (24, 330), (28, 450), (32, 580), (26, 700), (None, 2000)]
+    "k, n", [*SUBDIVIDED, (30, 20000), (None, 2000), (None, 20000)]
 )
 def test_reduce_and_lift_beyond_the_oracle(k, n):
-    # a k-vertex degree-3..4 core subdivided to n vertices; a cycle for k=None
-    g = cycle(n) if k is None else subdivided(random_connected(k, 3, 4, n), n, n)
+    # a subdivided core; a plain n-cycle for k=None
+    g = cycle(n) if k is None else subdivided_core(k, n)
     reduced, trace = reduce_fully(g)
     assert replay(g, trace) == reduced
     removed = [ev.removed for ev in trace]
@@ -186,3 +196,59 @@ def test_reduce_and_lift_beyond_the_oracle(k, n):
     lifted, log = lift_tree_logged(trace, tree)
     check_spanning_tree(g, lifted)
     assert sum(gain for _, gain in log) == lifted.leaf_count() - tree.leaf_count()
+
+
+def first_event_by_scan(adj) -> ReductionEvent | None:
+    """Reference event order: rescan from vertex 0 for the smallest-x R1, else
+    the lexicographically first R2 pair (a1, a2)."""
+    for x, nx in enumerate(adj):
+        if len(nx) == 2:
+            a, b = sorted(nx)
+            if b not in adj[a]:
+                return ReductionEvent("R1", x, a, b, frozenset(), frozenset())
+    for a1, n1 in enumerate(adj):
+        if len(n1) != 3:
+            continue
+        for a2 in sorted(n1):
+            if a2 <= a1 or len(adj[a2]) != 3 or n1 & adj[a2]:
+                continue
+            kept, dropped = frozenset(n1 - {a2}), frozenset(adj[a2] - {a1})
+            return ReductionEvent("R2", a1, a2, -1, kept, dropped)
+    return None
+
+
+def renamed(ev: ReductionEvent, ids: list[int]) -> ReductionEvent:
+    """`ev` with every vertex v named ids[v]."""
+
+    def rename(vs):
+        return frozenset(ids[v] for v in vs)
+
+    b = ids[ev.b] if ev.b >= 0 else -1
+    kept, dropped = rename(ev.nbrs_kept), rename(ev.nbrs_dropped)
+    x, a = ids[ev.x], ids[ev.a]
+    return replace(ev, x=x, a=a, b=b, nbrs_kept=kept, nbrs_dropped=dropped)
+
+
+def assert_scan_order(g):
+    """Each event of reduce_fully(g) is the scan's first event on the graph
+    that replaying the events before it reaches, and the last graph has none."""
+    _, trace = reduce_fully(g)
+    h, ids = g, list(range(g.n))  # ids[i]: input id of h's vertex i
+    for step in trace:
+        ev = first_event_by_scan(h.adj)
+        assert ev is not None and step == renamed(ev, ids)
+        h = replay(h, [ev])
+        ids.remove(step.removed)
+    assert first_event_by_scan(h.adj) is None
+
+
+def test_reducer_keeps_the_scan_order(graph_pool):
+    graphs = [
+        *graph_pool,
+        *random_graph_pool(2000, sizes=(3, 40), seed=99),
+        *(h_graph(k) for k in range(2, 7)),
+        *(square_of_cycle(n) for n in range(6, 21)),
+        *(subdivided_core(k, n) for k, n in SUBDIVIDED),
+    ]
+    for g in graphs:
+        assert_scan_order(g)
