@@ -17,7 +17,6 @@ from .builder import (
     apply_step,
     build,
     choose_bases,
-    fringe,
     next_step,
     split_z4,
 )
@@ -56,7 +55,6 @@ from .oracle import (
 )
 from .reduction import (
     ReductionEvent,
-    find_reduction,
     lift_tree_logged,
     reduce_fully,
     replay,
@@ -90,8 +88,6 @@ __all__ = [
     "degree_counts",
     "enumerate_regular_graphs",
     "exact_u",
-    "find_reduction",
-    "fringe",
     "g8",
     "h_graph",
     "is_isomorphic",

@@ -3,8 +3,10 @@
 A build runs: reduce the graph to a fixpoint of the degree-preserving
 rules, handle the three small 4-regular exception graphs by exact
 search, otherwise pick base trees by a prioritized case analysis
-(B1..B7), grow each base with the prioritized step catalog below, keep
-the best result, and lift it back through the reduction trace.
+(B1..B7), grow every base of the first applicable case with the
+prioritized step catalog below, keep the best result, and lift it back
+through the reduction trace.  A reduced path or cycle (K2 or a triangle)
+goes to exact search directly.
 
 Step catalog, tried strictly in order each round (first match wins):
 
@@ -34,9 +36,8 @@ with a rescan of the fringe and the dead marks, after every step.
 Every committed step appends records to the ledger; extra dead leaves
 beyond a case's nominal count become explicit Z0 records.  The final
 bound leaves >= cost + 2 (cost + 8/5 for the exceptions) is re-checked
-on every build; if the engine misses it the driver retries from a brute
-ensemble of star bases and finally falls back to exact search on small
-graphs, flagging the report.
+on every build; if no base meets it, the driver falls back to exact
+search on reduced graphs of at most 16 vertices, flagging the report.
 """
 
 from __future__ import annotations
@@ -83,7 +84,6 @@ class PartialTree:
         self.g = g
         self.vertices: set[int] = {root}
         self.parent: dict[int, int] = {root: -1}
-        self.children: dict[int, set[int]] = {root: set()}
         self.dead: set[int] = set()
         self.outside: set[int] = set(range(g.n)) - {root}
         self.deg = [0] * g.n
@@ -102,7 +102,6 @@ class PartialTree:
         other.g = self.g
         other.vertices = set(self.vertices)
         other.parent = dict(self.parent)
-        other.children = {v: set(c) for v, c in self.children.items()}
         other.dead = set(self.dead)
         other.outside = set(self.outside)
         other.deg = list(self.deg)
@@ -134,8 +133,6 @@ class PartialTree:
         outside.remove(child)
         border.discard(child)
         self.parent[child] = parent
-        self.children[child] = set()
-        self.children[parent].add(child)
         deg, out = self.deg, self.out
         deg[parent] += 1
         if deg[parent] == 1:  # the root's first child
@@ -182,11 +179,6 @@ class PartialTree:
         return {
             edge_key(v, p) for v, p in self.parent.items() if p != -1
         }
-
-
-def fringe(g: Graph, f: PartialTree) -> set[int]:
-    """Outside vertices adjacent to the tree (the set f keeps; do not mutate)."""
-    return f.border
 
 
 @dataclass(frozen=True)
@@ -550,7 +542,7 @@ def split_z4(
     Returns the combined spanning edge set, the composite record, and the
     maximum child recursion depth.
     """
-    border = fringe(g, f)
+    border = f.border
     if not border:
         raise EngineDefect("split with an empty fringe")
     for w in sorted(border):
@@ -621,8 +613,8 @@ class BuildReport:
     spanning_tree: SpanningTree
     oracle_fallback: bool = False
     defects: tuple[str, ...] = ()
-    # growth-engine runs this build made (star retries included; the builds
-    # of a Z4 split's outside components count in their own reports)
+    # growth-engine runs this build made, one per base (the builds of a Z4
+    # split's outside components count in their own reports)
     engine_runs: int = 0
 
     @property
@@ -683,17 +675,13 @@ def _run_from_base(g: Graph, base: PartialTree, case: str) -> _EngineResult:
     return _EngineResult(edges, Ledger(base_rec, steps), depth, final.leaf_count())
 
 
-def _spanning_record(g: Graph, tree: SpanningTree, label: str) -> StepRecord:
-    u = tree.leaf_count()
-    ds, dt = degree_counts(g)
-    return StepRecord.make(label, u, u, dt, ds, tuple(range(g.n)))
-
-
 def _exact_result(stage: Graph, case: str) -> _EngineResult:
-    parents = max_leaf_tree(stage)
-    st = SpanningTree.from_parents(parents)
-    rec = _spanning_record(stage, st, f"{case}-base")
-    return _EngineResult(set(st.edges), Ledger(rec, []), 0, st.leaf_count())
+    """A maximum-leaf tree of `stage`, logged as one spanning base record."""
+    st = SpanningTree.from_parents(max_leaf_tree(stage))
+    u = st.leaf_count()
+    ds, dt = degree_counts(stage)
+    rec = StepRecord.make(f"{case}-base", u, u, dt, ds, tuple(range(stage.n)))
+    return _EngineResult(set(st.edges), Ledger(rec, []), 0, u)
 
 
 def build(g: Graph) -> BuildReport:
@@ -716,17 +704,14 @@ def build(g: Graph) -> BuildReport:
         # that stage has at most 9 vertices.
         lift_trace = trace[:-1]
         stage_graph = replay(g, lift_trace)
-        result = _exact_result(stage_graph, "exclusion-direct")
         case = "exclusion-direct"
+        result = _exact_result(stage_graph, case)
     elif all(reduced.degree(v) <= 2 for v in range(reduced.n)):
-        # reduced fixpoint without branch vertices: a single edge or triangle
+        # no branch vertex left: a path reduced to K2, a cycle to a triangle
         if reduced.n not in (2, 3):
             raise EngineDefect("degenerate reduced graph of unexpected size")
-        edges = frozenset({(0, 1)} if reduced.n == 2 else {(0, 1), (1, 2)})
-        st = SpanningTree(reduced.n, edges)
-        rec = _spanning_record(reduced, st, "path-direct-base")
-        result = _EngineResult(set(edges), Ledger(rec, []), 0, st.leaf_count())
         case = "path-direct"
+        result = _exact_result(reduced, case)
     else:
         result, case, defects, oracle_fallback, engine_runs = _run_ensemble(reduced)
 
@@ -761,8 +746,7 @@ def _run_ensemble(
     reduced: Graph,
 ) -> tuple[_EngineResult, str, list[str], bool, int]:
     bases = choose_bases(reduced)
-    runs = len(bases)
-    case = kept = bases[0][1]
+    case = bases[0][1]
     defects: list[str] = []
     best: _EngineResult | None = None
     for base, label in bases:
@@ -774,25 +758,11 @@ def _run_ensemble(
         if best is None or res.leaves > best.leaves:
             best = res
 
-    required15 = cost15(reduced) + 30
-    if best is None or 15 * best.leaves < required15:
-        # second chance: brute ensemble of stars at every branch vertex
-        for center in range(reduced.n):
-            if reduced.degree(center) < 3:
-                continue
-            runs += 1
-            try:
-                res = _run_from_base(reduced, star_base(reduced, center), "star-retry")
-            except EngineDefect as exc:
-                defects.append(f"retry star {center}: {exc}")
-                continue
-            if best is None or res.leaves > best.leaves:
-                best, kept = res, "star-retry"
-
-    if (best is None or 15 * best.leaves < required15) and reduced.n <= ORACLE_MAX_N:
+    short = best is None or 15 * best.leaves < cost15(reduced) + 30
+    if short and reduced.n <= ORACLE_MAX_N:
         exact = _exact_result(reduced, case)
         if best is None or exact.leaves > best.leaves:
-            return exact, case, defects, True, runs
+            return exact, case, defects, True, len(bases)
     if best is None:
         raise EngineDefect("; ".join(defects) or "no base tree produced a result")
-    return best, kept, defects, False, runs
+    return best, case, defects, False, len(bases)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -101,10 +100,6 @@ def read_graph(source: str) -> Graph:
 
 # ---------------------------------------------------------------------------
 # commands
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("LEAFSPAN_SEED", "0"))
 
 
 def cmd_build(args) -> int:
@@ -220,7 +215,6 @@ def _format_row(row: dict) -> str:
 
 
 def cmd_sweep(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     rows: list[dict] = []
     failures: list[str] = []
     try:
@@ -251,7 +245,7 @@ def cmd_sweep(args) -> int:
             attempt = 0
             while made < args.per_size and attempt < 20 * max(args.per_size, 1):
                 dmin, dmax = regimes[attempt % len(regimes)]
-                row_seed = seed * 1_000_003 + n * 10_007 + attempt
+                row_seed = args.seed * 1_000_003 + n * 10_007 + attempt
                 attempt += 1
                 try:
                     g = families.random_connected(n, dmin, dmax, row_seed)
@@ -300,8 +294,7 @@ def cmd_gen(args) -> int:
             n = int(args.n)
             dmin = args.dmin if args.dmin is not None else 1
             dmax = args.dmax if args.dmax is not None else n - 1
-            seed = args.seed if args.seed is not None else _default_seed()
-            g = families.random_connected(n, dmin, dmax, seed)
+            g = families.random_connected(n, dmin, dmax, args.seed)
         else:  # pragma: no cover - argparse restricts choices
             raise InputError(f"unknown family {args.family}")
     except (ValueError, families.GenerationError) as exc:
@@ -333,7 +326,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--per-size", type=int, default=20)
     p_sweep.add_argument("--dmin", type=int)
     p_sweep.add_argument("--dmax", type=int)
-    p_sweep.add_argument("--seed", type=int)
+    p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--oracle-max", type=int, default=10)
     p_sweep.add_argument("--family", choices=["random", "h", "c2"], default="random")
     p_sweep.add_argument("--n", help="size range for --family h/c2, e.g. 2..5")
@@ -345,7 +338,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--n")
     p_gen.add_argument("--dmin", type=int)
     p_gen.add_argument("--dmax", type=int)
-    p_gen.add_argument("--seed", type=int)
+    p_gen.add_argument("--seed", type=int, default=0)
     p_gen.set_defaults(func=cmd_gen)
     return parser
 

@@ -25,6 +25,7 @@ catalog floors checked here.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .graph import Fifteenths, Graph, cost15
@@ -69,10 +70,6 @@ class Ledger:
     base: StepRecord
     steps: list[StepRecord]
 
-    @property
-    def total_alpha(self) -> Fifteenths:
-        return Fifteenths(self.base.profit15 + sum(r.profit15 for r in self.steps))
-
     def log_lines(self) -> list[str]:
         return [self.base.log_line()] + [r.log_line() for r in self.steps]
 
@@ -80,13 +77,12 @@ class Ledger:
 def alpha_prime(g: Graph, f) -> Fifteenths:
     """Potential of a partial tree `f`, recounted from scratch.
 
-    Leaves are counted from `f.parent` / `f.children` and the cost is taken
-    over `f.vertices`, not read from the counts a `PartialTree` keeps, so
-    this is the reference those counts are checked against.
+    Leaves are counted from the `f.parent` links and the cost is taken over
+    `f.vertices`, not read from the counts a `PartialTree` keeps, so this is
+    the reference those counts are checked against.
     """
-    u = sum(
-        1 for v in f.vertices if len(f.children[v]) + (f.parent[v] != -1) == 1
-    )
+    kids = Counter(f.parent.values())
+    u = sum(1 for v, p in f.parent.items() if kids[v] + (p != -1) == 1)
     b = len(f.dead)
     return Fifteenths(LEAF_GAIN15 * u + DEAD_GAIN15 * b - cost15(g, f.vertices))
 
@@ -96,9 +92,6 @@ class LedgerAudit:
     ok: bool
     first_bad_index: int | None = None
     reason: str = ""
-
-    def __bool__(self) -> bool:  # pragma: no cover - convenience
-        return self.ok
 
 
 def verify_ledger(g: Graph, ledger: Ledger, final_tree: SpanningTree) -> LedgerAudit:

@@ -97,11 +97,6 @@ def _events(adj) -> Iterator[ReductionEvent]:
                 yield ev
 
 
-def find_reduction(g: Graph) -> ReductionEvent | None:
-    """First applicable event: smallest-x R1, else lexicographically first R2."""
-    return next(_events(g.adj), None)
-
-
 def _link(adj: list[set[int]], u: int, v: int) -> None:
     adj[u].add(v)
     adj[v].add(u)

@@ -33,9 +33,6 @@ class SpanningTree:
     def leaf_count(self) -> int:
         return sum(1 for d in self.degrees() if d == 1)
 
-    def leaves(self) -> set[int]:
-        return {v for v, d in enumerate(self.degrees()) if d == 1}
-
     def parents(self, root: int = 0) -> list[int]:
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:

@@ -1,20 +1,26 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
-from leafspan import Graph, GenerationError, alpha_prime, builder, fringe, random_connected
+from leafspan import Graph, GenerationError, alpha_prime, builder, random_connected
 from leafspan.builder import PartialTree
 from leafspan.ledger import DEAD_GAIN15, LEAF_GAIN15
+
+
+def tree_degrees(f: PartialTree) -> Counter[int]:
+    """Tree degree of every vertex, counted from the parent links of f."""
+    return Counter(v for c, p in f.parent.items() if p != -1 for v in (c, p))
 
 
 def audit_counts(g: Graph, f: PartialTree) -> None:
     """The counts `f` keeps agree with a from-scratch recount of its tree."""
     counted = LEAF_GAIN15 * f.leaves + DEAD_GAIN15 * len(f.dead) - f.cost
     assert alpha_prime(g, f).num == counted
-    assert fringe(g, f) == {v for v in f.outside if g.adj[v] & f.vertices}
-    tree_deg = {v: len(f.children[v]) + (f.parent[v] != -1) for v in f.vertices}
+    assert f.border == {v for v in f.outside if g.adj[v] & f.vertices}
+    tree_deg = tree_degrees(f)
     outside_nbrs = {v: len(g.adj[v] & f.outside) for v in f.vertices}
     assert f.dead == {
         v for v in f.vertices if tree_deg[v] == 1 and not outside_nbrs[v]

@@ -14,7 +14,6 @@ from leafspan import (
     choose_bases,
     cost15,
     exact_u,
-    fringe,
     h_graph,
     next_step,
     random_connected,
@@ -27,13 +26,13 @@ from leafspan import (
 from leafspan.builder import PartialTree, StalePlanError, _run_from_base, star_base
 from leafspan.trees import SpanningTree, check_spanning_tree
 
-from conftest import make_state
+from conftest import make_state, tree_degrees
 
 
 def test_levels_on_c6sq():
     g = square_of_cycle(6)
     f = PartialTree(g, 0)
-    border = fringe(g, f)
+    border = f.border
     assert border == set(g.adj[0]) and len(border) == 4
 
 
@@ -43,7 +42,7 @@ def test_levels_spanning_tree_empty():
     while not f2.spans():
         plan = next_step(g, f2)
         apply_step(g, f2, plan)
-    assert fringe(g, f2) == set()
+    assert f2.border == set()
 
 
 def test_levels_on_h2_block():
@@ -52,7 +51,7 @@ def test_levels_on_h2_block():
     for v in (1, 2, 3):
         f.attach(0, v)
     f.sweep_dead()
-    assert fringe(g, f) == {4, 5}  # the block's two degree-3 ports
+    assert f.border == {4, 5}  # the block's two degree-3 ports
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +366,9 @@ def test_dead_marks_match_adjacency_at_every_boundary():
     for base, _label in choose_bases(gr):
         f = base.copy()
         while True:
+            tree_deg = tree_degrees(f)
             for v in f.vertices:
-                if len(f.children[v]) + (f.parent[v] != -1) == 1:
+                if tree_deg[v] == 1:
                     assert (v in f.dead) == (gr.adj[v] <= f.vertices)
                 else:
                     assert v not in f.dead
@@ -433,11 +433,16 @@ def test_build_rejects_bad_input():
 
 
 @pytest.mark.parametrize(
-    "args",
-    # random_graph_pool(2000, sizes=(3, 40), seed=99) indices 98 and 1300
-    [(17, 2, 3, 208233642), (16, 2, 3, 185619017)],
+    "args, leaves, alpha15",
+    [
+        # random_graph_pool(2000, sizes=(3, 40), seed=99) indices 98 and 1300
+        ((17, 2, 3, 208233642), 6, 42),
+        ((16, 2, 3, 185619017), 6, 42),
+        # from the sweep-small benchmark pool of seed 606
+        ((16, 2, 3, 73701376), 7, 57),
+    ],
 )
-def test_star_retry_is_reported(args):
+def test_b5_shortfall_falls_back_to_exact_search(args, leaves, alpha15):
     g = random_connected(*args)
     reduced, _ = reduce_fully(g)
     bases = choose_bases(reduced)
@@ -448,11 +453,24 @@ def test_star_retry_is_reported(args):
         for base, label in bases
     )
     r = build(g)
-    assert r.base_case == "star-retry"
-    assert r.ledger.base.label == "star-retry-base"
-    centers = [v for v in range(reduced.n) if reduced.degree(v) >= 3]
-    assert r.engine_runs == len(bases) + len(centers)
-    assert r.bound_ok and not r.oracle_fallback and not r.defects
+    assert r.base_case == "B5" and r.ledger.base.label == "B5-base"
+    assert r.oracle_fallback and not r.defects
+    assert r.engine_runs == len(bases)
+    assert (r.leaves, r.alpha) == (leaves, Fifteenths(alpha15))
+    assert r.bound_ok
+    assert verify_ledger(g, r.ledger, r.spanning_tree).ok
+
+
+def test_first_base_reaches_split_z4():
+    g = random_connected(14, 2, 13, seed=232)
+    reduced, _ = reduce_fully(g)
+    bases = choose_bases(reduced)
+    assert reduced.n == 11 and bases[0][1] == "B2"
+    res = _run_from_base(reduced, *bases[0])
+    assert "Z4" in [rec.label for rec in res.ledger.steps]
+    r = build(g)
+    assert "Z4" in [rec.label for rec in r.ledger.steps]
+    assert r.bound_ok and not r.oracle_fallback and r.recursion_depth == 1
     assert verify_ledger(g, r.ledger, r.spanning_tree).ok
 
 

@@ -254,12 +254,11 @@ def test_gen_rejects_bad_family_args(capsys):
     capsys.readouterr()
 
 
-def test_seed_env_default(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("LEAFSPAN_SEED", "99")
-    assert main(["gen", "--family", "random", "--n", "6", "--dmin", "2",
-                 "--dmax", "4"]) == 0
+def test_seed_defaults_to_zero_whatever_the_environment(capsys, monkeypatch):
+    monkeypatch.setenv("LEAFSPAN_SEED", "abc")
+    assert main(["gen", "--family", "random", "--n", "6"]) == 0
     first = capsys.readouterr().out
-    assert main(["gen", "--family", "random", "--n", "6", "--dmin", "2",
-                 "--dmax", "4", "--seed", "99"]) == 0
-    second = capsys.readouterr().out
-    assert first == second
+    assert main(["gen", "--family", "random", "--n", "6", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == first
+    assert main(["sweep", "--sizes", "4..4", "--per-size", "1"]) == 0
+    capsys.readouterr()

@@ -1,9 +1,11 @@
 """Recovery paths of the build driver, forced via monkeypatching.
 
-The engine never needs these on the graphs we can generate, but the
-driver ships them, so they are driven directly: per-base defects are
-collected and survived, and a total engine outage on a small graph falls
-back to exact search with the report flagged.
+The engine raises no defect on the graphs we can generate, and it needs
+exact search only where every base of the first case falls short (see
+`test_b5_shortfall_falls_back_to_exact_search`), so the paths are also
+driven directly: per-base defects are collected and survived, and a total
+engine outage on a small graph falls back to exact search with the report
+flagged.
 """
 
 from __future__ import annotations

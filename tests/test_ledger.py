@@ -64,9 +64,9 @@ def test_verify_ledger_on_builds():
         audit = verify_ledger(g, report.ledger, report.spanning_tree)
         assert audit.ok
     report = build(square_of_cycle(6))
-    assert report.ledger.total_alpha == Fifteenths(24)
+    assert report.alpha == Fifteenths(24)
     report = build(h_graph(3))
-    assert report.ledger.total_alpha >= Fifteenths.whole(2)
+    assert report.alpha >= Fifteenths.whole(2)
 
 
 def test_verify_ledger_detects_tampering():

@@ -10,7 +10,6 @@ from leafspan import (
     ReductionEvent,
     classify_exclusion,
     cost15,
-    find_reduction,
     h_graph,
     lift_tree_logged,
     random_connected,
@@ -29,21 +28,21 @@ def cycle(n):
 
 def test_r1_on_path():
     g = Graph(3, [(0, 1), (1, 2)])
-    ev = find_reduction(g)
-    assert ev is not None and ev.kind == "R1"
+    (ev,) = reduce_fully(g)[1]
+    assert ev.kind == "R1"
     assert ev.x == 1 and (ev.a, ev.b) == (0, 2)
     h = replay(g, [ev])
     assert h.n == 2 and h.edges() == [(0, 1)]
 
 
 def test_triangle_has_no_reduction():
-    assert find_reduction(cycle(3)) is None
+    assert reduce_fully(cycle(3))[1] == []
 
 
 def test_r2_on_h2():
     g = h_graph(2)
-    ev = find_reduction(g)
-    assert ev is not None and ev.kind == "R2"
+    ev = reduce_fully(g)[1][0]
+    assert ev.kind == "R2"
     # a cross-block port pair: both degree 3, adjacent, no common neighbor
     assert g.degree(ev.x) == 3 and g.degree(ev.a) == 3
     assert g.has_edge(ev.x, ev.a)
@@ -77,7 +76,7 @@ def test_subdivided_c6sq_reduces_back():
 def test_fixpoint_has_no_event(graph_pool):
     for g in graph_pool[:60]:
         reduced, _ = reduce_fully(g)
-        assert find_reduction(reduced) is None
+        assert reduce_fully(reduced)[1] == []
         assert reduced.is_connected()
 
 
