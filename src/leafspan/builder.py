@@ -6,7 +6,9 @@ search, otherwise pick base trees by a prioritized case analysis
 (B1..B7), grow every base of the first applicable case with the
 prioritized step catalog below, keep the best result, and lift it back
 through the reduction trace.  A reduced path or cycle (K2 or a triangle)
-goes to exact search directly.
+goes to exact search directly.  Each base is grown in place, and the
+driver drops it from the list of bases before it runs, so only one grown
+base is alive at a time.
 
 Step catalog, tried strictly in order each round (first match wins):
 
@@ -21,13 +23,16 @@ Step catalog, tried strictly in order each round (first match wins):
   Z1-Z3 dead-end moves that add no alive leaf but kill several
   Z4  cut the fringe, recursively span the outside, reattach components
 
-`PartialTree.attach` keeps the counts the catalog reads up to date in
-O(degree of the attached vertex): tree degrees, outside-neighbour counts,
-the leaf count, the cost of the tree in fifteenths, the fringe and the A1
-/ A2 candidate sets; after a step only the vertices it touched are tested
-for death.  A step therefore costs time in its own neighbourhood, not in
-the size of the tree.  The potential is checked against the running sum
-of the ledger after every step from these counts.  The from-scratch
+A partial tree keeps one membership set, its tree vertices.  The outside
+is implicit: the outside neighbours of v are `adj[v] - vertices`, an
+O(deg v) difference.  `PartialTree.attach` keeps the counts the catalog
+reads up to date in O(degree of the attached vertex): tree degrees,
+outside-neighbour counts, the leaf count, the cost of the tree in
+fifteenths, the fringe and the A1 / A2 candidate sets; after a step only
+the vertices it touched are tested for death.  A step therefore costs
+time in its own neighbourhood, not in the size of the tree.  The
+potential is checked against the running sum of the ledger after every
+step from these counts.  The from-scratch
 recount (`ledger.alpha_prime`, which counts leaves from the parent links
 and the cost over the tree's vertices) runs on every base and at the end
 of every engine run that spans without a Z4 split; the test suite runs it,
@@ -65,7 +70,9 @@ class StalePlanError(ValueError):
 
 
 class PartialTree:
-    """Tree under construction: parent links, dead-leaf marks, outside set.
+    """Tree under construction: tree vertices, parent links, dead-leaf marks.
+
+    The outside is every vertex not in `vertices`; no set of it is kept.
 
     `attach` keeps these counts up to date in O(degree of the attached
     vertex): `deg[v]`, the tree degree of tree vertex v; `out[v]`, the
@@ -85,7 +92,6 @@ class PartialTree:
         self.vertices: set[int] = {root}
         self.parent: dict[int, int] = {root: -1}
         self.dead: set[int] = set()
-        self.outside: set[int] = set(range(g.n)) - {root}
         self.deg = [0] * g.n
         self.out = [len(nbrs) for nbrs in g.adj]
         for w in g.adj[root]:
@@ -97,23 +103,6 @@ class PartialTree:
         self.rich: set[int] = {root} if self.out[root] >= 2 else set()
         self._touched: set[int] = set()
 
-    def copy(self) -> "PartialTree":
-        other = PartialTree.__new__(PartialTree)
-        other.g = self.g
-        other.vertices = set(self.vertices)
-        other.parent = dict(self.parent)
-        other.dead = set(self.dead)
-        other.outside = set(self.outside)
-        other.deg = list(self.deg)
-        other.out = list(self.out)
-        other.leaves = self.leaves
-        other.cost = self.cost
-        other.border = set(self.border)
-        other.inner_open = set(self.inner_open)
-        other.rich = set(self.rich)
-        other._touched = set(self._touched)
-        return other
-
     def potential15(self) -> int:
         """13 leaves + 2 dead leaves - cost, in fifteenths, from the counts."""
         return LEAF_GAIN15 * self.leaves + DEAD_GAIN15 * len(self.dead) - self.cost
@@ -122,15 +111,14 @@ class PartialTree:
         adj = self.g.adj
         if parent not in self.vertices:
             raise ValueError(f"parent {parent} not in tree")
-        if child not in self.outside:
+        if child in self.vertices:
             raise ValueError(f"child {child} not outside the tree")
         if child not in adj[parent]:
             raise ValueError(f"({parent},{child}) is not a graph edge")
         if parent in self.dead:
             raise ValueError(f"parent {parent} is a dead leaf")
-        outside, border = self.outside, self.border
-        self.vertices.add(child)
-        outside.remove(child)
+        tree, border = self.vertices, self.border
+        tree.add(child)
         border.discard(child)
         self.parent[child] = parent
         deg, out = self.deg, self.out
@@ -150,7 +138,7 @@ class PartialTree:
         # only the parent changes its degree
         for w in adj[child]:
             o = out[w] = out[w] - 1
-            if w in outside:
+            if w not in tree:
                 border.add(w)
                 continue
             touched.add(w)
@@ -173,7 +161,7 @@ class PartialTree:
         self._touched.clear()
 
     def spans(self) -> bool:
-        return not self.outside
+        return len(self.vertices) == self.g.n
 
     def edge_set(self) -> set[tuple[int, int]]:
         return {
@@ -276,15 +264,15 @@ def next_step(g: Graph, f: PartialTree) -> StepPlan | None:
     """First applicable step of the catalog, fully planned; None when spanning."""
     if f.spans():
         return None
-    adj, outside, out = g.adj, f.outside, f.out
+    adj, tree, out = g.adj, f.vertices, f.out
 
     if f.inner_open:
         x = min(f.inner_open)
-        return StepPlan("A1", ((x, min(adj[x] & outside)),), 1, 0)
+        return StepPlan("A1", ((x, min(adj[x] - tree)),), 1, 0)
 
     if f.rich:
         x = min(f.rich)
-        y1, y2 = sorted(adj[x] & outside)[:2]
+        y1, y2 = sorted(adj[x] - tree)[:2]
         return StepPlan("A2", ((x, y1), (x, y2)), 1, 0)
 
     border = f.border
@@ -292,18 +280,18 @@ def next_step(g: Graph, f: PartialTree) -> StepPlan | None:
 
     for x in order:
         if out[x] >= 3:
-            frontier = sorted(adj[x] & outside)
-            anchor = min(adj[x] & f.vertices)
+            frontier = sorted(adj[x] - tree)
+            anchor = min(adj[x] & tree)
             att = ((anchor, x), (x, frontier[0]), (x, frontier[1]), (x, frontier[2]))
             return StepPlan("A3", att, 2, 0)
 
     for x in order:
         if len(adj[x]) != 3 or out[x] != 1:
             continue
-        (y,) = adj[x] & outside
+        (y,) = adj[x] - tree
         if len(adj[y]) >= 4 and y not in border:
             grand = sorted(adj[y] - {x})[:3]
-            anchor = min(adj[x] & f.vertices)
+            anchor = min(adj[x] & tree)
             att = ((anchor, x), (x, y)) + tuple((y, w) for w in grand)
             return StepPlan("A4", att, 2, 1)
 
@@ -317,7 +305,7 @@ def next_step(g: Graph, f: PartialTree) -> StepPlan | None:
     for w in order:
         if out[w]:
             continue
-        anchor = min(adj[w] & f.vertices)
+        anchor = min(adj[w] & tree)
         d = len(adj[w])
         if d >= 4:
             label, db = "Z1.1", 4
@@ -340,8 +328,8 @@ def next_step(g: Graph, f: PartialTree) -> StepPlan | None:
             raise EngineDefect("degree-2 vertex in an adjacent fringe pair")
         if dv == 3 and dw == 3:
             raise EngineDefect("adjacent degree-3 fringe pair in a reduced graph")
-        anchor_v = min(adj[v] & f.vertices)
-        anchor_w = min(adj[w] & f.vertices)
+        anchor_v = min(adj[v] & tree)
+        anchor_w = min(adj[w] & tree)
         if anchor_v == anchor_w:
             raise EngineDefect("fringe pair shares an anchor leaf")
         label = "Z2.2" if (dv >= 4 and dw >= 4) else "Z2.1"
@@ -351,7 +339,7 @@ def next_step(g: Graph, f: PartialTree) -> StepPlan | None:
     for w in order:
         if out[w] != 1:
             raise EngineDefect("fringe vertex with several outside neighbors at Z3")
-        (v,) = adj[w] & outside
+        (v,) = adj[w] - tree
         if len(adj[v]) <= 2:
             dw = len(adj[w])
             if dw == 3:
@@ -360,7 +348,7 @@ def next_step(g: Graph, f: PartialTree) -> StepPlan | None:
                 label, db = "Z3.2", 3
             else:
                 raise EngineDefect("degree-2 fringe vertex at Z3")
-            anchor = min(adj[w] & f.vertices)
+            anchor = min(adj[w] & tree)
             return StepPlan(label, ((anchor, w), (w, v)), 0, db)
 
     return StepPlan("Z4", (), 0, 0)
@@ -375,14 +363,13 @@ def _plan_chain(g: Graph, f: PartialTree, x: int, kind: str) -> StepPlan:
     """
     adj = g.adj
     tree_v = f.vertices
-    outside = f.outside
     in_t = lambda v: len(adj[v]) >= 4  # noqa: E731
 
     anchors = adj[x] & tree_v
     if kind == "M" and len(anchors) < 2:
         raise EngineDefect("composite root should touch two tree leaves")
     base_att = [(min(anchors), x)]
-    y1, y2 = sorted(adj[x] & outside)
+    y1, y2 = sorted(adj[x] - tree_v)
     base_att += [(x, y1), (x, y2)]
     prefix_db = 1 if kind == "M" else 0
     lab = lambda s: kind + s  # noqa: E731
@@ -390,27 +377,28 @@ def _plan_chain(g: Graph, f: PartialTree, x: int, kind: str) -> StepPlan:
     if not in_t(y1) and not in_t(y2):
         return StepPlan(lab("1"), tuple(base_att), 1, prefix_db)
 
-    w1 = outside - {x, y1, y2}
-    d_w1 = lambda v: len(adj[v] & w1)  # noqa: E731
+    # the chain vertices planned so far; `deeper(v)` is v's outside
+    # neighbourhood beyond them, in O(deg v)
+    taken = {x, y1, y2}
+    deeper = lambda v: adj[v] - tree_v - taken  # noqa: E731
     if in_t(y1) and in_t(y2):
-        if (d_w1(y2), -y2) > (d_w1(y1), -y1):
+        if (len(deeper(y2)), -y2) > (len(deeper(y1)), -y1):
             y1, y2 = y2, y1
     elif in_t(y2):
         y1, y2 = y2, y1
 
-    deep1 = d_w1(y1)
-    if deep1 >= 3:
-        grown = sorted(adj[y1] & w1)[:3]
-        att = base_att + [(y1, w) for w in grown]
+    deep1 = sorted(deeper(y1))
+    if len(deep1) >= 3:
+        att = base_att + [(y1, w) for w in deep1[:3]]
         return StepPlan(lab("2"), tuple(att), 3, prefix_db)
-    if deep1 <= 1:
+    if len(deep1) <= 1:
         if not (adj[y1] & tree_v):
             raise EngineDefect("shallow branch vertex must touch the tree")
         if in_t(y2):
             return StepPlan(lab("3.1"), tuple(base_att), 1, prefix_db + 4)
         return StepPlan(lab("3.2"), tuple(base_att), 1, prefix_db + 2)
 
-    z1, z2 = sorted(adj[y1] & w1)
+    z1, z2 = deep1
     att4 = base_att + [(y1, z1), (y1, z2)]
 
     touching = [v for v in sorted({y2, z1, z2}) if adj[v] & tree_v]
@@ -429,12 +417,11 @@ def _plan_chain(g: Graph, f: PartialTree, x: int, kind: str) -> StepPlan:
     if y2 not in adj[y1] or len(adj[y1]) != 4 or len(adj[y2]) != 4:
         raise EngineDefect("branch pair structure violated past case 4.3")
 
-    w2 = w1 - {z1, z2}
-    d_w2 = lambda v: len(adj[v] & w2)  # noqa: E731
+    taken |= {z1, z2}
     for z in (z1, z2):
-        if d_w2(z) >= 3:
-            grown = sorted(adj[z] & w2)[:3]
-            att = att4 + [(z, w) for w in grown]
+        grown = sorted(deeper(z))
+        if len(grown) >= 3:
+            att = att4 + [(z, w) for w in grown[:3]]
             return StepPlan(lab("4.4"), tuple(att), 4, prefix_db)
 
     eligible = [z for z in (z1, z2) if z not in adj[y2]]
@@ -442,9 +429,10 @@ def _plan_chain(g: Graph, f: PartialTree, x: int, kind: str) -> StepPlan:
         raise EngineDefect("both chord vertices adjacent to the branch mate")
     z_a = eligible[0]
     z_b = z2 if z_a == z1 else z1
-    if d_w2(z_a) != 2:
+    deep_a = sorted(deeper(z_a))
+    if len(deep_a) != 2:
         raise EngineDefect("selected chord vertex lost its two deep neighbors")
-    p1, p2 = sorted(adj[z_a] & w2)
+    p1, p2 = deep_a
     att45 = att4 + [(z_a, p1), (z_a, p2)]
 
     for p in (p1, p2):
@@ -453,15 +441,14 @@ def _plan_chain(g: Graph, f: PartialTree, x: int, kind: str) -> StepPlan:
     if any(not in_t(p) for p in (p1, p2)):
         return StepPlan(lab("4.5.2"), tuple(att45), 3, prefix_db)
 
-    w3 = w2 - {p1, p2}
-    d_w3 = lambda v: len(adj[v] & w3)  # noqa: E731
-    if any(d_w3(v) == 0 for v in (y2, z_b, p1, p2)):
+    taken |= {p1, p2}
+    if any(not deeper(v) for v in (y2, z_b, p1, p2)):
         return StepPlan(lab("4.5.3"), tuple(att45), 3, prefix_db + 1)
 
-    deep = [p for p in (p1, p2) if d_w3(p) >= 2]
+    deep = [p for p in (p1, p2) if len(deeper(p)) >= 2]
     if deep:
         p = deep[0]
-        grand = sorted(adj[p] & w3)[:2]
+        grand = sorted(deeper(p))[:2]
         att = att45 + [(p, q) for q in grand]
         anchored = [q for q in grand if adj[q] & tree_v]
         if not anchored:
@@ -486,7 +473,7 @@ def _plan_chain(g: Graph, f: PartialTree, x: int, kind: str) -> StepPlan:
     ]
     if not all(checks):
         raise EngineDefect("closing configuration violated")
-    closers = adj[y2] & w3
+    closers = deeper(y2)
     if len(closers) != 1:
         raise EngineDefect("branch mate should see exactly one closing vertex")
     r = next(iter(closers))
@@ -504,7 +491,7 @@ def _plan_chain(g: Graph, f: PartialTree, x: int, kind: str) -> StepPlan:
 def apply_step(g: Graph, f: PartialTree, plan: StepPlan) -> list[StepRecord]:
     """Commit a plan; returns its record plus Z0 records for extra deaths."""
     children = tuple(c for _, c in plan.attachments)
-    if len(set(children)) != len(children) or not f.outside.issuperset(children):
+    if len(set(children)) != len(children) or not f.vertices.isdisjoint(children):
         raise StalePlanError(f"{plan.label}: plan does not match the tree state")
     leaves_before = f.leaves
     dead_before = len(f.dead)
@@ -557,12 +544,13 @@ def split_z4(
 
     leaves_before = f.leaves
     dead_before = len(f.dead)
-    sub, outside = g.induced(f.outside)
-    combined = set(f.edge_set())
+    tree = f.vertices
+    sub, added = g.induced(v for v in range(g.n) if v not in tree)
+    combined = f.edge_set()
     child_depth = 0
     for comp in sub.components():
-        comp_old = [outside[v] for v in comp]
-        h, _ = g.induced(comp_old)
+        comp_old = [added[v] for v in comp]
+        h, _ = sub.induced(comp)
         if h.n < 2:
             raise EngineDefect("singleton outside component at the split")
         if classify_exclusion(h) is not None:
@@ -577,7 +565,7 @@ def split_z4(
             (w, a)
             for w in comp_old
             if w in border
-            for a in g.adj[w] & f.vertices
+            for a in g.adj[w] & tree
         )
         combined.add(edge_key(*cut))
 
@@ -585,7 +573,6 @@ def split_z4(
     leaves_after = final.leaf_count()
     du = leaves_after - leaves_before
     db = leaves_after - dead_before  # every leaf of a spanning tree is dead
-    added = sorted(f.outside)
     ds, dt = degree_counts(g, added)
     record = StepRecord.make("Z4", du, db, dt, ds, tuple(added))
     if record.profit15 < 0:
@@ -601,7 +588,6 @@ def split_z4(
 class BuildReport:
     """Outcome of one build: the tree, exact accounting, and provenance."""
 
-    tree: list[int]
     leaves: int
     cost: Fifteenths
     alpha: Fifteenths
@@ -641,8 +627,8 @@ def _base_record(g: Graph, f: PartialTree, label: str) -> StepRecord:
     return StepRecord.make(label, f.leaves, len(f.dead), dt, ds, vs)
 
 
-def _run_from_base(g: Graph, base: PartialTree, case: str) -> _EngineResult:
-    f = base.copy()
+def _run_from_base(g: Graph, f: PartialTree, case: str) -> _EngineResult:
+    """Grow the base tree `f` in place until it spans g."""
     base_rec = _base_record(g, f, f"{case}-base")
     if base_rec.profit15 != alpha_prime(g, f).num:
         raise EngineDefect("base record does not match the base potential")
@@ -726,7 +712,6 @@ def build(g: Graph) -> BuildReport:
     alpha = Fifteenths(15 * final_leaves - total_cost)
 
     return BuildReport(
-        tree=lifted.parents(),
         leaves=final_leaves,
         cost=Fifteenths(total_cost),
         alpha=alpha,
@@ -746,10 +731,14 @@ def _run_ensemble(
     reduced: Graph,
 ) -> tuple[_EngineResult, str, list[str], bool, int]:
     bases = choose_bases(reduced)
-    case = bases[0][1]
+    case, runs = bases[0][1], len(bases)
     defects: list[str] = []
     best: _EngineResult | None = None
-    for base, label in bases:
+    # each base leaves the list before it is grown in place, so at most
+    # one grown base is alive
+    bases.reverse()
+    while bases:
+        base, label = bases.pop()
         try:
             res = _run_from_base(reduced, base, label)
         except EngineDefect as exc:
@@ -762,7 +751,7 @@ def _run_ensemble(
     if short and reduced.n <= ORACLE_MAX_N:
         exact = _exact_result(reduced, case)
         if best is None or exact.leaves > best.leaves:
-            return exact, case, defects, True, len(bases)
+            return exact, case, defects, True, runs
     if best is None:
         raise EngineDefect("; ".join(defects) or "no base tree produced a result")
-    return best, case, defects, False, len(bases)
+    return best, case, defects, False, runs

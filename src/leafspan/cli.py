@@ -16,7 +16,7 @@ from . import families
 from .builder import build
 from .graph import Fifteenths, Graph, degree_counts
 from .oracle import ORACLE_MAX_N, exact_u, max_leaf_tree
-from .trees import edge_key
+from .trees import SpanningTree, edge_key
 
 
 class InputError(ValueError):
@@ -127,7 +127,7 @@ def cmd_build(args) -> int:
             "base": report.base_case,
             "exclusion": report.exclusion.value if report.exclusion else None,
             "bound_ok": report.bound_ok,
-            "tree_parents": report.tree,
+            "tree_parents": report.spanning_tree.parents(),
             "reductions": len(report.reduction_trace),
             "oracle_fallback": report.oracle_fallback,
             "defects": list(report.defects),
@@ -146,12 +146,12 @@ def cmd_build(args) -> int:
 def cmd_oracle(args) -> int:
     try:
         g = read_graph(args.input)
-        u = exact_u(g)
         parents = max_leaf_tree(g)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"u={u}")
+    # the witness is a maximum-leaf tree, so its leaf count is exact_u(g)
+    print(f"u={SpanningTree.from_parents(parents).leaf_count()}")
     print("parents=" + " ".join(str(p) for p in parents))
     return 0
 
@@ -220,6 +220,8 @@ def cmd_sweep(args) -> int:
     try:
         if args.oracle_max > ORACLE_MAX_N:
             raise InputError(f"--oracle-max above the exact-search limit {ORACLE_MAX_N}")
+        if args.oracle_max < 0 or args.per_size < 0:
+            raise InputError("--per-size and --oracle-max must not be negative")
         if args.family in ("h", "c2"):
             lo, hi = _parse_range(args.n or ("2..5" if args.family == "h" else "6..8"))
             make = families.h_graph if args.family == "h" else families.square_of_cycle

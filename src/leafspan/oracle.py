@@ -141,6 +141,8 @@ def max_leaf_tree(g: Graph) -> list[int]:
     _require_small(g)
     if not g.is_connected():
         raise ValueError("graph must be connected")
+    if g.n < 2:
+        raise ValueError("need at least two vertices")
     if g.n == 2:
         return [-1, 0]
     return tree_from_cds(g, min_cds(g))

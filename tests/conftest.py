@@ -19,9 +19,12 @@ def audit_counts(g: Graph, f: PartialTree) -> None:
     """The counts `f` keeps agree with a from-scratch recount of its tree."""
     counted = LEAF_GAIN15 * f.leaves + DEAD_GAIN15 * len(f.dead) - f.cost
     assert alpha_prime(g, f).num == counted
-    assert f.border == {v for v in f.outside if g.adj[v] & f.vertices}
+    assert f.vertices == f.parent.keys()
+    outside = set(range(g.n)) - f.vertices
+    assert f.border == {v for v in outside if g.adj[v] & f.vertices}
+    assert f.out == [len(g.adj[v] & outside) for v in range(g.n)]
     tree_deg = tree_degrees(f)
-    outside_nbrs = {v: len(g.adj[v] & f.outside) for v in f.vertices}
+    outside_nbrs = {v: len(g.adj[v] & outside) for v in f.vertices}
     assert f.dead == {
         v for v in f.vertices if tree_deg[v] == 1 and not outside_nbrs[v]
     }
@@ -58,9 +61,9 @@ def make_state(n, edges, tree_edges, root=0) -> tuple[Graph, PartialTree]:
         progressed = False
         for e in list(remaining):
             u, v = e
-            if u in f.vertices and v in f.outside:
+            if u in f.vertices and v not in f.vertices:
                 f.attach(u, v)
-            elif v in f.vertices and u in f.outside:
+            elif v in f.vertices and u not in f.vertices:
                 f.attach(v, u)
             else:
                 continue

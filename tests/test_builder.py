@@ -166,7 +166,7 @@ def test_apply_z2_both_rich():
 
 
 CHAIN_CASES = [
-    # name, n, edges, tree edges, label, want_dudb
+    # name, n, edges, tree edges, label, want_dudb, attachments
     (
         "M1",
         6,
@@ -174,6 +174,7 @@ CHAIN_CASES = [
         [(0, 1), (0, 2)],
         "M1",
         0,
+        ((1, 3), (3, 4), (3, 5)),
     ),
     (
         "N1",
@@ -182,6 +183,7 @@ CHAIN_CASES = [
         [(0, 1), (0, 2)],
         "N1",
         1,
+        ((1, 3), (3, 4), (3, 5)),
     ),
     (
         "M2",
@@ -190,6 +192,7 @@ CHAIN_CASES = [
         [(0, 1), (0, 2)],
         "M2",
         2,
+        ((1, 3), (3, 4), (3, 5), (4, 6), (4, 7), (4, 8)),
     ),
     (
         "M3.1",
@@ -199,6 +202,7 @@ CHAIN_CASES = [
         [(0, k) for k in range(1, 7)],
         "M3.1",
         -4,
+        ((1, 7), (7, 8), (7, 9)),
     ),
     (
         "M3.2",
@@ -208,6 +212,7 @@ CHAIN_CASES = [
         [(0, k) for k in range(1, 5)],
         "M3.2",
         -2,
+        ((1, 5), (5, 6), (5, 7)),
     ),
     (
         "N4.1.1",
@@ -217,6 +222,7 @@ CHAIN_CASES = [
         [(0, k) for k in range(1, 5)],
         "N4.1.1",
         0,
+        ((1, 5), (5, 6), (5, 7), (6, 8), (6, 9)),
     ),
     (
         "M4.1.2",
@@ -225,6 +231,7 @@ CHAIN_CASES = [
         [(0, 1), (0, 2), (0, 3)],
         "M4.1.2",
         0,
+        ((1, 4), (4, 5), (4, 6), (5, 7), (5, 8)),
     ),
     (
         "M4.2",
@@ -233,6 +240,7 @@ CHAIN_CASES = [
         [(0, 1), (0, 2)],
         "M4.2",
         1,
+        ((1, 3), (3, 4), (3, 5), (4, 6), (4, 7)),
     ),
     (
         "M4.3",
@@ -242,6 +250,7 @@ CHAIN_CASES = [
         [(0, 1), (0, 2)],
         "M4.3",
         0,
+        ((1, 3), (3, 4), (3, 5), (4, 6), (4, 7)),
     ),
     (
         "M4.4",
@@ -251,6 +260,7 @@ CHAIN_CASES = [
         [(0, 1), (0, 2)],
         "M4.4",
         3,
+        ((1, 3), (3, 4), (3, 5), (4, 6), (4, 7), (6, 8), (6, 9), (6, 10)),
     ),
     (
         "M4.5.1",
@@ -261,6 +271,7 @@ CHAIN_CASES = [
         [(0, k) for k in range(1, 5)],
         "M4.5.1",
         0,
+        ((1, 5), (5, 6), (5, 7), (6, 8), (6, 9), (8, 10), (8, 11)),
     ),
     (
         "M4.5.2",
@@ -271,6 +282,7 @@ CHAIN_CASES = [
         [(0, 1), (0, 2)],
         "M4.5.2",
         2,
+        ((1, 3), (3, 4), (3, 5), (4, 6), (4, 7), (6, 8), (6, 9)),
     ),
     (
         "M4.5.3",
@@ -281,6 +293,7 @@ CHAIN_CASES = [
         [(0, 1), (0, 2)],
         "M4.5.3",
         1,
+        ((1, 3), (3, 4), (3, 5), (4, 6), (4, 7), (6, 8), (6, 9)),
     ),
     (
         "M4.5.4",
@@ -291,6 +304,7 @@ CHAIN_CASES = [
         [(0, 1), (0, 2)],
         "M4.5.4",
         3,
+        ((1, 3), (3, 4), (3, 5), (4, 6), (4, 7), (6, 8), (6, 9), (8, 10), (8, 11)),
     ),
     (
         "M4.5.4.1",
@@ -303,6 +317,8 @@ CHAIN_CASES = [
         [(0, k) for k in range(1, 5)],
         "M4.5.4.1",
         1,
+        ((1, 5), (5, 6), (5, 7), (6, 8), (6, 9), (8, 10), (8, 11), (10, 12),
+         (10, 13)),
     ),
     (
         "M4.5.4.2",
@@ -315,6 +331,8 @@ CHAIN_CASES = [
         [(0, k) for k in range(1, 5)],
         "M4.5.4.2",
         2,
+        ((1, 5), (5, 6), (5, 7), (6, 8), (6, 9), (8, 10), (8, 11), (10, 12),
+         (10, 13)),
     ),
     (
         "M4.5.5",
@@ -325,6 +343,53 @@ CHAIN_CASES = [
         [(0, 1), (0, 2)],
         "M4.5.5",
         -2,
+        ((1, 3), (3, 4), (3, 5), (4, 6), (4, 7), (6, 8), (6, 9), (5, 10)),
+    ),
+    (
+        # the first chord vertex 6 sees the branch mate 5 and only two deep
+        # vertices, so the second chord vertex 7 grows
+        "M4.4-second-chord",
+        12,
+        [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5), (4, 6), (4, 7),
+         (5, 6), (5, 11), (6, 8), (6, 9), (7, 9), (7, 10), (7, 11)],
+        [(0, 1), (0, 2)],
+        "M4.4",
+        3,
+        ((1, 3), (3, 4), (3, 5), (4, 6), (4, 7), (7, 9), (7, 10), (7, 11)),
+    ),
+    # the M4.4 / M4.5.2 / M4.5.3 rows less the edge (2, 3): the root 3 has
+    # degree 3 and one tree neighbour
+    (
+        "N4.4",
+        12,
+        [(0, 1), (0, 2), (1, 3), (3, 4), (3, 5), (4, 5), (4, 6), (4, 7),
+         (5, 8), (5, 11), (6, 8), (6, 9), (6, 10), (7, 9), (7, 10), (7, 11)],
+        [(0, 1), (0, 2)],
+        "N4.4",
+        4,
+        ((1, 3), (3, 4), (3, 5), (4, 6), (4, 7), (6, 8), (6, 9), (6, 10)),
+    ),
+    (
+        "N4.5.2",
+        21,
+        [(0, 1), (0, 2), (1, 3), (3, 4), (3, 5), (4, 5), (4, 6), (4, 7),
+         (5, 15), (5, 16), (6, 7), (6, 8), (6, 9), (7, 17), (7, 18), (9, 19),
+         (9, 20), (9, 8)],
+        [(0, 1), (0, 2)],
+        "N4.5.2",
+        3,
+        ((1, 3), (3, 4), (3, 5), (4, 6), (4, 7), (6, 8), (6, 9)),
+    ),
+    (
+        "N4.5.3",
+        18,
+        [(0, 1), (0, 2), (1, 3), (3, 4), (3, 5), (4, 5), (4, 6), (4, 7),
+         (5, 8), (5, 15), (6, 7), (6, 8), (6, 9), (7, 8), (7, 16), (9, 16),
+         (9, 17), (8, 9)],
+        [(0, 1), (0, 2)],
+        "N4.5.3",
+        2,
+        ((1, 3), (3, 4), (3, 5), (4, 6), (4, 7), (6, 8), (6, 9)),
     ),
     (
         "A4",
@@ -333,16 +398,18 @@ CHAIN_CASES = [
         [(0, 1), (0, 2), (0, 3)],
         "A4",
         1,
+        ((1, 4), (4, 5), (5, 6), (5, 7), (5, 8)),
     ),
 ]
 
 
 @pytest.mark.parametrize("case", CHAIN_CASES, ids=[c[0] for c in CHAIN_CASES])
 def test_chain_case_resolution(case):
-    name, n, edges, tree, label, want_dudb = case
+    name, n, edges, tree, label, want_dudb, attachments = case
     g, f = make_state(n, edges, tree)
     plan = next_step(g, f)
     assert plan.label == label
+    assert plan.attachments == attachments
     records = apply_step(g, f, plan)
     rec = records[0]
     assert rec.label == label
@@ -361,10 +428,20 @@ def test_apply_step_rejects_stale_plan():
         apply_step(g, f, plan)
 
 
+def test_attach_rejects_bad_attachments():
+    g, f = make_state(5, [(0, 1), (1, 2), (0, 3), (2, 4)], [(0, 3)])
+    for parent, child, why in [
+        (0, 3, "not outside the tree"),
+        (0, 2, "is not a graph edge"),
+        (2, 4, "not in tree"),
+    ]:
+        with pytest.raises(ValueError, match=why):
+            f.attach(parent, child)
+
+
 def test_dead_marks_match_adjacency_at_every_boundary():
     gr, _ = reduce_fully(h_graph(2))
-    for base, _label in choose_bases(gr):
-        f = base.copy()
+    for f, _label in choose_bases(gr):
         while True:
             tree_deg = tree_degrees(f)
             for v in f.vertices:

@@ -5,10 +5,12 @@ import json
 import pytest
 
 import leafspan.builder as builder_mod
+import leafspan.oracle as oracle_mod
 from leafspan import (
     EngineDefect,
     Graph,
     choose_bases,
+    exact_u,
     g8,
     h_graph,
     reduce_fully,
@@ -162,6 +164,7 @@ def test_build_command_rejects_disconnected(tmp_path, capsys):
         ["build", "{tmp}"],
         ["build", "{tmp}/disconnected.txt"],
         ["oracle", "{tmp}/missing"],
+        ["oracle", "{tmp}/single.txt"],
         ["gen", "--family", "h"],
         ["gen", "--family", "c2"],
         ["gen", "--family", "random", "--n", "8", "--dmax", "0", "--seed", "1"],
@@ -170,11 +173,14 @@ def test_build_command_rejects_disconnected(tmp_path, capsys):
         ["sweep", "--family", "h", "--n", "x"],
         ["sweep", "--sizes", "5..3"],
         ["sweep", "--sizes", "17", "--oracle-max", "20"],
+        ["sweep", "--sizes", "3..3", "--per-size", "-1"],
+        ["sweep", "--sizes", "3..3", "--oracle-max", "-5"],
     ],
     ids=lambda argv: " ".join(argv).replace("{tmp}", "TMP"),
 )
 def test_bad_input_is_one_error_line(argv, tmp_path, capsys):
     _write(tmp_path, Graph(4, [(0, 1), (2, 3)]), "disconnected.txt")
+    _write(tmp_path, Graph(1), "single.txt")
     code = main([arg.format(tmp=tmp_path) for arg in argv])
     captured = capsys.readouterr()
     assert code == 2
@@ -196,6 +202,25 @@ def test_oracle_command(tmp_path, capsys):
         assert f"u={want}" in out
         parents = [int(x) for x in out.splitlines()[1].split("=")[1].split()]
         assert len(parents) == g.n and parents.count(-1) == 1
+
+
+def test_oracle_command_searches_once(tmp_path, capsys, monkeypatch):
+    searches = []
+    search = oracle_mod._min_cds_py
+
+    def counted(g):
+        searches.append(g.n)
+        return search(g)
+
+    monkeypatch.setattr(oracle_mod, "_min_cds_py", counted)
+    for g in (square_of_cycle(8), g8(), h_graph(2), Graph(3, [(0, 1), (1, 2)])):
+        path = _write(tmp_path, g)
+        searches.clear()
+        assert main(["oracle", path]) == 0
+        out = capsys.readouterr().out
+        assert searches == [g.n]
+        searches.clear()
+        assert out.splitlines()[0] == f"u={exact_u(g)}"
 
 
 def test_oracle_command_budget(tmp_path, capsys):
