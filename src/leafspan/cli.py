@@ -329,7 +329,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--dmin", type=int)
     p_sweep.add_argument("--dmax", type=int)
     p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--oracle-max", type=int, default=10)
+    p_sweep.add_argument("--oracle-max", type=int, default=ORACLE_MAX_N)
     p_sweep.add_argument("--family", choices=["random", "h", "c2"], default="random")
     p_sweep.add_argument("--n", help="size range for --family h/c2, e.g. 2..5")
     p_sweep.add_argument("--json", action="store_true")

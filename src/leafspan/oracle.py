@@ -1,11 +1,14 @@
 """Exact maximum-leaf counts for small graphs, plus exclusion recognition.
 
 For connected graphs on n >= 3 vertices the maximum number of spanning-tree
-leaves equals n minus the size of a minimum connected dominating set, so the
-oracle searches vertex subsets in ascending cardinality, each size in
-lexicographic order; the first connected dominating subset found is both
-minimum and the lexicographic tie-break winner.  Domination and
-connectivity are tested on integer bitmasks.
+leaves equals n minus the size of a minimum connected dominating set (CDS).
+`exact_u` finds that size by branch and bound: a greedy CDS gives the first
+upper bound, then connected vertex sets are grown from each vertex of the
+closed neighbourhood of a minimum-degree vertex (every CDS meets it), and a
+branch is cut once even the highest-degree vertices could not dominate the
+rest within the bound.  `min_cds` scans only the subsets of that one size,
+in lexicographic order, so its first hit is the lexicographic tie-break
+winner.  Vertex sets, domination and connectivity are integer bitmasks.
 """
 
 from __future__ import annotations
@@ -47,29 +50,118 @@ def _is_connected_mask(mask: int, adj: list[int]) -> bool:
         reached = grown
 
 
-def _min_cds_py(g: Graph) -> list[int]:
-    """Lexicographically first minimum connected dominating set.
+def _greedy_cds_size(closed: list[int], full: int) -> int:
+    """Size of a CDS grown from a vertex of maximum degree, each step adding
+    the frontier vertex that dominates the most new vertices (lowest id on
+    ties)."""
+    root = max(range(len(closed)), key=lambda v: closed[v].bit_count())
+    inside = 1 << root
+    dom = closed[root]
+    size = 1
+    while dom != full:
+        best_gain = -1
+        rest = dom & ~inside
+        while rest:
+            low = rest & (-rest)
+            gain = (closed[low.bit_length() - 1] & ~dom).bit_count()
+            if gain > best_gain:
+                best_gain, pick = gain, low
+            rest ^= low
+        inside |= pick
+        dom |= closed[pick.bit_length() - 1]
+        size += 1
+    return size
 
-    Ascending-cardinality subset search: combinations() yields size-k
-    subsets in lexicographic order, so the first hit is the tie-break
-    winner.
+
+def _min_cds_size(g: Graph) -> int:
+    """Size of a minimum connected dominating set of a connected graph g.
+
+    Branch and bound over connected sets: each search grows a set from one
+    root, branching on its lowest frontier vertex (take it, or exclude it
+    for the rest of the branch).  The roots are the closed neighbourhood of
+    a minimum-degree vertex, each search excluding the roots before it.
+    A vertex taken from the frontier is already dominated and has a
+    neighbour in the set, so it dominates at most deg - 1 new vertices;
+    `need[k]` is the fewest vertices whose degrees allow k more, and a
+    branch that cannot beat the best size found with that many is cut.
+    No budget check: callers apply ORACLE_MAX_N.
     """
     n = g.n
     adj = adjacency_masks(g)
     closed = [adj[v] | (1 << v) for v in range(n)]
     full = (1 << n) - 1
-    for k in range(1, n + 1):
-        for subset in combinations(range(n), k):
-            cover = 0
-            mask = 0
-            for v in subset:
-                cover |= closed[v]
-                mask |= 1 << v
-            if cover != full:
-                continue
-            if _is_connected_mask(mask, adj):
-                return list(subset)
-    raise AssertionError("connected graph must have a connected dominating set")
+    best = _greedy_cds_size(closed, full)
+    need = [0] + [n + 1] * n
+    reach = 0
+    gains = sorted((len(a) - 1 for a in g.adj), reverse=True)
+    for count, gain in enumerate(gains, 1):
+        for k in range(reach + 1, min(reach + gain, n) + 1):
+            need[k] = count
+        reach += gain
+
+    def grow(inside: int, dom: int, out: int, size: int) -> None:
+        nonlocal best
+        if dom == full:
+            best = size
+            return
+        lower = size + need[n - dom.bit_count()]
+        while lower < best:
+            frontier = dom & ~(inside | out)
+            if size + 2 == best:
+                # one vertex left to take: it must dominate all the rest
+                while frontier:
+                    low = frontier & (-frontier)
+                    if dom | closed[low.bit_length() - 1] == full:
+                        best = size + 1
+                        return
+                    frontier ^= low
+                return
+            if not frontier:
+                return
+            low = frontier & (-frontier)
+            w = low.bit_length() - 1
+            grow(inside | low, dom | closed[w], out, size + 1)
+            out |= low
+            # cut when excluding w leaves an undominated neighbour no candidate
+            undominated = adj[w] & ~dom
+            while undominated:
+                bit = undominated & (-undominated)
+                if not closed[bit.bit_length() - 1] & ~out:
+                    return
+                undominated ^= bit
+
+    v = min(range(n), key=lambda x: closed[x].bit_count())
+    roots = closed[v]
+    out = 0
+    while roots and best > 1:
+        low = roots & (-roots)
+        grow(low, closed[low.bit_length() - 1], out, 1)
+        out |= low
+        roots ^= low
+    return best
+
+
+def _min_cds_py(g: Graph) -> list[int]:
+    """Lexicographically first minimum connected dominating set.
+
+    combinations() yields the subsets of the minimum size in lexicographic
+    order, so the first connected dominating one is the tie-break winner.
+    """
+    n = g.n
+    adj = adjacency_masks(g)
+    closed = [adj[v] | (1 << v) for v in range(n)]
+    full = (1 << n) - 1
+    for subset in combinations(range(n), _min_cds_size(g)):
+        cover = 0
+        mask = 0
+        for v in subset:
+            cover |= closed[v]
+            mask |= 1 << v
+        if cover != full:
+            continue
+        if _is_connected_mask(mask, adj):
+            return list(subset)
+    raise AssertionError("a minimum-size connected dominating set must exist")
 
 
 def _require_small(g: Graph) -> None:
@@ -80,7 +172,11 @@ def _require_small(g: Graph) -> None:
 
 
 def min_cds(g: Graph) -> list[int]:
-    """Minimum connected dominating set, lexicographically smallest on ties."""
+    """Minimum connected dominating set, lexicographically smallest on ties.
+
+    The branch and bound gives the minimum size; only subsets of that size
+    are scanned for the witness.
+    """
     _require_small(g)
     if not g.is_connected():
         raise ValueError("graph must be connected")
@@ -92,8 +188,9 @@ def min_cds(g: Graph) -> list[int]:
 def exact_u(g: Graph, backend: str = "python") -> int:
     """Maximum number of leaves over all spanning trees of g (exact).
 
-    `backend` accepts only "python", the one search there is; the keyword
-    stays so that callers which name it keep working.
+    n minus the minimum CDS size from the branch and bound; no witness set
+    is searched for.  `backend` accepts only "python", the one search there
+    is; the keyword stays so that callers which name it keep working.
     """
     if backend != "python":
         raise ValueError(f"unknown backend {backend!r}; only 'python' exists")
@@ -104,7 +201,7 @@ def exact_u(g: Graph, backend: str = "python") -> int:
         raise ValueError("need at least two vertices")
     if g.n == 2:
         return 2
-    return g.n - len(_min_cds_py(g))
+    return g.n - _min_cds_size(g)
 
 
 def tree_from_cds(g: Graph, dom: list[int]) -> list[int]:

@@ -27,6 +27,7 @@ from leafspan import (
     table_violations,
     verify_ledger,
 )
+from leafspan.oracle import _min_cds_size
 from leafspan.trees import SpanningTree, check_spanning_tree
 
 from conftest import random_spanning_tree
@@ -74,6 +75,17 @@ def test_criterion_2_tightness_family():
     print(f"PASS criterion 2: tightness family H_2..H_5 ({elapsed:.2f} s)")
 
 
+def test_criterion_2_exact_past_the_oracle_budget():
+    # the size search has no budget check of its own, so it can pin the
+    # optimum where exact_u refuses: u(H_k) = 2k + 2, u(C_20) = 2
+    for k in (3, 4):
+        g = h_graph(k)
+        assert g.n - _min_cds_size(g) == 2 * k + 2
+    c20 = Graph(20, [(i, (i + 1) % 20) for i in range(20)])
+    assert c20.n - _min_cds_size(c20) == 2
+    print("PASS criterion 2: H_3, H_4 and C_20 exact past the oracle budget")
+
+
 def test_criterion_3_bound_sweep():
     t0 = time.perf_counter()
     rows = 0
@@ -101,8 +113,7 @@ def test_criterion_3_bound_sweep():
             report = _audited_build(g)
             required = Fifteenths(24) if report.exclusion else PLUS_TWO
             assert report.alpha >= required, (n, dmin, dmax, seed)
-            if n <= 10:
-                assert report.leaves <= exact_u(g), (n, seed)
+            assert report.leaves <= exact_u(g), (n, seed)
             if report.oracle_fallback:
                 fallbacks += 1
         assert made == 200, f"could not generate 200 graphs at n={n}"

@@ -240,6 +240,13 @@ def test_sweep_small(capsys):
     assert "bound_violations=0" in out and "oracle_violations=0" in out
 
 
+def test_sweep_fills_the_oracle_column_up_to_the_budget(capsys):
+    code = main(["sweep", "--sizes", "12..12", "--per-size", "1", "--json"])
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert code == 0 and row["n"] == 12
+    assert row["oracle"] is not None and row["builder_le_oracle"] is True
+
+
 def test_sweep_empty(capsys):
     code = main(["sweep", "--sizes", "3..5", "--per-size", "0"])
     out = capsys.readouterr().out

@@ -1,0 +1,126 @@
+"""The branch-and-bound oracle against the plain subset scan it replaced.
+
+`reference_min_cds` is the ascending-cardinality scan the oracle used
+before, kept unchanged as the reference: the first connected dominating
+subset it meets is both minimum and lexicographically first.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+
+import pytest
+
+import leafspan.oracle as oracle_mod
+from leafspan import (
+    Graph,
+    exact_u,
+    g8,
+    h_graph,
+    max_leaf_tree,
+    min_cds,
+    random_connected,
+    square_of_cycle,
+    tree_from_cds,
+)
+from leafspan.oracle import _is_connected_mask, adjacency_masks
+
+from conftest import random_graph_pool
+
+
+def reference_min_cds(g: Graph) -> list[int]:
+    """Lexicographically first minimum connected dominating set.
+
+    Ascending-cardinality subset search: combinations() yields size-k
+    subsets in lexicographic order, so the first hit is the tie-break
+    winner.
+    """
+    n = g.n
+    adj = adjacency_masks(g)
+    closed = [adj[v] | (1 << v) for v in range(n)]
+    full = (1 << n) - 1
+    for k in range(1, n + 1):
+        for subset in combinations(range(n), k):
+            cover = 0
+            mask = 0
+            for v in subset:
+                cover |= closed[v]
+                mask |= 1 << v
+            if cover != full:
+                continue
+            if _is_connected_mask(mask, adj):
+                return list(subset)
+    raise AssertionError("connected graph must have a connected dominating set")
+
+
+def cycle(n):
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def path(n):
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def star(n):
+    return Graph(n, [(0, i) for i in range(1, n)])
+
+
+def complete(n):
+    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def sweep_named_cases():
+    """The fixed cases of the sweep-small benchmark workload."""
+    c6sq = square_of_cycle(6)
+    (u, v), *rest = sorted(c6sq.edges())
+    return [
+        square_of_cycle(14),
+        cycle(16),
+        h_graph(2),
+        random_connected(15, 3, 5, 11),
+        random_connected(16, 2, 6, 12),
+        c6sq,
+        square_of_cycle(8),
+        g8(),
+        Graph(7, [*rest, (u, 6), (v, 6)]),
+    ]
+
+
+def assert_matches_reference(g: Graph) -> None:
+    want = reference_min_cds(g)
+    assert exact_u(g) == g.n - len(want)
+    assert min_cds(g) == want
+    assert max_leaf_tree(g) == tree_from_cds(g, want)
+
+
+def test_matches_reference_on_random_graphs():
+    pool = random_graph_pool(500, sizes=(3, 16), seed=20261018)
+    assert len(pool) == 500
+    for g in pool:
+        assert_matches_reference(g)
+
+
+@pytest.mark.parametrize("family", [cycle, path, star, complete])
+def test_matches_reference_on_basic_families(family):
+    for n in range(3, 17):
+        assert_matches_reference(family(n))
+
+
+def test_matches_reference_on_named_graphs():
+    for n in range(5, 17):
+        assert_matches_reference(square_of_cycle(n))
+    for g in (h_graph(2), g8(), *sweep_named_cases()):
+        assert_matches_reference(g)
+
+
+def test_exact_u_searches_no_witness(monkeypatch):
+    searches = []
+
+    def counted(g):
+        searches.append(g.n)
+        raise AssertionError("exact_u must not search for a witness set")
+
+    monkeypatch.setattr(oracle_mod, "_min_cds_py", counted)
+    for g in (cycle(9), square_of_cycle(12), h_graph(2), *sweep_named_cases()):
+        exact_u(g)
+    assert searches == []
