@@ -22,7 +22,8 @@ class Fifteenths:
 
     Every constant in the leaf-count accounting is a multiple of 1/15
     (1/5 = 3/15, 2/5 = 6/15, 13/15, 2/15, ...), so a single signed
-    counter of fifteenths gives exact arithmetic and exact equality.
+    counter of fifteenths gives exact equality and ordering; arithmetic
+    is done on the integer `num`.
     """
 
     num: int
@@ -30,20 +31,6 @@ class Fifteenths:
     @classmethod
     def whole(cls, k: int) -> "Fifteenths":
         return cls(15 * k)
-
-    def __add__(self, other: "Fifteenths") -> "Fifteenths":
-        return Fifteenths(self.num + other.num)
-
-    def __sub__(self, other: "Fifteenths") -> "Fifteenths":
-        return Fifteenths(self.num - other.num)
-
-    def __neg__(self) -> "Fifteenths":
-        return Fifteenths(-self.num)
-
-    def __mul__(self, k: int) -> "Fifteenths":
-        return Fifteenths(self.num * k)
-
-    __rmul__ = __mul__
 
     def __str__(self) -> str:
         # Always rendered unreduced so 8/5 prints as 24/15.

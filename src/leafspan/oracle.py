@@ -1,20 +1,20 @@
-"""Exact maximum-leaf counts for small graphs, plus exclusion recognition.
+"""Exact maximum-leaf trees for small graphs, plus exclusion recognition.
 
 For connected graphs on n >= 3 vertices the maximum number of spanning-tree
 leaves equals n minus the size of a minimum connected dominating set (CDS).
-`exact_u` finds that size by branch and bound: a greedy CDS gives the first
-upper bound, then connected vertex sets are grown from each vertex of the
-closed neighbourhood of a minimum-degree vertex (every CDS meets it), and a
-branch is cut once even the highest-degree vertices could not dominate the
-rest within the bound.  `min_cds` scans only the subsets of that one size,
-in lexicographic order, so its first hit is the lexicographic tie-break
-winner.  Vertex sets, domination and connectivity are integer bitmasks.
+One branch and bound finds such a set: a greedy CDS is the first incumbent,
+then connected vertex sets are grown from each vertex of the closed
+neighbourhood of a minimum-degree vertex (every CDS meets it), and a branch
+is cut once even the highest-degree vertices could not dominate the rest
+within the incumbent's size.  The set returned is the first minimum CDS the
+search meets, so ties are broken deterministically for a labelled graph.
+`exact_u`, `min_cds` and `max_leaf_tree` all read this one search.  Vertex
+sets, domination and connectivity are integer bitmasks.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from itertools import combinations
 
 from . import families
 from .graph import Graph, is_isomorphic
@@ -36,28 +36,13 @@ def adjacency_masks(g: Graph) -> list[int]:
     return [sum(1 << w for w in g.adj[v]) for v in range(g.n)]
 
 
-def _is_connected_mask(mask: int, adj: list[int]) -> bool:
-    reached = mask & (-mask)
-    while True:
-        grown = reached
-        rest = reached
-        while rest:
-            low = rest & (-rest)
-            grown |= adj[low.bit_length() - 1] & mask
-            rest ^= low
-        if grown == reached:
-            return reached == mask
-        reached = grown
-
-
-def _greedy_cds_size(closed: list[int], full: int) -> int:
-    """Size of a CDS grown from a vertex of maximum degree, each step adding
-    the frontier vertex that dominates the most new vertices (lowest id on
-    ties)."""
+def _greedy_cds(closed: list[int], full: int) -> int:
+    """A CDS grown from a vertex of maximum degree, each step adding the
+    frontier vertex that dominates the most new vertices (lowest id on
+    ties), as a bitmask."""
     root = max(range(len(closed)), key=lambda v: closed[v].bit_count())
     inside = 1 << root
     dom = closed[root]
-    size = 1
     while dom != full:
         best_gain = -1
         rest = dom & ~inside
@@ -69,12 +54,11 @@ def _greedy_cds_size(closed: list[int], full: int) -> int:
             rest ^= low
         inside |= pick
         dom |= closed[pick.bit_length() - 1]
-        size += 1
-    return size
+    return inside
 
 
-def _min_cds_size(g: Graph) -> int:
-    """Size of a minimum connected dominating set of a connected graph g.
+def _search_min_cds(g: Graph) -> list[int]:
+    """A minimum connected dominating set of a connected graph g, ascending.
 
     Branch and bound over connected sets: each search grows a set from one
     root, branching on its lowest frontier vertex (take it, or exclude it
@@ -83,14 +67,16 @@ def _min_cds_size(g: Graph) -> int:
     A vertex taken from the frontier is already dominated and has a
     neighbour in the set, so it dominates at most deg - 1 new vertices;
     `need[k]` is the fewest vertices whose degrees allow k more, and a
-    branch that cannot beat the best size found with that many is cut.
+    branch that cannot beat the best set found with that many is cut.
+    Every improvement records its set, so the last one is the answer.
     No budget check: callers apply ORACLE_MAX_N.
     """
     n = g.n
     adj = adjacency_masks(g)
     closed = [adj[v] | (1 << v) for v in range(n)]
     full = (1 << n) - 1
-    best = _greedy_cds_size(closed, full)
+    best_set = _greedy_cds(closed, full)
+    best = best_set.bit_count()
     need = [0] + [n + 1] * n
     reach = 0
     gains = sorted((len(a) - 1 for a in g.adj), reverse=True)
@@ -100,9 +86,9 @@ def _min_cds_size(g: Graph) -> int:
         reach += gain
 
     def grow(inside: int, dom: int, out: int, size: int) -> None:
-        nonlocal best
+        nonlocal best, best_set
         if dom == full:
-            best = size
+            best, best_set = size, inside
             return
         lower = size + need[n - dom.bit_count()]
         while lower < best:
@@ -112,7 +98,7 @@ def _min_cds_size(g: Graph) -> int:
                 while frontier:
                     low = frontier & (-frontier)
                     if dom | closed[low.bit_length() - 1] == full:
-                        best = size + 1
+                        best, best_set = size + 1, inside | low
                         return
                     frontier ^= low
                 return
@@ -138,70 +124,43 @@ def _min_cds_size(g: Graph) -> int:
         grow(low, closed[low.bit_length() - 1], out, 1)
         out |= low
         roots ^= low
-    return best
+    return [v for v in range(n) if best_set >> v & 1]
 
 
-def _min_cds_py(g: Graph) -> list[int]:
-    """Lexicographically first minimum connected dominating set.
-
-    combinations() yields the subsets of the minimum size in lexicographic
-    order, so the first connected dominating one is the tie-break winner.
-    """
-    n = g.n
-    adj = adjacency_masks(g)
-    closed = [adj[v] | (1 << v) for v in range(n)]
-    full = (1 << n) - 1
-    for subset in combinations(range(n), _min_cds_size(g)):
-        cover = 0
-        mask = 0
-        for v in subset:
-            cover |= closed[v]
-            mask |= 1 << v
-        if cover != full:
-            continue
-        if _is_connected_mask(mask, adj):
-            return list(subset)
-    raise AssertionError("a minimum-size connected dominating set must exist")
-
-
-def _require_small(g: Graph) -> None:
+def _checked_min_cds(g: Graph, smallest: int, too_small: str) -> list[int]:
+    """The search's CDS of g, once g is within budget, connected and has at
+    least `smallest` vertices (else `too_small` is the error)."""
     if g.n > ORACLE_MAX_N:
         raise OracleBudgetError(
             f"exact search limited to n <= {ORACLE_MAX_N}, got n = {g.n}"
         )
+    if not g.is_connected():
+        raise ValueError("graph must be connected")
+    if g.n < smallest:
+        raise ValueError(too_small)
+    return _search_min_cds(g)
 
 
 def min_cds(g: Graph) -> list[int]:
-    """Minimum connected dominating set, lexicographically smallest on ties.
+    """A minimum connected dominating set, ascending.
 
-    The branch and bound gives the minimum size; only subsets of that size
-    are scanned for the witness.
+    Ties go to the first minimum set the branch and bound meets, the same
+    set on every call for the same labelled graph.
     """
-    _require_small(g)
-    if not g.is_connected():
-        raise ValueError("graph must be connected")
-    if g.n < 3:
-        raise ValueError("connected dominating set duality needs n >= 3")
-    return _min_cds_py(g)
+    return _checked_min_cds(g, 3, "connected dominating set duality needs n >= 3")
 
 
 def exact_u(g: Graph, backend: str = "python") -> int:
     """Maximum number of leaves over all spanning trees of g (exact).
 
-    n minus the minimum CDS size from the branch and bound; no witness set
-    is searched for.  `backend` accepts only "python", the one search there
-    is; the keyword stays so that callers which name it keep working.
+    n minus the size of the search's minimum CDS.  `backend` accepts only
+    "python", the one search there is; the keyword stays so that callers
+    which name it keep working.
     """
     if backend != "python":
         raise ValueError(f"unknown backend {backend!r}; only 'python' exists")
-    _require_small(g)
-    if not g.is_connected():
-        raise ValueError("graph must be connected")
-    if g.n < 2:
-        raise ValueError("need at least two vertices")
-    if g.n == 2:
-        return 2
-    return g.n - _min_cds_size(g)
+    dom = _checked_min_cds(g, 2, "need at least two vertices")
+    return 2 if g.n == 2 else g.n - len(dom)
 
 
 def tree_from_cds(g: Graph, dom: list[int]) -> list[int]:
@@ -234,15 +193,12 @@ def tree_from_cds(g: Graph, dom: list[int]) -> list[int]:
 
 
 def max_leaf_tree(g: Graph) -> list[int]:
-    """A spanning tree attaining exact_u(g), as a parent array."""
-    _require_small(g)
-    if not g.is_connected():
-        raise ValueError("graph must be connected")
-    if g.n < 2:
-        raise ValueError("need at least two vertices")
-    if g.n == 2:
-        return [-1, 0]
-    return tree_from_cds(g, min_cds(g))
+    """A spanning tree attaining exact_u(g), as a parent array.
+
+    Its internal vertices lie in the CDS `min_cds` returns; K2 gives [-1, 0].
+    """
+    dom = _checked_min_cds(g, 2, "need at least two vertices")
+    return [-1, 0] if g.n == 2 else tree_from_cds(g, dom)
 
 
 _EXCLUSION_FIXTURES: list[tuple[ExclusionKind, Graph]] | None = None

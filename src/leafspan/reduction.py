@@ -38,7 +38,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .graph import Graph, degree_cost15
+from .graph import Graph
 from .trees import SpanningTree
 
 
@@ -135,16 +135,17 @@ def replay(g: Graph, events: list[ReductionEvent]) -> Graph:
 
 
 def reduce_fully(g: Graph) -> tuple[Graph, list[ReductionEvent]]:
-    """Apply events until neither rule matches; cost is checked at each event."""
+    """Apply events until neither rule matches.
+
+    Both rules keep every touched vertex's cost by construction, so the cost
+    is not rechecked here; the test suite checks it on every applied event.
+    """
     if not g.is_connected():
         raise ValueError("graph must be connected")
     adj = [set(s) for s in g.adj]
     trace: list[ReductionEvent] = []
     for ev in _events(adj):
-        before = sum(degree_cost15(len(adj[v])) for v in ev.touched)
         _apply(adj, ev)
-        if sum(degree_cost15(len(adj[v])) for v in ev.touched) != before:
-            raise AssertionError(f"{ev.kind} changed the cost")
         trace.append(ev)
     return _compact(adj, trace), trace
 

@@ -5,8 +5,16 @@ from collections import Counter
 
 import pytest
 
-from leafspan import Graph, GenerationError, alpha_prime, builder, random_connected
+from leafspan import (
+    Graph,
+    GenerationError,
+    alpha_prime,
+    builder,
+    random_connected,
+    reduction,
+)
 from leafspan.builder import PartialTree
+from leafspan.graph import degree_cost15
 from leafspan.ledger import DEAD_GAIN15, LEAF_GAIN15
 
 
@@ -50,6 +58,25 @@ def audit_every_step(monkeypatch):
         return records
 
     monkeypatch.setattr(builder, "apply_step", audited)
+
+
+@pytest.fixture(autouse=True)
+def audit_every_event(monkeypatch):
+    """Check that every reduction event of every build and replay keeps the cost.
+
+    Production relies on both rules keeping the cost by construction;
+    `reduce_fully` and `replay` look `_apply` up at call time, so this
+    wrapper sees every event the tests apply.
+    """
+    apply = reduction._apply
+
+    def audited(adj, ev):
+        before = sum(degree_cost15(len(adj[v])) for v in ev.touched)
+        apply(adj, ev)
+        if sum(degree_cost15(len(adj[v])) for v in ev.touched) != before:
+            raise AssertionError(f"{ev.kind} changed the cost")
+
+    monkeypatch.setattr(reduction, "_apply", audited)
 
 
 def make_state(n, edges, tree_edges, root=0) -> tuple[Graph, PartialTree]:

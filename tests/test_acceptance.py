@@ -27,7 +27,7 @@ from leafspan import (
     table_violations,
     verify_ledger,
 )
-from leafspan.oracle import _min_cds_size
+from leafspan.oracle import _search_min_cds
 from leafspan.trees import SpanningTree, check_spanning_tree
 
 from conftest import random_spanning_tree
@@ -76,13 +76,13 @@ def test_criterion_2_tightness_family():
 
 
 def test_criterion_2_exact_past_the_oracle_budget():
-    # the size search has no budget check of its own, so it can pin the
+    # the search has no budget check of its own, so it can pin the
     # optimum where exact_u refuses: u(H_k) = 2k + 2, u(C_20) = 2
     for k in (3, 4):
         g = h_graph(k)
-        assert g.n - _min_cds_size(g) == 2 * k + 2
+        assert g.n - len(_search_min_cds(g)) == 2 * k + 2
     c20 = Graph(20, [(i, (i + 1) % 20) for i in range(20)])
-    assert c20.n - _min_cds_size(c20) == 2
+    assert c20.n - len(_search_min_cds(c20)) == 2
     print("PASS criterion 2: H_3, H_4 and C_20 exact past the oracle budget")
 
 

@@ -515,8 +515,9 @@ def test_build_rejects_bad_input():
         # random_graph_pool(2000, sizes=(3, 40), seed=99) indices 98 and 1300
         ((17, 2, 3, 208233642), 6, 42),
         ((16, 2, 3, 185619017), 6, 42),
-        # from the sweep-small benchmark pool of seed 606
-        ((16, 2, 3, 73701376), 7, 57),
+        # from the sweep-small benchmark pool of seed 606; exact search on
+        # its 9-vertex reduced graph gives a CDS that lifts to 6 leaves
+        ((16, 2, 3, 73701376), 6, 42),
     ],
 )
 def test_b5_shortfall_falls_back_to_exact_search(args, leaves, alpha15):
@@ -534,6 +535,26 @@ def test_b5_shortfall_falls_back_to_exact_search(args, leaves, alpha15):
     assert r.oracle_fallback and not r.defects
     assert r.engine_runs == len(bases)
     assert (r.leaves, r.alpha) == (leaves, Fifteenths(alpha15))
+    assert r.bound_ok
+    assert verify_ledger(g, r.ledger, r.spanning_tree).ok
+
+
+def test_b7_shortfall_is_settled_by_a_later_base():
+    # random_graph_pool(2000, sizes=(3, 40), seed=99) index 812
+    g = random_connected(14, 3, 4, 951997565)
+    reduced, _ = reduce_fully(g)
+    bases = choose_bases(reduced)
+    assert reduced.n == 9 and [label for _, label in bases] == ["B7"] * 7
+    required15 = cost15(reduced) + 30
+    reached = [
+        15 * _run_from_base(reduced, base, label).leaves >= required15
+        for base, label in bases
+    ]
+    assert reached == [False] + [True] * 6
+    r = build(g)
+    assert r.base_case == "B7" and not r.oracle_fallback and not r.defects
+    assert r.engine_runs == 7
+    assert (r.leaves, r.alpha) == (6, Fifteenths(42))
     assert r.bound_ok
     assert verify_ledger(g, r.ledger, r.spanning_tree).ok
 

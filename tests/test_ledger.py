@@ -47,7 +47,7 @@ def test_alpha_prime_spanning_star_of_k5():
 def test_alpha_prime_equals_leaves_minus_cost_when_spanning():
     g = h_graph(2)
     report = build(g)
-    assert report.alpha == Fifteenths(15 * report.leaves) - report.cost
+    assert report.alpha == Fifteenths(15 * report.leaves - report.cost.num)
 
 
 def test_alpha_prime_degree5_star_floor():

