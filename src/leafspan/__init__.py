@@ -13,12 +13,14 @@ from .builder import (
     EngineDefect,
     PartialTree,
     StalePlanError,
+    StepDeltas,
     StepPlan,
     apply_step,
     build,
     choose_bases,
     next_step,
     split_z4,
+    step_records,
 )
 from .families import (
     GenerationError,
@@ -76,6 +78,7 @@ __all__ = [
     "ReductionEvent",
     "SpanningTree",
     "StalePlanError",
+    "StepDeltas",
     "StepPlan",
     "StepRecord",
     "alpha_prime",
@@ -100,6 +103,7 @@ __all__ = [
     "replay",
     "split_z4",
     "square_of_cycle",
+    "step_records",
     "table_violations",
     "tree_from_cds",
     "verify_ledger",

@@ -38,8 +38,11 @@ and the cost over the tree's vertices) runs on every base and at the end
 of every engine run that spans without a Z4 split; the test suite runs it,
 with a rescan of the fringe and the dead marks, after every step.
 
-Every committed step appends records to the ledger; extra dead leaves
-beyond a case's nominal count become explicit Z0 records.  The final
+Every committed step is logged in the ledger; extra dead leaves beyond a
+case's nominal count become explicit Z0 records.  A run keeps each step
+as the plain deltas `apply_step` returns and sums their profit as it
+goes, so every check runs on every base; the `StepRecord`s are made only
+for the run `build` keeps (`step_records`).  The final
 bound leaves >= cost + 2 (cost + 8/5 for the exceptions) is re-checked
 on every build; if no base meets it, the driver falls back to exact
 search on reduced graphs of at most 16 vertices, flagging the report.
@@ -48,9 +51,17 @@ search on reduced graphs of at most 16 vertices, flagging the report.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Fifteenths, Graph, cost15, degree_cost15, degree_counts
-from .ledger import DEAD_GAIN15, LEAF_GAIN15, Ledger, StepRecord, alpha_prime
+from .ledger import (
+    DEAD_GAIN15,
+    LEAF_GAIN15,
+    Ledger,
+    StepRecord,
+    alpha_prime,
+    profit15_of,
+)
 from .oracle import (
     ORACLE_MAX_N,
     ExclusionKind,
@@ -108,35 +119,33 @@ class PartialTree:
         return LEAF_GAIN15 * self.leaves + DEAD_GAIN15 * len(self.dead) - self.cost
 
     def attach(self, parent: int, child: int) -> None:
-        adj = self.g.adj
-        if parent not in self.vertices:
+        tree = self.vertices
+        nbrs = self.g.adj[child]
+        if parent not in tree:
             raise ValueError(f"parent {parent} not in tree")
-        if child in self.vertices:
+        if child in tree:
             raise ValueError(f"child {child} not outside the tree")
-        if child not in adj[parent]:
+        if parent not in nbrs:
             raise ValueError(f"({parent},{child}) is not a graph edge")
         if parent in self.dead:
             raise ValueError(f"parent {parent} is a dead leaf")
-        tree, border = self.vertices, self.border
         tree.add(child)
-        border.discard(child)
         self.parent[child] = parent
         deg, out = self.deg, self.out
-        deg[parent] += 1
-        if deg[parent] == 1:  # the root's first child
-            self.leaves += 1
-        elif deg[parent] == 2:
-            self.leaves -= 1
+        d = deg[parent] = deg[parent] + 1
         deg[child] = 1
-        self.leaves += 1
-        self.cost += degree_cost15(len(adj[child]))
-        touched, inner_open, rich = self._touched, self.inner_open, self.rich
+        # the child is a new leaf; the parent becomes one (the root's first
+        # child) or stops being one (its second)
+        self.leaves += 2 if d == 1 else 0 if d == 2 else 1
+        self.cost += degree_cost15(len(nbrs))
+        border, touched, inner_open = self.border, self._touched, self.inner_open
+        border.discard(child)
         touched.add(child)
         if out[child] >= 2:
-            rich.add(child)
+            self.rich.add(child)
         # every neighbour loses one outside neighbour; of the tree vertices
         # only the parent changes its degree
-        for w in adj[child]:
+        for w in nbrs:
             o = out[w] = out[w] - 1
             if w not in tree:
                 border.add(w)
@@ -147,7 +156,7 @@ class PartialTree:
             elif deg[w] >= 2:
                 inner_open.add(w)
             if o == 1:
-                rich.discard(w)
+                self.rich.discard(w)
 
     def sweep_dead(self) -> None:
         """Mark every alive leaf whose whole neighborhood is in the tree.
@@ -155,9 +164,10 @@ class PartialTree:
         Only vertices attached since the last sweep and their tree
         neighbours can have become such leaves, so only they are tested.
         """
+        deg, out, dead = self.deg, self.out, self.dead
         for v in self._touched:
-            if self.deg[v] == 1 and not self.out[v]:
-                self.dead.add(v)
+            if deg[v] == 1 and not out[v]:
+                dead.add(v)
         self._touched.clear()
 
     def spans(self) -> bool:
@@ -169,14 +179,41 @@ class PartialTree:
         }
 
 
-@dataclass(frozen=True)
-class StepPlan:
+class StepPlan(NamedTuple):
     """A fully resolved step: ordered attachments plus nominal deltas."""
 
     label: str
     attachments: tuple[tuple[int, int], ...]
     nominal_du: int
     nominal_db: int
+
+
+class StepDeltas(NamedTuple):
+    """What one committed step changed, as `apply_step` returns it.
+
+    The fields of the step's catalog record (db is the case's nominal
+    dead-leaf count), plus `extra_dead`, the dead leaves beyond it; each of
+    those becomes a Z0 record.  `step_records` turns this into records.
+    """
+
+    label: str
+    du: int
+    db: int
+    dt: int
+    ds: int
+    added: tuple[int, ...]
+    extra_dead: int
+
+
+# Every Z0 record is the same value; StepRecord is frozen, so one is shared.
+Z0_RECORD = StepRecord.make("Z0", 0, 1, 0, 0)
+
+
+def step_records(d: StepDeltas) -> list[StepRecord]:
+    """The ledger records of one committed step: its catalog record, then
+    one Z0 record per extra dead leaf."""
+    rec = StepRecord.make(d.label, d.du, d.db, d.dt, d.ds, d.added)
+    return [rec] + [Z0_RECORD] * d.extra_dead
 
 
 # ---------------------------------------------------------------------------
@@ -488,35 +525,38 @@ def _plan_chain(g: Graph, f: PartialTree, x: int, kind: str) -> StepPlan:
 # committing steps
 
 
-def apply_step(g: Graph, f: PartialTree, plan: StepPlan) -> list[StepRecord]:
-    """Commit a plan; returns its record plus Z0 records for extra deaths."""
-    children = tuple(c for _, c in plan.attachments)
+def apply_step(g: Graph, f: PartialTree, plan: StepPlan) -> StepDeltas:
+    """Commit a plan; returns its deltas, checked against the plan's nominal ones."""
+    label, attachments, nominal_du, nominal_db = plan
+    children = tuple([c for _, c in attachments])
     if len(set(children)) != len(children) or not f.vertices.isdisjoint(children):
-        raise StalePlanError(f"{plan.label}: plan does not match the tree state")
+        raise StalePlanError(f"{label}: plan does not match the tree state")
     leaves_before = f.leaves
     dead_before = len(f.dead)
-    for parent, child in plan.attachments:
+    attach = f.attach
+    for parent, child in attachments:
         try:
-            f.attach(parent, child)
+            attach(parent, child)
         except ValueError as exc:
-            raise StalePlanError(f"{plan.label}: {exc}") from exc
+            raise StalePlanError(f"{label}: {exc}") from exc
     f.sweep_dead()
     du = f.leaves - leaves_before
     db_total = len(f.dead) - dead_before
-    if du != plan.nominal_du:
+    if du != nominal_du:
+        raise EngineDefect(f"{label}: leaf delta {du} != nominal {nominal_du}")
+    if db_total < nominal_db:
         raise EngineDefect(
-            f"{plan.label}: leaf delta {du} != nominal {plan.nominal_du}"
+            f"{label}: only {db_total} deaths, promised {nominal_db}"
         )
-    if db_total < plan.nominal_db:
-        raise EngineDefect(
-            f"{plan.label}: only {db_total} deaths, promised {plan.nominal_db}"
-        )
-    ds, dt = degree_counts(g, children)
-    records = [StepRecord.make(plan.label, du, plan.nominal_db, dt, ds, children)]
-    records += [
-        StepRecord.make("Z0", 0, 1, 0, 0) for _ in range(db_total - plan.nominal_db)
-    ]
-    return records
+    adj = g.adj
+    dt = ds = 0
+    for c in children:
+        d = len(adj[c])
+        if d >= 4:
+            dt += 1
+        elif d == 3:
+            ds += 1
+    return StepDeltas(label, du, nominal_db, dt, ds, children, db_total - nominal_db)
 
 
 def split_z4(
@@ -615,10 +655,18 @@ class BuildReport:
 @dataclass
 class _EngineResult:
     edges: set[tuple[int, int]]
-    ledger: Ledger
+    base: StepRecord
+    steps: list[StepDeltas]
+    split: StepRecord | None  # the closing Z4 split, if the run made one
     depth: int
     leaves: int
-    defect: str | None = None
+
+    def ledger(self) -> Ledger:
+        """The run's ledger; `build` makes it only for the result it keeps."""
+        records = [rec for d in self.steps for rec in step_records(d)]
+        if self.split is not None:
+            records.append(self.split)
+        return Ledger(self.base, records)
 
 
 def _base_record(g: Graph, f: PartialTree, label: str) -> StepRecord:
@@ -632,7 +680,8 @@ def _run_from_base(g: Graph, f: PartialTree, case: str) -> _EngineResult:
     base_rec = _base_record(g, f, f"{case}-base")
     if base_rec.profit15 != alpha_prime(g, f).num:
         raise EngineDefect("base record does not match the base potential")
-    steps: list[StepRecord] = []
+    steps: list[StepDeltas] = []
+    split: StepRecord | None = None
     running15 = base_rec.profit15
     depth = 0
     edges: set[tuple[int, int]] | None = None
@@ -644,21 +693,21 @@ def _run_from_base(g: Graph, f: PartialTree, case: str) -> _EngineResult:
             edges = f.edge_set()
             break
         if plan.label == "Z4":
-            edges, record, depth = split_z4(g, f)
-            steps.append(record)
-            running15 += record.profit15
+            edges, split, depth = split_z4(g, f)
+            running15 += split.profit15
             break
-        for rec in apply_step(g, f, plan):
-            steps.append(rec)
-            running15 += rec.profit15
+        d = apply_step(g, f, plan)
+        steps.append(d)
+        label, du, db, dt, ds, _, extra_dead = d
+        running15 += profit15_of(du, db, dt, ds) + Z0_RECORD.profit15 * extra_dead
         if f.potential15() != running15:
-            raise EngineDefect(f"potential drifted after {plan.label}")
+            raise EngineDefect(f"potential drifted after {label}")
     if edges is None:
         raise EngineDefect("step budget exhausted before spanning")
-    final = SpanningTree(g.n, frozenset(edges))
-    if 15 * final.leaf_count() - cost15(g) != running15:
+    leaves = SpanningTree(g.n, frozenset(edges)).leaf_count()
+    if 15 * leaves - cost15(g) != running15:
         raise EngineDefect("final potential does not telescope")
-    return _EngineResult(edges, Ledger(base_rec, steps), depth, final.leaf_count())
+    return _EngineResult(edges, base_rec, steps, split, depth, leaves)
 
 
 def _exact_result(stage: Graph, case: str) -> _EngineResult:
@@ -667,7 +716,7 @@ def _exact_result(stage: Graph, case: str) -> _EngineResult:
     u = st.leaf_count()
     ds, dt = degree_counts(stage)
     rec = StepRecord.make(f"{case}-base", u, u, dt, ds, tuple(range(stage.n)))
-    return _EngineResult(set(st.edges), Ledger(rec, []), 0, u)
+    return _EngineResult(set(st.edges), rec, [], None, 0, u)
 
 
 def build(g: Graph) -> BuildReport:
@@ -703,7 +752,7 @@ def build(g: Graph) -> BuildReport:
 
     engine_tree = SpanningTree(stage_graph.n, frozenset(result.edges))
     lifted, lift_log = lift_tree_logged(lift_trace, engine_tree)
-    ledger = result.ledger
+    ledger = result.ledger()
     for label, gain in lift_log:
         if gain:
             ledger.steps.append(StepRecord.make(label, gain, gain, 0, 0))

@@ -82,7 +82,7 @@ def alpha_prime(g: Graph, f) -> Fifteenths:
     the reference those counts are checked against.
     """
     kids = Counter(f.parent.values())
-    u = sum(1 for v, p in f.parent.items() if kids[v] + (p != -1) == 1)
+    u = sum(1 for v, p in f.parent.items() if kids.get(v, 0) + (p != -1) == 1)
     b = len(f.dead)
     return Fifteenths(LEAF_GAIN15 * u + DEAD_GAIN15 * b - cost15(g, f.vertices))
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -48,16 +49,20 @@ def audit_every_step(monkeypatch):
 
     Production builds recount only at the base and at the end of each engine
     run; the engine looks `apply_step` up at call time, so this wrapper sees
-    every step the tests make the engine take.
+    every step the tests make the engine take.  The fixture's value counts
+    the steps audited so far in the test (`.steps`).
     """
     step = builder.apply_step
+    audit = SimpleNamespace(steps=0)
 
     def audited(g, f, plan):
-        records = step(g, f, plan)
+        deltas = step(g, f, plan)
         audit_counts(g, f)
-        return records
+        audit.steps += 1
+        return deltas
 
     monkeypatch.setattr(builder, "apply_step", audited)
+    return audit
 
 
 @pytest.fixture(autouse=True)

@@ -20,6 +20,7 @@ from leafspan import (
     reduce_fully,
     split_z4,
     square_of_cycle,
+    step_records,
     table_violations,
     verify_ledger,
 )
@@ -118,7 +119,7 @@ def test_next_step_z1_1():
     g, f = make_state(6, edges, [(0, i) for i in range(1, 5)])
     plan = next_step(g, f)
     assert plan.label == "Z1.1" and plan.nominal_db == 4
-    recs = apply_step(g, f, plan)
+    recs = step_records(apply_step(g, f, plan))
     assert recs[0].log_line() == "Z1.1 0 4 1 0 2"
     assert f.spans()
 
@@ -128,7 +129,7 @@ def test_apply_a3_gains_two_leaves():
     g, f = make_state(8, edges, [(0, 1), (0, 2), (0, 3)])
     plan = next_step(g, f)
     assert plan.label == "A3"
-    recs = apply_step(g, f, plan)
+    recs = step_records(apply_step(g, f, plan))
     assert recs[0].du == 2 and recs[0].profit15 >= 2
 
 
@@ -139,7 +140,7 @@ def test_apply_z2_adjacent_fringe_pair():
     g, f = make_state(8, edges, [(0, i) for i in range(1, 6)])
     plan = next_step(g, f)
     assert plan.label == "Z2.1"
-    recs = apply_step(g, f, plan)
+    recs = step_records(apply_step(g, f, plan))
     assert recs[0].log_line() == "Z2.1 0 5 1 1 1"
     assert len(recs) == 1 and f.spans()
 
@@ -149,7 +150,7 @@ def test_apply_z3_absorbs_pendant():
     g, f = make_state(6, edges, [(0, 1), (0, 2), (0, 3)])
     plan = next_step(g, f)
     assert plan.label == "Z3.1"
-    recs = apply_step(g, f, plan)
+    recs = step_records(apply_step(g, f, plan))
     assert recs[0].log_line() == "Z3.1 0 2 0 1 1"
     assert f.spans()
 
@@ -160,7 +161,7 @@ def test_apply_z2_both_rich():
     g, f = make_state(9, edges, [(0, i) for i in range(1, 7)])
     plan = next_step(g, f)
     assert plan.label == "Z2.2"
-    recs = apply_step(g, f, plan)
+    recs = step_records(apply_step(g, f, plan))
     assert recs[0].log_line() == "Z2.2 0 6 2 0 0"
     assert f.spans()
 
@@ -410,7 +411,7 @@ def test_chain_case_resolution(case):
     plan = next_step(g, f)
     assert plan.label == label
     assert plan.attachments == attachments
-    records = apply_step(g, f, plan)
+    records = step_records(apply_step(g, f, plan))
     rec = records[0]
     assert rec.label == label
     assert rec.du - rec.db == want_dudb
@@ -565,7 +566,7 @@ def test_first_base_reaches_split_z4():
     bases = choose_bases(reduced)
     assert reduced.n == 11 and bases[0][1] == "B2"
     res = _run_from_base(reduced, *bases[0])
-    assert "Z4" in [rec.label for rec in res.ledger.steps]
+    assert "Z4" in [rec.label for rec in res.ledger().steps]
     r = build(g)
     assert "Z4" in [rec.label for rec in r.ledger.steps]
     assert r.bound_ok and not r.oracle_fallback and r.recursion_depth == 1
@@ -616,6 +617,21 @@ def test_build_spanning_and_sound(graph_pool):
         assert verify_ledger(g, r.ledger, r.spanning_tree).ok
         if g.n <= 10:
             assert r.leaves <= exact_u(g)
+
+
+def test_every_engine_step_is_audited(audit_every_step):
+    # one base and no Z4 split: each labelled record of the ledger comes from
+    # one `apply_step` call, so a fast path that skipped it would show here
+    g = random_connected(32, 2, 31, seed=4)
+    r = build(g)
+    assert r.engine_runs == 1
+    labelled = [
+        rec.label
+        for rec in r.ledger.steps
+        if rec.label != "Z0" and not rec.label.endswith("-undo")
+    ]
+    assert "Z4" not in labelled
+    assert len(labelled) >= 4 and audit_every_step.steps == len(labelled)
 
 
 def test_build_progress_records(graph_pool):

@@ -5,7 +5,7 @@ exact search only where every base of the first case falls short (see
 `test_b5_shortfall_falls_back_to_exact_search`), so the paths are also
 driven directly: per-base defects are collected and survived, and a total
 engine outage on a small graph falls back to exact search with the report
-flagged.
+flagged.  The runtime checks also fire on runs the driver does not keep.
 """
 
 from __future__ import annotations
@@ -13,7 +13,15 @@ from __future__ import annotations
 import pytest
 
 import leafspan.builder as builder_mod
-from leafspan import Fifteenths, build, h_graph, square_of_cycle, verify_ledger
+from leafspan import (
+    Fifteenths,
+    build,
+    h_graph,
+    random_connected,
+    square_of_cycle,
+    table_violations,
+    verify_ledger,
+)
 from leafspan.builder import EngineDefect
 from leafspan.trees import check_spanning_tree
 
@@ -66,3 +74,32 @@ def test_exclusion_path_untouched_by_engine_patch(monkeypatch):
     monkeypatch.setattr(builder_mod, "_run_from_base", always_defective)
     report = build(square_of_cycle(6))
     assert report.leaves == 4 and not report.defects
+
+
+def test_drift_in_a_dropped_base_is_caught(monkeypatch):
+    # random_graph_pool(2000, sizes=(3, 40), seed=99) index 812: seven B7
+    # bases, and the driver keeps the second, the first to reach 6 leaves
+    g = random_connected(14, 3, 4, 951997565)
+    clean = build(g)
+    real_run, real_step = builder_mod._run_from_base, builder_mod.apply_step
+    runs = {"n": 0}
+
+    def counted(g, base, case):
+        runs["n"] += 1
+        return real_run(g, base, case)
+
+    def drifting(g, f, plan):
+        deltas = real_step(g, f, plan)
+        if runs["n"] == clean.engine_runs:  # the last base
+            f.cost += 1  # the counts fall 1/15 behind the ledger
+        return deltas
+
+    monkeypatch.setattr(builder_mod, "_run_from_base", counted)
+    monkeypatch.setattr(builder_mod, "apply_step", drifting)
+    report = build(g)
+    assert len(report.defects) == 1 and "potential drifted" in report.defects[0]
+    assert not report.oracle_fallback and report.engine_runs == clean.engine_runs
+    assert report.ledger.log_lines() == clean.ledger.log_lines()
+    assert report.spanning_tree == clean.spanning_tree
+    assert verify_ledger(g, report.ledger, report.spanning_tree).ok
+    assert table_violations(report.ledger) == []
