@@ -40,7 +40,7 @@ class Fifteenths:
 class Graph:
     """Undirected simple graph with per-vertex neighbor sets."""
 
-    __slots__ = ("n", "adj")
+    __slots__ = ("n", "adj", "_cost15")
 
     def __init__(self, n: int, edges=()) -> None:
         if n < 0:
@@ -55,6 +55,7 @@ class Graph:
             sets[v].add(u)
         self.n = n
         self.adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in sets)
+        self._cost15: int | None = None  # cost15(self), summed on first use
 
     # -- basic queries ------------------------------------------------
 
@@ -159,7 +160,11 @@ def degree_counts(g: Graph, vertices=None) -> tuple[int, int]:
 
 
 def cost15(g: Graph, vertices=None) -> int:
-    """Cost of a vertex set (default: all of g) in fifteenths."""
+    """Cost of a vertex set (default: all of g, summed once per graph) in fifteenths."""
+    if vertices is None:
+        if g._cost15 is None:
+            g._cost15 = sum(degree_cost15(len(nbrs)) for nbrs in g.adj)
+        return g._cost15
     adj = g.adj
     return sum(degree_cost15(len(adj[v])) for v in _in_range(g, vertices))
 

@@ -107,7 +107,7 @@ def make_state(n, edges, tree_edges, root=0) -> tuple[Graph, PartialTree]:
     return g, f
 
 
-def random_graph_pool(count, sizes=(3, 12), seed=20240601):
+def random_graph_pool(count, sizes=(3, 12), seed=20240601, generate=random_connected):
     """Deterministic pool of connected graphs over mixed degree regimes."""
     rng = random.Random(seed)
     pool = []
@@ -122,7 +122,7 @@ def random_graph_pool(count, sizes=(3, 12), seed=20240601):
             regimes.append((3, 4))
         dmin, dmax = rng.choice(regimes)
         try:
-            pool.append(random_connected(n, dmin, dmax, rng.randrange(1 << 30)))
+            pool.append(generate(n, dmin, dmax, rng.randrange(1 << 30)))
         except GenerationError:
             continue
     return pool

@@ -8,6 +8,7 @@ from leafspan import (
     cost15,
     enumerate_regular_graphs,
     exact_u,
+    families,
     g8,
     h_graph,
     is_isomorphic,
@@ -149,11 +150,17 @@ def test_random_connected_respects_contract():
 
 
 def test_random_connected_deterministic():
+    # pinned edge lists: any change to the random stream's use fails here
     a = random_connected(9, 2, 5, seed=123)
-    b = random_connected(9, 2, 5, seed=123)
-    assert a == b
-    c = random_connected(9, 2, 5, seed=124)
-    assert a != c or a.edge_count == c.edge_count  # different seed, usually differs
+    assert a == random_connected(9, 2, 5, seed=123)
+    assert sorted(a.edges()) == [
+        (0, 2), (0, 3), (0, 4), (0, 7), (1, 4), (1, 5), (1, 6),
+        (2, 4), (2, 5), (2, 6), (2, 8), (3, 5), (7, 8),
+    ]
+    assert sorted(random_connected(9, 2, 5, seed=124).edges()) == [
+        (0, 3), (0, 4), (1, 2), (1, 3), (2, 4), (2, 6),
+        (3, 6), (3, 7), (5, 7), (5, 8), (7, 8),
+    ]
 
 
 def test_random_connected_single_edge():
@@ -166,6 +173,30 @@ def test_random_connected_infeasible():
         random_connected(5, 1, 0, seed=1)
     with pytest.raises(GenerationError):
         random_connected(6, 1, 1, seed=1)  # no connected graph fits
+
+
+@pytest.mark.parametrize(
+    "n,dmin,dmax",
+    [(9, 3, 3), (7, 5, 5), (101, 1, 1), (3, 1, 1)],
+    ids=["3-regular-n9", "5-regular-n7", "max-degree-1-n101", "max-degree-1-n3"],
+)
+def test_random_connected_impossible_fails_fast(monkeypatch, n, dmin, dmax):
+    # an odd degree sum, or n > 2 vertices of degree <= 1, is refused
+    # before any attempt is made
+    def no_attempt(*args):
+        raise AssertionError("generation attempted")
+
+    monkeypatch.setattr(families, "_try_generate", no_attempt)
+    message = rf"^no graph with n={n}, degrees in \[{dmin},{dmax}\]$"
+    with pytest.raises(GenerationError, match=message):
+        random_connected(n, dmin, dmax, seed=1)
+
+
+def test_random_connected_large_n_contract():
+    n = 10**4
+    g = random_connected(n, 3, 4, seed=7)
+    assert g.n == n and g.is_connected()
+    assert all(3 <= g.degree(v) <= 4 for v in range(n))
 
 
 def test_enumerate_regular_catalogs():

@@ -16,6 +16,7 @@ from leafspan import (
     is_isomorphic,
     square_of_cycle,
 )
+from leafspan import graph as graph_mod
 from leafspan.graph import triangle_counts
 
 
@@ -65,6 +66,18 @@ def test_cost_examples():
     assert cost15(h_graph(2)) == 60  # 4
     assert cost15(Graph(2, [(0, 1)])) == 0
     assert cost15(h_graph(2), []) == 0
+
+
+def test_whole_graph_cost_is_summed_once(monkeypatch):
+    # every engine run of a build checks its total against cost15(g)
+    g = h_graph(3)
+    real = graph_mod.degree_cost15
+    seen = []
+    monkeypatch.setattr(graph_mod, "degree_cost15", lambda d: seen.append(d) or real(d))
+    assert cost15(g) == cost15(g) == 90
+    assert len(seen) == g.n
+    assert cost15(g, [0, 1]) == 12  # a vertex subset is summed on every call
+    assert len(seen) == g.n + 2
 
 
 def test_cost_sums_class_costs(graph_pool):
