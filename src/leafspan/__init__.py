@@ -24,7 +24,6 @@ from .builder import (
 )
 from .families import (
     GenerationError,
-    enumerate_regular_graphs,
     g8,
     h_graph,
     random_connected,
@@ -89,7 +88,6 @@ __all__ = [
     "classify_exclusion",
     "cost15",
     "degree_counts",
-    "enumerate_regular_graphs",
     "exact_u",
     "g8",
     "h_graph",

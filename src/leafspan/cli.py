@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -168,11 +169,17 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo_n, hi_n
 
 
+def _degree_window(n: int, dmin: int | None, dmax: int | None) -> tuple[int, int]:
+    """--dmin and --dmax at n vertices: dmin defaults to 1; dmax is an upper
+    bound, so it defaults to n - 1 and is clamped to it."""
+    lo = dmin if dmin is not None else 1
+    hi = n - 1 if dmax is None else min(dmax, n - 1)
+    return lo, hi
+
+
 def _sweep_regimes(n: int, dmin: int | None, dmax: int | None):
     if dmin is not None or dmax is not None:
-        lo = dmin if dmin is not None else 1
-        hi = dmax if dmax is not None else n - 1
-        return [(lo, hi)]
+        return [_degree_window(n, dmin, dmax)]
     regimes = [(1, n - 1), (2, n - 1)]
     if n >= 4:
         regimes += [(3, n - 1), (2, 3)]
@@ -222,6 +229,8 @@ def cmd_sweep(args) -> int:
             raise InputError(f"--oracle-max above the exact-search limit {ORACLE_MAX_N}")
         if args.oracle_max < 0 or args.per_size < 0:
             raise InputError("--per-size and --oracle-max must not be negative")
+        if any(d is not None and d < 1 for d in (args.dmin, args.dmax)):
+            raise InputError("--dmin and --dmax must be at least 1")
         if args.family in ("h", "c2"):
             lo, hi = _parse_range(args.n or ("2..5" if args.family == "h" else "6..8"))
             make = families.h_graph if args.family == "h" else families.square_of_cycle
@@ -294,8 +303,7 @@ def cmd_gen(args) -> int:
             g = families.h_graph(int(args.n))
         elif args.family == "random":
             n = int(args.n)
-            dmin = args.dmin if args.dmin is not None else 1
-            dmax = args.dmax if args.dmax is not None else n - 1
+            dmin, dmax = _degree_window(n, args.dmin, args.dmax)
             g = families.random_connected(n, dmin, dmax, args.seed)
         else:  # pragma: no cover - argparse restricts choices
             raise InputError(f"unknown family {args.family}")
@@ -347,7 +355,15 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (`| head`): send the rest, and the flush at
+        # exit, to devnull instead of a traceback, and exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
@@ -11,6 +12,7 @@ from leafspan import (
     GenerationError,
     alpha_prime,
     builder,
+    is_isomorphic,
     random_connected,
     reduction,
 )
@@ -148,6 +150,47 @@ def random_spanning_tree(g: Graph, seed: int):
             parent[ru] = rv
             chosen.add((u, v) if u < v else (v, u))
     return chosen
+
+
+def enumerate_regular_graphs(n: int, d: int) -> list[Graph]:
+    """All connected d-regular graphs on n vertices, up to isomorphism.
+
+    Backtracking over neighbor choices in vertex order; vertex 0's
+    neighborhood is pinned to {1..d}, which every regular graph admits
+    under some relabeling.  Small n only.
+    """
+    if n * d % 2 != 0 or d >= n:
+        return []
+    reps: list[Graph] = []
+
+    def extend(v: int, adj: list[set[int]]) -> None:
+        if v == n:
+            g = Graph(n, [(a, b) for a in range(n) for b in adj[a] if a < b])
+            if g.is_connected() and not any(is_isomorphic(g, r) for r in reps):
+                reps.append(g)
+            return
+        need = d - len(adj[v])
+        if need == 0:
+            extend(v + 1, adj)
+            return
+        pool = [w for w in range(v + 1, n) if len(adj[w]) < d]
+        if len(pool) < need:
+            return
+        for chosen in combinations(pool, need):
+            for w in chosen:
+                adj[v].add(w)
+                adj[w].add(v)
+            extend(v + 1, adj)
+            for w in chosen:
+                adj[v].remove(w)
+                adj[w].remove(v)
+
+    adj0: list[set[int]] = [set() for _ in range(n)]
+    for w in range(1, d + 1):
+        adj0[0].add(w)
+        adj0[w].add(0)
+    extend(1, adj0)
+    return reps
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,6 @@ from leafspan import (
     build,
     classify_exclusion,
     cost15,
-    enumerate_regular_graphs,
     exact_u,
     g8,
     h_graph,
@@ -30,7 +29,7 @@ from leafspan import (
 from leafspan.oracle import _search_min_cds
 from leafspan.trees import SpanningTree, check_spanning_tree
 
-from conftest import random_spanning_tree
+from conftest import enumerate_regular_graphs, random_spanning_tree
 
 PLUS_TWO = Fifteenths.whole(2)
 

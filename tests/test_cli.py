@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -175,6 +179,8 @@ def test_build_command_rejects_disconnected(tmp_path, capsys):
         ["sweep", "--sizes", "17", "--oracle-max", "20"],
         ["sweep", "--sizes", "3..3", "--per-size", "-1"],
         ["sweep", "--sizes", "3..3", "--oracle-max", "-5"],
+        ["sweep", "--sizes", "4..4", "--dmax", "0"],
+        ["sweep", "--sizes", "4..4", "--dmin", "0"],
     ],
     ids=lambda argv: " ".join(argv).replace("{tmp}", "TMP"),
 )
@@ -279,6 +285,38 @@ def test_gen_commands(capsys):
                  "--dmax", "4", "--seed", "5"]) == 0
     g = parse_edge_list(capsys.readouterr().out)
     assert g.is_connected() and all(3 <= g.degree(v) <= 4 for v in range(9))
+
+
+def test_dmax_above_n_minus_one_is_clamped(capsys):
+    assert main(["gen", "--family", "random", "--n", "4", "--dmin", "3",
+                 "--dmax", "4"]) == 0
+    g = parse_edge_list(capsys.readouterr().out)
+    assert g.n == 4 and g.edge_count == 6  # K4
+
+    argv = ["sweep", "--dmin", "3", "--dmax", "4", "--per-size", "1", "--json"]
+    assert main(argv + ["--sizes", "4..4"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["rows"]) == 1 and payload["generation_failures"] == []
+    assert main(argv + ["--sizes", "3..3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["generation_failures"] == ["n=3: no feasible degree regime"]
+
+
+def test_closed_pipe_ends_quietly():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "leafspan.cli", "sweep", "--sizes", "3..16",
+         "--per-size", "40"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().split()[0] == b"n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_gen_rejects_bad_family_args(capsys):

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leafspan import (
     GenerationError,
     Graph,
     cost15,
-    enumerate_regular_graphs,
     exact_u,
     families,
     g8,
@@ -15,7 +16,10 @@ from leafspan import (
     random_connected,
     square_of_cycle,
 )
+from leafspan.families import _kth
 from leafspan.graph import triangle_counts
+
+from conftest import enumerate_regular_graphs
 
 
 def test_square_of_cycle_basics():
@@ -197,6 +201,21 @@ def test_random_connected_large_n_contract():
     g = random_connected(n, 3, 4, seed=7)
     assert g.n == n and g.is_connected()
     assert all(3 <= g.degree(v) <= 4 for v in range(n))
+
+
+@st.composite
+def rank_queries(draw):
+    items = sorted(draw(st.sets(st.integers(0, 200), min_size=1)))
+    skip = sorted(draw(st.sets(st.sampled_from(items), max_size=len(items) - 1)))
+    k = draw(st.integers(0, len(items) - len(skip) - 1))
+    return items, skip, k
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(rank_queries())
+def test_kth_skips_members_by_rank(query):
+    items, skip, k = query
+    assert _kth(items, k, skip) == [x for x in items if x not in skip][k]
 
 
 def test_enumerate_regular_catalogs():

@@ -3,8 +3,8 @@
 `reference_random_connected` is the generator `random_connected` used
 before, kept unchanged as the reference: every draw builds the list of
 eligible vertices in ascending order and hands it to `rng.choice` or
-`rng.sample`.  The Fenwick-tree generator draws a rank from the same
-random stream, so both must return the same edges, or both raise
+`rng.sample`.  `random_connected` draws a rank from the same random
+stream, so both must return the same edges, or both raise
 GenerationError, for every (n, dmin, dmax, seed).
 """
 
