@@ -34,7 +34,6 @@ from .graph import (
     Graph,
     cost15,
     degree_counts,
-    is_isomorphic,
 )
 from .ledger import (
     Ledger,
@@ -91,7 +90,6 @@ __all__ = [
     "exact_u",
     "g8",
     "h_graph",
-    "is_isomorphic",
     "lift_tree_logged",
     "max_leaf_tree",
     "min_cds",

@@ -654,7 +654,7 @@ class BuildReport:
 
 @dataclass
 class _EngineResult:
-    edges: set[tuple[int, int]]
+    tree: SpanningTree
     base: StepRecord
     steps: list[StepDeltas]
     split: StepRecord | None  # the closing Z4 split, if the run made one
@@ -704,10 +704,11 @@ def _run_from_base(g: Graph, f: PartialTree, case: str) -> _EngineResult:
             raise EngineDefect(f"potential drifted after {label}")
     if edges is None:
         raise EngineDefect("step budget exhausted before spanning")
-    leaves = SpanningTree(g.n, frozenset(edges)).leaf_count()
+    tree = SpanningTree(g.n, frozenset(edges))
+    leaves = tree.leaf_count()
     if 15 * leaves - cost15(g) != running15:
         raise EngineDefect("final potential does not telescope")
-    return _EngineResult(edges, base_rec, steps, split, depth, leaves)
+    return _EngineResult(tree, base_rec, steps, split, depth, leaves)
 
 
 def _exact_result(stage: Graph, case: str) -> _EngineResult:
@@ -716,7 +717,7 @@ def _exact_result(stage: Graph, case: str) -> _EngineResult:
     u = st.leaf_count()
     ds, dt = degree_counts(stage)
     rec = StepRecord.make(f"{case}-base", u, u, dt, ds, tuple(range(stage.n)))
-    return _EngineResult(set(st.edges), rec, [], None, 0, u)
+    return _EngineResult(st, rec, [], None, 0, u)
 
 
 def build(g: Graph) -> BuildReport:
@@ -730,7 +731,7 @@ def build(g: Graph) -> BuildReport:
     defects: list[str] = []
     oracle_fallback = False
     engine_runs = 0
-    lift_trace, stage_graph = trace, reduced
+    lift_trace = trace
 
     if kind is not None:
         # Exact search on the exception graph itself, or (when reductions
@@ -738,9 +739,8 @@ def build(g: Graph) -> BuildReport:
         # application away from an exception the bound is back to +2, and
         # that stage has at most 9 vertices.
         lift_trace = trace[:-1]
-        stage_graph = replay(g, lift_trace)
         case = "exclusion-direct"
-        result = _exact_result(stage_graph, case)
+        result = _exact_result(replay(g, lift_trace), case)
     elif all(reduced.degree(v) <= 2 for v in range(reduced.n)):
         # no branch vertex left: a path reduced to K2, a cycle to a triangle
         if reduced.n not in (2, 3):
@@ -750,8 +750,7 @@ def build(g: Graph) -> BuildReport:
     else:
         result, case, defects, oracle_fallback, engine_runs = _run_ensemble(reduced)
 
-    engine_tree = SpanningTree(stage_graph.n, frozenset(result.edges))
-    lifted, lift_log = lift_tree_logged(lift_trace, engine_tree)
+    lifted, lift_log = lift_tree_logged(lift_trace, result.tree)
     ledger = result.ledger()
     for label, gain in lift_log:
         if gain:

@@ -178,14 +178,16 @@ def _degree_window(n: int, dmin: int | None, dmax: int | None) -> tuple[int, int
 
 
 def _sweep_regimes(n: int, dmin: int | None, dmax: int | None):
+    """The feasible (dmin, dmax) regimes a sweep draws from at n vertices."""
     if dmin is not None or dmax is not None:
-        return [_degree_window(n, dmin, dmax)]
-    regimes = [(1, n - 1), (2, n - 1)]
-    if n >= 4:
-        regimes += [(3, n - 1), (2, 3)]
-    if n >= 5:
-        regimes += [(3, 4)]
-    return regimes
+        regimes = [_degree_window(n, dmin, dmax)]
+    else:
+        regimes = [(1, n - 1), (2, n - 1)]
+        if n >= 4:
+            regimes += [(3, n - 1), (2, 3)]
+        if n >= 5:
+            regimes += [(3, 4)]
+    return [r for r in regimes if 1 <= r[0] <= r[1] < n]
 
 
 def _sweep_row(g: Graph, oracle_max: int) -> dict:
@@ -237,17 +239,17 @@ def cmd_sweep(args) -> int:
             named = [make(n) for n in range(lo, hi + 1)]
         else:
             lo, hi = _parse_range(args.sizes)
+            sizes = range(lo, hi + 1)
+            if not any(_sweep_regimes(n, args.dmin, args.dmax) for n in sizes):
+                raise InputError(f"no feasible degree regime at any size in {args.sizes}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.family in ("h", "c2"):
         rows = [_sweep_row(g, args.oracle_max) for g in named]
     else:
-        for n in range(lo, hi + 1):
-            regimes = [
-                r for r in _sweep_regimes(n, args.dmin, args.dmax)
-                if 1 <= r[0] <= r[1] < n
-            ]
+        for n in sizes:
+            regimes = _sweep_regimes(n, args.dmin, args.dmax)
             if not regimes:
                 if args.per_size > 0:
                     failures.append(f"n={n}: no feasible degree regime")

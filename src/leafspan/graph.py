@@ -8,7 +8,6 @@ subset, and it returns the sorted old ids beside the new graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 
 # Per-vertex cost in fifteenths: 2/5 for T, 1/5 for S, 0 otherwise.
@@ -167,79 +166,3 @@ def cost15(g: Graph, vertices=None) -> int:
         return g._cost15
     adj = g.adj
     return sum(degree_cost15(len(adj[v])) for v in _in_range(g, vertices))
-
-
-def triangle_counts(g: Graph) -> list[int]:
-    """Number of triangles through each vertex (isomorphism invariant)."""
-    counts = [0] * g.n
-    for u in range(g.n):
-        nb = sorted(g.adj[u])
-        counts[u] = sum(1 for v, w in combinations(nb, 2) if w in g.adj[v])
-    return counts
-
-
-def _iso_signature(g: Graph) -> list[tuple]:
-    tri = triangle_counts(g)
-    sig = []
-    for v in range(g.n):
-        nbr_degs = tuple(sorted(g.degree(w) for w in g.adj[v]))
-        sig.append((g.degree(v), tri[v], nbr_degs))
-    return sig
-
-
-def is_isomorphic(g: Graph, h: Graph) -> bool:
-    """Edge-preserving bijection test by backtracking; intended for n <= ~10.
-
-    Prunes on degree, triangle count, and neighbor-degree multisets before
-    searching.
-    """
-    if g.n != h.n or g.edge_count != h.edge_count:
-        return False
-    sig_g = _iso_signature(g)
-    sig_h = _iso_signature(h)
-    if sorted(sig_g) != sorted(sig_h):
-        return False
-
-    n = g.n
-    # Order g's vertices so each (after the first) touches an earlier one
-    # where possible: keeps the adjacency constraints tight early.
-    order: list[int] = []
-    placed = [False] * n
-    for _ in range(n):
-        best = None
-        for v in range(n):
-            if placed[v]:
-                continue
-            anchored = sum(1 for w in g.adj[v] if placed[w])
-            key = (-anchored, -g.degree(v), v)
-            if best is None or key < best[0]:
-                best = (key, v)
-        order.append(best[1])
-        placed[best[1]] = True
-
-    mapping: dict[int, int] = {}
-    used = [False] * n
-
-    def backtrack(idx: int) -> bool:
-        if idx == n:
-            return True
-        v = order[idx]
-        for cand in range(n):
-            if used[cand] or sig_h[cand] != sig_g[v]:
-                continue
-            ok = True
-            for w, mw in mapping.items():
-                if (w in g.adj[v]) != (mw in h.adj[cand]):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[v] = cand
-            used[cand] = True
-            if backtrack(idx + 1):
-                return True
-            del mapping[v]
-            used[cand] = False
-        return False
-
-    return backtrack(0)

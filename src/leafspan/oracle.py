@@ -10,14 +10,18 @@ within the incumbent's size.  The set returned is the first minimum CDS the
 search meets, so ties are broken deterministically for a labelled graph.
 `exact_u`, `min_cds` and `max_leaf_tree` all read this one search.  Vertex
 sets, domination and connectivity are integer bitmasks.
+
+The three exclusions (C6^2, C8^2 and G8) are recognised without a search:
+they are the 4-regular graph on 6 vertices and the two 4-regular graphs on
+8 vertices whose common-neighbour counts over the edges match a literal
+profile; `classify_exclusion` says why that test is exact.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 
-from . import families
-from .graph import Graph, is_isomorphic
+from .graph import Graph
 
 ORACLE_MAX_N = 16
 
@@ -201,27 +205,27 @@ def max_leaf_tree(g: Graph) -> list[int]:
     return [-1, 0] if g.n == 2 else tree_from_cds(g, dom)
 
 
-_EXCLUSION_FIXTURES: list[tuple[ExclusionKind, Graph]] | None = None
-
-
-def _fixtures() -> list[tuple[ExclusionKind, Graph]]:
-    global _EXCLUSION_FIXTURES
-    if _EXCLUSION_FIXTURES is None:
-        _EXCLUSION_FIXTURES = [
-            (ExclusionKind.C6sq, families.square_of_cycle(6)),
-            (ExclusionKind.C8sq, families.square_of_cycle(8)),
-            (ExclusionKind.G8, families.g8()),
-        ]
-    return _EXCLUSION_FIXTURES
+# sorted |N(u) & N(v)| over the 16 edges uv; the other four 4-regular
+# graphs on 8 vertices have 0^4 2^12, 0^2 1^10 2^4, 0^6 1^8 2^2 and 0^16
+_EXCLUSION_PROFILES = {
+    (1,) * 8 + (2,) * 8: ExclusionKind.C8sq,
+    (1,) * 12 + (2,) * 3 + (3,): ExclusionKind.G8,
+}
 
 
 def classify_exclusion(g: Graph) -> ExclusionKind | None:
-    """Which of the three bound exclusions g is, if any."""
-    if g.n not in (6, 8):
+    """Which of the three bound exclusions g is, if any.
+
+    All three are 4-regular.  On 6 vertices the complement of a 4-regular
+    graph is a perfect matching, so the graph is K_{2,2,2} = C6^2.  Every
+    component of a 4-regular graph has at least 5 vertices, so one on 8
+    vertices is connected, hence one of the six 4-regular graphs on 8
+    vertices; their edge profiles (common-neighbour counts over the
+    edges) differ, and two of them name C8^2 and G8.
+    """
+    if g.n not in (6, 8) or any(len(nbrs) != 4 for nbrs in g.adj):
         return None
-    if any(g.degree(v) != 4 for v in range(g.n)):
-        return None
-    for kind, fixture in _fixtures():
-        if g.n == fixture.n and is_isomorphic(g, fixture):
-            return kind
-    return None
+    if g.n == 6:
+        return ExclusionKind.C6sq
+    profile = tuple(sorted(len(g.adj[u] & g.adj[v]) for u, v in g.edges()))
+    return _EXCLUSION_PROFILES.get(profile)

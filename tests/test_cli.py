@@ -181,6 +181,8 @@ def test_build_command_rejects_disconnected(tmp_path, capsys):
         ["sweep", "--sizes", "3..3", "--oracle-max", "-5"],
         ["sweep", "--sizes", "4..4", "--dmax", "0"],
         ["sweep", "--sizes", "4..4", "--dmin", "0"],
+        ["sweep", "--sizes", "4..6", "--dmin", "5", "--dmax", "3", "--per-size", "3"],
+        ["sweep", "--sizes", "3..3", "--dmin", "3", "--dmax", "4"],
     ],
     ids=lambda argv: " ".join(argv).replace("{tmp}", "TMP"),
 )
@@ -297,8 +299,9 @@ def test_dmax_above_n_minus_one_is_clamped(capsys):
     assert main(argv + ["--sizes", "4..4"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["rows"]) == 1 and payload["generation_failures"] == []
-    assert main(argv + ["--sizes", "3..3"]) == 0
+    assert main(argv + ["--sizes", "3..4"]) == 0
     payload = json.loads(capsys.readouterr().out)
+    assert len(payload["rows"]) == 1
     assert payload["generation_failures"] == ["n=3: no feasible degree regime"]
 
 

@@ -9,15 +9,16 @@ from hypothesis import strategies as st
 from leafspan import (
     Fifteenths,
     Graph,
+    classify_exclusion,
     cost15,
     degree_counts,
     g8,
     h_graph,
-    is_isomorphic,
     square_of_cycle,
 )
 from leafspan import graph as graph_mod
-from leafspan.graph import triangle_counts
+
+from conftest import common_neighbour_profile, enumerate_regular_graphs
 
 
 def test_fifteenths_exact_arithmetic():
@@ -110,80 +111,23 @@ def test_components_h2_minus_bridges():
         assert sub.is_connected()
 
 
-def test_isomorphic_relabeling():
-    g = square_of_cycle(6)
-    rng = random.Random(5)
-    perm = list(range(6))
-    rng.shuffle(perm)
-    h = Graph(6, [(perm[u], perm[v]) for u, v in g.edges()])
-    assert is_isomorphic(g, h)
-
-
 def test_c8sq_not_isomorphic_to_g8():
+    # triangles per edge differ, so no relabelling maps one onto the other
     a, b = square_of_cycle(8), g8()
-    # independent invariant: triangles per edge differ
-    def tri_per_edge(g):
-        return sorted(len(g.adj[u] & g.adj[v]) for u, v in g.edges())
-
-    assert tri_per_edge(a) != tri_per_edge(b)
-    assert not is_isomorphic(a, b)
+    assert common_neighbour_profile(a)[0] != common_neighbour_profile(b)[0]
 
 
-def test_isomorphism_equivalence_on_fixtures():
-    fixtures = [
-        square_of_cycle(6),
-        square_of_cycle(8),
-        g8(),
-        h_graph(2),
-        Graph(4, [(0, 1), (1, 2), (2, 3)]),
-    ]
-    for g in fixtures:
-        assert is_isomorphic(g, g)
-    for a in fixtures:
-        for b in fixtures:
-            assert is_isomorphic(a, b) == is_isomorphic(b, a)
-    # transitivity: two relabelings of the same graph match each other
-    g = g8()
-    rng = random.Random(11)
-    relabeled = []
-    for _ in range(2):
-        perm = list(range(g.n))
-        rng.shuffle(perm)
-        relabeled.append(Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()]))
-    assert is_isomorphic(g, relabeled[0])
-    assert is_isomorphic(g, relabeled[1])
-    assert is_isomorphic(relabeled[0], relabeled[1])
-
-
-def test_triangle_counts_match_bruteforce():
-    g = g8()
-    tri = triangle_counts(g)
-    brute = []
-    for v in range(g.n):
-        nb = sorted(g.adj[v])
-        brute.append(
-            sum(
-                1
-                for i in range(len(nb))
-                for j in range(i + 1, len(nb))
-                if nb[j] in g.adj[nb[i]]
-            )
-        )
-    assert tri == brute
+QUARTIC = [square_of_cycle(6), g8(), *enumerate_regular_graphs(8, 4)]
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**6), st.integers(4, 9))
-def test_isomorphic_under_random_permutation(seed, n):
+@given(st.integers(0, 10**6))
+def test_isomorphic_under_random_permutation(seed):
+    # C6^2, G8 and the six 4-regular graphs on 8 vertices keep their class
+    # under any relabelling
     rng = random.Random(seed)
-    edges = {
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rng.random() < 0.45
-    }
-    g = Graph(n, edges)
-    perm = list(range(n))
-    rng.shuffle(perm)
-    h = Graph(n, [(perm[u], perm[v]) for u, v in edges])
-    assert is_isomorphic(g, h)
+    for g in QUARTIC:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        assert classify_exclusion(h) is classify_exclusion(g)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from leafspan import (
@@ -16,9 +18,14 @@ from leafspan import (
     square_of_cycle,
     tree_from_cds,
 )
+from leafspan import oracle
 from leafspan.trees import SpanningTree, check_spanning_tree
 
-from conftest import random_graph_pool
+from conftest import (
+    common_neighbour_profile,
+    enumerate_regular_graphs,
+    random_graph_pool,
+)
 
 
 def cycle(n):
@@ -121,15 +128,17 @@ def test_classify_exclusion():
     assert classify_exclusion(h_graph(2)) is None
 
 
-def test_classify_exclusion_shuffled_g8():
-    import random
-
-    rng = random.Random(3)
-    base = g8()
-    perm = list(range(8))
-    rng.shuffle(perm)
-    shuffled = Graph(8, [(perm[u], perm[v]) for u, v in base.edges()])
-    assert classify_exclusion(shuffled) is ExclusionKind.G8
+def test_exclusion_profiles_pin_c8sq_and_g8():
+    assert oracle._EXCLUSION_PROFILES == {
+        common_neighbour_profile(square_of_cycle(8))[0]: ExclusionKind.C8sq,
+        common_neighbour_profile(g8())[0]: ExclusionKind.G8,
+    }
+    # the six 4-regular graphs on 8 vertices have six edge profiles, so the
+    # lookup names exactly one of them C8sq and one G8
+    eight = enumerate_regular_graphs(8, 4)
+    assert len({common_neighbour_profile(g)[0] for g in eight}) == 6
+    kinds = Counter(classify_exclusion(g) for g in eight)
+    assert kinds == {ExclusionKind.C8sq: 1, ExclusionKind.G8: 1, None: 4}
 
 
 def test_max_leaf_tree_k2():
