@@ -50,8 +50,6 @@ from .oracle import (
     classify_exclusion,
     exact_u,
     max_leaf_tree,
-    min_cds,
-    tree_from_cds,
 )
 from .reduction import (
     ReductionEvent,
@@ -92,7 +90,6 @@ __all__ = [
     "h_graph",
     "lift_tree_logged",
     "max_leaf_tree",
-    "min_cds",
     "next_step",
     "random_connected",
     "reduce_fully",
@@ -101,6 +98,5 @@ __all__ = [
     "square_of_cycle",
     "step_records",
     "table_violations",
-    "tree_from_cds",
     "verify_ledger",
 ]

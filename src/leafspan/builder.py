@@ -72,6 +72,12 @@ from .reduction import ReductionEvent, lift_tree_logged, reduce_fully, replay
 from .trees import SpanningTree, edge_key
 
 
+# the bound on alpha = leaves - cost, in fifteenths: +2 in general, +8/5 for
+# the three exclusion graphs
+_BOUND15 = 30
+_EXCLUSION_BOUND15 = 24
+
+
 class EngineDefect(RuntimeError):
     """A case guarantee failed at runtime; signals an implementation bug."""
 
@@ -597,7 +603,7 @@ def split_z4(
             raise EngineDefect("outside component is an exception graph")
         report = build(h)
         child_depth = max(child_depth, report.recursion_depth)
-        if report.alpha < Fifteenths.whole(2):
+        if report.alpha.num < _BOUND15:
             raise EngineDefect("component build missed the recursion bound")
         for u, v in report.spanning_tree.edges:
             combined.add(edge_key(comp_old[u], comp_old[v]))
@@ -645,7 +651,7 @@ class BuildReport:
 
     @property
     def required_alpha(self) -> Fifteenths:
-        return Fifteenths(24 if self.exclusion is not None else 30)
+        return Fifteenths(_EXCLUSION_BOUND15 if self.exclusion else _BOUND15)
 
     @property
     def bound_ok(self) -> bool:
@@ -795,7 +801,7 @@ def _run_ensemble(
         if best is None or res.leaves > best.leaves:
             best = res
 
-    short = best is None or 15 * best.leaves < cost15(reduced) + 30
+    short = best is None or 15 * best.leaves < cost15(reduced) + _BOUND15
     if short and reduced.n <= ORACLE_MAX_N:
         exact = _exact_result(reduced, case)
         if best is None or exact.leaves > best.leaves:

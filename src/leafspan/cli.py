@@ -57,6 +57,9 @@ def parse_edge_list(text: str) -> Graph:
         edges.add(edge_key(u, v))
     if n is None:
         raise InputError("empty input")
+    # checked before Graph allocates n neighbour sets for a huge header
+    if n > len(edges) + 1:
+        raise InputError(f"n = {n} needs at least {n - 1} edges, got {len(edges)}")
     return Graph(n, edges)
 
 
@@ -223,6 +226,10 @@ def _format_row(row: dict) -> str:
     )
 
 
+# the --sizes range a sweep of each family uses when none is given
+_SWEEP_SIZES = {"random": "3..10", "h": "2..5", "c2": "6..8"}
+
+
 def cmd_sweep(args) -> int:
     rows: list[dict] = []
     failures: list[str] = []
@@ -233,15 +240,14 @@ def cmd_sweep(args) -> int:
             raise InputError("--per-size and --oracle-max must not be negative")
         if any(d is not None and d < 1 for d in (args.dmin, args.dmax)):
             raise InputError("--dmin and --dmax must be at least 1")
+        size_text = _SWEEP_SIZES[args.family] if args.sizes is None else args.sizes
+        lo, hi = _parse_range(size_text)
+        sizes = range(lo, hi + 1)
         if args.family in ("h", "c2"):
-            lo, hi = _parse_range(args.n or ("2..5" if args.family == "h" else "6..8"))
             make = families.h_graph if args.family == "h" else families.square_of_cycle
-            named = [make(n) for n in range(lo, hi + 1)]
-        else:
-            lo, hi = _parse_range(args.sizes)
-            sizes = range(lo, hi + 1)
-            if not any(_sweep_regimes(n, args.dmin, args.dmax) for n in sizes):
-                raise InputError(f"no feasible degree regime at any size in {args.sizes}")
+            named = [make(n) for n in sizes]
+        elif not any(_sweep_regimes(n, args.dmin, args.dmax) for n in sizes):
+            raise InputError(f"no feasible degree regime at any size in {size_text}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -334,14 +340,13 @@ def make_parser() -> argparse.ArgumentParser:
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_sweep = sub.add_parser("sweep", help="bound check over generated graphs")
-    p_sweep.add_argument("--sizes", default="3..10")
+    p_sweep.add_argument("--sizes", help="LO..HI (default 3..10; h 2..5, c2 6..8)")
     p_sweep.add_argument("--per-size", type=int, default=20)
     p_sweep.add_argument("--dmin", type=int)
     p_sweep.add_argument("--dmax", type=int)
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--oracle-max", type=int, default=ORACLE_MAX_N)
     p_sweep.add_argument("--family", choices=["random", "h", "c2"], default="random")
-    p_sweep.add_argument("--n", help="size range for --family h/c2, e.g. 2..5")
     p_sweep.add_argument("--json", action="store_true")
     p_sweep.set_defaults(func=cmd_sweep)
 

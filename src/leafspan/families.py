@@ -69,7 +69,8 @@ def random_connected(n: int, dmin: int, dmax: int, seed: int) -> Graph:
     Builds a random spanning tree honoring dmax, adds a random number of
     random edges, then repairs low-degree vertices with random augmenting
     edges; retries from scratch on dead ends and raises GenerationError
-    when the bounds look infeasible, at once when they are provably so.
+    when 300 attempts fail, at once when the bounds are provably
+    infeasible.
 
     Every draw is a rank: the eligible vertices are kept in ascending
     lists, updated with `bisect`, and `rng.choice(range(k))` or
@@ -86,13 +87,17 @@ def random_connected(n: int, dmin: int, dmax: int, seed: int) -> Graph:
         raise ValueError("need 1 <= dmin <= dmax < n")
     # a connected graph on n > 2 vertices has a vertex of degree >= 2, and a
     # d-regular graph has an even degree sum: no attempt can succeed
-    if not ((dmax == 1 and n > 2) or (dmin == dmax and n * dmin % 2)):
-        rng = random.Random(seed)
-        for _ in range(300):
-            g = _try_generate(n, dmin, dmax, rng)
-            if g is not None:
-                return g
-    raise GenerationError(f"no graph with n={n}, degrees in [{dmin},{dmax}]")
+    if (dmax == 1 and n > 2) or (dmin == dmax and n * dmin % 2):
+        raise GenerationError(f"no graph with n={n}, degrees in [{dmin},{dmax}]")
+    rng = random.Random(seed)
+    for _ in range(300):
+        g = _try_generate(n, dmin, dmax, rng)
+        if g is not None:
+            return g
+    # not a proof: K14 fits n=14, [13,13], yet seed 1's attempts all fail
+    raise GenerationError(
+        f"random search gave up on n={n}, degrees in [{dmin},{dmax}] after 300 attempts"
+    )
 
 
 def _kth(items: list[int], k: int, skip: list[int]) -> int:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .graph import Fifteenths, Graph, cost15
+from .graph import S_COST15, T_COST15, Fifteenths, Graph, cost15
 from .trees import SpanningTree
 
 LEAF_GAIN15 = 13
@@ -36,7 +36,7 @@ DEAD_GAIN15 = 2
 
 
 def profit15_of(du: int, db: int, dt: int, ds: int) -> int:
-    return LEAF_GAIN15 * du + DEAD_GAIN15 * db - 6 * dt - 3 * ds
+    return LEAF_GAIN15 * du + DEAD_GAIN15 * db - T_COST15 * dt - S_COST15 * ds
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ neighbourhood of a minimum-degree vertex (every CDS meets it), and a branch
 is cut once even the highest-degree vertices could not dominate the rest
 within the incumbent's size.  The set returned is the first minimum CDS the
 search meets, so ties are broken deterministically for a labelled graph.
-`exact_u`, `min_cds` and `max_leaf_tree` all read this one search.  Vertex
-sets, domination and connectivity are integer bitmasks.
+`exact_u` and `max_leaf_tree` both read this one search, behind one input
+check.  Vertex sets, domination and connectivity are integer bitmasks.
 
 The three exclusions (C6^2, C8^2 and G8) are recognised without a search:
 they are the 4-regular graph on 6 vertices and the two 4-regular graphs on
@@ -109,16 +109,8 @@ def _search_min_cds(g: Graph) -> list[int]:
             if not frontier:
                 return
             low = frontier & (-frontier)
-            w = low.bit_length() - 1
-            grow(inside | low, dom | closed[w], out, size + 1)
+            grow(inside | low, dom | closed[low.bit_length() - 1], out, size + 1)
             out |= low
-            # cut when excluding w leaves an undominated neighbour no candidate
-            undominated = adj[w] & ~dom
-            while undominated:
-                bit = undominated & (-undominated)
-                if not closed[bit.bit_length() - 1] & ~out:
-                    return
-                undominated ^= bit
 
     v = min(range(n), key=lambda x: closed[x].bit_count())
     roots = closed[v]
@@ -131,27 +123,18 @@ def _search_min_cds(g: Graph) -> list[int]:
     return [v for v in range(n) if best_set >> v & 1]
 
 
-def _checked_min_cds(g: Graph, smallest: int, too_small: str) -> list[int]:
+def _checked_search(g: Graph) -> list[int]:
     """The search's CDS of g, once g is within budget, connected and has at
-    least `smallest` vertices (else `too_small` is the error)."""
+    least two vertices."""
     if g.n > ORACLE_MAX_N:
         raise OracleBudgetError(
             f"exact search limited to n <= {ORACLE_MAX_N}, got n = {g.n}"
         )
     if not g.is_connected():
         raise ValueError("graph must be connected")
-    if g.n < smallest:
-        raise ValueError(too_small)
+    if g.n < 2:
+        raise ValueError("need at least two vertices")
     return _search_min_cds(g)
-
-
-def min_cds(g: Graph) -> list[int]:
-    """A minimum connected dominating set, ascending.
-
-    Ties go to the first minimum set the branch and bound meets, the same
-    set on every call for the same labelled graph.
-    """
-    return _checked_min_cds(g, 3, "connected dominating set duality needs n >= 3")
 
 
 def exact_u(g: Graph, backend: str = "python") -> int:
@@ -163,46 +146,37 @@ def exact_u(g: Graph, backend: str = "python") -> int:
     """
     if backend != "python":
         raise ValueError(f"unknown backend {backend!r}; only 'python' exists")
-    dom = _checked_min_cds(g, 2, "need at least two vertices")
+    dom = _checked_search(g)
     return 2 if g.n == 2 else g.n - len(dom)
 
 
-def tree_from_cds(g: Graph, dom: list[int]) -> list[int]:
-    """Spanning tree (parent array, root parent -1) with internal set <= dom.
+def max_leaf_tree(g: Graph) -> list[int]:
+    """A spanning tree attaining exact_u(g), as a parent array (root -1).
 
-    BFS inside the dominating set from its smallest member, then every
-    remaining vertex hangs off its smallest dominating neighbor.
+    BFS inside the search's CDS from its smallest member, then every other
+    vertex hangs off its smallest neighbour in the set.  For n >= 3 the
+    internal vertices are exactly that set; on K2 the set is [0] and the
+    tree [-1, 0].
     """
-    dset = set(dom)
+    dom = set(_checked_search(g))
     parents = [-2] * g.n
-    root = min(dset)
+    root = min(dom)
     parents[root] = -1
     queue = [root]
     seen = {root}
     while queue:
         v = queue.pop(0)
         for w in sorted(g.adj[v]):
-            if w in dset and w not in seen:
+            if w in dom and w not in seen:
                 seen.add(w)
                 parents[w] = v
                 queue.append(w)
-    if seen != dset:
+    if seen != dom:
         raise ValueError("dominating set is not connected")
     for v in range(g.n):
-        if v in dset:
-            continue
-        host = min(w for w in g.adj[v] if w in dset)
-        parents[v] = host
+        if v not in dom:
+            parents[v] = min(w for w in g.adj[v] if w in dom)
     return parents
-
-
-def max_leaf_tree(g: Graph) -> list[int]:
-    """A spanning tree attaining exact_u(g), as a parent array.
-
-    Its internal vertices lie in the CDS `min_cds` returns; K2 gives [-1, 0].
-    """
-    dom = _checked_min_cds(g, 2, "need at least two vertices")
-    return [-1, 0] if g.n == 2 else tree_from_cds(g, dom)
 
 
 # sorted |N(u) & N(v)| over the 16 edges uv; the other four 4-regular

@@ -33,14 +33,14 @@ class SpanningTree:
     def leaf_count(self) -> int:
         return sum(1 for d in self.degrees() if d == 1)
 
-    def parents(self, root: int = 0) -> list[int]:
+    def parents(self) -> list[int]:
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
         out = [-2] * self.n
-        out[root] = -1
-        stack = [root]
+        out[0] = -1
+        stack = [0]
         while stack:
             v = stack.pop()
             for w in sorted(adj[v], reverse=True):

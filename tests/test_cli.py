@@ -169,12 +169,14 @@ def test_build_command_rejects_disconnected(tmp_path, capsys):
         ["build", "{tmp}/disconnected.txt"],
         ["oracle", "{tmp}/missing"],
         ["oracle", "{tmp}/single.txt"],
+        ["build", "{tmp}/huge.txt"],
+        ["oracle", "{tmp}/huge.txt"],
         ["gen", "--family", "h"],
         ["gen", "--family", "c2"],
         ["gen", "--family", "random", "--n", "8", "--dmax", "0", "--seed", "1"],
         ["gen", "--family", "random", "--n", "8", "--dmin", "0", "--seed", "1"],
         ["sweep", "--sizes", "abc"],
-        ["sweep", "--family", "h", "--n", "x"],
+        ["sweep", "--family", "h", "--sizes", "x"],
         ["sweep", "--sizes", "5..3"],
         ["sweep", "--sizes", "17", "--oracle-max", "20"],
         ["sweep", "--sizes", "3..3", "--per-size", "-1"],
@@ -189,6 +191,8 @@ def test_build_command_rejects_disconnected(tmp_path, capsys):
 def test_bad_input_is_one_error_line(argv, tmp_path, capsys):
     _write(tmp_path, Graph(4, [(0, 1), (2, 3)]), "disconnected.txt")
     _write(tmp_path, Graph(1), "single.txt")
+    # a header far beyond its edges must not reach Graph's allocation
+    (tmp_path / "huge.txt").write_text("n 1000000000000\n0 1\n")
     code = main([arg.format(tmp=tmp_path) for arg in argv])
     captured = capsys.readouterr()
     assert code == 2
@@ -262,11 +266,19 @@ def test_sweep_empty(capsys):
 
 
 def test_sweep_family_h(capsys):
-    code = main(["sweep", "--family", "h", "--n", "2..5", "--json"])
-    payload = json.loads(capsys.readouterr().out)
-    assert code == 0
-    assert len(payload["rows"]) == 4
-    assert all(r["alpha15"] == 30 for r in payload["rows"])
+    for argv in (["--sizes", "2..5"], []):
+        code = main(["sweep", "--family", "h", *argv, "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert [r["n"] for r in payload["rows"]] == [12, 18, 24, 30]
+        assert all(r["alpha15"] == 30 for r in payload["rows"])
+    # c2 reads the same option, 6..8 by default
+    assert main(["sweep", "--family", "c2", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    kinds = [(r["n"], r["exclusion"]) for r in rows]
+    assert kinds == [(6, "C6sq"), (7, None), (8, "C8sq")]
+    assert main(["sweep", "--family", "c2", "--sizes", "9..10", "--json"]) == 0
+    assert [r["n"] for r in json.loads(capsys.readouterr().out)["rows"]] == [9, 10]
 
 
 def test_gen_commands(capsys):

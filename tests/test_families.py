@@ -199,6 +199,16 @@ def test_random_connected_impossible_fails_fast(monkeypatch, n, dmin, dmax):
         random_connected(n, dmin, dmax, seed=1)
 
 
+def test_random_connected_says_when_the_random_search_gave_up():
+    # K14 fits n=14, degrees [13,13], but seed 1's 300 attempts miss it
+    message = (
+        r"^random search gave up on n=14, degrees in \[13,13\] after 300 attempts$"
+    )
+    with pytest.raises(GenerationError, match=message):
+        random_connected(14, 13, 13, seed=1)
+    assert random_connected(14, 13, 13, seed=0).edge_count == 14 * 13 // 2
+
+
 def test_random_connected_large_n_contract():
     n = 10**4
     g = random_connected(n, 3, 4, seed=7)

@@ -83,10 +83,12 @@ def _try_generate(n: int, dmin: int, dmax: int, rng: random.Random) -> Graph | N
 
 
 def _outcome(make, n: int, dmin: int, dmax: int, seed: int):
+    # the texts differ on purpose: `random_connected` tells a provably
+    # infeasible request from one its random search gave up on
     try:
         return sorted(make(n, dmin, dmax, seed).edges())
-    except GenerationError as exc:
-        return str(exc)
+    except GenerationError:
+        return "GenerationError"
 
 
 def _assert_same(shapes, seeds) -> None:

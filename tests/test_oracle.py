@@ -14,11 +14,10 @@ from leafspan import (
     g8,
     h_graph,
     max_leaf_tree,
-    min_cds,
     square_of_cycle,
-    tree_from_cds,
 )
 from leafspan import oracle
+from leafspan.oracle import _search_min_cds
 from leafspan.trees import SpanningTree, check_spanning_tree
 
 from conftest import (
@@ -57,11 +56,11 @@ def test_budget_error():
 
 def test_min_cds_star():
     star = Graph(5, [(0, i) for i in range(1, 5)])
-    assert min_cds(star) == [0]
+    assert _search_min_cds(star) == [0]
 
 
 def test_min_cds_c6sq():
-    dom = min_cds(square_of_cycle(6))
+    dom = _search_min_cds(square_of_cycle(6))
     g = square_of_cycle(6)
     assert len(dom) == 2 and g.has_edge(*dom)
     # no single vertex dominates a 4-regular graph on six vertices
@@ -70,36 +69,38 @@ def test_min_cds_c6sq():
 
 def test_min_cds_h2_size():
     g = h_graph(2)
-    assert len(min_cds(g)) == g.n - 6
+    assert len(_search_min_cds(g)) == g.n - 6
 
 
 def test_min_cds_ties_break_the_same_way_every_call():
     # in a cycle every run of n-2 consecutive vertices is a minimum CDS
     for g in (cycle(5), cycle(12), square_of_cycle(10), h_graph(2)):
-        first = min_cds(g)
-        assert all(min_cds(g) == first for _ in range(3))
-        assert min_cds(Graph(g.n, g.edges())) == first
+        first = _search_min_cds(g)
+        assert all(_search_min_cds(g) == first for _ in range(3))
+        assert _search_min_cds(Graph(g.n, g.edges())) == first
+        assert max_leaf_tree(Graph(g.n, g.edges())) == max_leaf_tree(g)
 
 
-def test_tree_from_cds_realizes_the_optimum():
+def test_max_leaf_tree_realizes_the_optimum():
     for g in (square_of_cycle(6), g8(), h_graph(2), cycle(7)):
-        dom = min_cds(g)
-        parents = tree_from_cds(g, dom)
-        st = SpanningTree.from_parents(parents)
+        dom = _search_min_cds(g)
+        st = SpanningTree.from_parents(max_leaf_tree(g))
         check_spanning_tree(g, st)
         assert st.leaf_count() == exact_u(g)
+        # on n >= 3 the internal vertices are exactly the search's set
         internal = {v for v, d in enumerate(st.degrees()) if d != 1}
-        assert internal <= set(dom)
+        assert internal == set(dom)
 
 
 def test_duality_on_random_graphs():
     for g in random_graph_pool(40, sizes=(3, 10), seed=99):
         u = exact_u(g)
-        dom = min_cds(g)
+        dom = _search_min_cds(g)
         assert u == g.n - len(dom)
-        st = SpanningTree.from_parents(tree_from_cds(g, dom))
+        st = SpanningTree.from_parents(max_leaf_tree(g))
         check_spanning_tree(g, st)
         assert st.leaf_count() == u
+        assert {v for v, d in enumerate(st.degrees()) if d != 1} == set(dom)
 
 
 def test_bound_floor_on_fixtures():
@@ -112,8 +113,7 @@ def test_bound_floor_on_fixtures():
     assert 15 * exact_u(g) - cost15(g) == 24
 
 
-def test_backend_env_flag():
-    # "python" is the only accepted backend name
+def test_backend_accepts_only_python():
     g = g8()
     assert exact_u(g, backend="python") == exact_u(g)
     with pytest.raises(ValueError):
@@ -142,4 +142,7 @@ def test_exclusion_profiles_pin_c8sq_and_g8():
 
 
 def test_max_leaf_tree_k2():
-    assert max_leaf_tree(Graph(2, [(0, 1)])) == [-1, 0]
+    # the search's set on K2 is [0], and the BFS from it gives [-1, 0]
+    k2 = Graph(2, [(0, 1)])
+    assert _search_min_cds(k2) == [0]
+    assert max_leaf_tree(k2) == [-1, 0]

@@ -4,11 +4,12 @@
 before, kept unchanged as the reference: the first connected dominating
 subset it meets is minimum.  The oracle may break ties differently, so its
 set is checked for size, connectivity and domination, not element for
-element.
+element; the oracle's own tie-break is pinned by a hash of its sets.
 """
 
 from __future__ import annotations
 
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -19,11 +20,10 @@ from leafspan import (
     g8,
     h_graph,
     max_leaf_tree,
-    min_cds,
     random_connected,
     square_of_cycle,
 )
-from leafspan.oracle import adjacency_masks
+from leafspan.oracle import ORACLE_MAX_N, _search_min_cds, adjacency_masks
 from leafspan.trees import SpanningTree, check_spanning_tree
 
 from conftest import random_graph_pool
@@ -105,7 +105,7 @@ def assert_matches_reference(g: Graph) -> None:
     want = reference_min_cds(g)
     u = exact_u(g)
     assert u == g.n - len(want)
-    dom = min_cds(g)
+    dom = _search_min_cds(g)
     adj = adjacency_masks(g)
     mask = sum(1 << v for v in dom)
     cover = mask
@@ -116,6 +116,7 @@ def assert_matches_reference(g: Graph) -> None:
     st = SpanningTree.from_parents(max_leaf_tree(g))
     check_spanning_tree(g, st)
     assert st.leaf_count() == u
+    assert {v for v, d in enumerate(st.degrees()) if d != 1} == set(dom)
 
 
 def test_matches_reference_on_random_graphs():
@@ -137,3 +138,32 @@ def test_matches_reference_on_named_graphs():
     for g in (h_graph(2), g8(), *sweep_named_cases()):
         assert_matches_reference(g)
 
+
+def past_the_budget_pool() -> list[Graph]:
+    """n = 17..24 over the sweep degree regimes, seeds 0..5, plus H_4 and
+    the squared cycles on 20 and 24 vertices."""
+    graphs = [
+        random_connected(n, dmin, dmax, seed)
+        for n in range(17, 25)
+        for dmin, dmax in [(1, n - 1), (2, n - 1), (3, n - 1), (2, 3), (3, 4)]
+        for seed in range(6)
+    ]
+    return graphs + [h_graph(4), square_of_cycle(20), square_of_cycle(24)]
+
+
+def test_search_output_pinned():
+    pool = random_graph_pool(500, sizes=(3, 16), seed=20261018)
+    pool += [f(n) for f in (cycle, path, star, complete) for n in range(3, 25)]
+    pool += past_the_budget_pool()
+    assert len(pool) == 831
+    digest = hashlib.sha256()
+    for g in pool:
+        line = " ".join(map(str, _search_min_cds(g)))
+        if g.n <= ORACLE_MAX_N:
+            line += " | " + " ".join(map(str, max_leaf_tree(g))) + f" | {exact_u(g)}"
+        digest.update(line.encode() + b"\n")
+    # taken while the search still cut a branch once an excluded vertex left
+    # a neighbour with no candidate; the sets must not have moved
+    assert digest.hexdigest() == (
+        "d2cb56142edc2bacfdc18d72db4e8c673d6de04195eb45ed39a40d917f9c85e7"
+    )
