@@ -6,8 +6,8 @@ search, otherwise pick base trees by a prioritized case analysis
 (B1..B7), grow every base of the first applicable case with the
 prioritized step catalog below, keep the best result, and lift it back
 through the reduction trace.  A reduced path or cycle (K2 or a triangle)
-goes to exact search directly.  Each base is grown in place, and the
-driver drops it from the list of bases before it runs, so only one grown
+goes to exact search directly.  Base selection only names the bases; the
+driver builds each base tree just before growing it in place, so only one
 base is alive at a time.
 
 Step catalog, tried strictly in order each round (first match wins):
@@ -226,29 +226,28 @@ def step_records(d: StepDeltas) -> list[StepRecord]:
 # base trees
 
 
-def star_base(g: Graph, center: int) -> PartialTree:
-    f = PartialTree(g, center)
-    for v in sorted(g.adj[center]):
-        f.attach(center, v)
-    f.sweep_dead()
-    return f
-
-
-def double_star_base(g: Graph, a: int, b: int) -> PartialTree:
-    if g.adj[a] & g.adj[b]:
+def base_tree(g: Graph, a: int, b: int = -1) -> PartialTree:
+    """The star at a, or for b >= 0 the double star on the edge ab."""
+    if b >= 0 and g.adj[a] & g.adj[b]:
         raise ValueError("double star needs disjoint neighborhoods")
     f = PartialTree(g, a)
-    f.attach(a, b)
+    if b >= 0:
+        f.attach(a, b)
     for v in sorted(g.adj[a] - {b}):
         f.attach(a, v)
-    for v in sorted(g.adj[b] - {a}):
-        f.attach(b, v)
+    if b >= 0:
+        for v in sorted(g.adj[b] - {a}):
+            f.attach(b, v)
     f.sweep_dead()
     return f
 
 
-def choose_bases(g: Graph) -> list[tuple[PartialTree, str]]:
-    """All base-tree instances of the first applicable case B1..B7.
+# perfbench's tracer patches `star_base`; the alias goes with that wrapper
+star_base = base_tree
+
+
+def choose_bases(g: Graph) -> list[tuple[str, int, int]]:
+    """The bases of the first applicable case, as (label, a, b) for `base_tree`.
 
     B1: adjacent pair of degree->=4 vertices with disjoint neighborhoods
         (double star).  B2: degree->=4 vertex next to a vertex of degree
@@ -258,45 +257,47 @@ def choose_bases(g: Graph) -> list[tuple[PartialTree, str]]:
         degree-4 vertex, so 3-regular (stars everywhere).  B7: stars at
         every degree-4 vertex.
     """
-    t_set = [v for v in range(g.n) if g.degree(v) >= 4]
-    s_set = [v for v in range(g.n) if g.degree(v) == 3]
+    adj = g.adj
+    deg = [len(nbrs) for nbrs in adj]
+    t_set = [v for v in range(g.n) if deg[v] >= 4]
+    s_set = [v for v in range(g.n) if deg[v] == 3]
 
     b1 = [
-        (a, a2)
+        ("B1", a, a2)
         for a in t_set
-        for a2 in sorted(g.adj[a])
-        if a2 > a and g.degree(a2) >= 4 and not (g.adj[a] & g.adj[a2])
+        for a2 in sorted(adj[a])
+        if a2 > a and deg[a2] >= 4 and not (adj[a] & adj[a2])
     ]
     if b1:
-        return [(double_star_base(g, a, a2), "B1") for a, a2 in b1]
+        return b1
 
-    b2 = [a for a in t_set if any(g.degree(v) <= 2 for v in g.adj[a])]
+    b2 = [("B2", a, -1) for a in t_set if any(deg[v] <= 2 for v in adj[a])]
     if b2:
-        return [(star_base(g, a), "B2") for a in b2]
+        return b2
 
-    b3 = [a for a in range(g.n) if g.degree(a) >= 5]
+    b3 = [("B3", a, -1) for a in range(g.n) if deg[a] >= 5]
     if b3:
-        return [(star_base(g, a), "B3") for a in b3]
+        return b3
 
-    b4 = [x for x in s_set if any(g.degree(v) <= 2 for v in g.adj[x])]
+    b4 = [("B4", x, -1) for x in s_set if any(deg[v] <= 2 for v in adj[x])]
     if b4:
-        return [(star_base(g, x), "B4") for x in b4]
+        return b4
 
-    if any(g.degree(v) <= 2 for v in range(g.n)):
+    if any(d <= 2 for d in deg):
         raise EngineDefect("low-degree vertex survived the base case sieve")
 
     b5 = [
-        (a, b)
+        ("B5", a, b)
         for a in t_set
-        for b in sorted(g.adj[a])
-        if g.degree(b) == 3 and not (g.adj[a] & g.adj[b])
+        for b in sorted(adj[a])
+        if deg[b] == 3 and not (adj[a] & adj[b])
     ]
     if b5:
-        return [(double_star_base(g, a, b), "B5") for a, b in b5]
+        return b5
 
     if not t_set:
-        return [(star_base(g, v), "B6") for v in range(g.n)]
-    return [(star_base(g, a), "B7") for a in t_set]
+        return [("B6", v, -1) for v in range(g.n)]
+    return [("B7", a, -1) for a in t_set]
 
 
 # ---------------------------------------------------------------------------
@@ -785,16 +786,12 @@ def _run_ensemble(
     reduced: Graph,
 ) -> tuple[_EngineResult, str, list[str], bool, int]:
     bases = choose_bases(reduced)
-    case, runs = bases[0][1], len(bases)
+    case, runs = bases[0][0], len(bases)
     defects: list[str] = []
     best: _EngineResult | None = None
-    # each base leaves the list before it is grown in place, so at most
-    # one grown base is alive
-    bases.reverse()
-    while bases:
-        base, label = bases.pop()
+    for label, a, b in bases:
         try:
-            res = _run_from_base(reduced, base, label)
+            res = _run_from_base(reduced, base_tree(reduced, a, b), label)
         except EngineDefect as exc:
             defects.append(f"{label}: {exc}")
             continue

@@ -24,6 +24,21 @@ class InputError(ValueError):
     pass
 
 
+# the most vertices `gen` and `sweep` make one graph with: the families
+# allocate per vertex before they look at n
+MAX_VERTICES = 10**6
+
+
+def _check_size(family: str, n: int) -> None:
+    """Refuse an n whose graph in `family` has more than MAX_VERTICES vertices."""
+    count = 6 * n if family == "h" else n
+    if count > MAX_VERTICES:
+        raise InputError(
+            f"--family {family} at n={n} has {count} vertices; the limit is "
+            f"{MAX_VERTICES}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # graph I/O
 
@@ -49,15 +64,11 @@ def parse_edge_list(text: str) -> Graph:
             continue
         if len(parts) != 2:
             raise InputError(f"bad edge line: {raw!r}")
-        u, v = int(parts[0]), int(parts[1])
-        if not (0 <= u < n and 0 <= v < n):
-            raise InputError(f"edge ({u},{v}) out of range")
-        if u == v:
-            raise InputError(f"self-loop at {u}")
-        edges.add(edge_key(u, v))
+        edges.add(edge_key(int(parts[0]), int(parts[1])))
     if n is None:
         raise InputError("empty input")
-    # checked before Graph allocates n neighbour sets for a huge header
+    # checked before Graph allocates n neighbour sets for a huge header;
+    # Graph rejects out-of-range edges and self-loops
     if n > len(edges) + 1:
         raise InputError(f"n = {n} needs at least {n - 1} edges, got {len(edges)}")
     return Graph(n, edges)
@@ -233,15 +244,28 @@ _SWEEP_SIZES = {"random": "3..10", "h": "2..5", "c2": "6..8"}
 def cmd_sweep(args) -> int:
     rows: list[dict] = []
     failures: list[str] = []
+    random_only = {
+        "--per-size": args.per_size,
+        "--seed": args.seed,
+        "--dmin": args.dmin,
+        "--dmax": args.dmax,
+    }
+    per_size = 20 if args.per_size is None else args.per_size
+    seed = 0 if args.seed is None else args.seed
     try:
+        if args.family != "random":
+            given = [opt for opt, value in random_only.items() if value is not None]
+            if given:
+                raise InputError(f"{', '.join(given)} apply to --family random only")
         if args.oracle_max > ORACLE_MAX_N:
             raise InputError(f"--oracle-max above the exact-search limit {ORACLE_MAX_N}")
-        if args.oracle_max < 0 or args.per_size < 0:
+        if args.oracle_max < 0 or per_size < 0:
             raise InputError("--per-size and --oracle-max must not be negative")
         if any(d is not None and d < 1 for d in (args.dmin, args.dmax)):
             raise InputError("--dmin and --dmax must be at least 1")
         size_text = _SWEEP_SIZES[args.family] if args.sizes is None else args.sizes
         lo, hi = _parse_range(size_text)
+        _check_size(args.family, hi)
         sizes = range(lo, hi + 1)
         if args.family in ("h", "c2"):
             make = families.h_graph if args.family == "h" else families.square_of_cycle
@@ -257,14 +281,14 @@ def cmd_sweep(args) -> int:
         for n in sizes:
             regimes = _sweep_regimes(n, args.dmin, args.dmax)
             if not regimes:
-                if args.per_size > 0:
+                if per_size > 0:
                     failures.append(f"n={n}: no feasible degree regime")
                 continue
             made = 0
             attempt = 0
-            while made < args.per_size and attempt < 20 * max(args.per_size, 1):
+            while made < per_size and attempt < 20 * max(per_size, 1):
                 dmin, dmax = regimes[attempt % len(regimes)]
-                row_seed = args.seed * 1_000_003 + n * 10_007 + attempt
+                row_seed = seed * 1_000_003 + n * 10_007 + attempt
                 attempt += 1
                 try:
                     g = families.random_connected(n, dmin, dmax, row_seed)
@@ -303,18 +327,18 @@ def cmd_gen(args) -> int:
         print(f"error: --family {args.family} needs --n", file=sys.stderr)
         return 2
     try:
-        if args.family == "c2":
-            g = families.square_of_cycle(int(args.n))
-        elif args.family == "g8":
+        if args.family == "g8":
             g = families.g8()
-        elif args.family == "h":
-            g = families.h_graph(int(args.n))
-        elif args.family == "random":
+        else:
             n = int(args.n)
-            dmin, dmax = _degree_window(n, args.dmin, args.dmax)
-            g = families.random_connected(n, dmin, dmax, args.seed)
-        else:  # pragma: no cover - argparse restricts choices
-            raise InputError(f"unknown family {args.family}")
+            _check_size(args.family, n)
+            if args.family == "c2":
+                g = families.square_of_cycle(n)
+            elif args.family == "h":
+                g = families.h_graph(n)
+            else:
+                dmin, dmax = _degree_window(n, args.dmin, args.dmax)
+                g = families.random_connected(n, dmin, dmax, args.seed)
     except (ValueError, families.GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -341,10 +365,11 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="bound check over generated graphs")
     p_sweep.add_argument("--sizes", help="LO..HI (default 3..10; h 2..5, c2 6..8)")
-    p_sweep.add_argument("--per-size", type=int, default=20)
+    # the four options below shape random graphs only; h and c2 refuse them
+    p_sweep.add_argument("--per-size", type=int, help="graphs per size (default 20)")
     p_sweep.add_argument("--dmin", type=int)
     p_sweep.add_argument("--dmax", type=int)
-    p_sweep.add_argument("--seed", type=int, default=0)
+    p_sweep.add_argument("--seed", type=int, help="default 0")
     p_sweep.add_argument("--oracle-max", type=int, default=ORACLE_MAX_N)
     p_sweep.add_argument("--family", choices=["random", "h", "c2"], default="random")
     p_sweep.add_argument("--json", action="store_true")

@@ -27,10 +27,6 @@ class Fifteenths:
 
     num: int
 
-    @classmethod
-    def whole(cls, k: int) -> "Fifteenths":
-        return cls(15 * k)
-
     def __str__(self) -> str:
         # Always rendered unreduced so 8/5 prints as 24/15.
         return f"{self.num}/15"

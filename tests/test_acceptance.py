@@ -31,7 +31,7 @@ from leafspan.trees import SpanningTree, check_spanning_tree
 
 from conftest import enumerate_regular_graphs, random_spanning_tree
 
-PLUS_TWO = Fifteenths.whole(2)
+PLUS_TWO = Fifteenths(30)
 
 collected_ledgers: list[tuple[Graph, object, object]] = []
 

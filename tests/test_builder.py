@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 
 import pytest
 
+import leafspan.builder as builder_mod
 from leafspan import (
     Fifteenths,
     Graph,
@@ -24,7 +26,7 @@ from leafspan import (
     table_violations,
     verify_ledger,
 )
-from leafspan.builder import PartialTree, StalePlanError, _run_from_base, star_base
+from leafspan.builder import PartialTree, StalePlanError, _run_from_base, base_tree
 from leafspan.trees import SpanningTree, check_spanning_tree
 
 from conftest import make_state, tree_degrees
@@ -39,7 +41,7 @@ def test_levels_on_c6sq():
 
 def test_levels_spanning_tree_empty():
     g = square_of_cycle(6)
-    f2 = star_base(g, 0)
+    f2 = base_tree(g, 0)
     while not f2.spans():
         plan = next_step(g, f2)
         apply_step(g, f2, plan)
@@ -66,8 +68,8 @@ def test_choose_bases_b1_double_star():
     edges += [(2, 3), (3, 4), (5, 6), (6, 7), (2, 4), (5, 7)]
     g = Graph(8, edges)
     bases = choose_bases(g)
-    assert bases[0][1] == "B1"
-    assert bases[0][0].leaves >= 6
+    assert bases[0][0] == "B1"
+    assert base_tree(g, *bases[0][1:]).leaves >= 6
 
 
 def test_choose_bases_b3_star():
@@ -76,15 +78,16 @@ def test_choose_bases_b3_star():
     edges += [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]  # wheel
     g = Graph(6, edges)
     bases = choose_bases(g)
-    assert bases[0][1] == "B3"
-    assert bases[0][0].leaves == 5
+    assert bases[0][0] == "B3"
+    assert base_tree(g, *bases[0][1:]).leaves == 5
 
 
 def test_choose_bases_c6sq_is_b7():
-    bases = choose_bases(square_of_cycle(6))
-    assert all(label == "B7" for _, label in bases)
+    g = square_of_cycle(6)
+    bases = choose_bases(g)
+    assert all(label == "B7" for label, _, _ in bases)
     assert len(bases) == 6
-    assert bases[0][0].leaves == 4
+    assert base_tree(g, *bases[0][1:]).leaves == 4
 
 
 def test_choose_bases_cubic_is_b6():
@@ -93,8 +96,25 @@ def test_choose_bases_cubic_is_b6():
     spokes = [(i, i + 5) for i in range(5)]
     g = Graph(10, petersen_outer + petersen_inner + spokes)
     bases = choose_bases(g)
-    assert all(label == "B6" for _, label in bases)
+    assert all(label == "B6" for label, _, _ in bases)
     assert len(bases) == 10
+
+
+def test_one_base_tree_alive_when_each_run_starts(monkeypatch):
+    # bases are named, not built: the driver builds each base tree just
+    # before its run, so no other base of the same graph is alive then
+    run = builder_mod._run_from_base
+    alive = []
+
+    def counting(g, f, case):
+        gc.collect()
+        trees = [o for o in gc.get_objects() if isinstance(o, PartialTree)]
+        alive.append(sum(t.g is g for t in trees))
+        return run(g, f, case)
+
+    monkeypatch.setattr(builder_mod, "_run_from_base", counting)
+    r = build(h_graph(20))
+    assert r.engine_runs > 1 and alive == [1] * r.engine_runs
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +462,8 @@ def test_attach_rejects_bad_attachments():
 
 def test_dead_marks_match_adjacency_at_every_boundary():
     gr, _ = reduce_fully(h_graph(2))
-    for f, _label in choose_bases(gr):
+    for _label, a, b in choose_bases(gr):
+        f = base_tree(gr, a, b)
         while True:
             tree_deg = tree_degrees(f)
             for v in f.vertices:
@@ -461,7 +482,7 @@ def test_split_z4_direct():
     edges += [(5, 1), (5, 2), (5, 3), (5, 6)]
     edges += [(6, 7), (6, 8), (6, 9), (7, 8), (7, 9), (8, 9)]
     g = Graph(10, edges)
-    f = star_base(g, 0)
+    f = base_tree(g, 0)
     combined, record, depth = split_z4(g, f)
     st = SpanningTree(10, frozenset(combined))
     check_spanning_tree(g, st)
@@ -479,7 +500,7 @@ def test_split_z4_two_components():
     edges += [(9, 10), (9, 11), (9, 12), (10, 11), (10, 12), (11, 12)]
     edges += [(13, 14), (13, 15), (13, 16), (14, 15), (14, 16), (15, 16)]
     g = Graph(17, edges)
-    f = star_base(g, 0)
+    f = base_tree(g, 0)
     u_before = f.leaves
     combined, record, depth = split_z4(g, f)
     st = SpanningTree(17, frozenset(combined))
@@ -525,11 +546,12 @@ def test_b5_shortfall_falls_back_to_exact_search(args, leaves, alpha15):
     g = random_connected(*args)
     reduced, _ = reduce_fully(g)
     bases = choose_bases(reduced)
-    assert reduced.n == 9 and {label for _, label in bases} == {"B5"}
+    assert reduced.n == 9 and {label for label, _, _ in bases} == {"B5"}
     required15 = cost15(reduced) + 30
     assert all(
-        15 * _run_from_base(reduced, base, label).leaves < required15
-        for base, label in bases
+        15 * _run_from_base(reduced, base_tree(reduced, a, b), label).leaves
+        < required15
+        for label, a, b in bases
     )
     r = build(g)
     assert r.base_case == "B5" and r.ledger.base.label == "B5-base"
@@ -545,11 +567,12 @@ def test_b7_shortfall_is_settled_by_a_later_base():
     g = random_connected(14, 3, 4, 951997565)
     reduced, _ = reduce_fully(g)
     bases = choose_bases(reduced)
-    assert reduced.n == 9 and [label for _, label in bases] == ["B7"] * 7
+    assert reduced.n == 9 and [label for label, _, _ in bases] == ["B7"] * 7
     required15 = cost15(reduced) + 30
     reached = [
-        15 * _run_from_base(reduced, base, label).leaves >= required15
-        for base, label in bases
+        15 * _run_from_base(reduced, base_tree(reduced, a, b), label).leaves
+        >= required15
+        for label, a, b in bases
     ]
     assert reached == [False] + [True] * 6
     r = build(g)
@@ -564,8 +587,9 @@ def test_first_base_reaches_split_z4():
     g = random_connected(14, 2, 13, seed=232)
     reduced, _ = reduce_fully(g)
     bases = choose_bases(reduced)
-    assert reduced.n == 11 and bases[0][1] == "B2"
-    res = _run_from_base(reduced, *bases[0])
+    label, a, b = bases[0]
+    assert reduced.n == 11 and label == "B2"
+    res = _run_from_base(reduced, base_tree(reduced, a, b), label)
     assert "Z4" in [rec.label for rec in res.ledger().steps]
     r = build(g)
     assert "Z4" in [rec.label for rec in r.ledger.steps]
@@ -660,4 +684,4 @@ def test_reduced_exclusion_is_not_exempt():
     g = Graph(7, edges)
     r = build(g)
     assert r.exclusion is None
-    assert r.leaves >= 5 and r.alpha >= Fifteenths.whole(2)
+    assert r.leaves >= 5 and r.alpha >= Fifteenths(30)

@@ -44,6 +44,13 @@ def test_edge_list_validation():
     with pytest.raises(ValueError):
         parse_edge_list("n 3\n0 3\n")
     with pytest.raises(ValueError):
+        parse_edge_list("n 3\n0 0\n")
+    # range and self-loop checks are Graph's
+    with pytest.raises(ValueError, match="out of range"):
+        parse_edge_list("n 3\n0 3\n0 1\n")
+    with pytest.raises(ValueError, match="self-loop"):
+        parse_edge_list("n 3\n0 0\n0 1\n")
+    with pytest.raises(ValueError):
         parse_edge_list("3\n0 1\n")
     with pytest.raises(ValueError):
         parse_edge_list("")
@@ -185,6 +192,14 @@ def test_build_command_rejects_disconnected(tmp_path, capsys):
         ["sweep", "--sizes", "4..4", "--dmin", "0"],
         ["sweep", "--sizes", "4..6", "--dmin", "5", "--dmax", "3", "--per-size", "3"],
         ["sweep", "--sizes", "3..3", "--dmin", "3", "--dmax", "4"],
+        # options that only shape random graphs
+        ["sweep", "--family", "h", "--sizes", "2..3", "--per-size", "0", "--dmin", "9"],
+        ["sweep", "--family", "c2", "--seed", "3"],
+        ["sweep", "--family", "h", "--dmax", "4"],
+        # sizes the families could not allocate are refused before they run
+        ["gen", "--family", "random", "--n", "3000000000"],
+        ["gen", "--family", "h", "--n", "100000000"],
+        ["sweep", "--family", "c2", "--sizes", "100000000..100000000"],
     ],
     ids=lambda argv: " ".join(argv).replace("{tmp}", "TMP"),
 )

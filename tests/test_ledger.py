@@ -14,7 +14,7 @@ from leafspan import (
     table_violations,
     verify_ledger,
 )
-from leafspan.builder import star_base
+from leafspan.builder import base_tree
 from leafspan.ledger import TABLE_FLOORS, profit15_of
 
 
@@ -39,9 +39,9 @@ def test_record_log_line():
 
 def test_alpha_prime_spanning_star_of_k5():
     k5 = Graph(5, [(a, b) for a in range(5) for b in range(a + 1, 5)])
-    f = star_base(k5, 0)
+    f = base_tree(k5, 0)
     assert f.spans() and len(f.dead) == 4
-    assert alpha_prime(k5, f) == Fifteenths.whole(2)
+    assert alpha_prime(k5, f) == Fifteenths(30)
 
 
 def test_alpha_prime_equals_leaves_minus_cost_when_spanning():
@@ -54,7 +54,7 @@ def test_alpha_prime_degree5_star_floor():
     # star around a degree-5 vertex: potential at least 29/15
     edges = [(0, i) for i in range(1, 6)] + [(1, 2), (3, 4)]
     g = Graph(6, edges)
-    f = star_base(g, 0)
+    f = base_tree(g, 0)
     assert alpha_prime(g, f).num >= 29
 
 
@@ -66,7 +66,7 @@ def test_verify_ledger_on_builds():
     report = build(square_of_cycle(6))
     assert report.alpha == Fifteenths(24)
     report = build(h_graph(3))
-    assert report.alpha >= Fifteenths.whole(2)
+    assert report.alpha >= Fifteenths(30)
 
 
 def test_verify_ledger_detects_tampering():
