@@ -24,6 +24,11 @@ class InputError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is bad input: one line, exit 2
+        raise InputError(message)
+
+
 # the most vertices `gen` and `sweep` make one graph with: the families
 # allocate per vertex before they look at n
 MAX_VERTICES = 10**6
@@ -37,6 +42,22 @@ def _check_size(family: str, n: int) -> None:
             f"--family {family} at n={n} has {count} vertices; the limit is "
             f"{MAX_VERTICES}"
         )
+
+
+# the families `gen` and `sweep` make from n alone
+_NAMED = {"c2": families.square_of_cycle, "h": families.h_graph}
+
+
+def _refuse_unread(args) -> None:
+    """Refuse an option the chosen family does not read: --dmin, --dmax,
+    --seed and --per-size shape random graphs only, and g8 takes no --n."""
+    unread = [] if args.family == "random" else ["dmin", "dmax", "seed", "per_size"]
+    if args.family == "g8":
+        unread.append("n")
+    given = [name for name in unread if getattr(args, name, None) is not None]
+    if given:
+        opts = ", ".join("--" + name.replace("_", "-") for name in given)
+        raise InputError(f"--family {args.family} does not read {opts}")
 
 
 # ---------------------------------------------------------------------------
@@ -85,20 +106,12 @@ def parse_graph6(line: str) -> Graph:
     n = data[0]
     if n > 62:
         raise InputError("graph6 inputs beyond 62 vertices are not supported")
-    bits = []
-    for b in data[1:]:
-        bits += [(b >> k) & 1 for k in range(5, -1, -1)]
-    need = n * (n - 1) // 2
-    if len(bits) < need:
+    bits = [(b >> k) & 1 for b in data[1:] for k in range(5, -1, -1)]
+    # the upper triangle, column by column
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    if len(bits) < len(pairs):
         raise InputError("truncated graph6 line")
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
-    return Graph(n, edges)
+    return Graph(n, [pair for pair, bit in zip(pairs, bits) if bit])
 
 
 def read_graph(source: str) -> Graph:
@@ -117,6 +130,27 @@ def read_graph(source: str) -> Graph:
 # commands
 
 
+def _report_row(g: Graph, report) -> dict:
+    """The facts about one build that `build --json` and each sweep row show."""
+    s, t = degree_counts(g)
+    return {
+        "n": g.n,
+        "e": g.edge_count,
+        "s": s,
+        "t": t,
+        "leaves": report.leaves,
+        "cost15": report.cost.num,
+        "alpha15": report.alpha.num,
+        "base": report.base_case,
+        "exclusion": report.exclusion.value if report.exclusion else None,
+        "bound_ok": report.bound_ok,
+        "reductions": len(report.reduction_trace),
+        "oracle_fallback": report.oracle_fallback,
+        "defects": list(report.defects),
+        "engine_runs": report.engine_runs,
+    }
+
+
 def cmd_build(args) -> int:
     try:
         g = read_graph(args.input)
@@ -124,34 +158,17 @@ def cmd_build(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    parts = [
-        f"leaves={report.leaves}",
-        f"cost={report.cost}",
-        f"alpha={report.alpha}",
-        f"base={report.base_case}",
-    ]
-    if report.exclusion is not None:
-        parts.append(f"exclusion={report.exclusion.value}")
     if args.json:
-        payload = {
-            "n": g.n,
-            "e": g.edge_count,
-            "leaves": report.leaves,
-            "cost15": report.cost.num,
-            "alpha15": report.alpha.num,
-            "base": report.base_case,
-            "exclusion": report.exclusion.value if report.exclusion else None,
-            "bound_ok": report.bound_ok,
-            "tree_parents": report.spanning_tree.parents(),
-            "reductions": len(report.reduction_trace),
-            "oracle_fallback": report.oracle_fallback,
-            "defects": list(report.defects),
-            "engine_runs": report.engine_runs,
-            "steps": report.ledger.log_lines(),
-        }
-        print(json.dumps(payload))
+        row = _report_row(g, report)
+        row["tree_parents"] = report.spanning_tree.parents()
+        row["steps"] = report.ledger.log_lines()
+        print(json.dumps(row))
     else:
-        print(" ".join(parts))
+        excl = f" exclusion={report.exclusion.value}" if report.exclusion else ""
+        print(
+            f"leaves={report.leaves} cost={report.cost} alpha={report.alpha} "
+            f"base={report.base_case}{excl}"
+        )
         if args.log_steps:
             for line in report.ledger.log_lines():
                 print(line)
@@ -204,25 +221,35 @@ def _sweep_regimes(n: int, dmin: int | None, dmax: int | None):
     return [r for r in regimes if 1 <= r[0] <= r[1] < n]
 
 
-def _sweep_row(g: Graph, oracle_max: int) -> dict:
-    report = build(g)
-    s, t = degree_counts(g)
-    row = {
-        "n": g.n,
-        "e": g.edge_count,
-        "s": s,
-        "t": t,
-        "cost15": report.cost.num,
-        "leaves": report.leaves,
-        "oracle": None,
-        "alpha15": report.alpha.num,
-        "bound_ok": report.bound_ok,
-        "exclusion": report.exclusion.value if report.exclusion else None,
-        "oracle_fallback": report.oracle_fallback,
-    }
-    if g.n <= oracle_max:
-        row["oracle"] = exact_u(g)
-        row["builder_le_oracle"] = report.leaves <= row["oracle"]
+def _random_graphs(args, sizes: range, per_size: int, failures: list[str]):
+    """A random sweep's graphs, drawn one at a time; failed draws go to `failures`."""
+    seed = 0 if args.seed is None else args.seed
+    for n in sizes:
+        regimes = _sweep_regimes(n, args.dmin, args.dmax)
+        if not regimes:
+            if per_size > 0:
+                failures.append(f"n={n}: no feasible degree regime")
+            continue
+        made = attempt = 0
+        while made < per_size and attempt < 20 * max(per_size, 1):
+            dmin, dmax = regimes[attempt % len(regimes)]
+            row_seed = seed * 1_000_003 + n * 10_007 + attempt
+            attempt += 1
+            try:
+                g = families.random_connected(n, dmin, dmax, row_seed)
+            except families.GenerationError as exc:
+                failures.append(f"n={n} ({dmin},{dmax}): {exc}")
+                continue
+            yield g
+            made += 1
+
+
+def _sweep_row(g: Graph) -> dict:
+    """The report row of `g`, with the exact optimum wherever the oracle reaches."""
+    row = _report_row(g, build(g))
+    row["oracle"] = exact_u(g) if g.n <= ORACLE_MAX_N else None
+    if row["oracle"] is not None:
+        row["builder_le_oracle"] = row["leaves"] <= row["oracle"]
     return row
 
 
@@ -240,75 +267,44 @@ def _format_row(row: dict) -> str:
 # the --sizes range a sweep of each family uses when none is given
 _SWEEP_SIZES = {"random": "3..10", "h": "2..5", "c2": "6..8"}
 
+_SWEEP_HEADER = "  n    e   s   t     cost leaves oracle    alpha     bound exclusion"
+
 
 def cmd_sweep(args) -> int:
-    rows: list[dict] = []
-    failures: list[str] = []
-    random_only = {
-        "--per-size": args.per_size,
-        "--seed": args.seed,
-        "--dmin": args.dmin,
-        "--dmax": args.dmax,
-    }
     per_size = 20 if args.per_size is None else args.per_size
-    seed = 0 if args.seed is None else args.seed
+    failures: list[str] = []
     try:
-        if args.family != "random":
-            given = [opt for opt, value in random_only.items() if value is not None]
-            if given:
-                raise InputError(f"{', '.join(given)} apply to --family random only")
-        if args.oracle_max > ORACLE_MAX_N:
-            raise InputError(f"--oracle-max above the exact-search limit {ORACLE_MAX_N}")
-        if args.oracle_max < 0 or per_size < 0:
-            raise InputError("--per-size and --oracle-max must not be negative")
+        _refuse_unread(args)
+        if per_size < 0:
+            raise InputError("--per-size must not be negative")
         if any(d is not None and d < 1 for d in (args.dmin, args.dmax)):
             raise InputError("--dmin and --dmax must be at least 1")
         size_text = _SWEEP_SIZES[args.family] if args.sizes is None else args.sizes
         lo, hi = _parse_range(size_text)
         _check_size(args.family, hi)
         sizes = range(lo, hi + 1)
-        if args.family in ("h", "c2"):
-            make = families.h_graph if args.family == "h" else families.square_of_cycle
-            named = [make(n) for n in sizes]
-        elif not any(_sweep_regimes(n, args.dmin, args.dmax) for n in sizes):
+        if args.family in _NAMED:
+            graphs = [_NAMED[args.family](n) for n in sizes]
+        elif any(_sweep_regimes(n, args.dmin, args.dmax) for n in sizes):
+            graphs = _random_graphs(args, sizes, per_size, failures)
+        else:
             raise InputError(f"no feasible degree regime at any size in {size_text}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.family in ("h", "c2"):
-        rows = [_sweep_row(g, args.oracle_max) for g in named]
-    else:
-        for n in sizes:
-            regimes = _sweep_regimes(n, args.dmin, args.dmax)
-            if not regimes:
-                if per_size > 0:
-                    failures.append(f"n={n}: no feasible degree regime")
-                continue
-            made = 0
-            attempt = 0
-            while made < per_size and attempt < 20 * max(per_size, 1):
-                dmin, dmax = regimes[attempt % len(regimes)]
-                row_seed = seed * 1_000_003 + n * 10_007 + attempt
-                attempt += 1
-                try:
-                    g = families.random_connected(n, dmin, dmax, row_seed)
-                except families.GenerationError as exc:
-                    failures.append(f"n={n} ({dmin},{dmax}): {exc}")
-                    continue
-                rows.append(_sweep_row(g, args.oracle_max))
-                made += 1
-
-    ok = all(r["bound_ok"] and r.get("builder_le_oracle", True) for r in rows)
+    if not args.json:
+        print(_SWEEP_HEADER, flush=True)
+    rows: list[dict] = []
+    for g in graphs:  # each row is printed as soon as it is checked
+        rows.append(_sweep_row(g))
+        if not args.json:
+            print(_format_row(rows[-1]), flush=True)
+    violations = sum(1 for r in rows if not r["bound_ok"])
+    oracle_bad = sum(1 for r in rows if not r.get("builder_le_oracle", True))
+    ok = violations == oracle_bad == 0
     if args.json:
         print(json.dumps({"rows": rows, "generation_failures": failures, "ok": ok}))
         return 0 if ok else 1
-    print(
-        "  n    e   s   t     cost leaves oracle    alpha     bound exclusion"
-    )
-    for row in rows:
-        print(_format_row(row))
-    violations = sum(1 for r in rows if not r["bound_ok"])
-    oracle_bad = sum(1 for r in rows if not r.get("builder_le_oracle", True))
     fallbacks = sum(1 for r in rows if r["oracle_fallback"])
     min_alpha = min((r["alpha15"] for r in rows), default=None)
     print(
@@ -323,22 +319,20 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.n is None and args.family != "g8":
-        print(f"error: --family {args.family} needs --n", file=sys.stderr)
-        return 2
     try:
+        _refuse_unread(args)
         if args.family == "g8":
             g = families.g8()
+        elif args.n is None:
+            raise InputError(f"--family {args.family} needs --n")
         else:
-            n = int(args.n)
-            _check_size(args.family, n)
-            if args.family == "c2":
-                g = families.square_of_cycle(n)
-            elif args.family == "h":
-                g = families.h_graph(n)
+            _check_size(args.family, args.n)
+            if args.family in _NAMED:
+                g = _NAMED[args.family](args.n)
             else:
-                dmin, dmax = _degree_window(n, args.dmin, args.dmax)
-                g = families.random_connected(n, dmin, dmax, args.seed)
+                dmin, dmax = _degree_window(args.n, args.dmin, args.dmax)
+                seed = 0 if args.seed is None else args.seed
+                g = families.random_connected(args.n, dmin, dmax, seed)
     except (ValueError, families.GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -347,7 +341,7 @@ def cmd_gen(args) -> int:
 
 
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="leafspan",
         description="Spanning trees with provably many leaves.",
     )
@@ -365,31 +359,33 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="bound check over generated graphs")
     p_sweep.add_argument("--sizes", help="LO..HI (default 3..10; h 2..5, c2 6..8)")
-    # the four options below shape random graphs only; h and c2 refuse them
+    # the four options below shape random graphs only; the others refuse them
     p_sweep.add_argument("--per-size", type=int, help="graphs per size (default 20)")
     p_sweep.add_argument("--dmin", type=int)
     p_sweep.add_argument("--dmax", type=int)
     p_sweep.add_argument("--seed", type=int, help="default 0")
-    p_sweep.add_argument("--oracle-max", type=int, default=ORACLE_MAX_N)
     p_sweep.add_argument("--family", choices=["random", "h", "c2"], default="random")
     p_sweep.add_argument("--json", action="store_true")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_gen = sub.add_parser("gen", help="emit a named graph as an edge list")
     p_gen.add_argument("--family", choices=["c2", "g8", "h", "random"], required=True)
-    p_gen.add_argument("--n")
+    p_gen.add_argument("--n", type=int)
     p_gen.add_argument("--dmin", type=int)
     p_gen.add_argument("--dmax", type=int)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=int, help="default 0")
     p_gen.set_defaults(func=cmd_gen)
     return parser
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
+    except InputError as exc:  # a usage error; each command reports its own
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # the reader has gone (`| head`): send the rest, and the flush at
         # exit, to devnull instead of a traceback, and exit as SIGPIPE would

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import leafspan.builder as builder_mod
+import leafspan.cli as cli_mod
 import leafspan.oracle as oracle_mod
 from leafspan import (
     EngineDefect,
@@ -185,9 +187,7 @@ def test_build_command_rejects_disconnected(tmp_path, capsys):
         ["sweep", "--sizes", "abc"],
         ["sweep", "--family", "h", "--sizes", "x"],
         ["sweep", "--sizes", "5..3"],
-        ["sweep", "--sizes", "17", "--oracle-max", "20"],
         ["sweep", "--sizes", "3..3", "--per-size", "-1"],
-        ["sweep", "--sizes", "3..3", "--oracle-max", "-5"],
         ["sweep", "--sizes", "4..4", "--dmax", "0"],
         ["sweep", "--sizes", "4..4", "--dmin", "0"],
         ["sweep", "--sizes", "4..6", "--dmin", "5", "--dmax", "3", "--per-size", "3"],
@@ -196,6 +196,14 @@ def test_build_command_rejects_disconnected(tmp_path, capsys):
         ["sweep", "--family", "h", "--sizes", "2..3", "--per-size", "0", "--dmin", "9"],
         ["sweep", "--family", "c2", "--seed", "3"],
         ["sweep", "--family", "h", "--dmax", "4"],
+        ["gen", "--family", "h", "--n", "2", "--dmin", "9", "--seed", "4"],
+        ["gen", "--family", "c2", "--n", "6", "--seed", "1"],
+        ["gen", "--family", "g8", "--n", "99"],
+        # usage errors: one line, not argparse's usage block
+        ["sweep", "--oracle-max", "8"],
+        ["sweep", "--bogus"],
+        ["sweep", "--per-size", "x"],
+        ["gen", "--family", "zz"],
         # sizes the families could not allocate are refused before they run
         ["gen", "--family", "random", "--n", "3000000000"],
         ["gen", "--family", "h", "--n", "100000000"],
@@ -258,10 +266,7 @@ def test_oracle_command_budget(tmp_path, capsys):
 
 
 def test_sweep_small(capsys):
-    code = main(
-        ["sweep", "--sizes", "3..6", "--per-size", "4", "--seed", "7",
-         "--oracle-max", "8"]
-    )
+    code = main(["sweep", "--sizes", "3..6", "--per-size", "4", "--seed", "7"])
     out = capsys.readouterr().out
     assert code == 0
     assert "bound_violations=0" in out and "oracle_violations=0" in out
@@ -272,6 +277,47 @@ def test_sweep_fills_the_oracle_column_up_to_the_budget(capsys):
     (row,) = json.loads(capsys.readouterr().out)["rows"]
     assert code == 0 and row["n"] == 12
     assert row["oracle"] is not None and row["builder_le_oracle"] is True
+
+
+def test_sweep_streams_each_row_before_the_next_build(monkeypatch):
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    seen = []
+    real = cli_mod.build
+
+    def counted(g):
+        seen.append(out.getvalue().count("\n"))
+        return real(g)
+
+    monkeypatch.setattr(cli_mod, "build", counted)
+    assert main(["sweep", "--sizes", "4..5", "--per-size", "2"]) == 0
+    # the k-th build sees the header and the k - 1 rows before it
+    assert seen == [1, 2, 3, 4]
+
+
+def test_build_json_and_sweep_rows_agree(tmp_path, capsys, monkeypatch):
+    graphs = []
+    real = cli_mod.build
+
+    def kept(g):
+        graphs.append(g)
+        return real(g)
+
+    monkeypatch.setattr(cli_mod, "build", kept)
+    keys = cli_mod._report_row(h_graph(2), real(h_graph(2))).keys()
+    cases = [
+        (["--family", "h", "--sizes", "2..2"], h_graph(2)),
+        (["--sizes", "11..11", "--per-size", "1", "--seed", "5"], None),  # random
+    ]
+    for argv, want in cases:
+        graphs.clear()
+        assert main(["sweep", *argv, "--json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        (g,) = graphs
+        assert want is None or g == want
+        assert main(["build", _write(tmp_path, g), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert {k: payload[k] for k in keys} == {k: row[k] for k in keys}
 
 
 def test_sweep_empty(capsys):
@@ -336,9 +382,11 @@ def test_closed_pipe_ends_quietly():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src), os.environ.get("PYTHONPATH", "")]))
+    # about 68 KB of rows, more than a pipe holds, so some write must come
+    # after the close even if the rows were held back
     proc = subprocess.Popen(
         [sys.executable, "-m", "leafspan.cli", "sweep", "--sizes", "3..16",
-         "--per-size", "40"],
+         "--per-size", "80"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
     assert proc.stdout.readline().split()[0] == b"n"
