@@ -32,17 +32,21 @@ fifteenths, the fringe and the A1 / A2 candidate sets; after a step only
 the vertices it touched are tested for death.  A step therefore costs
 time in its own neighbourhood, not in the size of the tree.  The
 potential is checked against the running sum of the ledger after every
-step from these counts.  The from-scratch
-recount (`ledger.alpha_prime`, which counts leaves from the parent links
-and the cost over the tree's vertices) runs on every base and at the end
-of every engine run that spans without a Z4 split; the test suite runs it,
+step from these counts.  The from-scratch recount (`ledger.alpha_prime`,
+which counts leaves from the parent links and sums the graph's per-vertex
+costs over the tree's vertices) runs on every base and at the end of
+every engine run that spans without a Z4 split, where the run also checks
+that every leaf is dead; every run checks that its running sum
+telescopes to 15 leaves minus cost(g).  The test suite runs the recount,
 with a rescan of the fringe and the dead marks, after every step.
 
 Every committed step is logged in the ledger; extra dead leaves beyond a
 case's nominal count become explicit Z0 records.  A run keeps each step
-as the plain deltas `apply_step` returns and sums their profit as it
-goes, so every check runs on every base; the `StepRecord`s are made only
-for the run `build` keeps (`step_records`).  The final
+as the plain deltas `apply_step` returns, and a run that spans without a
+Z4 split keeps its tree as parent links only, so every check runs on
+every base; the `StepRecord`s (`step_records`) and a `SpanningTree` of
+the links, whose leaf count is checked once more, are made only for the
+run `build` keeps.  The final
 bound leaves >= cost + 2 (cost + 8/5 for the exceptions) is re-checked
 on every build; if no base meets it, the driver falls back to exact
 search on reduced graphs of at most 16 vertices, flagging the report.
@@ -53,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .graph import Fifteenths, Graph, cost15, degree_cost15, degree_counts
+from .graph import Fifteenths, Graph, cost15, degree_counts, degrees, vertex_costs15
 from .ledger import (
     DEAD_GAIN15,
     LEAF_GAIN15,
@@ -89,7 +93,9 @@ class StalePlanError(ValueError):
 class PartialTree:
     """Tree under construction: tree vertices, parent links, dead-leaf marks.
 
-    The outside is every vertex not in `vertices`; no set of it is kept.
+    `parent` maps the `root` to -1 and every other tree vertex to its
+    parent.  The outside is every vertex not in `vertices`; no set of it is
+    kept.
 
     `attach` keeps these counts up to date in O(degree of the attached
     vertex): `deg[v]`, the tree degree of tree vertex v; `out[v]`, the
@@ -100,29 +106,28 @@ class PartialTree:
     vertices of tree degree >= 2 with an outside neighbour) and `rich`
     (tree vertices with >= 2 outside neighbours).  Dead marks change only
     in `sweep_dead`, which tests the vertices attached since the last
-    sweep and their tree neighbours: no other vertex can have become a
-    dead leaf.
+    sweep and the tree vertices that lost their last outside neighbour
+    since then: tree degrees only grow, so no other vertex can have become
+    a dead leaf.
     """
 
     def __init__(self, g: Graph, root: int) -> None:
         self.g = g
+        self.root = root
         self.vertices: set[int] = {root}
         self.parent: dict[int, int] = {root: -1}
         self.dead: set[int] = set()
         self.deg = [0] * g.n
-        self.out = [len(nbrs) for nbrs in g.adj]
+        self.out = degrees(g).copy()
         for w in g.adj[root]:
             self.out[w] -= 1
         self.leaves = 0
-        self.cost = degree_cost15(len(g.adj[root]))
+        self._costs15 = vertex_costs15(g)
+        self.cost = self._costs15[root]
         self.border: set[int] = set(g.adj[root])
         self.inner_open: set[int] = set()
         self.rich: set[int] = {root} if self.out[root] >= 2 else set()
         self._touched: set[int] = set()
-
-    def potential15(self) -> int:
-        """13 leaves + 2 dead leaves - cost, in fifteenths, from the counts."""
-        return LEAF_GAIN15 * self.leaves + DEAD_GAIN15 * len(self.dead) - self.cost
 
     def attach(self, parent: int, child: int) -> None:
         tree = self.vertices
@@ -143,12 +148,13 @@ class PartialTree:
         # the child is a new leaf; the parent becomes one (the root's first
         # child) or stops being one (its second)
         self.leaves += 2 if d == 1 else 0 if d == 2 else 1
-        self.cost += degree_cost15(len(nbrs))
-        border, touched, inner_open = self.border, self._touched, self.inner_open
+        self.cost += self._costs15[child]
+        border, touched = self.border, self._touched
+        inner_open, rich = self.inner_open, self.rich
         border.discard(child)
         touched.add(child)
         if out[child] >= 2:
-            self.rich.add(child)
+            rich.add(child)
         # every neighbour loses one outside neighbour; of the tree vertices
         # only the parent changes its degree
         for w in nbrs:
@@ -156,19 +162,20 @@ class PartialTree:
             if w not in tree:
                 border.add(w)
                 continue
-            touched.add(w)
             if o == 0:
+                touched.add(w)
                 inner_open.discard(w)
             elif deg[w] >= 2:
                 inner_open.add(w)
             if o == 1:
-                self.rich.discard(w)
+                rich.discard(w)
 
     def sweep_dead(self) -> None:
         """Mark every alive leaf whose whole neighborhood is in the tree.
 
-        Only vertices attached since the last sweep and their tree
-        neighbours can have become such leaves, so only they are tested.
+        Only vertices attached since the last sweep and tree vertices whose
+        last outside neighbour was attached since then can have become such
+        leaves, so only they are tested.
         """
         deg, out, dead = self.deg, self.out, self.dead
         for v in self._touched:
@@ -210,6 +217,10 @@ class StepDeltas(NamedTuple):
     added: tuple[int, ...]
     extra_dead: int
 
+
+# A NamedTuple's own __new__ is a Python function; the steps that run most
+# often make theirs from a tuple of every field with this one instead.
+_new = tuple.__new__
 
 # Every Z0 record is the same value; StepRecord is frozen, so one is shared.
 Z0_RECORD = StepRecord.make("Z0", 0, 1, 0, 0)
@@ -258,7 +269,7 @@ def choose_bases(g: Graph) -> list[tuple[str, int, int]]:
         every degree-4 vertex.
     """
     adj = g.adj
-    deg = [len(nbrs) for nbrs in adj]
+    deg = degrees(g)
     t_set = [v for v in range(g.n) if deg[v] >= 4]
     s_set = [v for v in range(g.n) if deg[v] == 3]
 
@@ -306,20 +317,22 @@ def choose_bases(g: Graph) -> list[tuple[str, int, int]]:
 
 def next_step(g: Graph, f: PartialTree) -> StepPlan | None:
     """First applicable step of the catalog, fully planned; None when spanning."""
-    if f.spans():
+    adj, tree = g.adj, f.vertices
+    if len(tree) == g.n:
         return None
-    adj, tree, out = g.adj, f.vertices, f.out
 
-    if f.inner_open:
-        x = min(f.inner_open)
-        return StepPlan("A1", ((x, min(adj[x] - tree)),), 1, 0)
+    inner_open = f.inner_open
+    if inner_open:
+        x = min(inner_open)
+        return _new(StepPlan, ("A1", ((x, min(adj[x] - tree)),), 1, 0))
 
-    if f.rich:
-        x = min(f.rich)
+    rich = f.rich
+    if rich:
+        x = min(rich)
         y1, y2 = sorted(adj[x] - tree)[:2]
-        return StepPlan("A2", ((x, y1), (x, y2)), 1, 0)
+        return _new(StepPlan, ("A2", ((x, y1), (x, y2)), 1, 0))
 
-    border = f.border
+    out, border = f.out, f.border
     order = sorted(border)
 
     for x in order:
@@ -563,7 +576,9 @@ def apply_step(g: Graph, f: PartialTree, plan: StepPlan) -> StepDeltas:
             dt += 1
         elif d == 3:
             ds += 1
-    return StepDeltas(label, du, nominal_db, dt, ds, children, db_total - nominal_db)
+    return _new(
+        StepDeltas, (label, du, nominal_db, dt, ds, children, db_total - nominal_db)
+    )
 
 
 def split_z4(
@@ -661,12 +676,29 @@ class BuildReport:
 
 @dataclass
 class _EngineResult:
-    tree: SpanningTree
+    """One engine run, or one exact search, as `build` may keep it.
+
+    `parent` holds the spanning tree as parent links, -1 at the root (a
+    dict or a list): a run that spans by steps keeps only these, so only
+    the result `build` keeps is made into a `SpanningTree` (`tree`), and
+    only its step deltas into ledger records (`ledger`).  Every run has
+    checked its potential before it returns (see the module doc).
+    """
+
+    parent: dict[int, int] | list[int]
     base: StepRecord
     steps: list[StepDeltas]
     split: StepRecord | None  # the closing Z4 split, if the run made one
     depth: int
     leaves: int
+
+    def tree(self) -> SpanningTree:
+        """The spanning tree of the links, with its leaf count re-checked."""
+        links = self.parent
+        tree = SpanningTree.from_parents([links[v] for v in range(len(links))])
+        if tree.leaf_count() != self.leaves:
+            raise EngineDefect("kept tree's leaf count differs from its run's")
+        return tree
 
     def ledger(self) -> Ledger:
         """The run's ledger; `build` makes it only for the result it keeps."""
@@ -683,7 +715,8 @@ def _base_record(g: Graph, f: PartialTree, label: str) -> StepRecord:
 
 
 def _run_from_base(g: Graph, f: PartialTree, case: str) -> _EngineResult:
-    """Grow the base tree `f` in place until it spans g."""
+    """Grow the base tree `f` in place until it spans g, checking the
+    potential on the way and at the end (see the module doc)."""
     base_rec = _base_record(g, f, f"{case}-base")
     if base_rec.profit15 != alpha_prime(g, f).num:
         raise EngineDefect("base record does not match the base potential")
@@ -691,40 +724,44 @@ def _run_from_base(g: Graph, f: PartialTree, case: str) -> _EngineResult:
     split: StepRecord | None = None
     running15 = base_rec.profit15
     depth = 0
-    edges: set[tuple[int, int]] | None = None
+    dead = f.dead
     for _ in range(2 * g.n + 8):
         plan = next_step(g, f)
         if plan is None:
             if alpha_prime(g, f).num != running15:
                 raise EngineDefect("recounted potential differs from the ledger")
-            edges = f.edge_set()
+            leaves, parent = f.leaves, f.parent
+            if len(dead) != leaves:
+                raise EngineDefect("a leaf of the spanning tree is not dead")
             break
         if plan.label == "Z4":
             edges, split, depth = split_z4(g, f)
             running15 += split.profit15
+            tree = SpanningTree(g.n, frozenset(edges))
+            leaves, parent = tree.leaf_count(), tree.parents()
             break
         d = apply_step(g, f, plan)
         steps.append(d)
         label, du, db, dt, ds, _, extra_dead = d
-        running15 += profit15_of(du, db, dt, ds) + Z0_RECORD.profit15 * extra_dead
-        if f.potential15() != running15:
+        # each extra dead leaf is a Z0 record, one more death at no other change
+        running15 += profit15_of(du, db + extra_dead, dt, ds)
+        # the potential from the counts: 13 leaves + 2 dead leaves - cost
+        if LEAF_GAIN15 * f.leaves + DEAD_GAIN15 * len(dead) - f.cost != running15:
             raise EngineDefect(f"potential drifted after {label}")
-    if edges is None:
+    else:
         raise EngineDefect("step budget exhausted before spanning")
-    tree = SpanningTree(g.n, frozenset(edges))
-    leaves = tree.leaf_count()
     if 15 * leaves - cost15(g) != running15:
         raise EngineDefect("final potential does not telescope")
-    return _EngineResult(tree, base_rec, steps, split, depth, leaves)
+    return _EngineResult(parent, base_rec, steps, split, depth, leaves)
 
 
 def _exact_result(stage: Graph, case: str) -> _EngineResult:
     """A maximum-leaf tree of `stage`, logged as one spanning base record."""
-    st = SpanningTree.from_parents(max_leaf_tree(stage))
-    u = st.leaf_count()
+    parent = max_leaf_tree(stage)
+    u = SpanningTree.from_parents(parent).leaf_count()
     ds, dt = degree_counts(stage)
     rec = StepRecord.make(f"{case}-base", u, u, dt, ds, tuple(range(stage.n)))
-    return _EngineResult(st, rec, [], None, 0, u)
+    return _EngineResult(parent, rec, [], None, 0, u)
 
 
 def build(g: Graph) -> BuildReport:
@@ -757,7 +794,7 @@ def build(g: Graph) -> BuildReport:
     else:
         result, case, defects, oracle_fallback, engine_runs = _run_ensemble(reduced)
 
-    lifted, lift_log = lift_tree_logged(lift_trace, result.tree)
+    lifted, lift_log = lift_tree_logged(lift_trace, result.tree())
     ledger = result.ledger()
     for label, gain in lift_log:
         if gain:

@@ -35,7 +35,7 @@ class Fifteenths:
 class Graph:
     """Undirected simple graph with per-vertex neighbor sets."""
 
-    __slots__ = ("n", "adj", "_cost15")
+    __slots__ = ("n", "adj", "_cost15", "_degrees", "_costs15")
 
     def __init__(self, n: int, edges=()) -> None:
         if n < 0:
@@ -51,6 +51,8 @@ class Graph:
         self.n = n
         self.adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in sets)
         self._cost15: int | None = None  # cost15(self), summed on first use
+        self._degrees: list[int] | None = None  # degrees(self), listed on first use
+        self._costs15: list[int] | None = None  # vertex_costs15(self), likewise
 
     # -- basic queries ------------------------------------------------
 
@@ -128,6 +130,20 @@ def degree_cost15(d: int) -> int:
     if d == 3:
         return S_COST15
     return 0
+
+
+def degrees(g: Graph) -> list[int]:
+    """The degree of every vertex of g, listed once per graph; copy it to change it."""
+    if g._degrees is None:
+        g._degrees = [len(nbrs) for nbrs in g.adj]
+    return g._degrees
+
+
+def vertex_costs15(g: Graph) -> list[int]:
+    """The cost of every vertex of g in fifteenths, listed once per graph; read only."""
+    if g._costs15 is None:
+        g._costs15 = [degree_cost15(len(nbrs)) for nbrs in g.adj]
+    return g._costs15
 
 
 def _in_range(g: Graph, vertices) -> list[int] | range:

@@ -25,10 +25,10 @@ catalog floors checked here.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from operator import countOf
 
-from .graph import S_COST15, T_COST15, Fifteenths, Graph, cost15
+from .graph import S_COST15, T_COST15, Fifteenths, Graph, cost15, vertex_costs15
 from .trees import SpanningTree
 
 LEAF_GAIN15 = 13
@@ -77,14 +77,20 @@ class Ledger:
 def alpha_prime(g: Graph, f) -> Fifteenths:
     """Potential of a partial tree `f`, recounted from scratch.
 
-    Leaves are counted from the `f.parent` links and the cost is taken over
-    `f.vertices`, not read from the counts a `PartialTree` keeps, so this is
-    the reference those counts are checked against.
+    Leaves are counted from the `f.parent` links, which map the root
+    `f.root` to -1 and every other tree vertex to its parent, and the cost is
+    summed over `f.vertices` from the graph's per-vertex costs; nothing is
+    read from the counts a `PartialTree` keeps, so this is the reference
+    those counts are checked against.
     """
-    kids = Counter(f.parent.values())
-    u = sum(1 for v, p in f.parent.items() if kids.get(v, 0) + (p != -1) == 1)
+    links = f.parent
+    # a vertex that is no vertex's parent is a leaf, unless it is the root;
+    # the root is a leaf when it is the parent of exactly one vertex
+    root_kids = countOf(links.values(), f.root)
+    u = len(links.keys() - links.values()) - (root_kids == 0) + (root_kids == 1)
     b = len(f.dead)
-    return Fifteenths(LEAF_GAIN15 * u + DEAD_GAIN15 * b - cost15(g, f.vertices))
+    cost = sum(map(vertex_costs15(g).__getitem__, f.vertices))
+    return Fifteenths(LEAF_GAIN15 * u + DEAD_GAIN15 * b - cost)
 
 
 @dataclass(frozen=True)

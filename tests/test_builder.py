@@ -117,6 +117,40 @@ def test_one_base_tree_alive_when_each_run_starts(monkeypatch):
     assert r.engine_runs > 1 and alive == [1] * r.engine_runs
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: h_graph(20), id="h_graph(20)"),
+        pytest.param(lambda: random_connected(104, 3, 4, seed=2), id="B1"),
+    ],
+)
+def test_one_spanning_tree_and_two_recounts_per_build(monkeypatch, make):
+    # every run recounts its potential at its base and at its end, but only
+    # the run the driver keeps is made into a SpanningTree
+    g = make()
+    reduced, _ = reduce_fully(g)
+    made, recounts = [], []
+
+    class CountedTree(SpanningTree):
+        def __init__(self, n, edges):
+            made.append(n)
+            super().__init__(n, edges)
+
+    real = builder_mod.alpha_prime
+
+    def recount(g, f):
+        recounts.append(f)
+        return real(g, f)
+
+    monkeypatch.setattr(builder_mod, "SpanningTree", CountedTree)
+    monkeypatch.setattr(builder_mod, "alpha_prime", recount)
+    r = build(g)
+    assert r.engine_runs == len(choose_bases(reduced)) > 1
+    assert "Z4" not in [rec.label for rec in r.ledger.steps]
+    assert made == [reduced.n]
+    assert len(recounts) == 2 * r.engine_runs
+
+
 # ---------------------------------------------------------------------------
 # step catalog on engineered states
 

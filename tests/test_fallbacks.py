@@ -25,6 +25,8 @@ from leafspan import (
 from leafspan.builder import EngineDefect
 from leafspan.trees import check_spanning_tree
 
+from conftest import tree_degrees
+
 
 def test_total_engine_outage_falls_back_to_exact_search(monkeypatch):
     def always_defective(g, base, case):
@@ -103,3 +105,66 @@ def test_drift_in_a_dropped_base_is_caught(monkeypatch):
     assert report.spanning_tree == clean.spanning_tree
     assert verify_ledger(g, report.ledger, report.spanning_tree).ok
     assert table_violations(report.ledger) == []
+
+
+def _fault_at_the_end_of_the_second_run(monkeypatch, *, recount=None, step=None):
+    """Build h_graph(2) (ten B7 bases; the driver keeps the first) with a
+    fault at the end of the second run, which the driver drops.
+
+    `recount(f, alpha)` returns what that run's final `alpha_prime` reports
+    in place of the true `alpha`; `step(f)` tampers with its tree after its
+    last step."""
+    g = h_graph(2)
+    clean = build(g)
+    real_run = builder_mod._run_from_base
+    real_recount = builder_mod.alpha_prime
+    real_step = builder_mod.apply_step
+    runs = {"n": 0}
+
+    def counted(g, base, case):
+        runs["n"] += 1
+        return real_run(g, base, case)
+
+    def recounting(g, f):
+        if recount is not None and runs["n"] == 2 and f.spans():
+            return recount(f, real_recount(g, f))
+        return real_recount(g, f)
+
+    def stepping(g, f, plan):
+        deltas = real_step(g, f, plan)
+        if step is not None and runs["n"] == 2 and f.spans():
+            step(f)
+        return deltas
+
+    monkeypatch.setattr(builder_mod, "_run_from_base", counted)
+    monkeypatch.setattr(builder_mod, "alpha_prime", recounting)
+    monkeypatch.setattr(builder_mod, "apply_step", stepping)
+    report = build(g)
+    assert clean.engine_runs == report.engine_runs == runs["n"] >= 2
+    assert not clean.defects and not report.oracle_fallback
+    assert report.spanning_tree == clean.spanning_tree
+    assert report.ledger.log_lines() == clean.ledger.log_lines()
+    assert verify_ledger(g, report.ledger, report.spanning_tree).ok
+    return report
+
+
+def test_off_by_one_recount_at_the_end_of_a_dropped_run_is_caught(monkeypatch):
+    report = _fault_at_the_end_of_the_second_run(
+        monkeypatch, recount=lambda f, alpha: Fifteenths(alpha.num + 1)
+    )
+    assert len(report.defects) == 1
+    assert report.defects[0] == "B7: recounted potential differs from the ledger"
+
+
+def test_leaf_rehung_after_the_last_step_of_a_dropped_run_is_caught(monkeypatch):
+    def rehang(f):
+        # hang leaf v, whose parent keeps two other tree edges, under another
+        # leaf: the parent stays inner and the other leaf stops being one
+        deg = tree_degrees(f)
+        leaves = sorted(v for v in f.vertices if deg[v] == 1)
+        v = next(v for v in leaves if deg[f.parent[v]] >= 3)
+        f.parent[v] = next(w for w in leaves if w != v)
+
+    report = _fault_at_the_end_of_the_second_run(monkeypatch, step=rehang)
+    assert len(report.defects) == 1
+    assert report.defects[0] == "B7: recounted potential differs from the ledger"

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
+
+import pytest
 
 from leafspan import (
     Fifteenths,
@@ -8,14 +11,20 @@ from leafspan import (
     Ledger,
     StepRecord,
     alpha_prime,
+    apply_step,
     build,
+    choose_bases,
     h_graph,
+    next_step,
+    random_connected,
+    reduce_fully,
     square_of_cycle,
     table_violations,
     verify_ledger,
 )
-from leafspan.builder import base_tree
-from leafspan.ledger import TABLE_FLOORS, profit15_of
+from leafspan.builder import PartialTree, base_tree
+from leafspan.graph import degree_cost15
+from leafspan.ledger import DEAD_GAIN15, LEAF_GAIN15, TABLE_FLOORS, profit15_of
 
 
 def test_profit_examples():
@@ -42,6 +51,51 @@ def test_alpha_prime_spanning_star_of_k5():
     f = base_tree(k5, 0)
     assert f.spans() and len(f.dead) == 4
     assert alpha_prime(k5, f) == Fifteenths(30)
+
+
+def reference_alpha_prime(g: Graph, f) -> Fifteenths:
+    """The recount as a per-vertex formula: a vertex is a leaf when its
+    children plus its parent link (none at -1) make one, and the cost is
+    `degree_cost15` of each tree vertex's degree."""
+    kids = Counter(f.parent.values())
+    u = sum(1 for v, p in f.parent.items() if kids.get(v, 0) + (p != -1) == 1)
+    cost = sum(degree_cost15(len(g.adj[v])) for v in f.vertices)
+    return Fifteenths(LEAF_GAIN15 * u + DEAD_GAIN15 * len(f.dead) - cost)
+
+
+def test_alpha_prime_matches_the_reference_on_small_trees():
+    k5 = Graph(5, [(a, b) for a in range(5) for b in range(a + 1, 5)])
+    lone = PartialTree(k5, 2)
+    one_child = PartialTree(k5, 2)
+    one_child.attach(2, 4)
+    one_child.sweep_dead()
+    star = base_tree(k5, 3)
+    for f, leaves in ((lone, 0), (one_child, 2), (star, 4)):
+        assert f.leaves == leaves
+        assert alpha_prime(k5, f) == reference_alpha_prime(k5, f)
+    assert alpha_prime(k5, lone) == Fifteenths(-6)  # no leaf, one degree-4 vertex
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: h_graph(3), id="h_graph(3)"),
+        pytest.param(lambda: random_connected(24, 2, 5, seed=3), id="rc(24,2,5,3)"),
+        pytest.param(lambda: random_connected(40, 3, 4, seed=1), id="rc(40,3,4,1)"),
+        pytest.param(lambda: random_connected(64, 3, 3, seed=2), id="rc(64,3,3,2)"),
+    ],
+)
+def test_alpha_prime_matches_the_reference_on_every_engine_step(make):
+    reduced, _ = reduce_fully(make())
+    steps = 0
+    for _, a, b in choose_bases(reduced):
+        f = base_tree(reduced, a, b)
+        assert alpha_prime(reduced, f) == reference_alpha_prime(reduced, f)
+        while (plan := next_step(reduced, f)) is not None and plan.label != "Z4":
+            apply_step(reduced, f, plan)
+            assert alpha_prime(reduced, f) == reference_alpha_prime(reduced, f)
+            steps += 1
+    assert steps >= 10
 
 
 def test_alpha_prime_equals_leaves_minus_cost_when_spanning():
