@@ -35,18 +35,18 @@ potential is checked against the running sum of the ledger after every
 step from these counts.  The from-scratch recount (`ledger.alpha_prime`,
 which counts leaves from the parent links and sums the graph's per-vertex
 costs over the tree's vertices) runs on every base and at the end of
-every engine run that spans without a Z4 split, where the run also checks
-that every leaf is dead; every run checks that its running sum
-telescopes to 15 leaves minus cost(g).  The test suite runs the recount,
-with a rescan of the fringe and the dead marks, after every step.
+every engine run, where the run also checks that every leaf is dead and
+that its running sum telescopes to 15 leaves minus cost(g).  A Z4 split
+is planned by `split_z4` and committed by `apply_step` like any other
+step, so every run ends through these checks.  The test suite runs the
+recount, with a rescan of the fringe and the dead marks, after every step.
 
 Every committed step is logged in the ledger; extra dead leaves beyond a
 case's nominal count become explicit Z0 records.  A run keeps each step
-as the plain deltas `apply_step` returns, and a run that spans without a
-Z4 split keeps its tree as parent links only, so every check runs on
-every base; the `StepRecord`s (`step_records`) and a `SpanningTree` of
-the links, whose leaf count is checked once more, are made only for the
-run `build` keeps.  The final
+as the plain deltas `apply_step` returns and its tree as parent links
+only, so every check runs on every base; the `StepRecord`s
+(`step_records`) and a `SpanningTree` of the links, whose leaf count is
+checked once more, are made only for the run `build` keeps.  The final
 bound leaves >= cost + 2 (cost + 8/5 for the exceptions) is re-checked
 on every build; if no base meets it, the driver falls back to exact
 search on reduced graphs of at most 16 vertices, flagging the report.
@@ -55,6 +55,7 @@ search on reduced graphs of at most 16 vertices, flagging the report.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import countOf
 from typing import NamedTuple
 
 from .graph import Fifteenths, Graph, cost15, degree_counts, degrees, vertex_costs15
@@ -73,7 +74,7 @@ from .oracle import (
     max_leaf_tree,
 )
 from .reduction import ReductionEvent, lift_tree_logged, reduce_fully, replay
-from .trees import SpanningTree, edge_key
+from .trees import SpanningTree
 
 
 # the bound on alpha = leaves - cost, in fifteenths: +2 in general, +8/5 for
@@ -131,11 +132,13 @@ class PartialTree:
 
     def attach(self, parent: int, child: int) -> None:
         tree = self.vertices
-        nbrs = self.g.adj[child]
         if parent not in tree:
             raise ValueError(f"parent {parent} not in tree")
+        if not 0 <= child < self.g.n:
+            raise ValueError(f"child {child} is not a vertex")
         if child in tree:
             raise ValueError(f"child {child} not outside the tree")
+        nbrs = self.g.adj[child]
         if parent not in nbrs:
             raise ValueError(f"({parent},{child}) is not a graph edge")
         if parent in self.dead:
@@ -185,11 +188,6 @@ class PartialTree:
 
     def spans(self) -> bool:
         return len(self.vertices) == self.g.n
-
-    def edge_set(self) -> set[tuple[int, int]]:
-        return {
-            edge_key(v, p) for v, p in self.parent.items() if p != -1
-        }
 
 
 class StepPlan(NamedTuple):
@@ -581,15 +579,16 @@ def apply_step(g: Graph, f: PartialTree, plan: StepPlan) -> StepDeltas:
     )
 
 
-def split_z4(
-    g: Graph, f: PartialTree
-) -> tuple[set[tuple[int, int]], StepRecord, int]:
-    """Terminal split: span the outside recursively, reattach per component.
+def split_z4(g: Graph, f: PartialTree) -> tuple[StepPlan, int]:
+    """Terminal split: span the outside recursively, plan its reattachment.
 
     Precondition (checked): every fringe vertex has degree >= 4, exactly
-    one outside neighbor, and at least three tree-leaf neighbors.
-    Returns the combined spanning edge set, the composite record, and the
-    maximum child recursion depth.
+    one outside neighbor, and at least three tree-leaf neighbors.  `build`
+    spans each outside component, and the plan attaches it by one cut edge
+    (a, w), tree leaf a to fringe vertex w, then by its tree's edges
+    oriented away from w in BFS order.  Returns the plan, whose nominal
+    du/db are the deltas to the spanning tree it makes (all of its leaves
+    dead), and the maximum child recursion depth plus one.
     """
     border = f.border
     if not border:
@@ -604,11 +603,9 @@ def split_z4(
         ):
             raise EngineDefect("fringe vertex breaks the split preconditions")
 
-    leaves_before = f.leaves
-    dead_before = len(f.dead)
     tree = f.vertices
     sub, added = g.induced(v for v in range(g.n) if v not in tree)
-    combined = f.edge_set()
+    attachments: list[tuple[int, int]] = []
     child_depth = 0
     for comp in sub.components():
         comp_old = [added[v] for v in comp]
@@ -621,25 +618,35 @@ def split_z4(
         child_depth = max(child_depth, report.recursion_depth)
         if report.alpha.num < _BOUND15:
             raise EngineDefect("component build missed the recursion bound")
-        for u, v in report.spanning_tree.edges:
-            combined.add(edge_key(comp_old[u], comp_old[v]))
-        cut = min(
-            (w, a)
-            for w in comp_old
-            if w in border
-            for a in g.adj[w] & tree
+        w, a = min(
+            (w, a) for w in comp_old if w in border for a in g.adj[w] & tree
         )
-        combined.add(edge_key(*cut))
+        attachments.append((a, w))
+        nbrs: list[list[int]] = [[] for _ in comp]
+        for u, v in report.spanning_tree.edges:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        order = [comp_old.index(w)]
+        seen = set(order)
+        for u in order:  # breadth first: `order` grows while it is read
+            for v in sorted(nbrs[u]):
+                if v not in seen:
+                    seen.add(v)
+                    order.append(v)
+                    attachments.append((comp_old[u], comp_old[v]))
+    if len(attachments) != len(added):
+        raise EngineDefect("split does not span the outside")
 
-    final = SpanningTree(g.n, frozenset(combined))
-    leaves_after = final.leaf_count()
-    du = leaves_after - leaves_before
-    db = leaves_after - dead_before  # every leaf of a spanning tree is dead
+    deg = f.deg.copy()
+    for parent, child in attachments:
+        deg[parent] += 1
+        deg[child] += 1
+    leaves = countOf(deg, 1)
+    du, db = leaves - f.leaves, leaves - len(f.dead)
     ds, dt = degree_counts(g, added)
-    record = StepRecord.make("Z4", du, db, dt, ds, tuple(added))
-    if record.profit15 < 0:
+    if profit15_of(du, db, dt, ds) < 0:
         raise EngineDefect("split lost potential")
-    return combined, record, child_depth + 1
+    return StepPlan("Z4", tuple(attachments), du, db), child_depth + 1
 
 
 # ---------------------------------------------------------------------------
@@ -679,17 +686,16 @@ class _EngineResult:
     """One engine run, or one exact search, as `build` may keep it.
 
     `parent` holds the spanning tree as parent links, -1 at the root (a
-    dict or a list): a run that spans by steps keeps only these, so only
-    the result `build` keeps is made into a `SpanningTree` (`tree`), and
-    only its step deltas into ledger records (`ledger`).  Every run has
-    checked its potential before it returns (see the module doc).
+    dict or a list): every run keeps only these, so only the result `build`
+    keeps is made into a `SpanningTree` (`tree`), and only its step deltas,
+    a closing Z4 split's among them, into ledger records (`ledger`).  Every
+    run has checked its potential before it returns (see the module doc).
     """
 
     parent: dict[int, int] | list[int]
     base: StepRecord
     steps: list[StepDeltas]
-    split: StepRecord | None  # the closing Z4 split, if the run made one
-    depth: int
+    depth: int  # recursion depth of the closing Z4 split, 0 without one
     leaves: int
 
     def tree(self) -> SpanningTree:
@@ -702,10 +708,7 @@ class _EngineResult:
 
     def ledger(self) -> Ledger:
         """The run's ledger; `build` makes it only for the result it keeps."""
-        records = [rec for d in self.steps for rec in step_records(d)]
-        if self.split is not None:
-            records.append(self.split)
-        return Ledger(self.base, records)
+        return Ledger(self.base, [rec for d in self.steps for rec in step_records(d)])
 
 
 def _base_record(g: Graph, f: PartialTree, label: str) -> StepRecord:
@@ -721,25 +724,15 @@ def _run_from_base(g: Graph, f: PartialTree, case: str) -> _EngineResult:
     if base_rec.profit15 != alpha_prime(g, f).num:
         raise EngineDefect("base record does not match the base potential")
     steps: list[StepDeltas] = []
-    split: StepRecord | None = None
     running15 = base_rec.profit15
     depth = 0
     dead = f.dead
     for _ in range(2 * g.n + 8):
         plan = next_step(g, f)
         if plan is None:
-            if alpha_prime(g, f).num != running15:
-                raise EngineDefect("recounted potential differs from the ledger")
-            leaves, parent = f.leaves, f.parent
-            if len(dead) != leaves:
-                raise EngineDefect("a leaf of the spanning tree is not dead")
             break
         if plan.label == "Z4":
-            edges, split, depth = split_z4(g, f)
-            running15 += split.profit15
-            tree = SpanningTree(g.n, frozenset(edges))
-            leaves, parent = tree.leaf_count(), tree.parents()
-            break
+            plan, depth = split_z4(g, f)
         d = apply_step(g, f, plan)
         steps.append(d)
         label, du, db, dt, ds, _, extra_dead = d
@@ -750,9 +743,14 @@ def _run_from_base(g: Graph, f: PartialTree, case: str) -> _EngineResult:
             raise EngineDefect(f"potential drifted after {label}")
     else:
         raise EngineDefect("step budget exhausted before spanning")
+    if alpha_prime(g, f).num != running15:
+        raise EngineDefect("recounted potential differs from the ledger")
+    leaves = f.leaves
+    if len(dead) != leaves:
+        raise EngineDefect("a leaf of the spanning tree is not dead")
     if 15 * leaves - cost15(g) != running15:
         raise EngineDefect("final potential does not telescope")
-    return _EngineResult(parent, base_rec, steps, split, depth, leaves)
+    return _EngineResult(f.parent, base_rec, steps, depth, leaves)
 
 
 def _exact_result(stage: Graph, case: str) -> _EngineResult:
@@ -761,7 +759,7 @@ def _exact_result(stage: Graph, case: str) -> _EngineResult:
     u = SpanningTree.from_parents(parent).leaf_count()
     ds, dt = degree_counts(stage)
     rec = StepRecord.make(f"{case}-base", u, u, dt, ds, tuple(range(stage.n)))
-    return _EngineResult(parent, rec, [], None, 0, u)
+    return _EngineResult(parent, rec, [], 0, u)
 
 
 def build(g: Graph) -> BuildReport:

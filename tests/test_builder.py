@@ -10,6 +10,7 @@ from leafspan import (
     Fifteenths,
     Graph,
     Ledger,
+    StepPlan,
     StepRecord,
     apply_step,
     build,
@@ -494,6 +495,18 @@ def test_attach_rejects_bad_attachments():
             f.attach(parent, child)
 
 
+def test_attach_and_apply_step_reject_a_child_out_of_range():
+    # -1 would index vertex 3's neighbourhood, 4 would run off the end
+    g = Graph(4, [(0, 1), (0, 3), (1, 2)])
+    f = PartialTree(g, 0)
+    for child in (-1, 4):
+        with pytest.raises(ValueError, match="is not a vertex"):
+            f.attach(0, child)
+    with pytest.raises(StalePlanError):
+        apply_step(g, f, StepPlan("A1", ((0, -1),), 2, 0))
+    assert f.vertices == {0} and f.parent == {0: -1}
+
+
 def test_dead_marks_match_adjacency_at_every_boundary():
     gr, _ = reduce_fully(h_graph(2))
     for _label, a, b in choose_bases(gr):
@@ -517,13 +530,15 @@ def test_split_z4_direct():
     edges += [(6, 7), (6, 8), (6, 9), (7, 8), (7, 9), (8, 9)]
     g = Graph(10, edges)
     f = base_tree(g, 0)
-    combined, record, depth = split_z4(g, f)
-    st = SpanningTree(10, frozenset(combined))
-    check_spanning_tree(g, st)
-    assert record.label == "Z4" and record.profit15 >= 0
-    assert depth == 1
+    plan, depth = split_z4(g, f)
+    assert plan.label == "Z4" and depth == 1
+    d = apply_step(g, f, plan)
+    check_spanning_tree(g, SpanningTree.from_parents([f.parent[v] for v in range(10)]))
+    # every leaf of the spanning tree is dead, so no Z0 record follows
+    assert d.extra_dead == 0
+    assert [rec.log_line() for rec in step_records(d)] == ["Z4 2 5 2 3 15"]
     # reattaching one component costs exactly two leaves against the parts
-    assert st.leaf_count() == 6
+    assert f.leaves == 6
 
 
 def test_split_z4_two_components():
@@ -536,12 +551,13 @@ def test_split_z4_two_components():
     g = Graph(17, edges)
     f = base_tree(g, 0)
     u_before = f.leaves
-    combined, record, depth = split_z4(g, f)
-    st = SpanningTree(17, frozenset(combined))
-    check_spanning_tree(g, st)
+    plan, depth = split_z4(g, f)
+    d = apply_step(g, f, plan)
+    check_spanning_tree(g, SpanningTree.from_parents([f.parent[v] for v in range(17)]))
+    assert d.extra_dead == 0 and f.spans()
     # each of the two reattachments loses exactly two leaves
     parts_leaves = u_before + 4 + 4  # each room spans with 4 leaves
-    assert st.leaf_count() == parts_leaves - 2 * 2
+    assert f.leaves == parts_leaves - 2 * 2
 
 
 # ---------------------------------------------------------------------------
@@ -631,6 +647,23 @@ def test_first_base_reaches_split_z4():
     assert verify_ledger(g, r.ledger, r.spanning_tree).ok
 
 
+def test_run_with_a_split_ends_through_the_recount(monkeypatch):
+    # the first base of this graph reaches split_z4; make the end-of-run
+    # recount of that run (its 11-vertex reduced graph, spanned) read 1/15
+    # too high, and the run must report the drift
+    recount = builder_mod.alpha_prime
+
+    def off_by_one(g, f):
+        alpha = recount(g, f)
+        if g.n == 11 and f.spans():
+            return Fifteenths(alpha.num + 1)
+        return alpha
+
+    monkeypatch.setattr(builder_mod, "alpha_prime", off_by_one)
+    r = build(random_connected(14, 2, 13, seed=232))
+    assert r.defects == ("B2: recounted potential differs from the ledger",)
+
+
 @pytest.mark.parametrize(
     "make, leaves, alpha15, base, log_sha256",
     [
@@ -678,7 +711,8 @@ def test_build_spanning_and_sound(graph_pool):
 
 
 def test_every_engine_step_is_audited(audit_every_step):
-    # one base and no Z4 split: each labelled record of the ledger comes from
+    # one base and no Z4 split, whose component builds would add audited
+    # steps of their own: each labelled record of the ledger comes from
     # one `apply_step` call, so a fast path that skipped it would show here
     g = random_connected(32, 2, 31, seed=4)
     r = build(g)
