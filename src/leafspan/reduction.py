@@ -8,11 +8,13 @@ unchanged and never decreasing the best achievable leaf count:
 * R2: two adjacent degree-3 vertices with disjoint neighborhoods are
   contracted into a single degree-4 vertex.
 
-Every event names vertices by their ids in the input graph.  The rules
-run on one mutable copy of the input's adjacency sets (a removed vertex's
-set is emptied) and the survivors are re-indexed once, at the end, in
-increasing input-id order.  A spanning tree of the reduced graph lifts
-back through the events in reverse order without ever losing a leaf.
+Every event is a plain tuple (`ReductionEvent`) naming vertices by their
+ids in the input graph.  The rules run on one mutable copy of the input's
+adjacency sets (a removed vertex's set is emptied), and the survivors are
+re-indexed once, at the end, in increasing input-id order: one `Graph` is
+built from their renumbered sets.  A spanning tree of the reduced graph
+lifts back through the events in reverse order without ever losing a leaf.
+An R1 costs a few set operations to apply and to undo.
 
 The next event is always the smallest-x R1, else the lexicographically
 first R2 pair (a1, a2).  Neither rule makes a vertex match that did not
@@ -36,14 +38,13 @@ over R1 and then one over R2 find every event in that order in O(n):
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Graph
 from .trees import SpanningTree
 
 
-@dataclass(frozen=True)
-class ReductionEvent:
+class ReductionEvent(NamedTuple):
     """One applied rule, with enough context to replay or undo it.
 
     All vertex ids are ids in the input graph of the reduction.
@@ -67,11 +68,20 @@ class ReductionEvent:
         return (self.x, self.a, self.b) if self.kind == "R1" else (self.x, self.a)
 
 
+# A NamedTuple's own __new__ is a Python function; R1, the most frequent
+# event, is made from a tuple of every field with this one instead, and
+# every R1 shares one empty neighbor set.
+_new = tuple.__new__
+_NO_NBRS: frozenset[int] = frozenset()
+
+
 def _r1_at(adj, x: int) -> ReductionEvent | None:
     if len(adj[x]) == 2:
-        a, b = sorted(adj[x])
+        a, b = adj[x]
+        if a > b:
+            a, b = b, a
         if b not in adj[a]:
-            return ReductionEvent("R1", x, a, b, frozenset(), frozenset())
+            return _new(ReductionEvent, ("R1", x, a, b, _NO_NBRS, _NO_NBRS))
     return None
 
 
@@ -104,32 +114,67 @@ def _link(adj: list[set[int]], u: int, v: int) -> None:
 
 def _apply(adj: list[set[int]], ev: ReductionEvent) -> None:
     """Empty the removed vertex's set; R1 joins a and b, R2 moves a2's edges to a1."""
-    gone = ev.removed
-    nbrs, adj[gone] = adj[gone], set()
+    kind, x, a, b, _, _ = ev
+    if kind == "R1":
+        adj[x].clear()
+        na, nb = adj[a], adj[b]
+        na.remove(x)
+        na.add(b)
+        nb.remove(x)
+        nb.add(a)
+        return
+    nbrs, adj[a] = adj[a], set()
     for w in nbrs:
-        adj[w].remove(gone)
-    if ev.kind == "R1":
-        _link(adj, ev.a, ev.b)
-    else:
-        for w in nbrs - {ev.x}:
-            _link(adj, ev.x, w)
+        adj[w].remove(a)
+    for w in nbrs - {x}:
+        _link(adj, x, w)
 
 
 def _compact(adj: list[set[int]], events: list[ReductionEvent]) -> Graph:
+    """The graph on the survivors of `events`, numbered in input-id order.
+
+    A removed vertex's set is empty and no survivor's set names it, so the
+    survivors' sets hold every edge left.
+    """
+    removed = {ev.x if ev.kind == "R1" else ev.a for ev in events}
+    ids = [v for v in range(len(adj)) if v not in removed]
+    new = [-1] * len(adj)
+    for i, v in enumerate(ids):
+        new[v] = i
+    edges = [(i, new[v]) for i, u in enumerate(ids) for v in adj[u] if u < v]
+    return Graph(len(ids), edges)
+
+
+def _check_replayable(adj: list[set[int]], i: int, ev: ReductionEvent) -> None:
+    """Raise ValueError unless event i of a replay matches the graph reached so far."""
+    kind, x, a, b, kept, dropped = ev
     n = len(adj)
-    full = Graph(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
-    return full.induced(_survivors(n, events))[0]
-
-
-def _survivors(n: int, events: list[ReductionEvent]) -> list[int]:
-    removed = {ev.removed for ev in events}
-    return [v for v in range(n) if v not in removed]
+    if kind == "R1":
+        ok = 0 <= x < n and adj[x] == {a, b} and a != b and b not in adj[a]
+        want = f"x={x} of degree 2 with non-adjacent neighbors {a} and {b}"
+    else:
+        ok = (
+            0 <= x < n
+            and 0 <= a < n
+            and a in adj[x]
+            and len(adj[x]) == len(adj[a]) == 3
+            and adj[x] - {a} == kept
+            and adj[a] - {x} == dropped
+        )
+        want = f"adjacent degree-3 vertices {x} and {a} with the recorded neighbors"
+    if not ok:
+        raise ValueError(f"event {i} ({kind}) does not match the graph: needs {want}")
 
 
 def replay(g: Graph, events: list[ReductionEvent]) -> Graph:
-    """The graph reached from g through `events`, re-indexed once."""
+    """The graph reached from g through `events`, re-indexed once.
+
+    Each event's precondition is checked on the graph reached before it, so
+    a trace of another graph fails with a ValueError naming the event.
+    """
     adj = [set(s) for s in g.adj]
-    for ev in events:
+    for i, ev in enumerate(events):
+        _check_replayable(adj, i, ev)
         _apply(adj, ev)
     return _compact(adj, events)
 
@@ -151,23 +196,44 @@ def reduce_fully(g: Graph) -> tuple[Graph, list[ReductionEvent]]:
 
 
 def _undo(adj: list[set[int]], ev: ReductionEvent) -> None:
-    if ev.kind == "R1":
-        if ev.b in adj[ev.a]:
-            adj[ev.a].remove(ev.b)
-            adj[ev.b].remove(ev.a)
-            _link(adj, ev.x, ev.b)
+    kind, x, a, b, kept, dropped = ev
+    if kind == "R1":
+        nx, na = adj[x], adj[a]
+        if b in na:
+            nb = adj[b]
+            na.remove(b)
+            nb.remove(a)
+            nx.add(b)
+            nb.add(x)
         # otherwise x re-enters as a leaf; it hangs off a by convention
-        _link(adj, ev.a, ev.x)
+        nx.add(a)
+        na.add(x)
         return
-    a1, a2 = ev.x, ev.a
-    for w in list(adj[a1]):
-        if w in ev.nbrs_dropped:
-            adj[a1].remove(w)
-            adj[w].remove(a1)
-            _link(adj, a2, w)
-        elif w not in ev.nbrs_kept:
+    for w in list(adj[x]):
+        if w in dropped:
+            adj[x].remove(w)
+            adj[w].remove(x)
+            _link(adj, a, w)
+        elif w not in kept:
             raise ValueError(f"tree edge to {w} matches neither split endpoint")
-    _link(adj, a1, a2)
+    _link(adj, x, a)
+
+
+def _lift_ids(trace: list[ReductionEvent], n: int) -> list[int]:
+    """The input ids of the reduced graph's vertices, 0..n-1 minus the removed.
+
+    Raises ValueError, naming the event, when an event names a vertex outside
+    0..n-1 or removes one that an earlier event removed.
+    """
+    removed: set[int] = set()
+    for i, (kind, x, a, b, _, _) in enumerate(trace):
+        gone = x if kind == "R1" else a
+        if not (0 <= x < n and 0 <= a < n and (kind != "R1" or 0 <= b < n)):
+            raise ValueError(f"event {i} ({kind}) names a vertex outside 0..{n - 1}")
+        if gone in removed:
+            raise ValueError(f"event {i} ({kind}) removes vertex {gone} a second time")
+        removed.add(gone)
+    return [v for v in range(n) if v not in removed]
 
 
 def lift_tree_logged(
@@ -178,17 +244,24 @@ def lift_tree_logged(
         raise ValueError("input is not a tree (wrong edge count)")
     tree.parents()  # raises when disconnected
     n = tree.n + len(trace)
-    ids = _survivors(n, trace)
+    ids = _lift_ids(trace, n)
     adj: list[set[int]] = [set() for _ in range(n)]
     for u, v in tree.edges:
         _link(adj, ids[u], ids[v])
     log: list[tuple[str, int]] = []
     for ev in reversed(trace):
-        before = sum(len(adj[v]) == 1 for v in ev.touched)
-        _undo(adj, ev)
-        gain = sum(len(adj[v]) == 1 for v in ev.touched) - before
+        kind, x, a, b, _, _ = ev
+        # the leaves among the touched vertices, before and after the undo
+        if kind == "R1":
+            before = (len(adj[x]) == 1) + (len(adj[a]) == 1) + (len(adj[b]) == 1)
+            _undo(adj, ev)
+            gain = (len(adj[x]) == 1) + (len(adj[a]) == 1) + (len(adj[b]) == 1) - before
+        else:
+            before = (len(adj[x]) == 1) + (len(adj[a]) == 1)
+            _undo(adj, ev)
+            gain = (len(adj[x]) == 1) + (len(adj[a]) == 1) - before
         if gain < 0:
-            raise AssertionError(f"{ev.kind} undo lost a leaf")
-        log.append((f"{ev.kind}-undo", gain))
-    edges = frozenset((u, v) for u in range(n) for v in adj[u] if u < v)
+            raise AssertionError(f"{kind} undo lost a leaf")
+        log.append((f"{kind}-undo", gain))
+    edges = frozenset([(u, v) for u in range(n) for v in adj[u] if u < v])
     return SpanningTree(n, edges), log

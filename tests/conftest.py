@@ -85,6 +85,35 @@ def audit_every_event(monkeypatch):
     monkeypatch.setattr(reduction, "_apply", audited)
 
 
+@pytest.fixture(autouse=True)
+def audit_every_undo(monkeypatch):
+    """Check that every undo of every lift adds one tree edge and re-attaches
+    the vertex its event removed.
+
+    `lift_tree_logged` looks `_undo` up at call time, so this wrapper sees
+    every event the tests undo.  An undo changes only the sets of the
+    touched vertices and, for R2, of a2's former neighbors, so the tree's
+    degree sum is read over those.  The fixture's value counts the undos
+    audited so far in the test (`.undos`).
+    """
+    undo = reduction._undo
+    audit = SimpleNamespace(undos=0)
+
+    def audited(adj, ev):
+        seen = {*ev.touched, *ev.nbrs_dropped}
+        before = sum(len(adj[v]) for v in seen)
+        undo(adj, ev)
+        added = sum(len(adj[v]) for v in seen) - before
+        if added != 2:
+            raise AssertionError(f"{ev.kind} undo changed the degree sum by {added}")
+        if not adj[ev.removed]:
+            raise AssertionError(f"{ev.kind} undo left {ev.removed} out of the tree")
+        audit.undos += 1
+
+    monkeypatch.setattr(reduction, "_undo", audited)
+    return audit
+
+
 def make_state(n, edges, tree_edges, root=0) -> tuple[Graph, PartialTree]:
     """Graph plus a partial tree assembled from the given tree edges."""
     g = Graph(n, edges)

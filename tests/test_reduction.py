@@ -1,7 +1,7 @@
 from __future__ import annotations
 
+import hashlib
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -19,6 +19,7 @@ from leafspan import (
 )
 from leafspan.trees import SpanningTree, check_spanning_tree
 
+import reduction_reference as ref
 from conftest import random_graph_pool, random_spanning_tree
 
 
@@ -163,6 +164,51 @@ def test_lift_rejects_invalid_tree():
         lift_tree_logged(trace, SpanningTree(3, frozenset({(0, 1)})))
 
 
+def test_lift_rejects_a_trace_that_names_a_vertex_past_the_tree():
+    # cycle(6) reduces to a triangle; a 2-vertex tree leaves room for 5 ids
+    _, trace = reduce_fully(cycle(6))
+    with pytest.raises(ValueError, match="event 0 .* outside 0..4"):
+        lift_tree_logged(trace, SpanningTree(2, frozenset({(0, 1)})))
+
+
+def test_lift_rejects_a_trace_that_removes_a_vertex_twice():
+    _, trace = reduce_fully(cycle(5))
+    path = SpanningTree(3, frozenset({(0, 1), (1, 2)}))
+    with pytest.raises(ValueError, match="event 1 .* a second time"):
+        lift_tree_logged([trace[0], trace[0]], path)
+
+
+@pytest.mark.parametrize(
+    "g, source",
+    [
+        (Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), h_graph(2)),  # ids past n
+        (cycle(12), h_graph(2)),  # ids in range, no degree-3 pair
+        (cycle(3), cycle(5)),  # an R1 whose x has other neighbors
+    ],
+    ids=["path5-h2", "cycle12-h2", "triangle-c5"],
+)
+def test_replay_rejects_a_trace_of_another_graph(g, source):
+    _, trace = reduce_fully(source)
+    with pytest.raises(ValueError, match=r"event 0 \(R[12]\) does not match the graph"):
+        replay(g, trace)
+
+
+def test_suite_audit_sees_every_undo(audit_every_undo):
+    g = subdivided_core(*SUBDIVIDED[0])
+    reduced, trace = reduce_fully(g)
+    tree = SpanningTree(reduced.n, frozenset(random_spanning_tree(reduced, 0)))
+    lift_tree_logged(trace, tree)
+    assert audit_every_undo.undos == len(trace) > 0
+
+
+def test_suite_audit_refuses_an_undo_that_adds_no_edge():
+    # an R1 whose removed vertex is also its neighbor a re-enters through a
+    # self-loop: one new set entry, not a new edge
+    bad = ReductionEvent("R1", 2, 2, 0, frozenset(), frozenset())
+    with pytest.raises(AssertionError, match="R1 undo changed the degree sum by 1"):
+        lift_tree_logged([bad], SpanningTree(2, frozenset({(0, 1)})))
+
+
 def subdivided(core, n, seed):
     """`core` with n - core.n new vertices spread over its edges, ids shuffled."""
     rng = random.Random(seed)
@@ -234,7 +280,7 @@ def renamed(ev: ReductionEvent, ids: list[int]) -> ReductionEvent:
     b = ids[ev.b] if ev.b >= 0 else -1
     kept, dropped = rename(ev.nbrs_kept), rename(ev.nbrs_dropped)
     x, a = ids[ev.x], ids[ev.a]
-    return replace(ev, x=x, a=a, b=b, nbrs_kept=kept, nbrs_dropped=dropped)
+    return ev._replace(x=x, a=a, b=b, nbrs_kept=kept, nbrs_dropped=dropped)
 
 
 def assert_scan_order(g):
@@ -260,3 +306,54 @@ def test_reducer_keeps_the_scan_order(graph_pool):
     ]
     for g in graphs:
         assert_scan_order(g)
+
+
+def event_fields(trace) -> list[tuple]:
+    return [tuple(getattr(ev, f) for f in ReductionEvent._fields) for ev in trace]
+
+
+def test_reduction_matches_the_reference(graph_pool):
+    graphs = [
+        *graph_pool,
+        *(subdivided_core(k, n) for k, n in SUBDIVIDED),
+        *(cycle(n) for n in [*range(5, 41), 2000]),
+        *(h_graph(k) for k in range(2, 7)),
+        *(square_of_cycle(n) for n in range(6, 21)),
+    ]
+    for g in graphs:
+        reduced, trace = reduce_fully(g)
+        ref_reduced, ref_trace = ref.reduce_fully(g)
+        assert event_fields(trace) == event_fields(ref_trace)
+        assert reduced == ref_reduced
+        assert replay(g, trace) == ref.replay(g, ref_trace)
+        for seed in range(2):
+            edges = random_spanning_tree(reduced, seed)
+            tree = SpanningTree(reduced.n, frozenset(edges))
+            assert lift_tree_logged(trace, tree) == ref.lift_tree_logged(ref_trace, tree)
+
+
+def test_reduction_output_pinned_at_workload_scale():
+    digest = hashlib.sha256()
+    for g in [*(subdivided_core(k, n) for k, n in SUBDIVIDED), cycle(2000)]:
+        reduced, trace = reduce_fully(g)
+        # a tree drawn from the sorted edge list, so that it does not depend
+        # on the order in which the reduced graph's sets iterate
+        canonical = Graph(reduced.n, sorted(reduced.edges()))
+        tree = SpanningTree(reduced.n, frozenset(random_spanning_tree(canonical, g.n)))
+        lifted, log = lift_tree_logged(trace, tree)
+        lines = [
+            *(
+                f"{ev.kind} {ev.x} {ev.a} {ev.b} "
+                f"{sorted(ev.nbrs_kept)} {sorted(ev.nbrs_dropped)}"
+                for ev in trace
+            ),
+            " ".join(f"{u}-{v}" for u, v in sorted(lifted.edges)),
+            *(f"{label} {gain}" for label, gain in log),
+            "--",
+        ]
+        for line in lines:
+            digest.update(line.encode() + b"\n")
+    # taken before events became tuples; the output must not have moved
+    assert digest.hexdigest() == (
+        "4ba83ac38ffe5940b382bbea0bdc7de7e43ae4952a6b93b68f788054edbb5941"
+    )
