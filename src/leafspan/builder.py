@@ -25,8 +25,9 @@ Step catalog, tried strictly in order each round (first match wins):
 
 A partial tree keeps one membership set, its tree vertices.  The outside
 is implicit: the outside neighbours of v are `adj[v] - vertices`, an
-O(deg v) difference.  `PartialTree.attach` keeps the counts the catalog
-reads up to date in O(degree of the attached vertex): tree degrees,
+O(deg v) difference.  `base_tree` sets the counts the catalog reads in
+one pass over the base's vertices, and `PartialTree.attach` keeps them up
+to date in O(degree of the attached vertex): tree degrees,
 outside-neighbour counts, the leaf count, the cost of the tree in
 fifteenths, the fringe and the A1 / A2 candidate sets; after a step only
 the vertices it touched are tested for death.  A step therefore costs
@@ -39,13 +40,15 @@ every engine run, where the run also checks that every leaf is dead and
 that its running sum telescopes to 15 leaves minus cost(g).  A Z4 split
 is planned by `split_z4` and committed by `apply_step` like any other
 step, so every run ends through these checks.  The test suite runs the
-recount, with a rescan of the fringe and the dead marks, after every step.
+recount, with a rescan of the fringe and the dead marks, on every base and
+after every step.
 
 Every committed step is logged in the ledger; extra dead leaves beyond a
-case's nominal count become explicit Z0 records.  A run keeps each step
-as the plain deltas `apply_step` returns and its tree as parent links
-only, so every check runs on every base; the `StepRecord`s
-(`step_records`) and a `SpanningTree` of the links, whose leaf count is
+case's nominal count become explicit Z0 records.  A run keeps its base
+and each step as plain deltas (`StepDeltas`, for a step as `apply_step`
+returns it) and its tree as parent links only, so every check runs on
+every base; the `StepRecord`s (the base's, with its vertices sorted, and
+`step_records`) and a `SpanningTree` of the links, whose leaf count is
 checked once more, are made only for the run `build` keeps.  The final
 bound leaves >= cost + 2 (cost + 8/5 for the exceptions) is re-checked
 on every build; if no base meets it, the driver falls back to exact
@@ -98,9 +101,11 @@ class PartialTree:
     parent.  The outside is every vertex not in `vertices`; no set of it is
     kept.
 
-    `attach` keeps these counts up to date in O(degree of the attached
-    vertex): `deg[v]`, the tree degree of tree vertex v; `out[v]`, the
-    number of outside neighbours of any vertex v; `leaves`, the tree
+    `PartialTree(g, root)` is the root alone; `base_tree` sets a star or
+    double star, counts included, in one pass over its vertices.  From
+    there `attach` keeps these counts up to date in O(degree of the
+    attached vertex): `deg[v]`, the tree degree of tree vertex v; `out[v]`,
+    the number of outside neighbours of any vertex v; `leaves`, the tree
     vertices of tree degree 1 (the root too, once it has one child);
     `cost`, the cost of the tree vertices in fifteenths; `border`, the
     fringe; and the two sets A1 and A2 choose from, `inner_open` (tree
@@ -205,6 +210,8 @@ class StepDeltas(NamedTuple):
     The fields of the step's catalog record (db is the case's nominal
     dead-leaf count), plus `extra_dead`, the dead leaves beyond it; each of
     those becomes a Z0 record.  `step_records` turns this into records.
+    An engine run keeps its base the same way: its leaves and dead leaves
+    as du and db, its vertices, unsorted, as `added`, and no extra deaths.
     """
 
     label: str
@@ -236,18 +243,50 @@ def step_records(d: StepDeltas) -> list[StepRecord]:
 
 
 def base_tree(g: Graph, a: int, b: int = -1) -> PartialTree:
-    """The star at a, or for b >= 0 the double star on the edge ab."""
-    if b >= 0 and g.adj[a] & g.adj[b]:
-        raise ValueError("double star needs disjoint neighborhoods")
-    f = PartialTree(g, a)
-    if b >= 0:
-        f.attach(a, b)
-    for v in sorted(g.adj[a] - {b}):
-        f.attach(a, v)
-    if b >= 0:
-        for v in sorted(g.adj[b] - {a}):
-            f.attach(b, v)
-    f.sweep_dead()
+    """The star at a, or for b >= 0 the double star on the edge ab.
+
+    The state is set in one pass over the base's vertices, equal field for
+    field to what attaching b, then a's other neighbours, then b's other
+    neighbours (each ascending) and a sweep would leave.  The hubs a and b
+    have their whole neighbourhoods in the tree and every other base vertex
+    has tree degree 1, so `inner_open` stays empty.
+    """
+    adj = g.adj
+    if b < 0:
+        hubs: tuple[int, ...] = (a,)
+        links = dict.fromkeys(sorted(adj[a]), a)
+    else:
+        if not adj[a].isdisjoint(adj[b]):
+            raise ValueError("double star needs disjoint neighborhoods")
+        if b not in adj[a]:
+            raise ValueError(f"({a},{b}) is not a graph edge")
+        hubs = (a, b)
+        links = {b: a}
+        links.update(dict.fromkeys(sorted(adj[a] - {b}), a))
+        links.update(dict.fromkeys(sorted(adj[b] - {a}), b))
+    f = PartialTree(g, a)  # the root alone, its neighbours' `out` lowered
+    f.parent.update(links)
+    tree = f.vertices
+    tree.update(links)
+    deg, out, costs, border = f.deg, f.out, f._costs15, f.border
+    cost = f.cost
+    for v in links:
+        deg[v] = 1
+        cost += costs[v]
+        nbrs = adj[v]
+        border |= nbrs
+        for w in nbrs:
+            out[w] -= 1
+    border -= tree
+    # every base vertex but the hubs is a leaf, and so is a hub of degree 1
+    leaves = len(links) - len(hubs) + 1
+    for h in hubs:
+        d = deg[h] = len(adj[h])
+        leaves += d == 1
+    f.leaves = leaves
+    f.cost = cost
+    f.rich = {v for v in links if out[v] >= 2}
+    f.dead = {v for v in tree if deg[v] == 1 and not out[v]}
     return f
 
 
@@ -268,38 +307,39 @@ def choose_bases(g: Graph) -> list[tuple[str, int, int]]:
     """
     adj = g.adj
     deg = degrees(g)
-    t_set = [v for v in range(g.n) if deg[v] >= 4]
-    s_set = [v for v in range(g.n) if deg[v] == 3]
+    t_set = [v for v, d in enumerate(deg) if d >= 4]
+    s_set = [v for v, d in enumerate(deg) if d == 3]
+    low = {v for v, d in enumerate(deg) if d <= 2}
 
     b1 = [
         ("B1", a, a2)
         for a in t_set
         for a2 in sorted(adj[a])
-        if a2 > a and deg[a2] >= 4 and not (adj[a] & adj[a2])
+        if a2 > a and deg[a2] >= 4 and adj[a].isdisjoint(adj[a2])
     ]
     if b1:
         return b1
 
-    b2 = [("B2", a, -1) for a in t_set if any(deg[v] <= 2 for v in adj[a])]
+    b2 = [("B2", a, -1) for a in t_set if not low.isdisjoint(adj[a])]
     if b2:
         return b2
 
-    b3 = [("B3", a, -1) for a in range(g.n) if deg[a] >= 5]
+    b3 = [("B3", a, -1) for a in t_set if deg[a] >= 5]
     if b3:
         return b3
 
-    b4 = [("B4", x, -1) for x in s_set if any(deg[v] <= 2 for v in adj[x])]
+    b4 = [("B4", x, -1) for x in s_set if not low.isdisjoint(adj[x])]
     if b4:
         return b4
 
-    if any(d <= 2 for d in deg):
+    if low:
         raise EngineDefect("low-degree vertex survived the base case sieve")
 
     b5 = [
         ("B5", a, b)
         for a in t_set
         for b in sorted(adj[a])
-        if deg[b] == 3 and not (adj[a] & adj[b])
+        if deg[b] == 3 and adj[a].isdisjoint(adj[b])
     ]
     if b5:
         return b5
@@ -693,7 +733,7 @@ class _EngineResult:
     """
 
     parent: dict[int, int] | list[int]
-    base: StepRecord
+    base: StepDeltas
     steps: list[StepDeltas]
     depth: int  # recursion depth of the closing Z4 split, 0 without one
     leaves: int
@@ -708,23 +748,21 @@ class _EngineResult:
 
     def ledger(self) -> Ledger:
         """The run's ledger; `build` makes it only for the result it keeps."""
-        return Ledger(self.base, [rec for d in self.steps for rec in step_records(d)])
-
-
-def _base_record(g: Graph, f: PartialTree, label: str) -> StepRecord:
-    vs = sorted(f.vertices)
-    ds, dt = degree_counts(g, vs)
-    return StepRecord.make(label, f.leaves, len(f.dead), dt, ds, vs)
+        label, du, db, dt, ds, added, _ = self.base
+        base = StepRecord.make(label, du, db, dt, ds, sorted(added))
+        return Ledger(base, [rec for d in self.steps for rec in step_records(d)])
 
 
 def _run_from_base(g: Graph, f: PartialTree, case: str) -> _EngineResult:
     """Grow the base tree `f` in place until it spans g, checking the
     potential on the way and at the end (see the module doc)."""
-    base_rec = _base_record(g, f, f"{case}-base")
-    if base_rec.profit15 != alpha_prime(g, f).num:
-        raise EngineDefect("base record does not match the base potential")
+    vs = tuple(f.vertices)
+    ds, dt = degree_counts(g, vs)
+    base = _new(StepDeltas, (f"{case}-base", f.leaves, len(f.dead), dt, ds, vs, 0))
+    running15 = profit15_of(f.leaves, len(f.dead), dt, ds)
+    if running15 != alpha_prime(g, f).num:
+        raise EngineDefect("base profit does not match the base potential")
     steps: list[StepDeltas] = []
-    running15 = base_rec.profit15
     depth = 0
     dead = f.dead
     for _ in range(2 * g.n + 8):
@@ -750,7 +788,7 @@ def _run_from_base(g: Graph, f: PartialTree, case: str) -> _EngineResult:
         raise EngineDefect("a leaf of the spanning tree is not dead")
     if 15 * leaves - cost15(g) != running15:
         raise EngineDefect("final potential does not telescope")
-    return _EngineResult(f.parent, base_rec, steps, depth, leaves)
+    return _EngineResult(f.parent, base, steps, depth, leaves)
 
 
 def _exact_result(stage: Graph, case: str) -> _EngineResult:
@@ -758,8 +796,8 @@ def _exact_result(stage: Graph, case: str) -> _EngineResult:
     parent = max_leaf_tree(stage)
     u = SpanningTree.from_parents(parent).leaf_count()
     ds, dt = degree_counts(stage)
-    rec = StepRecord.make(f"{case}-base", u, u, dt, ds, tuple(range(stage.n)))
-    return _EngineResult(parent, rec, [], 0, u)
+    base = _new(StepDeltas, (f"{case}-base", u, u, dt, ds, range(stage.n), 0))
+    return _EngineResult(parent, base, [], 0, u)
 
 
 def build(g: Graph) -> BuildReport:
@@ -783,7 +821,7 @@ def build(g: Graph) -> BuildReport:
         lift_trace = trace[:-1]
         case = "exclusion-direct"
         result = _exact_result(replay(g, lift_trace), case)
-    elif all(reduced.degree(v) <= 2 for v in range(reduced.n)):
+    elif max(degrees(reduced), default=0) <= 2:
         # no branch vertex left: a path reduced to K2, a cycle to a triangle
         if reduced.n not in (2, 3):
             raise EngineDefect("degenerate reduced graph of unexpected size")

@@ -8,6 +8,7 @@ subset, and it returns the sorted old ids beside the new graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import countOf
 
 
 # Per-vertex cost in fifteenths: 2/5 for T, 1/5 for S, 0 otherwise.
@@ -49,7 +50,7 @@ class Graph:
             sets[u].add(v)
             sets[v].add(u)
         self.n = n
-        self.adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in sets)
+        self.adj: tuple[frozenset[int], ...] = tuple(map(frozenset, sets))
         self._cost15: int | None = None  # cost15(self), summed on first use
         self._degrees: list[int] | None = None  # degrees(self), listed on first use
         self._costs15: list[int] | None = None  # vertex_costs15(self), likewise
@@ -108,7 +109,26 @@ class Graph:
         return parts
 
     def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.components()) == 1
+        """Whether every vertex is reachable from vertex 0 (true for n <= 1).
+
+        One search from vertex 0 that counts the vertices it reaches; no
+        component is listed or sorted.
+        """
+        n = self.n
+        if n <= 1:
+            return True
+        adj = self.adj
+        seen = [False] * n
+        seen[0] = True
+        stack = [0]
+        reached = 1
+        while stack:
+            for w in adj[stack.pop()]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+                    reached += 1
+        return reached == n
 
     def induced(self, vertices) -> tuple["Graph", list[int]]:
         """Induced subgraph on `vertices`; new vertex i is old vertex order[i]."""
@@ -159,22 +179,17 @@ def _in_range(g: Graph, vertices) -> list[int] | range:
 
 def degree_counts(g: Graph, vertices=None) -> tuple[int, int]:
     """(s, t): how many of `vertices` (default: all of g) have degree 3 / >= 4."""
-    adj = g.adj
-    s = t = 0
-    for v in _in_range(g, vertices):
-        d = len(adj[v])
-        if d >= 4:
-            t += 1
-        elif d == 3:
-            s += 1
-    return s, t
+    costs = vertex_costs15(g)
+    if vertices is not None:
+        costs = list(map(costs.__getitem__, _in_range(g, vertices)))
+    return countOf(costs, S_COST15), countOf(costs, T_COST15)
 
 
 def cost15(g: Graph, vertices=None) -> int:
     """Cost of a vertex set (default: all of g, summed once per graph) in fifteenths."""
     if vertices is None:
         if g._cost15 is None:
-            g._cost15 = sum(degree_cost15(len(nbrs)) for nbrs in g.adj)
+            g._cost15 = sum(map(degree_cost15, map(len, g.adj)))
         return g._cost15
     adj = g.adj
     return sum(degree_cost15(len(adj[v])) for v in _in_range(g, vertices))

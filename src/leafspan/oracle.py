@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .graph import Graph
+from .graph import Graph, degrees
 
 ORACLE_MAX_N = 16
 
@@ -36,15 +36,19 @@ class ExclusionKind(Enum):
     G8 = "G8"
 
 
+_BITS = [1 << v for v in range(ORACLE_MAX_N)]  # _BITS[v] is vertex v's bit
+
+
 def adjacency_masks(g: Graph) -> list[int]:
-    return [sum(1 << w for w in g.adj[v]) for v in range(g.n)]
+    """Each vertex's neighbourhood as a bitmask, bit w set for neighbour w."""
+    bits = _BITS if g.n <= ORACLE_MAX_N else [1 << v for v in range(g.n)]
+    bit = bits.__getitem__
+    return [sum(map(bit, nbrs)) for nbrs in g.adj]
 
 
-def _greedy_cds(closed: list[int], full: int) -> int:
-    """A CDS grown from a vertex of maximum degree, each step adding the
-    frontier vertex that dominates the most new vertices (lowest id on
-    ties), as a bitmask."""
-    root = max(range(len(closed)), key=lambda v: closed[v].bit_count())
+def _greedy_cds(closed: list[int], full: int, root: int) -> int:
+    """A CDS grown from `root`, each step adding the frontier vertex that
+    dominates the most new vertices (lowest id on ties), as a bitmask."""
     inside = 1 << root
     dom = closed[root]
     while dom != full:
@@ -79,12 +83,14 @@ def _search_min_cds(g: Graph) -> list[int]:
     adj = adjacency_masks(g)
     closed = [adj[v] | (1 << v) for v in range(n)]
     full = (1 << n) - 1
-    best_set = _greedy_cds(closed, full)
+    deg = degrees(g)
+    # the greedy start grows from the first vertex of maximum degree
+    best_set = _greedy_cds(closed, full, deg.index(max(deg)))
     best = best_set.bit_count()
     need = [0] + [n + 1] * n
     reach = 0
-    gains = sorted((len(a) - 1 for a in g.adj), reverse=True)
-    for count, gain in enumerate(gains, 1):
+    for count, d in enumerate(sorted(deg, reverse=True), 1):
+        gain = d - 1
         for k in range(reach + 1, min(reach + gain, n) + 1):
             need[k] = count
         reach += gain
@@ -112,8 +118,7 @@ def _search_min_cds(g: Graph) -> list[int]:
             grow(inside | low, dom | closed[low.bit_length() - 1], out, size + 1)
             out |= low
 
-    v = min(range(n), key=lambda x: closed[x].bit_count())
-    roots = closed[v]
+    roots = closed[deg.index(min(deg))]
     out = 0
     while roots and best > 1:
         low = roots & (-roots)

@@ -67,6 +67,29 @@ def audit_every_step(monkeypatch):
 
 
 @pytest.fixture(autouse=True)
+def audit_every_base(monkeypatch):
+    """Recount every base tree from scratch as soon as it is built.
+
+    A run whose base already spans its graph takes no step, so
+    `audit_every_step` never sees its tree; the driver looks `base_tree` up
+    at call time, so this wrapper sees every base the tests make it build.
+    The fixture's value counts the bases audited so far in the test
+    (`.bases`).
+    """
+    make = builder.base_tree
+    audit = SimpleNamespace(bases=0)
+
+    def audited(g, a, b=-1):
+        f = make(g, a, b)
+        audit_counts(g, f)
+        audit.bases += 1
+        return f
+
+    monkeypatch.setattr(builder, "base_tree", audited)
+    return audit
+
+
+@pytest.fixture(autouse=True)
 def audit_every_event(monkeypatch):
     """Check that every reduction event of every build and replay keeps the cost.
 

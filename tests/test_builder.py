@@ -30,7 +30,9 @@ from leafspan import (
 from leafspan.builder import PartialTree, StalePlanError, _run_from_base, base_tree
 from leafspan.trees import SpanningTree, check_spanning_tree
 
-from conftest import make_state, tree_degrees
+from base_reference import attach_base_tree
+from conftest import audit_counts, make_state, tree_degrees
+from test_reduction import SUBDIVIDED, subdivided_core
 
 
 def test_levels_on_c6sq():
@@ -101,6 +103,77 @@ def test_choose_bases_cubic_is_b6():
     assert len(bases) == 10
 
 
+def assert_same_base(g, a, b=-1):
+    f, ref = base_tree(g, a, b), attach_base_tree(g, a, b)
+    assert vars(f) == vars(ref)
+    assert list(f.parent.items()) == list(ref.parent.items())
+
+
+def test_one_pass_base_matches_the_attach_reference(graph_pool):
+    # every base that choose_bases names on the reduced graphs of the corpus
+    corpus = [
+        *graph_pool,
+        *(h_graph(k) for k in range(2, 7)),
+        *(square_of_cycle(n) for n in range(6, 21)),
+        *(subdivided_core(k, n) for k, n in SUBDIVIDED),
+        *(random_connected(n, 3, 4, seed=n) for n in range(64, 105, 8)),
+    ]
+    labels = set()
+    for g in corpus:
+        reduced, _ = reduce_fully(g)
+        if max(map(len, reduced.adj)) <= 2:
+            continue  # a reduced path or cycle goes to exact search
+        for label, a, b in choose_bases(reduced):
+            labels.add(label)
+            assert_same_base(reduced, a, b)
+    assert {"B1", "B2", "B4", "B5", "B7"} <= labels
+
+
+def test_one_pass_base_matches_the_attach_reference_at_every_vertex(graph_pool):
+    # unreduced graphs too: roots of degree 1 and 2, and hubs that die at once
+    for g in graph_pool[:60]:
+        for a in range(g.n):
+            assert_same_base(g, a)
+            for b in g.adj[a]:
+                if not g.adj[a] & g.adj[b]:
+                    assert_same_base(g, a, b)
+
+
+def test_base_tree_rejects_overlapping_neighbourhoods():
+    triangle = Graph(3, [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(ValueError, match="disjoint neighborhoods"):
+        base_tree(triangle, 0, 1)
+
+
+def test_base_tree_rejects_a_b_not_adjacent_to_a():
+    path = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(ValueError, match=r"\(0,3\) is not a graph edge"):
+        base_tree(path, 0, 3)
+
+
+def test_suite_audit_sees_every_base(audit_every_base):
+    r = build(h_graph(20))
+    assert audit_every_base.bases == r.engine_runs > 1
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        pytest.param(lambda f: f.out.__setitem__(5, f.out[5] + 1), id="out"),
+        pytest.param(lambda f: f.rich.add(2), id="rich"),
+    ],
+)
+def test_suite_audit_refuses_a_base_with_a_wrong_count(corrupt):
+    # in the star at 0 of H_2, leaf 2 has one outside neighbour and 5 is outside
+    g = h_graph(2)
+    f = base_tree(g, 0)
+    assert f.out[2] == 1 and 5 not in f.vertices
+    audit_counts(g, f)
+    corrupt(f)
+    with pytest.raises(AssertionError):
+        audit_counts(g, f)
+
+
 def test_one_base_tree_alive_when_each_run_starts(monkeypatch):
     # bases are named, not built: the driver builds each base tree just
     # before its run, so no other base of the same graph is alive then
@@ -127,15 +200,23 @@ def test_one_base_tree_alive_when_each_run_starts(monkeypatch):
 )
 def test_one_spanning_tree_and_two_recounts_per_build(monkeypatch, make):
     # every run recounts its potential at its base and at its end, but only
-    # the run the driver keeps is made into a SpanningTree
+    # the run the driver keeps is made into a SpanningTree and given a base
+    # record
     g = make()
     reduced, _ = reduce_fully(g)
-    made, recounts = [], []
+    made, recounts, base_records = [], [], []
 
     class CountedTree(SpanningTree):
         def __init__(self, n, edges):
             made.append(n)
             super().__init__(n, edges)
+
+    class CountedRecord(StepRecord):
+        @classmethod
+        def make(cls, label, *rest):
+            if label.endswith("-base"):
+                base_records.append(label)
+            return StepRecord.make(label, *rest)
 
     real = builder_mod.alpha_prime
 
@@ -144,11 +225,13 @@ def test_one_spanning_tree_and_two_recounts_per_build(monkeypatch, make):
         return real(g, f)
 
     monkeypatch.setattr(builder_mod, "SpanningTree", CountedTree)
+    monkeypatch.setattr(builder_mod, "StepRecord", CountedRecord)
     monkeypatch.setattr(builder_mod, "alpha_prime", recount)
     r = build(g)
     assert r.engine_runs == len(choose_bases(reduced)) > 1
     assert "Z4" not in [rec.label for rec in r.ledger.steps]
     assert made == [reduced.n]
+    assert base_records == [r.ledger.base.label]
     assert len(recounts) == 2 * r.engine_runs
 
 

@@ -12,8 +12,10 @@ from leafspan import (
     classify_exclusion,
     cost15,
     degree_counts,
+    exact_u,
     g8,
     h_graph,
+    reduce_fully,
     square_of_cycle,
 )
 from leafspan import graph as graph_mod
@@ -109,6 +111,45 @@ def test_components_h2_minus_bridges():
     for p in parts:
         sub, _ = split.induced(p)
         assert sub.is_connected()
+
+
+TWO_TRIANGLES = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+ISOLATED_VERTEX = Graph(4, [(0, 1), (1, 2), (0, 2)])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        pytest.param(TWO_TRIANGLES, id="two-triangles"),
+        pytest.param(ISOLATED_VERTEX, id="isolated-vertex"),
+        pytest.param(Graph(4, [(1, 2), (2, 3), (1, 3)]), id="isolated-vertex-0"),
+        pytest.param(Graph(0), id="n=0"),
+        pytest.param(Graph(1), id="n=1"),
+        pytest.param(Graph(2), id="n=2-apart"),
+        pytest.param(Graph(2, [(0, 1)]), id="n=2-edge"),
+    ],
+)
+def test_is_connected_agrees_with_components(g):
+    # no vertex at all counts as connected, as one vertex does
+    assert g.is_connected() == (len(g.components()) <= 1)
+
+
+def test_is_connected_agrees_with_components_on_the_pool(graph_pool):
+    # dropping one edge keeps a graph connected unless the edge is a bridge
+    seen = set()
+    for g in graph_pool:
+        assert g.is_connected() and len(g.components()) == 1
+        cut = Graph(g.n, g.edges()[1:])
+        seen.add(cut.is_connected())
+        assert cut.is_connected() == (len(cut.components()) == 1)
+    assert seen == {False, True}
+
+
+@pytest.mark.parametrize("check", [reduce_fully, exact_u], ids=["reduce_fully", "exact_u"])
+def test_disconnected_graph_is_refused(check):
+    for g in (TWO_TRIANGLES, ISOLATED_VERTEX):
+        with pytest.raises(ValueError, match="graph must be connected"):
+            check(g)
 
 
 def test_c8sq_not_isomorphic_to_g8():
