@@ -29,8 +29,8 @@ O(deg v) difference.  `base_tree` sets the counts the catalog reads in
 one pass over the base's vertices, and `PartialTree.attach` keeps them up
 to date in O(degree of the attached vertex): tree degrees,
 outside-neighbour counts, the leaf count, the cost of the tree in
-fifteenths, the fringe and the A1 / A2 candidate sets; after a step only
-the vertices it touched are tested for death.  A step therefore costs
+fifteenths, the fringe, the A1 / A2 candidate sets and the dead marks,
+every count exact after each attach.  A step therefore costs
 time in its own neighbourhood, not in the size of the tree.  The
 potential is checked against the running sum of the ledger after every
 step from these counts.  The from-scratch recount (`ledger.alpha_prime`,
@@ -110,14 +110,18 @@ class PartialTree:
     `cost`, the cost of the tree vertices in fifteenths; `border`, the
     fringe; and the two sets A1 and A2 choose from, `inner_open` (tree
     vertices of tree degree >= 2 with an outside neighbour) and `rich`
-    (tree vertices with >= 2 outside neighbours).  Dead marks change only
-    in `sweep_dead`, which tests the vertices attached since the last
-    sweep and the tree vertices that lost their last outside neighbour
-    since then: tree degrees only grow, so no other vertex can have become
-    a dead leaf.
+    (tree vertices with >= 2 outside neighbours), and `dead`, the leaves
+    with no outside neighbour.  Every count is exact after each attach.  A
+    dead mark is final: tree degrees only grow, `out` only falls, and a
+    vertex with no outside neighbour can take no child.  So `attach` marks
+    a leaf dead once, when it appears: the child, if it has no outside
+    neighbour, or a tree neighbour of degree 1 whose last outside
+    neighbour the child was.
     """
 
     def __init__(self, g: Graph, root: int) -> None:
+        if not 0 <= root < g.n:
+            raise ValueError(f"root {root} is not a vertex")
         self.g = g
         self.root = root
         self.vertices: set[int] = {root}
@@ -133,7 +137,6 @@ class PartialTree:
         self.border: set[int] = set(g.adj[root])
         self.inner_open: set[int] = set()
         self.rich: set[int] = {root} if self.out[root] >= 2 else set()
-        self._touched: set[int] = set()
 
     def attach(self, parent: int, child: int) -> None:
         tree = self.vertices
@@ -146,8 +149,6 @@ class PartialTree:
         nbrs = self.g.adj[child]
         if parent not in nbrs:
             raise ValueError(f"({parent},{child}) is not a graph edge")
-        if parent in self.dead:
-            raise ValueError(f"parent {parent} is a dead leaf")
         tree.add(child)
         self.parent[child] = parent
         deg, out = self.deg, self.out
@@ -157,39 +158,29 @@ class PartialTree:
         # child) or stops being one (its second)
         self.leaves += 2 if d == 1 else 0 if d == 2 else 1
         self.cost += self._costs15[child]
-        border, touched = self.border, self._touched
-        inner_open, rich = self.inner_open, self.rich
+        border, inner_open = self.border, self.inner_open
+        rich, dead = self.rich, self.dead
         border.discard(child)
-        touched.add(child)
-        if out[child] >= 2:
+        o = out[child]
+        if o >= 2:
             rich.add(child)
+        elif o == 0:
+            dead.add(child)
         # every neighbour loses one outside neighbour; of the tree vertices
-        # only the parent changes its degree
+        # only the parent changes its degree, and it has been raised above
         for w in nbrs:
             o = out[w] = out[w] - 1
             if w not in tree:
                 border.add(w)
                 continue
             if o == 0:
-                touched.add(w)
                 inner_open.discard(w)
+                if deg[w] == 1:
+                    dead.add(w)
             elif deg[w] >= 2:
                 inner_open.add(w)
             if o == 1:
                 rich.discard(w)
-
-    def sweep_dead(self) -> None:
-        """Mark every alive leaf whose whole neighborhood is in the tree.
-
-        Only vertices attached since the last sweep and tree vertices whose
-        last outside neighbour was attached since then can have become such
-        leaves, so only they are tested.
-        """
-        deg, out, dead = self.deg, self.out, self.dead
-        for v in self._touched:
-            if deg[v] == 1 and not out[v]:
-                dead.add(v)
-        self._touched.clear()
 
     def spans(self) -> bool:
         return len(self.vertices) == self.g.n
@@ -247,24 +238,24 @@ def base_tree(g: Graph, a: int, b: int = -1) -> PartialTree:
 
     The state is set in one pass over the base's vertices, equal field for
     field to what attaching b, then a's other neighbours, then b's other
-    neighbours (each ascending) and a sweep would leave.  The hubs a and b
-    have their whole neighbourhoods in the tree and every other base vertex
-    has tree degree 1, so `inner_open` stays empty.
+    neighbours (each ascending) would leave.  The hubs a and b have their
+    whole neighbourhoods in the tree and every other base vertex has tree
+    degree 1, so `inner_open` stays empty.
     """
+    f = PartialTree(g, a)  # the root alone, its neighbours' `out` lowered
     adj = g.adj
     if b < 0:
         hubs: tuple[int, ...] = (a,)
         links = dict.fromkeys(sorted(adj[a]), a)
     else:
-        if not adj[a].isdisjoint(adj[b]):
-            raise ValueError("double star needs disjoint neighborhoods")
         if b not in adj[a]:
             raise ValueError(f"({a},{b}) is not a graph edge")
+        if not adj[a].isdisjoint(adj[b]):
+            raise ValueError("double star needs disjoint neighborhoods")
         hubs = (a, b)
         links = {b: a}
         links.update(dict.fromkeys(sorted(adj[a] - {b}), a))
         links.update(dict.fromkeys(sorted(adj[b] - {a}), b))
-    f = PartialTree(g, a)  # the root alone, its neighbours' `out` lowered
     f.parent.update(links)
     tree = f.vertices
     tree.update(links)
@@ -597,7 +588,6 @@ def apply_step(g: Graph, f: PartialTree, plan: StepPlan) -> StepDeltas:
             attach(parent, child)
         except ValueError as exc:
             raise StalePlanError(f"{label}: {exc}") from exc
-    f.sweep_dead()
     du = f.leaves - leaves_before
     db_total = len(f.dead) - dead_before
     if du != nominal_du:

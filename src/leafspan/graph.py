@@ -133,6 +133,9 @@ class Graph:
     def induced(self, vertices) -> tuple["Graph", list[int]]:
         """Induced subgraph on `vertices`; new vertex i is old vertex order[i]."""
         order = sorted(set(vertices))
+        if order:
+            self._check(order[0])
+            self._check(order[-1])
         remap = {old: new for new, old in enumerate(order)}
         edges = [
             (remap[u], remap[v])
@@ -185,11 +188,8 @@ def degree_counts(g: Graph, vertices=None) -> tuple[int, int]:
     return countOf(costs, S_COST15), countOf(costs, T_COST15)
 
 
-def cost15(g: Graph, vertices=None) -> int:
-    """Cost of a vertex set (default: all of g, summed once per graph) in fifteenths."""
-    if vertices is None:
-        if g._cost15 is None:
-            g._cost15 = sum(map(degree_cost15, map(len, g.adj)))
-        return g._cost15
-    adj = g.adj
-    return sum(degree_cost15(len(adj[v])) for v in _in_range(g, vertices))
+def cost15(g: Graph) -> int:
+    """Cost of all of g in fifteenths, summed once per graph."""
+    if g._cost15 is None:
+        g._cost15 = sum(map(degree_cost15, map(len, g.adj)))
+    return g._cost15

@@ -2,11 +2,12 @@
 
 A star or double star grown from its root by one validated
 `PartialTree.attach` per base vertex (b, then a's other neighbours, then
-b's other neighbours, each ascending) and one `sweep_dead`.
-`tests/test_builder.py` requires `leafspan.builder.base_tree` to give a
-tree equal to this one field for field.  Kept verbatim apart from this
-docstring, the name and the imports; not a test module, and the suite's
-audit fixtures do not wrap it.
+b's other neighbours, each ascending); `attach` keeps every count, dead
+marks included, exact after each attach.  `tests/test_builder.py`
+requires `leafspan.builder.base_tree` to give a tree equal to this one
+field for field.  Kept verbatim apart from this docstring, the name, the
+imports and the dead-mark sweep that `attach` has taken over; not a test
+module, and the suite's audit fixtures do not wrap it.
 """
 
 from __future__ import annotations
@@ -27,5 +28,4 @@ def attach_base_tree(g: Graph, a: int, b: int = -1) -> PartialTree:
     if b >= 0:
         for v in sorted(g.adj[b] - {a}):
             f.attach(b, v)
-    f.sweep_dead()
     return f

@@ -156,7 +156,6 @@ def make_state(n, edges, tree_edges, root=0) -> tuple[Graph, PartialTree]:
             progressed = True
         if not progressed:
             raise ValueError("tree edges do not connect to the root")
-    f.sweep_dead()
     return g, f
 
 
@@ -182,9 +181,13 @@ def random_graph_pool(count, sizes=(3, 12), seed=20240601, generate=random_conne
 
 
 def random_spanning_tree(g: Graph, seed: int):
-    """Independent spanning-tree sampler (randomized Kruskal)."""
+    """Independent spanning-tree sampler (randomized Kruskal).
+
+    The edges are sorted before the shuffle, so equal graphs give equal
+    trees for one seed, whatever order their neighbour sets iterate in.
+    """
     rng = random.Random(seed)
-    edges = list(g.edges())
+    edges = sorted(g.edges())
     rng.shuffle(edges)
     parent = list(range(g.n))
 

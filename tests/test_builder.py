@@ -56,7 +56,6 @@ def test_levels_on_h2_block():
     f = PartialTree(g, 0)  # block-0 clique vertex x
     for v in (1, 2, 3):
         f.attach(0, v)
-    f.sweep_dead()
     assert f.border == {4, 5}  # the block's two degree-3 ports
 
 
@@ -147,8 +146,9 @@ def test_base_tree_rejects_overlapping_neighbourhoods():
 
 def test_base_tree_rejects_a_b_not_adjacent_to_a():
     path = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    with pytest.raises(ValueError, match=r"\(0,3\) is not a graph edge"):
-        base_tree(path, 0, 3)
+    for b in (3, 4):  # 4 is past the last vertex
+        with pytest.raises(ValueError, match=rf"\(0,{b}\) is not a graph edge"):
+            base_tree(path, 0, b)
 
 
 def test_suite_audit_sees_every_base(audit_every_base):
@@ -588,6 +588,47 @@ def test_attach_and_apply_step_reject_a_child_out_of_range():
     with pytest.raises(StalePlanError):
         apply_step(g, f, StepPlan("A1", ((0, -1),), 2, 0))
     assert f.vertices == {0} and f.parent == {0: -1}
+
+
+def test_partial_tree_rejects_a_root_out_of_range():
+    # on the path 0-1-2-3, -1 would root the tree at a phantom vertex whose
+    # neighbourhood is vertex 3's
+    path = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    for root in (-1, 4):
+        for make in (PartialTree, base_tree):
+            with pytest.raises(ValueError, match=f"root {root} is not a vertex"):
+                make(path, root)
+
+
+def test_every_count_is_exact_after_every_attach(graph_pool, monkeypatch):
+    # `apply_step` binds `f.attach` at call time, so patching the class
+    # attribute audits every attach of every step, a Z4 split's included
+    attach = PartialTree.attach
+    attaches = 0
+
+    def audited(f, parent, child):
+        nonlocal attaches
+        attach(f, parent, child)
+        audit_counts(f.g, f)
+        attaches += 1
+
+    split = builder_mod.split_z4
+    splits = 0
+
+    def counted(g, f):
+        nonlocal splits
+        splits += 1
+        return split(g, f)
+
+    monkeypatch.setattr(PartialTree, "attach", audited)
+    monkeypatch.setattr(builder_mod, "split_z4", counted)
+    graphs = graph_pool[:40] + [h_graph(k) for k in (2, 3, 4)]
+    graphs += [square_of_cycle(n) for n in range(6, 15)]
+    # its first base reaches `split_z4`
+    graphs.append(random_connected(14, 2, 13, seed=232))
+    for g in graphs:
+        build(g)
+    assert attaches > 0 and splits > 0
 
 
 def test_dead_marks_match_adjacency_at_every_boundary():

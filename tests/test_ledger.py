@@ -68,7 +68,6 @@ def test_alpha_prime_matches_the_reference_on_small_trees():
     lone = PartialTree(k5, 2)
     one_child = PartialTree(k5, 2)
     one_child.attach(2, 4)
-    one_child.sweep_dead()
     star = base_tree(k5, 3)
     for f, leaves in ((lone, 0), (one_child, 2), (star, 4)):
         assert f.leaves == leaves
