@@ -25,13 +25,14 @@ Step catalog, tried strictly in order each round (first match wins):
 
 A partial tree keeps one membership set, its tree vertices.  The outside
 is implicit: the outside neighbours of v are `adj[v] - vertices`, an
-O(deg v) difference.  `base_tree` sets the counts the catalog reads in
-one pass over the base's vertices, and `PartialTree.attach` keeps them up
-to date in O(degree of the attached vertex): tree degrees,
-outside-neighbour counts, the leaf count, the cost of the tree in
-fifteenths, the fringe, the A1 / A2 candidate sets and the dead marks,
-every count exact after each attach.  A step therefore costs
-time in its own neighbourhood, not in the size of the tree.  The
+O(deg v) difference.  `PartialTree.attach` is the one writer of the
+counts the catalog reads, base trees included (`base_tree` attaches each
+base vertex in turn), and keeps them up to date in O(degree of the
+attached vertex): tree degrees, outside-neighbour counts, the leaf count,
+the cost of the tree in fifteenths, the fringe, the A1 / A2 candidate
+sets and the dead marks, every count exact after each attach.  A step
+therefore costs time in its own neighbourhood, not in the size of the
+tree.  The
 potential is checked against the running sum of the ledger after every
 step from these counts.  The from-scratch recount (`ledger.alpha_prime`,
 which counts leaves from the parent links and sums the graph's per-vertex
@@ -101,14 +102,14 @@ class PartialTree:
     parent.  The outside is every vertex not in `vertices`; no set of it is
     kept.
 
-    `PartialTree(g, root)` is the root alone; `base_tree` sets a star or
-    double star, counts included, in one pass over its vertices.  From
-    there `attach` keeps these counts up to date in O(degree of the
-    attached vertex): `deg[v]`, the tree degree of tree vertex v; `out[v]`,
-    the number of outside neighbours of any vertex v; `leaves`, the tree
-    vertices of tree degree 1 (the root too, once it has one child);
-    `cost`, the cost of the tree vertices in fifteenths; `border`, the
-    fringe; and the two sets A1 and A2 choose from, `inner_open` (tree
+    `PartialTree(g, root)` is the root alone; every other vertex enters
+    through `attach`, a base tree's too, which keeps these counts up to
+    date in O(degree of the attached vertex): `deg[v]`, the tree degree
+    of tree vertex v; `out[v]`, the number of outside neighbours of any
+    vertex v; `leaves`, the tree vertices of tree degree 1 (the root too,
+    once it has one child); `cost`, the cost of the tree vertices in
+    fifteenths; `border`, the fringe; and the two sets A1 and A2 choose
+    from, `inner_open` (tree
     vertices of tree degree >= 2 with an outside neighbour) and `rich`
     (tree vertices with >= 2 outside neighbours), and `dead`, the leaves
     with no outside neighbour.  Every count is exact after each attach.  A
@@ -234,50 +235,27 @@ def step_records(d: StepDeltas) -> list[StepRecord]:
 
 
 def base_tree(g: Graph, a: int, b: int = -1) -> PartialTree:
-    """The star at a, or for b >= 0 the double star on the edge ab.
+    """The star at a, or for b != -1 the double star on the edge ab.
 
-    The state is set in one pass over the base's vertices, equal field for
-    field to what attaching b, then a's other neighbours, then b's other
-    neighbours (each ascending) would leave.  The hubs a and b have their
-    whole neighbourhoods in the tree and every other base vertex has tree
-    degree 1, so `inner_open` stays empty.
+    Grown from the root a by `PartialTree.attach`: b first, then a's other
+    neighbours, then b's other neighbours, each ascending.  So `attach` is
+    the one writer of the counts here too.  Raises ValueError unless b is -1
+    or a neighbour of a, and for a double star whose hubs share a neighbour.
     """
-    f = PartialTree(g, a)  # the root alone, its neighbours' `out` lowered
+    f = PartialTree(g, a)
     adj = g.adj
-    if b < 0:
-        hubs: tuple[int, ...] = (a,)
-        links = dict.fromkeys(sorted(adj[a]), a)
-    else:
+    attach = f.attach
+    if b != -1:
         if b not in adj[a]:
             raise ValueError(f"({a},{b}) is not a graph edge")
         if not adj[a].isdisjoint(adj[b]):
             raise ValueError("double star needs disjoint neighborhoods")
-        hubs = (a, b)
-        links = {b: a}
-        links.update(dict.fromkeys(sorted(adj[a] - {b}), a))
-        links.update(dict.fromkeys(sorted(adj[b] - {a}), b))
-    f.parent.update(links)
-    tree = f.vertices
-    tree.update(links)
-    deg, out, costs, border = f.deg, f.out, f._costs15, f.border
-    cost = f.cost
-    for v in links:
-        deg[v] = 1
-        cost += costs[v]
-        nbrs = adj[v]
-        border |= nbrs
-        for w in nbrs:
-            out[w] -= 1
-    border -= tree
-    # every base vertex but the hubs is a leaf, and so is a hub of degree 1
-    leaves = len(links) - len(hubs) + 1
-    for h in hubs:
-        d = deg[h] = len(adj[h])
-        leaves += d == 1
-    f.leaves = leaves
-    f.cost = cost
-    f.rich = {v for v in links if out[v] >= 2}
-    f.dead = {v for v in tree if deg[v] == 1 and not out[v]}
+        attach(a, b)
+    for v in sorted(adj[a] - {b}):
+        attach(a, v)
+    if b != -1:
+        for v in sorted(adj[b] - {a}):
+            attach(b, v)
     return f
 
 

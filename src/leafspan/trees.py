@@ -34,11 +34,15 @@ class SpanningTree:
         return sum(1 for d in self.degrees() if d == 1)
 
     def parents(self) -> list[int]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
+        n = self.n
+        adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in self.edges:
+            if not (0 <= u < n and 0 <= v < n):
+                bad = v if 0 <= u < n else u
+                raise ValueError(f"tree vertex {bad} out of range for n={n}")
             adj[u].append(v)
             adj[v].append(u)
-        out = [-2] * self.n
+        out = [-2] * n
         out[0] = -1
         stack = [0]
         while stack:

@@ -30,8 +30,7 @@ from leafspan import (
 from leafspan.builder import PartialTree, StalePlanError, _run_from_base, base_tree
 from leafspan.trees import SpanningTree, check_spanning_tree
 
-from base_reference import attach_base_tree
-from conftest import audit_counts, make_state, tree_degrees
+from conftest import audit_counts, make_state
 from test_reduction import SUBDIVIDED, subdivided_core
 
 
@@ -102,13 +101,7 @@ def test_choose_bases_cubic_is_b6():
     assert len(bases) == 10
 
 
-def assert_same_base(g, a, b=-1):
-    f, ref = base_tree(g, a, b), attach_base_tree(g, a, b)
-    assert vars(f) == vars(ref)
-    assert list(f.parent.items()) == list(ref.parent.items())
-
-
-def test_one_pass_base_matches_the_attach_reference(graph_pool):
+def test_every_base_has_exact_counts(graph_pool):
     # every base that choose_bases names on the reduced graphs of the corpus
     corpus = [
         *graph_pool,
@@ -124,18 +117,41 @@ def test_one_pass_base_matches_the_attach_reference(graph_pool):
             continue  # a reduced path or cycle goes to exact search
         for label, a, b in choose_bases(reduced):
             labels.add(label)
-            assert_same_base(reduced, a, b)
+            audit_counts(reduced, base_tree(reduced, a, b))
     assert {"B1", "B2", "B4", "B5", "B7"} <= labels
 
 
-def test_one_pass_base_matches_the_attach_reference_at_every_vertex(graph_pool):
+def test_every_base_has_exact_counts_at_every_vertex(graph_pool):
     # unreduced graphs too: roots of degree 1 and 2, and hubs that die at once
     for g in graph_pool[:60]:
         for a in range(g.n):
-            assert_same_base(g, a)
+            audit_counts(g, base_tree(g, a))
             for b in g.adj[a]:
                 if not g.adj[a] & g.adj[b]:
-                    assert_same_base(g, a, b)
+                    audit_counts(g, base_tree(g, a, b))
+
+
+@pytest.mark.parametrize(
+    "g, a, b",
+    [
+        (square_of_cycle(6), 0, -1),
+        (Graph(8, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 6), (4, 7)]), 0, 1),
+        (Graph(4, [(0, 1), (1, 2), (1, 3)]), 0, -1),  # a hub of degree 1
+    ],
+    ids=["star", "double-star", "hub-of-degree-1"],
+)
+def test_base_tree_enters_every_vertex_through_attach(g, a, b, monkeypatch):
+    attach = PartialTree.attach
+    attaches = 0
+
+    def counted(f, parent, child):
+        nonlocal attaches
+        attaches += 1
+        attach(f, parent, child)
+
+    monkeypatch.setattr(PartialTree, "attach", counted)
+    f = base_tree(g, a, b)
+    assert attaches == len(f.vertices) - 1 > 0
 
 
 def test_base_tree_rejects_overlapping_neighbourhoods():
@@ -146,7 +162,8 @@ def test_base_tree_rejects_overlapping_neighbourhoods():
 
 def test_base_tree_rejects_a_b_not_adjacent_to_a():
     path = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    for b in (3, 4):  # 4 is past the last vertex
+    # 4 is past the last vertex; only the default -1 names a star
+    for b in (3, 4, -2):
         with pytest.raises(ValueError, match=rf"\(0,{b}\) is not a graph edge"):
             base_tree(path, 0, b)
 
@@ -601,8 +618,9 @@ def test_partial_tree_rejects_a_root_out_of_range():
 
 
 def test_every_count_is_exact_after_every_attach(graph_pool, monkeypatch):
-    # `apply_step` binds `f.attach` at call time, so patching the class
-    # attribute audits every attach of every step, a Z4 split's included
+    # `base_tree` and `apply_step` bind `f.attach` at call time, so patching
+    # the class attribute audits every attach of every base and every step,
+    # a Z4 split's included
     attach = PartialTree.attach
     attaches = 0
 
@@ -629,23 +647,6 @@ def test_every_count_is_exact_after_every_attach(graph_pool, monkeypatch):
     for g in graphs:
         build(g)
     assert attaches > 0 and splits > 0
-
-
-def test_dead_marks_match_adjacency_at_every_boundary():
-    gr, _ = reduce_fully(h_graph(2))
-    for _label, a, b in choose_bases(gr):
-        f = base_tree(gr, a, b)
-        while True:
-            tree_deg = tree_degrees(f)
-            for v in f.vertices:
-                if tree_deg[v] == 1:
-                    assert (v in f.dead) == (gr.adj[v] <= f.vertices)
-                else:
-                    assert v not in f.dead
-            plan = next_step(gr, f)
-            if plan is None or plan.label == "Z4":
-                break
-            apply_step(gr, f, plan)
 
 
 def test_split_z4_direct():

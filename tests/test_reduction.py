@@ -164,6 +164,15 @@ def test_lift_rejects_invalid_tree():
         lift_tree_logged(trace, SpanningTree(3, frozenset({(0, 1)})))
 
 
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_tree_edges_outside_the_vertex_range_are_refused(bad):
+    # -1 would be read as vertex 2, and 3 would run off the end
+    tree = SpanningTree(3, frozenset({(0, 1), (0, bad)}))
+    for check in (tree.parents, lambda: lift_tree_logged([], tree)):
+        with pytest.raises(ValueError, match=f"tree vertex {bad} out of range for n=3"):
+            check()
+
+
 def test_lift_rejects_a_trace_that_names_a_vertex_past_the_tree():
     # cycle(6) reduces to a triangle; a 2-vertex tree leaves room for 5 ids
     _, trace = reduce_fully(cycle(6))
