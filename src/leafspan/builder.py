@@ -8,7 +8,9 @@ prioritized step catalog below, keep the best result, and lift it back
 through the reduction trace.  A reduced path or cycle (K2 or a triangle)
 goes to exact search directly.  Base selection only names the bases; the
 driver builds each base tree just before growing it in place, so only one
-base is alive at a time.
+base is alive at a time.  An exact-search tree is attached parent first
+like a base and run as a base that already spans, so every tree a build
+returns has passed the checks of a run.
 
 Step catalog, tried strictly in order each round (first match wins):
 
@@ -28,21 +30,20 @@ is implicit: the outside neighbours of v are `adj[v] - vertices`, an
 O(deg v) difference.  `PartialTree.attach` is the one writer of the
 counts the catalog reads, base trees included (`base_tree` attaches each
 base vertex in turn), and keeps them up to date in O(degree of the
-attached vertex): tree degrees, outside-neighbour counts, the leaf count,
-the cost of the tree in fifteenths, the fringe, the A1 / A2 candidate
-sets and the dead marks, every count exact after each attach.  A step
-therefore costs time in its own neighbourhood, not in the size of the
-tree.  The
-potential is checked against the running sum of the ledger after every
-step from these counts.  The from-scratch recount (`ledger.alpha_prime`,
-which counts leaves from the parent links and sums the graph's per-vertex
-costs over the tree's vertices) runs on every base and at the end of
-every engine run, where the run also checks that every leaf is dead and
-that its running sum telescopes to 15 leaves minus cost(g).  A Z4 split
-is planned by `split_z4` and committed by `apply_step` like any other
-step, so every run ends through these checks.  The test suite runs the
-recount, with a rescan of the fringe and the dead marks, on every base and
-after every step.
+attached vertex): tree degrees, outside-neighbour counts, the leaf
+count, the cost of the tree in fifteenths, the fringe, the A1 / A2
+candidate sets and the dead marks, every count exact after each attach.
+A step therefore costs time in its own neighbourhood, not in the size of
+the tree.  The potential is checked against the running sum of the
+ledger after every step from these counts.  The from-scratch recount
+(`ledger.alpha_prime`, which counts leaves from the parent links and
+sums the graph's per-vertex costs over the tree's vertices) runs on
+every base and at the end of every run, where the run also checks that
+every leaf is dead and that its running sum telescopes to 15 leaves
+minus cost(g).  A Z4 split is planned by `split_z4` and committed by
+`apply_step` like any other step, so every run ends through these
+checks.  The test suite runs the recount, with a rescan of the fringe
+and the dead marks, on every base and after every step.
 
 Every committed step is logged in the ledger; extra dead leaves beyond a
 case's nominal count become explicit Z0 records.  A run keeps its base
@@ -202,8 +203,8 @@ class StepDeltas(NamedTuple):
     The fields of the step's catalog record (db is the case's nominal
     dead-leaf count), plus `extra_dead`, the dead leaves beyond it; each of
     those becomes a Z0 record.  `step_records` turns this into records.
-    An engine run keeps its base the same way: its leaves and dead leaves
-    as du and db, its vertices, unsorted, as `added`, and no extra deaths.
+    A run keeps its base the same way: its leaves and dead leaves as du
+    and db, its vertices, unsorted, as `added`, and no extra deaths.
     """
 
     label: str
@@ -616,8 +617,7 @@ def split_z4(g: Graph, f: PartialTree) -> tuple[StepPlan, int]:
     attachments: list[tuple[int, int]] = []
     child_depth = 0
     for comp in sub.components():
-        comp_old = [added[v] for v in comp]
-        h, _ = sub.induced(comp)
+        h, comp_old = g.induced(added[v] for v in comp)
         if h.n < 2:
             raise EngineDefect("singleton outside component at the split")
         if classify_exclusion(h) is not None:
@@ -630,18 +630,8 @@ def split_z4(g: Graph, f: PartialTree) -> tuple[StepPlan, int]:
             (w, a) for w in comp_old if w in border for a in g.adj[w] & tree
         )
         attachments.append((a, w))
-        nbrs: list[list[int]] = [[] for _ in comp]
-        for u, v in report.spanning_tree.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        order = [comp_old.index(w)]
-        seen = set(order)
-        for u in order:  # breadth first: `order` grows while it is read
-            for v in sorted(nbrs[u]):
-                if v not in seen:
-                    seen.add(v)
-                    order.append(v)
-                    attachments.append((comp_old[u], comp_old[v]))
+        links = _parent_first(report.spanning_tree, comp_old.index(w))
+        attachments += [(comp_old[u], comp_old[v]) for u, v in links]
     if len(attachments) != len(added):
         raise EngineDefect("split does not span the outside")
 
@@ -655,6 +645,23 @@ def split_z4(g: Graph, f: PartialTree) -> tuple[StepPlan, int]:
     if profit15_of(du, db, dt, ds) < 0:
         raise EngineDefect("split lost potential")
     return StepPlan("Z4", tuple(attachments), du, db), child_depth + 1
+
+
+def _parent_first(tree: SpanningTree, root: int) -> list[tuple[int, int]]:
+    """`tree`'s edges as (parent, child) links away from `root`, breadth
+    first with children ascending, so each parent comes before its children."""
+    nbrs: list[list[int]] = [[] for _ in range(tree.n)]
+    for u, v in tree.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    links = [(-1, root)]
+    seen = {root}
+    for _, u in links:  # breadth first: `links` grows while it is read
+        for v in sorted(nbrs[u]):
+            if v not in seen:
+                seen.add(v)
+                links.append((u, v))
+    return links[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -691,16 +698,16 @@ class BuildReport:
 
 @dataclass
 class _EngineResult:
-    """One engine run, or one exact search, as `build` may keep it.
+    """One run of `_run_from_base`, from an engine base or an exact tree.
 
-    `parent` holds the spanning tree as parent links, -1 at the root (a
-    dict or a list): every run keeps only these, so only the result `build`
-    keeps is made into a `SpanningTree` (`tree`), and only its step deltas,
-    a closing Z4 split's among them, into ledger records (`ledger`).  Every
-    run has checked its potential before it returns (see the module doc).
+    `parent` holds the spanning tree as parent links, -1 at the root: every
+    run keeps only these, so only the result `build` keeps is made into a
+    `SpanningTree` (`tree`), and only its step deltas, a closing Z4 split's
+    among them, into ledger records (`ledger`).  Every run has checked its
+    potential before it returns (see the module doc).
     """
 
-    parent: dict[int, int] | list[int]
+    parent: dict[int, int]
     base: StepDeltas
     steps: list[StepDeltas]
     depth: int  # recursion depth of the closing Z4 split, 0 without one
@@ -760,12 +767,13 @@ def _run_from_base(g: Graph, f: PartialTree, case: str) -> _EngineResult:
 
 
 def _exact_result(stage: Graph, case: str) -> _EngineResult:
-    """A maximum-leaf tree of `stage`, logged as one spanning base record."""
-    parent = max_leaf_tree(stage)
-    u = SpanningTree.from_parents(parent).leaf_count()
-    ds, dt = degree_counts(stage)
-    base = _new(StepDeltas, (f"{case}-base", u, u, dt, ds, range(stage.n), 0))
-    return _EngineResult(parent, base, [], 0, u)
+    """A maximum-leaf tree of `stage`, attached parent first to its root and
+    closed as a base that already spans, through every check of a run."""
+    links = max_leaf_tree(stage)
+    f = PartialTree(stage, links.index(-1))
+    for parent, child in _parent_first(SpanningTree.from_parents(links), f.root):
+        f.attach(parent, child)
+    return _run_from_base(stage, f, case)
 
 
 def build(g: Graph) -> BuildReport:
@@ -780,6 +788,7 @@ def build(g: Graph) -> BuildReport:
     oracle_fallback = False
     engine_runs = 0
     lift_trace = trace
+    result: _EngineResult | None = None
 
     if kind is not None:
         # Exact search on the exception graph itself, or (when reductions
@@ -796,7 +805,23 @@ def build(g: Graph) -> BuildReport:
         case = "path-direct"
         result = _exact_result(reduced, case)
     else:
-        result, case, defects, oracle_fallback, engine_runs = _run_ensemble(reduced)
+        bases = choose_bases(reduced)
+        case, engine_runs = bases[0][0], len(bases)
+        for label, a, b in bases:
+            try:
+                res = _run_from_base(reduced, base_tree(reduced, a, b), label)
+            except EngineDefect as exc:
+                defects.append(f"{label}: {exc}")
+                continue
+            if result is None or res.leaves > result.leaves:
+                result = res
+        short = result is None or 15 * result.leaves < cost15(reduced) + _BOUND15
+        if short and reduced.n <= ORACLE_MAX_N:
+            exact = _exact_result(reduced, case)
+            if result is None or exact.leaves > result.leaves:
+                result, oracle_fallback = exact, True
+        if result is None:
+            raise EngineDefect("; ".join(defects) or "no base tree produced a result")
 
     lifted, lift_log = lift_tree_logged(lift_trace, result.tree())
     ledger = result.ledger()
@@ -821,29 +846,3 @@ def build(g: Graph) -> BuildReport:
         defects=tuple(defects),
         engine_runs=engine_runs,
     )
-
-
-def _run_ensemble(
-    reduced: Graph,
-) -> tuple[_EngineResult, str, list[str], bool, int]:
-    bases = choose_bases(reduced)
-    case, runs = bases[0][0], len(bases)
-    defects: list[str] = []
-    best: _EngineResult | None = None
-    for label, a, b in bases:
-        try:
-            res = _run_from_base(reduced, base_tree(reduced, a, b), label)
-        except EngineDefect as exc:
-            defects.append(f"{label}: {exc}")
-            continue
-        if best is None or res.leaves > best.leaves:
-            best = res
-
-    short = best is None or 15 * best.leaves < cost15(reduced) + _BOUND15
-    if short and reduced.n <= ORACLE_MAX_N:
-        exact = _exact_result(reduced, case)
-        if best is None or exact.leaves > best.leaves:
-            return exact, case, defects, True, runs
-    if best is None:
-        raise EngineDefect("; ".join(defects) or "no base tree produced a result")
-    return best, case, defects, False, runs

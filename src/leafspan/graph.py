@@ -1,8 +1,8 @@
 """Simple undirected graphs and the exact cost arithmetic used throughout.
 
 Vertices are dense integers 0..n-1.  Graphs are immutable after
-construction; `Graph.induced` is the one place that re-indexes a vertex
-subset, and it returns the sorted old ids beside the new graph.
+construction; `renumbered` is the one place that re-indexes a vertex
+subset, and `Graph.induced` returns the sorted old ids beside its graph.
 """
 
 from __future__ import annotations
@@ -136,14 +136,17 @@ class Graph:
         if order:
             self._check(order[0])
             self._check(order[-1])
-        remap = {old: new for new, old in enumerate(order)}
-        edges = [
-            (remap[u], remap[v])
-            for u in order
-            for v in self.adj[u]
-            if u < v and v in remap
-        ]
-        return Graph(len(order), edges), order
+        return renumbered(self.adj, order), order
+
+
+def renumbered(adj, ids: list[int]) -> Graph:
+    """The graph the neighbour sets `adj` induce on `ids`, old vertex ids[i]
+    numbered i.  `ids` ascends, so new[v] > i picks each kept edge once."""
+    new = [-1] * len(adj)
+    for i, v in enumerate(ids):
+        new[v] = i
+    edges = [(i, new[v]) for i, u in enumerate(ids) for v in adj[u] if new[v] > i]
+    return Graph(len(ids), edges)
 
 
 def degree_cost15(d: int) -> int:

@@ -40,7 +40,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from typing import NamedTuple
 
-from .graph import Graph
+from .graph import Graph, renumbered
 from .trees import SpanningTree
 
 
@@ -137,12 +137,7 @@ def _compact(adj: list[set[int]], events: list[ReductionEvent]) -> Graph:
     survivors' sets hold every edge left.
     """
     removed = {ev.x if ev.kind == "R1" else ev.a for ev in events}
-    ids = [v for v in range(len(adj)) if v not in removed]
-    new = [-1] * len(adj)
-    for i, v in enumerate(ids):
-        new[v] = i
-    edges = [(i, new[v]) for i, u in enumerate(ids) for v in adj[u] if u < v]
-    return Graph(len(ids), edges)
+    return renumbered(adj, [v for v in range(len(adj)) if v not in removed])
 
 
 def _check_replayable(adj: list[set[int]], i: int, ev: ReductionEvent) -> None:

@@ -35,6 +35,8 @@ class SpanningTree:
 
     def parents(self) -> list[int]:
         n = self.n
+        if n == 0:
+            raise ValueError("a spanning tree needs at least one vertex")
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in self.edges:
             if not (0 <= u < n and 0 <= v < n):

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
-import gc
 import hashlib
+import weakref
 
 import pytest
 
@@ -31,7 +31,7 @@ from leafspan.builder import PartialTree, StalePlanError, _run_from_base, base_t
 from leafspan.trees import SpanningTree, check_spanning_tree
 
 from conftest import audit_counts, make_state
-from test_reduction import SUBDIVIDED, subdivided_core
+from test_reduction import SUBDIVIDED, cycle, subdivided_core
 
 
 def test_levels_on_c6sq():
@@ -194,15 +194,19 @@ def test_suite_audit_refuses_a_base_with_a_wrong_count(corrupt):
 def test_one_base_tree_alive_when_each_run_starts(monkeypatch):
     # bases are named, not built: the driver builds each base tree just
     # before its run, so no other base of the same graph is alive then
-    run = builder_mod._run_from_base
+    run, init = builder_mod._run_from_base, PartialTree.__init__
+    trees: weakref.WeakSet[PartialTree] = weakref.WeakSet()
     alive = []
 
+    def tracked(self, g, root):
+        init(self, g, root)
+        trees.add(self)
+
     def counting(g, f, case):
-        gc.collect()
-        trees = [o for o in gc.get_objects() if isinstance(o, PartialTree)]
         alive.append(sum(t.g is g for t in trees))
         return run(g, f, case)
 
+    monkeypatch.setattr(PartialTree, "__init__", tracked)
     monkeypatch.setattr(builder_mod, "_run_from_base", counting)
     r = build(h_graph(20))
     assert r.engine_runs > 1 and alive == [1] * r.engine_runs
@@ -774,16 +778,23 @@ def test_first_base_reaches_split_z4():
 
 def test_run_with_a_split_ends_through_the_recount(monkeypatch):
     # the first base of this graph reaches split_z4; make the end-of-run
-    # recount of that run (its 11-vertex reduced graph, spanned) read 1/15
-    # too high, and the run must report the drift
-    recount = builder_mod.alpha_prime
+    # recount of that engine run (its 11-vertex reduced graph, spanned) read
+    # 1/15 too high, and the run must report the drift; the exact-search
+    # rescue that follows is not a base tree, so its recount stays true
+    recount, make_base = builder_mod.alpha_prime, builder_mod.base_tree
+    bases = []
+
+    def recorded(g, a, b=-1):
+        bases.append(make_base(g, a, b))
+        return bases[-1]
 
     def off_by_one(g, f):
         alpha = recount(g, f)
-        if g.n == 11 and f.spans():
+        if g.n == 11 and f.spans() and f in bases:
             return Fifteenths(alpha.num + 1)
         return alpha
 
+    monkeypatch.setattr(builder_mod, "base_tree", recorded)
     monkeypatch.setattr(builder_mod, "alpha_prime", off_by_one)
     r = build(random_connected(14, 2, 13, seed=232))
     assert r.defects == ("B2: recounted potential differs from the ledger",)
@@ -878,3 +889,32 @@ def test_reduced_exclusion_is_not_exempt():
     r = build(g)
     assert r.exclusion is None
     assert r.leaves >= 5 and r.alpha >= Fifteenths(30)
+
+
+@pytest.mark.parametrize(
+    "make, case",
+    [
+        pytest.param(lambda: square_of_cycle(6), "exclusion-direct", id="C6sq"),
+        pytest.param(lambda: cycle(7), "path-direct", id="cycle(7)"),
+    ],
+)
+def test_exact_tree_ends_through_the_recount(monkeypatch, make, case):
+    # an exact-search tree is run as a base that already spans: its
+    # potential is recounted when the run starts and when it ends
+    recount = builder_mod.alpha_prime
+    spanned = []
+
+    def counted(g, f):
+        spanned.append(f.spans())
+        return recount(g, f)
+
+    monkeypatch.setattr(builder_mod, "alpha_prime", counted)
+    r = build(make())
+    assert r.base_case == case and spanned == [True, True]
+
+
+def test_exact_tree_enters_through_the_attach_edge_check(monkeypatch):
+    # the star at 0 is no tree of C6^2, where 0 and 3 are not adjacent
+    monkeypatch.setattr(builder_mod, "max_leaf_tree", lambda g: [-1, 0, 0, 0, 0, 0])
+    with pytest.raises(ValueError, match=r"\(0,3\) is not a graph edge"):
+        build(square_of_cycle(6))

@@ -5,7 +5,9 @@ exact search only where every base of the first case falls short (see
 `test_b5_shortfall_falls_back_to_exact_search`), so the paths are also
 driven directly: per-base defects are collected and survived, and a total
 engine outage on a small graph falls back to exact search with the report
-flagged.  The runtime checks also fire on runs the driver does not keep.
+flagged.  An exact-search tree runs through `_run_from_base` like a base,
+so an outage is forced where only the engine goes: at `base_tree`.  The
+runtime checks also fire on runs the driver does not keep.
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ from conftest import tree_degrees
 
 
 def test_total_engine_outage_falls_back_to_exact_search(monkeypatch):
-    def always_defective(g, base, case):
+    def always_defective(g, a, b=-1):
         raise EngineDefect("forced outage")
 
-    monkeypatch.setattr(builder_mod, "_run_from_base", always_defective)
+    monkeypatch.setattr(builder_mod, "base_tree", always_defective)
     g = h_graph(2)
     report = build(g)
     assert report.oracle_fallback
@@ -70,10 +72,10 @@ def test_outage_beyond_exact_search_budget_raises(monkeypatch):
 
 
 def test_exclusion_path_untouched_by_engine_patch(monkeypatch):
-    def always_defective(g, base, case):  # pragma: no cover - must not run
+    def always_defective(g, a, b=-1):  # pragma: no cover - must not run
         raise EngineDefect("forced outage")
 
-    monkeypatch.setattr(builder_mod, "_run_from_base", always_defective)
+    monkeypatch.setattr(builder_mod, "base_tree", always_defective)
     report = build(square_of_cycle(6))
     assert report.leaves == 4 and not report.defects
 

@@ -363,3 +363,9 @@ def test_reduction_output_pinned_at_workload_scale():
     assert digest.hexdigest() == (
         "01f45d3e2d1575482572d13b86321f37bbd589b5b493ea21be053220c0629c3c"
     )
+
+
+def test_a_tree_without_vertices_is_refused():
+    # parents() roots every tree at vertex 0, which an empty tree lacks
+    with pytest.raises(ValueError, match="at least one vertex"):
+        SpanningTree(0, frozenset()).parents()
