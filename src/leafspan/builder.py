@@ -79,7 +79,7 @@ from .oracle import (
     max_leaf_tree,
 )
 from .reduction import ReductionEvent, lift_tree_logged, reduce_fully, replay
-from .trees import SpanningTree
+from .trees import SpanningTree, parent_first
 
 
 # the bound on alpha = leaves - cost, in fifteenths: +2 in general, +8/5 for
@@ -630,7 +630,7 @@ def split_z4(g: Graph, f: PartialTree) -> tuple[StepPlan, int]:
             (w, a) for w in comp_old if w in border for a in g.adj[w] & tree
         )
         attachments.append((a, w))
-        links = _parent_first(report.spanning_tree, comp_old.index(w))
+        links = parent_first(report.spanning_tree, comp_old.index(w))
         attachments += [(comp_old[u], comp_old[v]) for u, v in links]
     if len(attachments) != len(added):
         raise EngineDefect("split does not span the outside")
@@ -645,23 +645,6 @@ def split_z4(g: Graph, f: PartialTree) -> tuple[StepPlan, int]:
     if profit15_of(du, db, dt, ds) < 0:
         raise EngineDefect("split lost potential")
     return StepPlan("Z4", tuple(attachments), du, db), child_depth + 1
-
-
-def _parent_first(tree: SpanningTree, root: int) -> list[tuple[int, int]]:
-    """`tree`'s edges as (parent, child) links away from `root`, breadth
-    first with children ascending, so each parent comes before its children."""
-    nbrs: list[list[int]] = [[] for _ in range(tree.n)]
-    for u, v in tree.edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    links = [(-1, root)]
-    seen = {root}
-    for _, u in links:  # breadth first: `links` grows while it is read
-        for v in sorted(nbrs[u]):
-            if v not in seen:
-                seen.add(v)
-                links.append((u, v))
-    return links[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -771,7 +754,7 @@ def _exact_result(stage: Graph, case: str) -> _EngineResult:
     closed as a base that already spans, through every check of a run."""
     links = max_leaf_tree(stage)
     f = PartialTree(stage, links.index(-1))
-    for parent, child in _parent_first(SpanningTree.from_parents(links), f.root):
+    for parent, child in parent_first(SpanningTree.from_parents(links), f.root):
         f.attach(parent, child)
     return _run_from_base(stage, f, case)
 

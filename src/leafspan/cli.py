@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 
 from . import families
@@ -284,7 +285,9 @@ def cmd_sweep(args) -> int:
         _check_size(args.family, hi)
         sizes = range(lo, hi + 1)
         if args.family in _NAMED:
-            graphs = [_NAMED[args.family](n) for n in sizes]
+            # a family refuses only too small an n: the least is made here
+            make = _NAMED[args.family]
+            graphs = chain([make(lo)], map(make, sizes[1:]))
         elif any(_sweep_regimes(n, args.dmin, args.dmax) for n in sizes):
             graphs = _random_graphs(args, sizes, per_size, failures)
         else:

@@ -125,37 +125,21 @@ TABLE_FLOORS: dict[str, tuple[int, int]] = {
     "A3": (2, 2),
     "A4": (1, 1),
     "M1": (0, 3),
-    "N1": (1, 4),
     "M2": (2, 5),
-    "N2": (3, 6),
     "M3.1": (-4, 5),
-    "N3.1": (-3, 6),
     "M3.2": (-2, 4),
-    "N3.2": (-1, 5),
     "M4.1.1": (-1, 2),
-    "N4.1.1": (0, 3),
     "M4.1.2": (0, 3),
-    "N4.1.2": (1, 4),
     "M4.2": (1, 1),
-    "N4.2": (2, 2),
     "M4.3": (0, 0),
-    "N4.3": (1, 1),
     "M4.4": (3, 6),
-    "N4.4": (4, 7),
     "M4.5.1": (0, 3),
-    "N4.5.1": (1, 4),
     "M4.5.2": (2, 2),
-    "N4.5.2": (3, 3),
     "M4.5.3": (1, 1),
-    "N4.5.3": (2, 2),
     "M4.5.4": (3, 0),
-    "N4.5.4": (4, 1),
     "M4.5.4.1": (1, 4),
-    "N4.5.4.1": (2, 5),
     "M4.5.4.2": (2, 5),
-    "N4.5.4.2": (3, 6),
     "M4.5.5": (-2, 1),
-    "N4.5.5": (-1, 2),
     "Z0": (-1, 2),
     "Z1.1": (-4, 2),
     "Z1.2": (-3, 3),
@@ -163,6 +147,11 @@ TABLE_FLOORS: dict[str, tuple[int, int]] = {
     "Z2.2": (-6, 0),
     "Z3.1": (-2, 1),
     "Z3.2": (-3, 0),
+}
+# An N case is its M case with a degree-3 root: one prefix death fewer and
+# 3/15 less cost, so du-db is 1 higher and the floor 1/15 higher (-2 + 3).
+TABLE_FLOORS |= {
+    "N" + k[1:]: (d + 1, f + 1) for k, (d, f) in TABLE_FLOORS.items() if k[0] == "M"
 }
 
 

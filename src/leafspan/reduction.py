@@ -1,12 +1,14 @@
 """Degree-preserving reduction rules and the tree lift that undoes them.
 
 Two rules apply to a connected graph, each keeping the cost function
-unchanged and never decreasing the best achievable leaf count:
+unchanged and never decreasing the best achievable leaf count.  Each is
+stated once, by its matcher: the scan makes every event with it, and
+`replay` accepts an event only if the matcher makes the same one.
 
-* R1: a degree-2 vertex x whose two neighbors a,b are non-adjacent is
-  removed and replaced by the edge ab.
-* R2: two adjacent degree-3 vertices with disjoint neighborhoods are
-  contracted into a single degree-4 vertex.
+* R1 (`_r1_at`): a degree-2 vertex x whose two neighbors a,b are
+  non-adjacent is removed and replaced by the edge ab.
+* R2 (`_r2_on`): two adjacent degree-3 vertices with disjoint
+  neighborhoods are contracted into a single degree-4 vertex.
 
 Every event is a plain tuple (`ReductionEvent`) naming vertices by their
 ids in the input graph.  The rules run on one mutable copy of the input's
@@ -85,13 +87,22 @@ def _r1_at(adj, x: int) -> ReductionEvent | None:
     return None
 
 
+def _r2_on(adj, a1: int, a2: int) -> ReductionEvent | None:
+    """R2 contracting a2 into a1, or None unless they are adjacent, both of
+    degree 3 and without a common neighbor."""
+    n1, n2 = adj[a1], adj[a2]
+    if a2 in n1 and len(n1) == len(n2) == 3 and not n1 & n2:
+        kept, dropped = frozenset(n1 - {a2}), frozenset(n2 - {a1})
+        return ReductionEvent("R2", a1, a2, -1, kept, dropped)
+    return None
+
+
 def _r2_at(adj, a1: int) -> ReductionEvent | None:
-    n1 = adj[a1]
-    if len(n1) == 3:
-        for a2 in sorted(n1):
-            if a2 > a1 and len(adj[a2]) == 3 and not n1 & adj[a2]:
-                kept, dropped = frozenset(n1 - {a2}), frozenset(adj[a2] - {a1})
-                return ReductionEvent("R2", a1, a2, -1, kept, dropped)
+    """The first R2 pair (a1, a2) with a2 > a1, in scan order."""
+    if len(adj[a1]) == 3:
+        for a2 in sorted(adj[a1]):
+            if a2 > a1 and (ev := _r2_on(adj, a1, a2)) is not None:
+                return ev
     return None
 
 
@@ -141,22 +152,14 @@ def _compact(adj: list[set[int]], events: list[ReductionEvent]) -> Graph:
 
 
 def _check_replayable(adj: list[set[int]], i: int, ev: ReductionEvent) -> None:
-    """Raise ValueError unless event i of a replay matches the graph reached so far."""
-    kind, x, a, b, kept, dropped = ev
-    n = len(adj)
+    """Raise ValueError unless event i is what its rule's matcher makes on adj."""
+    kind, x, a, b, _, _ = ev
     if kind == "R1":
-        ok = 0 <= x < n and adj[x] == {a, b} and a != b and b not in adj[a]
-        want = f"x={x} of degree 2 with non-adjacent neighbors {a} and {b}"
+        ok = 0 <= x < len(adj) and _r1_at(adj, x) == ev
+        want = f"x={x} of degree 2 with non-adjacent neighbors {a} < {b}"
     else:
-        ok = (
-            0 <= x < n
-            and 0 <= a < n
-            and a in adj[x]
-            and len(adj[x]) == len(adj[a]) == 3
-            and adj[x] - {a} == kept
-            and adj[a] - {x} == dropped
-        )
-        want = f"adjacent degree-3 vertices {x} and {a} with the recorded neighbors"
+        ok = 0 <= x < len(adj) and 0 <= a < len(adj) and _r2_on(adj, x, a) == ev
+        want = f"adjacent degree-3 vertices {x} and {a} with disjoint neighborhoods"
     if not ok:
         raise ValueError(f"event {i} ({kind}) does not match the graph: needs {want}")
 
@@ -164,8 +167,10 @@ def _check_replayable(adj: list[set[int]], i: int, ev: ReductionEvent) -> None:
 def replay(g: Graph, events: list[ReductionEvent]) -> Graph:
     """The graph reached from g through `events`, re-indexed once.
 
-    Each event's precondition is checked on the graph reached before it, so
-    a trace of another graph fails with a ValueError naming the event.
+    Each event must equal what its rule's matcher makes on the graph reached
+    before it (for R2, disjoint neighborhoods included), so a trace of
+    another graph, or an event no rule makes, fails with a ValueError naming
+    the event.
     """
     adj = [set(s) for s in g.adj]
     for i, ev in enumerate(events):

@@ -24,38 +24,56 @@ class SpanningTree:
         return cls(len(parents), frozenset(edges))
 
     def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        """Each vertex's tree degree; ValueError names an end outside 0..n-1."""
+        n = self.n
+        # such an end counts in the upper half (a negative one wraps there)
+        # or runs off the list, so no edge is range-tested on its own
+        deg = [0] * (2 * n)
+        try:
+            for u, v in self.edges:
+                deg[u] += 1
+                deg[v] += 1
+            if not any(deg[n:]):
+                return deg[:n]
+        except IndexError:
+            pass
+        bad = next(w for e in self.edges for w in e if not 0 <= w < n)
+        raise ValueError(f"tree vertex {bad} out of range for n={n}")
 
     def leaf_count(self) -> int:
-        return sum(1 for d in self.degrees() if d == 1)
+        return self.degrees().count(1)
 
     def parents(self) -> list[int]:
+        """Each vertex's parent with the tree rooted at 0, -1 at the root."""
         n = self.n
         if n == 0:
             raise ValueError("a spanning tree needs at least one vertex")
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self.edges:
-            if not (0 <= u < n and 0 <= v < n):
-                bad = v if 0 <= u < n else u
-                raise ValueError(f"tree vertex {bad} out of range for n={n}")
-            adj[u].append(v)
-            adj[v].append(u)
+        self.degrees()  # raises on an end outside 0..n-1
         out = [-2] * n
         out[0] = -1
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in sorted(adj[v], reverse=True):
-                if out[w] == -2:
-                    out[w] = v
-                    stack.append(w)
-        if any(p == -2 for p in out):
+        for parent, child in parent_first(self, 0):
+            out[child] = parent
+        if -2 in out:
             raise ValueError("edge set is not a connected spanning tree")
         return out
+
+
+def parent_first(tree: SpanningTree, root: int) -> list[tuple[int, int]]:
+    """The one walk over a tree: its edges reached from `root` as (parent,
+    child) links, breadth first with children ascending, so each parent comes
+    before its children."""
+    nbrs: list[list[int]] = [[] for _ in range(tree.n)]
+    for u, v in tree.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    links = [(-1, root)]
+    seen = {root}
+    for _, u in links:  # breadth first: `links` grows while it is read
+        for v in sorted(nbrs[u]):
+            if v not in seen:
+                seen.add(v)
+                links.append((u, v))
+    return links[1:]
 
 
 def check_spanning_tree(g: Graph, tree: SpanningTree) -> None:

@@ -208,6 +208,8 @@ def test_build_command_rejects_disconnected(tmp_path, capsys):
         ["gen", "--family", "random", "--n", "3000000000"],
         ["gen", "--family", "h", "--n", "100000000"],
         ["sweep", "--family", "c2", "--sizes", "100000000..100000000"],
+        # too small a least size is refused before the header
+        ["sweep", "--family", "c2", "--sizes", "3..9"],
     ],
     ids=lambda argv: " ".join(argv).replace("{tmp}", "TMP"),
 )
@@ -283,16 +285,33 @@ def test_sweep_streams_each_row_before_the_next_build(monkeypatch):
     out = io.StringIO()
     monkeypatch.setattr(sys, "stdout", out)
     seen = []
-    real = cli_mod.build
 
-    def counted(g):
-        seen.append(out.getvalue().count("\n"))
-        return real(g)
+    def counted(name, real):
+        def call(*args):
+            seen.append((name, out.getvalue().count("\n")))
+            return real(*args)
 
-    monkeypatch.setattr(cli_mod, "build", counted)
-    assert main(["sweep", "--sizes", "4..5", "--per-size", "2"]) == 0
-    # the k-th build sees the header and the k - 1 rows before it
-    assert seen == [1, 2, 3, 4]
+        return call
+
+    monkeypatch.setattr(cli_mod, "build", counted("build", cli_mod.build))
+    make = counted("make", cli_mod.families.random_connected)
+    monkeypatch.setattr(cli_mod.families, "random_connected", make)
+    monkeypatch.setitem(cli_mod._NAMED, "h", counted("make", cli_mod._NAMED["h"]))
+    # the least size of a named family is made before the header, to refuse
+    # it early; a random sweep draws its first graph after the header
+    for argv, first_made in [
+        (["--sizes", "4..5", "--per-size", "2"], 1),
+        (["--family", "h", "--sizes", "2..5"], 0),
+    ]:
+        seen.clear()
+        out.seek(0)
+        out.truncate()
+        assert main(["sweep", *argv]) == 0
+        # the k-th graph is made, then built, after the header and the
+        # k - 1 rows before it
+        want = [(name, k) for k in range(1, 5) for name in ("make", "build")]
+        want[0] = ("make", first_made)
+        assert seen == want, argv
 
 
 def test_build_json_and_sweep_rows_agree(tmp_path, capsys, monkeypatch):

@@ -14,6 +14,7 @@ from leafspan import (
     lift_tree_logged,
     random_connected,
     reduce_fully,
+    reduction,
     replay,
     square_of_cycle,
 )
@@ -39,10 +40,32 @@ def test_r1_on_path():
 def test_suite_audit_refuses_an_event_that_changes_the_cost():
     # contracting two vertices of K4 that share neighbours drops them to
     # degrees 2 and 0; the autouse audit around every applied event sees it
-    k4 = Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+    # (replay refuses the event before applying it, so it is applied here)
+    adj = [{j for j in range(4) if j != i} for i in range(4)]
     bad = ReductionEvent("R2", 0, 1, -1, frozenset({2, 3}), frozenset({2, 3}))
     with pytest.raises(AssertionError, match="R2 changed the cost"):
-        replay(k4, [bad])
+        reduction._apply(adj, bad)
+
+
+# K4 minus the edge 01: vertices 2 and 3 have degree 3 and share 0 and 1
+K4_MINUS_E = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+NO_NBRS = frozenset()
+
+
+@pytest.mark.parametrize(
+    "g, ev",
+    [
+        # the contraction would leave a triangle, cost 6/15 -> 0
+        (K4_MINUS_E, ReductionEvent("R2", 2, 3, -1, *[frozenset({0, 1})] * 2)),
+        # ends swapped: the matcher names the smaller neighbor first
+        (Graph(3, [(0, 1), (1, 2)]), ReductionEvent("R1", 1, 2, 0, NO_NBRS, NO_NBRS)),
+        (h_graph(2), reduce_fully(h_graph(2))[1][0]._replace(b=0)),  # a stray b
+    ],
+    ids=["R2-shared-neighbours", "R1-swapped-ends", "R2-stray-b"],
+)
+def test_replay_refuses_an_event_its_rule_does_not_make(g, ev):
+    with pytest.raises(ValueError, match=r"event 0 \(R[12]\) does not match the graph"):
+        replay(g, [ev])
 
 
 def test_triangle_has_no_reduction():
@@ -168,7 +191,8 @@ def test_lift_rejects_invalid_tree():
 def test_tree_edges_outside_the_vertex_range_are_refused(bad):
     # -1 would be read as vertex 2, and 3 would run off the end
     tree = SpanningTree(3, frozenset({(0, 1), (0, bad)}))
-    for check in (tree.parents, lambda: lift_tree_logged([], tree)):
+    checks = [tree.parents, tree.degrees, tree.leaf_count]
+    for check in [*checks, lambda: lift_tree_logged([], tree)]:
         with pytest.raises(ValueError, match=f"tree vertex {bad} out of range for n=3"):
             check()
 
