@@ -25,6 +25,12 @@ Step catalog, tried strictly in order each round (first match wins):
   Z1-Z3 dead-end moves that add no alive leaf but kill several
   Z4  cut the fringe, recursively span the outside, reattach components
 
+Each row's du, db and profit floor are stated once, in
+`ledger.TABLE_FLOORS`; a plan names its row and attachments and takes du
+and db from there.  Only Z1.3 (db is its vertex's degree) and Z4 have no
+row.  Z4 is the driver's step: once no row applies, `next_step` returns
+None and `_run_from_base` stops if the tree spans, else calls `split_z4`.
+
 A partial tree keeps one membership set, its tree vertices.  The outside
 is implicit: the outside neighbours of v are `adj[v] - vertices`, an
 O(deg v) difference.  `PartialTree.attach` is the one writer of the
@@ -67,6 +73,7 @@ from .graph import Fifteenths, Graph, cost15, degree_counts, degrees, vertex_cos
 from .ledger import (
     DEAD_GAIN15,
     LEAF_GAIN15,
+    TABLE_FLOORS,
     Ledger,
     StepRecord,
     alpha_prime,
@@ -221,7 +228,7 @@ class StepDeltas(NamedTuple):
 _new = tuple.__new__
 
 # Every Z0 record is the same value; StepRecord is frozen, so one is shared.
-Z0_RECORD = StepRecord.make("Z0", 0, 1, 0, 0)
+Z0_RECORD = StepRecord.make("Z0", *TABLE_FLOORS["Z0"][:2], 0, 0)
 
 
 def step_records(d: StepDeltas) -> list[StepRecord]:
@@ -323,22 +330,32 @@ def choose_bases(g: Graph) -> list[tuple[str, int, int]]:
 # step selection
 
 
+def _plan(label: str, attachments) -> StepPlan:
+    """The plan of catalog row `label`: its attachments and the row's du, db."""
+    du, db, _ = TABLE_FLOORS[label]
+    return _new(StepPlan, (label, tuple(attachments), du, db))
+
+
+# the rows of the two most frequent steps, looked up once
+_A1_DU, _A1_DB, _ = TABLE_FLOORS["A1"]
+_A2_DU, _A2_DB, _ = TABLE_FLOORS["A2"]
+
+
 def next_step(g: Graph, f: PartialTree) -> StepPlan | None:
-    """First applicable step of the catalog, fully planned; None when spanning."""
+    """First applicable row of the catalog, fully planned; None when no row
+    applies: the tree spans, or only a Z4 split (`split_z4`) is left."""
     adj, tree = g.adj, f.vertices
-    if len(tree) == g.n:
-        return None
 
     inner_open = f.inner_open
     if inner_open:
         x = min(inner_open)
-        return _new(StepPlan, ("A1", ((x, min(adj[x] - tree)),), 1, 0))
+        return _new(StepPlan, ("A1", ((x, min(adj[x] - tree)),), _A1_DU, _A1_DB))
 
     rich = f.rich
     if rich:
         x = min(rich)
         y1, y2 = sorted(adj[x] - tree)[:2]
-        return _new(StepPlan, ("A2", ((x, y1), (x, y2)), 1, 0))
+        return _new(StepPlan, ("A2", ((x, y1), (x, y2)), _A2_DU, _A2_DB))
 
     out, border = f.out, f.border
     order = sorted(border)
@@ -348,7 +365,7 @@ def next_step(g: Graph, f: PartialTree) -> StepPlan | None:
             frontier = sorted(adj[x] - tree)
             anchor = min(adj[x] & tree)
             att = ((anchor, x), (x, frontier[0]), (x, frontier[1]), (x, frontier[2]))
-            return StepPlan("A3", att, 2, 0)
+            return _plan("A3", att)
 
     for x in order:
         if len(adj[x]) != 3 or out[x] != 1:
@@ -357,8 +374,7 @@ def next_step(g: Graph, f: PartialTree) -> StepPlan | None:
         if len(adj[y]) >= 4 and y not in border:
             grand = sorted(adj[y] - {x})[:3]
             anchor = min(adj[x] & tree)
-            att = ((anchor, x), (x, y)) + tuple((y, w) for w in grand)
-            return StepPlan("A4", att, 2, 1)
+            return _plan("A4", [(anchor, x), (x, y)] + [(y, w) for w in grand])
 
     for kind, wants_t in (("M", True), ("N", False)):
         for x in order:
@@ -370,15 +386,11 @@ def next_step(g: Graph, f: PartialTree) -> StepPlan | None:
     for w in order:
         if out[w]:
             continue
-        anchor = min(adj[w] & tree)
+        att = ((min(adj[w] & tree), w),)
         d = len(adj[w])
-        if d >= 4:
-            label, db = "Z1.1", 4
-        elif d == 3:
-            label, db = "Z1.2", 3
-        else:
-            label, db = "Z1.3", d
-        return StepPlan(label, ((anchor, w),), 0, db)
+        if d <= 2:  # no row: db is the degree of w
+            return StepPlan("Z1.3", att, 0, d)
+        return _plan("Z1.1" if d >= 4 else "Z1.2", att)
 
     pair = None
     for v in order:
@@ -398,8 +410,7 @@ def next_step(g: Graph, f: PartialTree) -> StepPlan | None:
         if anchor_v == anchor_w:
             raise EngineDefect("fringe pair shares an anchor leaf")
         label = "Z2.2" if (dv >= 4 and dw >= 4) else "Z2.1"
-        db = 6 if label == "Z2.2" else 5
-        return StepPlan(label, ((anchor_v, v), (anchor_w, w)), 0, db)
+        return _plan(label, ((anchor_v, v), (anchor_w, w)))
 
     for w in order:
         if out[w] != 1:
@@ -407,16 +418,12 @@ def next_step(g: Graph, f: PartialTree) -> StepPlan | None:
         (v,) = adj[w] - tree
         if len(adj[v]) <= 2:
             dw = len(adj[w])
-            if dw == 3:
-                label, db = "Z3.1", 2
-            elif dw >= 4:
-                label, db = "Z3.2", 3
-            else:
+            if dw <= 2:
                 raise EngineDefect("degree-2 fringe vertex at Z3")
-            anchor = min(adj[w] & tree)
-            return StepPlan(label, ((anchor, w), (w, v)), 0, db)
+            att = ((min(adj[w] & tree), w), (w, v))
+            return _plan("Z3.1" if dw == 3 else "Z3.2", att)
 
-    return StepPlan("Z4", (), 0, 0)
+    return None
 
 
 def _plan_chain(g: Graph, f: PartialTree, x: int, kind: str) -> StepPlan:
@@ -436,11 +443,10 @@ def _plan_chain(g: Graph, f: PartialTree, x: int, kind: str) -> StepPlan:
     base_att = [(min(anchors), x)]
     y1, y2 = sorted(adj[x] - tree_v)
     base_att += [(x, y1), (x, y2)]
-    prefix_db = 1 if kind == "M" else 0
-    lab = lambda s: kind + s  # noqa: E731
+    lab = lambda case: kind + case  # noqa: E731
 
     if not in_t(y1) and not in_t(y2):
-        return StepPlan(lab("1"), tuple(base_att), 1, prefix_db)
+        return _plan(lab("1"), base_att)
 
     # the chain vertices planned so far; `deeper(v)` is v's outside
     # neighbourhood beyond them, in O(deg v)
@@ -454,30 +460,24 @@ def _plan_chain(g: Graph, f: PartialTree, x: int, kind: str) -> StepPlan:
 
     deep1 = sorted(deeper(y1))
     if len(deep1) >= 3:
-        att = base_att + [(y1, w) for w in deep1[:3]]
-        return StepPlan(lab("2"), tuple(att), 3, prefix_db)
+        return _plan(lab("2"), base_att + [(y1, w) for w in deep1[:3]])
     if len(deep1) <= 1:
         if not (adj[y1] & tree_v):
             raise EngineDefect("shallow branch vertex must touch the tree")
-        if in_t(y2):
-            return StepPlan(lab("3.1"), tuple(base_att), 1, prefix_db + 4)
-        return StepPlan(lab("3.2"), tuple(base_att), 1, prefix_db + 2)
+        return _plan(lab("3.1" if in_t(y2) else "3.2"), base_att)
 
     z1, z2 = deep1
     att4 = base_att + [(y1, z1), (y1, z2)]
 
     touching = [v for v in sorted({y2, z1, z2}) if adj[v] & tree_v]
     if touching:
-        v = touching[0]
-        if in_t(v):
-            return StepPlan(lab("4.1.1"), tuple(att4), 2, prefix_db + 2)
-        return StepPlan(lab("4.1.2"), tuple(att4), 2, prefix_db + 1)
+        return _plan(lab("4.1.1" if in_t(touching[0]) else "4.1.2"), att4)
 
     if any(not in_t(v) for v in (y2, z1, z2)):
-        return StepPlan(lab("4.2"), tuple(att4), 2, prefix_db)
+        return _plan(lab("4.2"), att4)
 
     if adj[y2] == frozenset({x, y1, z1, z2}):
-        return StepPlan(lab("4.3"), tuple(att4), 2, prefix_db + 1)
+        return _plan(lab("4.3"), att4)
 
     if y2 not in adj[y1] or len(adj[y1]) != 4 or len(adj[y2]) != 4:
         raise EngineDefect("branch pair structure violated past case 4.3")
@@ -486,8 +486,7 @@ def _plan_chain(g: Graph, f: PartialTree, x: int, kind: str) -> StepPlan:
     for z in (z1, z2):
         grown = sorted(deeper(z))
         if len(grown) >= 3:
-            att = att4 + [(z, w) for w in grown[:3]]
-            return StepPlan(lab("4.4"), tuple(att), 4, prefix_db)
+            return _plan(lab("4.4"), att4 + [(z, w) for w in grown[:3]])
 
     eligible = [z for z in (z1, z2) if z not in adj[y2]]
     if not eligible:
@@ -502,13 +501,13 @@ def _plan_chain(g: Graph, f: PartialTree, x: int, kind: str) -> StepPlan:
 
     for p in (p1, p2):
         if in_t(p) and (adj[p] & tree_v):
-            return StepPlan(lab("4.5.1"), tuple(att45), 3, prefix_db + 2)
+            return _plan(lab("4.5.1"), att45)
     if any(not in_t(p) for p in (p1, p2)):
-        return StepPlan(lab("4.5.2"), tuple(att45), 3, prefix_db)
+        return _plan(lab("4.5.2"), att45)
 
     taken |= {p1, p2}
     if any(not deeper(v) for v in (y2, z_b, p1, p2)):
-        return StepPlan(lab("4.5.3"), tuple(att45), 3, prefix_db + 1)
+        return _plan(lab("4.5.3"), att45)
 
     deep = [p for p in (p1, p2) if len(deeper(p)) >= 2]
     if deep:
@@ -517,10 +516,8 @@ def _plan_chain(g: Graph, f: PartialTree, x: int, kind: str) -> StepPlan:
         att = att45 + [(p, q) for q in grand]
         anchored = [q for q in grand if adj[q] & tree_v]
         if not anchored:
-            return StepPlan(lab("4.5.4"), tuple(att), 4, prefix_db)
-        if in_t(anchored[0]):
-            return StepPlan(lab("4.5.4.1"), tuple(att), 4, prefix_db + 2)
-        return StepPlan(lab("4.5.4.2"), tuple(att), 4, prefix_db + 1)
+            return _plan(lab("4.5.4"), att)
+        return _plan(lab("4.5.4.1" if in_t(anchored[0]) else "4.5.4.2"), att)
 
     # closing configuration: both deep vertices see exactly one vertex
     # further out, and the neighborhood chase pins the whole 4-regular blob
@@ -545,8 +542,7 @@ def _plan_chain(g: Graph, f: PartialTree, x: int, kind: str) -> StepPlan:
     if any(r not in adj[v] for v in (p_a, p_b, z_b)) or (adj[r] & tree_v):
         raise EngineDefect("closing vertex adjacency violated")
     r_parent = min(v for v in (y2, z_b, p1, p2) if r in adj[v])
-    att = att45 + [(r_parent, r)]
-    return StepPlan(lab("4.5.5"), tuple(att), 3, prefix_db + 4)
+    return _plan(lab("4.5.5"), att45 + [(r_parent, r)])
 
 
 # ---------------------------------------------------------------------------
@@ -726,14 +722,15 @@ def _run_from_base(g: Graph, f: PartialTree, case: str) -> _EngineResult:
     for _ in range(2 * g.n + 8):
         plan = next_step(g, f)
         if plan is None:
-            break
-        if plan.label == "Z4":
+            if f.spans():
+                break
+            # no catalog row applies to a tree short of spanning: split
             plan, depth = split_z4(g, f)
         d = apply_step(g, f, plan)
         steps.append(d)
         label, du, db, dt, ds, _, extra_dead = d
-        # each extra dead leaf is a Z0 record, one more death at no other change
-        running15 += profit15_of(du, db + extra_dead, dt, ds)
+        # each extra dead leaf is a Z0 record
+        running15 += profit15_of(du, db, dt, ds) + extra_dead * Z0_RECORD.profit15
         # the potential from the counts: 13 leaves + 2 dead leaves - cost
         if LEAF_GAIN15 * f.leaves + DEAD_GAIN15 * len(dead) - f.cost != running15:
             raise EngineDefect(f"potential drifted after {label}")

@@ -153,6 +153,8 @@ def _report_row(g: Graph, report) -> dict:
 
 
 def cmd_build(args) -> int:
+    if args.json and args.log_steps:
+        raise InputError("--json does not read --log-steps: its steps are always in it")
     try:
         g = read_graph(args.input)
         report = build(g)

@@ -172,10 +172,8 @@ def vertex_costs15(g: Graph) -> list[int]:
     return g._costs15
 
 
-def _in_range(g: Graph, vertices) -> list[int] | range:
-    """`vertices` (default: all of g) as a sequence, range-checked once."""
-    if vertices is None:
-        return range(g.n)
+def _in_range(g: Graph, vertices) -> list[int]:
+    """`vertices` as a list, range-checked once."""
     vs = list(vertices)
     if vs and (min(vs) < 0 or max(vs) >= g.n):
         bad = next(v for v in vs if not 0 <= v < g.n)

@@ -11,16 +11,16 @@ and every construction step changes it by exactly
 the step's profit (du/db: leaf and dead-leaf deltas; dt/ds: added
 vertices of degree >=4 / degree 3).  Records store their profit
 explicitly so tampering with any count is detectable, and the catalog
-floor table lets an audit confirm each executed step performed at least
-as well as its case analysis promises.
+table lets an audit confirm each executed step made exactly its row's
+deltas and performed at least as well as its case analysis promises.
 
 Bookkeeping convention: a labeled record carries its case's nominal
 dead-leaf count and exact structural leaf delta; every dead leaf beyond
-the nominal count is logged as its own Z0 record (0, +1 for profit
-2/15).  Under this convention the quantity profit + 2*(du - db) is
-invariant, which makes the stricter end-game rate table (where the
-guaranteed late death is folded into the row) equivalent to the base
-catalog floors checked here.
+the nominal count is logged as its own Z0 record (a row of the table:
+one death, nothing else).  Under this convention the quantity
+profit + 2*(du - db) is invariant, which makes the stricter end-game
+rate table (where the guaranteed late death is folded into the row)
+equivalent to the base catalog floors checked here.
 """
 
 from __future__ import annotations
@@ -116,70 +116,70 @@ def verify_ledger(g: Graph, ledger: Ledger, final_tree: SpanningTree) -> LedgerA
     return LedgerAudit(True)
 
 
-# Per-label floors: (exact du-db of the case, minimum 15*profit).  The du-db
-# column is exact under the nominal-death convention; profit can only exceed
-# the floor (added vertices may be cheaper than the worst case).
-TABLE_FLOORS: dict[str, tuple[int, int]] = {
-    "A1": (1, 7),
-    "A2": (1, 1),
-    "A3": (2, 2),
-    "A4": (1, 1),
-    "M1": (0, 3),
-    "M2": (2, 5),
-    "M3.1": (-4, 5),
-    "M3.2": (-2, 4),
-    "M4.1.1": (-1, 2),
-    "M4.1.2": (0, 3),
-    "M4.2": (1, 1),
-    "M4.3": (0, 0),
-    "M4.4": (3, 6),
-    "M4.5.1": (0, 3),
-    "M4.5.2": (2, 2),
-    "M4.5.3": (1, 1),
-    "M4.5.4": (3, 0),
-    "M4.5.4.1": (1, 4),
-    "M4.5.4.2": (2, 5),
-    "M4.5.5": (-2, 1),
-    "Z0": (-1, 2),
-    "Z1.1": (-4, 2),
-    "Z1.2": (-3, 3),
-    "Z2.1": (-5, 1),
-    "Z2.2": (-6, 0),
-    "Z3.1": (-2, 1),
-    "Z3.2": (-3, 0),
+# The step catalog: per label (exact du, nominal db, minimum 15*profit).  The
+# engine plans each step with its row's du and db; profit can only exceed the
+# floor (added vertices may be cheaper than the worst case).
+TABLE_FLOORS: dict[str, tuple[int, int, int]] = {
+    "A1": (1, 0, 7),
+    "A2": (1, 0, 1),
+    "A3": (2, 0, 2),
+    "A4": (2, 1, 1),
+    "M1": (1, 1, 3),
+    "M2": (3, 1, 5),
+    "M3.1": (1, 5, 5),
+    "M3.2": (1, 3, 4),
+    "M4.1.1": (2, 3, 2),
+    "M4.1.2": (2, 2, 3),
+    "M4.2": (2, 1, 1),
+    "M4.3": (2, 2, 0),
+    "M4.4": (4, 1, 6),
+    "M4.5.1": (3, 3, 3),
+    "M4.5.2": (3, 1, 2),
+    "M4.5.3": (3, 2, 1),
+    "M4.5.4": (4, 1, 0),
+    "M4.5.4.1": (4, 3, 4),
+    "M4.5.4.2": (4, 2, 5),
+    "M4.5.5": (3, 5, 1),
+    "Z0": (0, 1, 2),
+    "Z1.1": (0, 4, 2),
+    "Z1.2": (0, 3, 3),
+    "Z2.1": (0, 5, 1),
+    "Z2.2": (0, 6, 0),
+    "Z3.1": (0, 2, 1),
+    "Z3.2": (0, 3, 0),
 }
 # An N case is its M case with a degree-3 root: one prefix death fewer and
-# 3/15 less cost, so du-db is 1 higher and the floor 1/15 higher (-2 + 3).
+# 3/15 less cost, so the floor is 1/15 higher (-2 + 3).
 TABLE_FLOORS |= {
-    "N" + k[1:]: (d + 1, f + 1) for k, (d, f) in TABLE_FLOORS.items() if k[0] == "M"
+    "N" + k[1:]: (du, db - 1, f + 1)
+    for k, (du, db, f) in TABLE_FLOORS.items() if k[0] == "M"
 }
 
 
 def table_violations(ledger: Ledger) -> list[tuple[int, str]]:
     """Catalog-conformance failures as (step index, description) pairs.
 
-    Checks, for every record whose label has a catalog row: the exact
-    du-db of the row, the profit floor, and non-negative profit for
-    composite M/N steps.  Uncataloged labels (base records, Z4 splits,
-    lift undo records, degree-capped Z1.3) are audited by the telescoping
-    check instead.
+    Checks, for every record whose label has a catalog row: the row's exact
+    du and db, and the profit floor.  An M or N label must have a row, and
+    no M/N floor is negative, so every composite lands with non-negative
+    profit.  Other labels without a row (Z4 splits, lift undo records) are
+    audited by the telescoping check instead; Z1.3 has its own floor.
     """
     bad: list[tuple[int, str]] = []
     for i, rec in enumerate(ledger.steps):
-        if rec.label.startswith(("M", "N")) and rec.profit15 < 0:
-            bad.append((i, f"{rec.label}: negative composite profit"))
-        if rec.label == "Z1.3":
+        label = rec.label
+        if label == "Z1.3":
             if rec.du != 0 or rec.profit15 < 2 * rec.db:
                 bad.append((i, "Z1.3: deltas below floor"))
             continue
-        row = TABLE_FLOORS.get(rec.label)
+        row = TABLE_FLOORS.get(label)
         if row is None:
+            if label.startswith(("M", "N")):
+                bad.append((i, f"{label}: no catalog row"))
             continue
-        want_dudb, floor = row
-        if rec.du - rec.db != want_dudb:
-            bad.append(
-                (i, f"{rec.label}: du-db {rec.du - rec.db} != {want_dudb}")
-            )
+        du, db, floor = row
+        if (rec.du, rec.db) != (du, db):
+            bad.append((i, f"{label}: du, db {rec.du}, {rec.db} != row {du}, {db}"))
         if rec.profit15 < floor:
-            bad.append((i, f"{rec.label}: profit {rec.profit15} < floor {floor}"))
+            bad.append((i, f"{label}: profit {rec.profit15} < floor {floor}"))
     return bad

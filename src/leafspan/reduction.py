@@ -8,7 +8,8 @@ stated once, by its matcher: the scan makes every event with it, and
 * R1 (`_r1_at`): a degree-2 vertex x whose two neighbors a,b are
   non-adjacent is removed and replaced by the edge ab.
 * R2 (`_r2_on`): two adjacent degree-3 vertices with disjoint
-  neighborhoods are contracted into a single degree-4 vertex.
+  neighborhoods are contracted into a single degree-4 vertex, the one
+  with the smaller id.
 
 Every event is a plain tuple (`ReductionEvent`) naming vertices by their
 ids in the input graph.  The rules run on one mutable copy of the input's
@@ -88,20 +89,20 @@ def _r1_at(adj, x: int) -> ReductionEvent | None:
 
 
 def _r2_on(adj, a1: int, a2: int) -> ReductionEvent | None:
-    """R2 contracting a2 into a1, or None unless they are adjacent, both of
-    degree 3 and without a common neighbor."""
+    """R2 contracting a2 into a1, or None unless a1 < a2 and they are
+    adjacent, both of degree 3 and without a common neighbor."""
     n1, n2 = adj[a1], adj[a2]
-    if a2 in n1 and len(n1) == len(n2) == 3 and not n1 & n2:
+    if a1 < a2 and a2 in n1 and len(n1) == len(n2) == 3 and not n1 & n2:
         kept, dropped = frozenset(n1 - {a2}), frozenset(n2 - {a1})
         return ReductionEvent("R2", a1, a2, -1, kept, dropped)
     return None
 
 
 def _r2_at(adj, a1: int) -> ReductionEvent | None:
-    """The first R2 pair (a1, a2) with a2 > a1, in scan order."""
+    """The first R2 pair (a1, a2), in scan order."""
     if len(adj[a1]) == 3:
         for a2 in sorted(adj[a1]):
-            if a2 > a1 and (ev := _r2_on(adj, a1, a2)) is not None:
+            if (ev := _r2_on(adj, a1, a2)) is not None:
                 return ev
     return None
 
@@ -159,7 +160,7 @@ def _check_replayable(adj: list[set[int]], i: int, ev: ReductionEvent) -> None:
         want = f"x={x} of degree 2 with non-adjacent neighbors {a} < {b}"
     else:
         ok = 0 <= x < len(adj) and 0 <= a < len(adj) and _r2_on(adj, x, a) == ev
-        want = f"adjacent degree-3 vertices {x} and {a} with disjoint neighborhoods"
+        want = f"adjacent degree-3 vertices {x} < {a} with disjoint neighborhoods"
     if not ok:
         raise ValueError(f"event {i} ({kind}) does not match the graph: needs {want}")
 
@@ -240,9 +241,7 @@ def lift_tree_logged(
     trace: list[ReductionEvent], tree: SpanningTree
 ) -> tuple[SpanningTree, list[tuple[str, int]]]:
     """Undo `trace` in reverse; returns the lifted tree and per-event leaf gains."""
-    if len(tree.edges) != tree.n - 1:
-        raise ValueError("input is not a tree (wrong edge count)")
-    tree.parents()  # raises when disconnected
+    tree.parents()  # raises unless n - 1 edges connect the n vertices
     n = tree.n + len(trace)
     ids = _lift_ids(trace, n)
     adj: list[set[int]] = [set() for _ in range(n)]

@@ -48,6 +48,8 @@ class SpanningTree:
         n = self.n
         if n == 0:
             raise ValueError("a spanning tree needs at least one vertex")
+        if (m := len(self.edges)) != n - 1:
+            raise ValueError(f"{m} edges cannot be a tree on {n} vertices")
         self.degrees()  # raises on an end outside 0..n-1
         out = [-2] * n
         out[0] = -1

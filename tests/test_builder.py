@@ -289,7 +289,8 @@ def test_apply_a3_gains_two_leaves():
     plan = next_step(g, f)
     assert plan.label == "A3"
     recs = step_records(apply_step(g, f, plan))
-    assert recs[0].du == 2 and recs[0].profit15 >= 2
+    # the row's deltas (2, 0); the three pendant children die as Z0 records
+    assert [rec.log_line() for rec in recs] == ["A3 2 0 1 0 20"] + ["Z0 0 1 0 0 2"] * 3
 
 
 def test_apply_z2_adjacent_fringe_pair():
@@ -311,6 +312,16 @@ def test_apply_z3_absorbs_pendant():
     assert plan.label == "Z3.1"
     recs = step_records(apply_step(g, f, plan))
     assert recs[0].log_line() == "Z3.1 0 2 0 1 1"
+    assert f.spans()
+
+
+def test_apply_z3_2_absorbs_the_pendant_of_a_degree_4_vertex():
+    edges = [(0, 1), (0, 2), (0, 3), (4, 1), (4, 2), (4, 3), (4, 5)]
+    g, f = make_state(6, edges, [(0, 1), (0, 2), (0, 3)])
+    plan = next_step(g, f)
+    assert plan.label == "Z3.2" and plan.attachments == ((1, 4), (4, 5))
+    recs = step_records(apply_step(g, f, plan))
+    assert [rec.log_line() for rec in recs] == ["Z3.2 0 3 1 0 0"]
     assert f.spans()
 
 

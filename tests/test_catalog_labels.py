@@ -1,0 +1,101 @@
+"""Every step label the engine can plan has a catalog row, and every row is planned.
+
+The labels are read from `builder.py`'s source, in the functions that plan
+steps: the first argument of each `StepPlan(...)` and `_plan(...)` call,
+and the first field of each `_new(StepPlan, (...))`.  A label is a string,
+a conditional of labels, a local name bound only to labels, or `lab(...)`
+of one, which `_plan_chain` makes the M or N row of a chain sub-case.
+Anything else is refused, so no label escapes the check unseen.
+"""
+
+from __future__ import annotations
+
+import ast
+from collections import defaultdict
+from pathlib import Path
+
+import pytest
+
+from leafspan.ledger import TABLE_FLOORS
+
+BUILDER = Path(__file__).resolve().parents[1] / "src" / "leafspan" / "builder.py"
+PLANNERS = ("next_step", "_plan_chain", "split_z4")
+
+
+def _called(call: ast.Call) -> str | None:
+    return call.func.id if isinstance(call.func, ast.Name) else None
+
+
+def _label_arg(call: ast.Call) -> ast.expr | None:
+    """The label expression of a call that makes a plan, else None."""
+    name, args = _called(call), call.args
+    if name in ("StepPlan", "_plan") and args:
+        return args[0]
+    if (
+        name == "_new"
+        and len(args) == 2
+        and isinstance(args[0], ast.Name)
+        and args[0].id == "StepPlan"
+        and isinstance(args[1], ast.Tuple)
+    ):
+        return args[1].elts[0]
+    return None
+
+
+def _labels(node: ast.expr, bound: dict[str, list[ast.expr]]) -> set[str]:
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return {node.value}
+    if isinstance(node, ast.IfExp):
+        return _labels(node.body, bound) | _labels(node.orelse, bound)
+    if isinstance(node, ast.Name) and bound[node.id]:
+        return set().union(*(_labels(value, bound) for value in bound[node.id]))
+    if isinstance(node, ast.Call) and _called(node) == "lab" and len(node.args) == 1:
+        return {kind + case for case in _labels(node.args[0], bound) for kind in "MN"}
+    raise ValueError(f"line {node.lineno}: label {ast.unparse(node)} is not resolvable")
+
+
+def planned_labels(source: str) -> set[str]:
+    """Every label the planning functions in `source` can give a plan."""
+    found: set[str] = set()
+    for fn in ast.parse(source).body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name in PLANNERS):
+            continue
+        bound: dict[str, list[ast.expr]] = defaultdict(list)
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        bound[target.id].append(node.value)
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and (arg := _label_arg(node)) is not None:
+                found |= _labels(arg, bound)
+    return found
+
+
+def test_the_check_reads_every_form_of_label():
+    source = (
+        "def next_step(g, f):\n"
+        "    if a:\n"
+        "        return _new(StepPlan, ('A1', att, 1, 0))\n"
+        "    label = 'Z2.2' if b else 'Z2.1'\n"
+        "    if c:\n"
+        "        return _plan(label, att)\n"
+        "    return StepPlan('Z1.3', att, 0, d)\n"
+        "def _plan_chain(g, f, x, kind):\n"
+        "    return _plan(lab('4.1.1' if c else '4.1.2'), att)\n"
+        "def not_a_planner():\n"
+        "    return _plan('Q', att)\n"
+    )
+    assert planned_labels(source) == {
+        "A1", "Z2.1", "Z2.2", "Z1.3", "M4.1.1", "M4.1.2", "N4.1.1", "N4.1.2",
+    }
+    with pytest.raises(ValueError, match="label pick\\(\\) is not resolvable"):
+        planned_labels("def next_step(g, f):\n    return _plan(pick(), att)\n")
+
+
+def test_every_planned_label_has_a_row_and_every_row_is_planned():
+    planned = planned_labels(BUILDER.read_text())
+    # Z1.3's db is its vertex's degree and a Z4 split's deltas are measured
+    assert planned - TABLE_FLOORS.keys() == {"Z1.3", "Z4"}
+    # a Z0 record is logged for each death beyond a row's db, never planned
+    assert TABLE_FLOORS.keys() - planned == {"Z0"}

@@ -163,6 +163,19 @@ def test_build_command_json(tmp_path, capsys, monkeypatch):
     assert payload["engine_runs"] == len(calls)
 
 
+def test_build_refuses_log_steps_with_json(tmp_path, capsys, monkeypatch):
+    # refused before the input is read or built
+    monkeypatch.setattr(cli_mod, "read_graph", None)
+    monkeypatch.setattr(cli_mod, "build", None)
+    for argv in (["--json", "--log-steps"], ["--log-steps", "--json"]):
+        code = main(["build", _write(tmp_path, h_graph(2)), *argv])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            "error: --json does not read --log-steps: its steps are always in it\n"
+        )
+
+
 def test_build_command_rejects_disconnected(tmp_path, capsys):
     path = _write(tmp_path, Graph(4, [(0, 1), (2, 3)]))
     code = main(["build", path])

@@ -90,7 +90,7 @@ def test_alpha_prime_matches_the_reference_on_every_engine_step(make):
     for _, a, b in choose_bases(reduced):
         f = base_tree(reduced, a, b)
         assert alpha_prime(reduced, f) == reference_alpha_prime(reduced, f)
-        while (plan := next_step(reduced, f)) is not None and plan.label != "Z4":
+        while (plan := next_step(reduced, f)) is not None:
             apply_step(reduced, f, plan)
             assert alpha_prime(reduced, f) == reference_alpha_prime(reduced, f)
             steps += 1
@@ -144,11 +144,21 @@ def test_verify_ledger_detects_total_mismatch():
 
 
 def test_table_floor_values():
-    assert TABLE_FLOORS["A1"] == (1, 7)
-    assert TABLE_FLOORS["Z1.1"] == (-4, 2)
-    assert TABLE_FLOORS["M4.5.5"] == (-2, 1)
-    assert TABLE_FLOORS["Z2.1"] == (-5, 1)
-    assert TABLE_FLOORS["N4.5.4.2"] == (3, 6)
+    assert TABLE_FLOORS["A1"] == (1, 0, 7)
+    assert TABLE_FLOORS["Z1.1"] == (0, 4, 2)
+    assert TABLE_FLOORS["M4.5.5"] == (3, 5, 1)
+    assert TABLE_FLOORS["Z2.1"] == (0, 5, 1)
+    assert TABLE_FLOORS["N4.5.4.2"] == (4, 1, 6)
+
+
+def test_every_n_row_is_its_m_row_with_one_death_fewer():
+    m_rows = {k[1:]: row for k, row in TABLE_FLOORS.items() if k[0] == "M"}
+    n_rows = {k[1:]: row for k, row in TABLE_FLOORS.items() if k[0] == "N"}
+    assert m_rows.keys() == n_rows.keys() and len(m_rows) == 16
+    for case, (du, db, floor) in m_rows.items():
+        assert n_rows[case] == (du, db - 1, floor + 1)
+        # so no composite step can land with a negative profit
+        assert floor >= 0 and db >= 1
 
 
 def test_table_violations_flags_bad_rows():
@@ -167,6 +177,22 @@ def test_table_violations_flags_bad_rows():
         [StepRecord.make("A2", 1, 0, 3, 0)],  # three added T vertices: below floor
     )
     assert table_violations(costly)
+
+
+def test_table_violations_checks_du_and_db_each_against_the_row():
+    # du and db one above A1's row: du - db and the floor still hold
+    shifted = StepRecord.make("A1", 2, 1, 1, 0)
+    assert shifted.du - shifted.db == 1 and shifted.profit15 >= 7
+    ledger = Ledger(StepRecord.make("B7-base", 4, 0, 5, 0), [shifted])
+    assert table_violations(ledger) == [(0, "A1: du, db 2, 1 != row 1, 0")]
+
+
+def test_table_violations_flags_a_composite_label_without_a_row():
+    for label in ("M9", "N4.6"):
+        rec = StepRecord.make(label, 2, 1, 0, 1)  # a non-negative profit
+        assert rec.profit15 >= 0
+        ledger = Ledger(StepRecord.make("B7-base", 4, 0, 5, 0), [rec])
+        assert table_violations(ledger) == [(0, f"{label}: no catalog row")]
 
 
 def test_mn_steps_nonnegative_in_builds(graph_pool):

@@ -137,6 +137,9 @@ def test_matches_reference_on_named_graphs():
         assert_matches_reference(square_of_cycle(n))
     for g in (h_graph(2), g8(), *sweep_named_cases()):
         assert_matches_reference(g)
+    # a draw that reaches the search's `dom == full` completion, which
+    # random draws with n 6..16 almost never do
+    assert_matches_reference(random_connected(13, 2, 12, 577219079))
 
 
 def past_the_budget_pool() -> list[Graph]:

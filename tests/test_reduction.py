@@ -47,6 +47,13 @@ def test_suite_audit_refuses_an_event_that_changes_the_cost():
         reduction._apply(adj, bad)
 
 
+def swap_r2_ends(ev: ReductionEvent) -> ReductionEvent:
+    """The R2 event `ev` with its kept and dropped ends exchanged."""
+    return ev._replace(
+        x=ev.a, a=ev.x, nbrs_kept=ev.nbrs_dropped, nbrs_dropped=ev.nbrs_kept
+    )
+
+
 # K4 minus the edge 01: vertices 2 and 3 have degree 3 and share 0 and 1
 K4_MINUS_E = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 NO_NBRS = frozenset()
@@ -60,8 +67,10 @@ NO_NBRS = frozenset()
         # ends swapped: the matcher names the smaller neighbor first
         (Graph(3, [(0, 1), (1, 2)]), ReductionEvent("R1", 1, 2, 0, NO_NBRS, NO_NBRS)),
         (h_graph(2), reduce_fully(h_graph(2))[1][0]._replace(b=0)),  # a stray b
+        # kept end above the dropped end: a contraction, but not the scan's
+        (h_graph(2), swap_r2_ends(reduce_fully(h_graph(2))[1][0])),
     ],
-    ids=["R2-shared-neighbours", "R1-swapped-ends", "R2-stray-b"],
+    ids=["R2-shared-neighbours", "R1-swapped-ends", "R2-stray-b", "R2-swapped-ends"],
 )
 def test_replay_refuses_an_event_its_rule_does_not_make(g, ev):
     with pytest.raises(ValueError, match=r"event 0 \(R[12]\) does not match the graph"):
@@ -393,3 +402,9 @@ def test_a_tree_without_vertices_is_refused():
     # parents() roots every tree at vertex 0, which an empty tree lacks
     with pytest.raises(ValueError, match="at least one vertex"):
         SpanningTree(0, frozenset()).parents()
+
+
+def test_a_connected_edge_set_with_a_cycle_is_not_a_tree():
+    # the triangle reaches every vertex from 0, but has one edge too many
+    with pytest.raises(ValueError, match="3 edges cannot be a tree on 3 vertices"):
+        SpanningTree(3, frozenset({(0, 1), (1, 2), (0, 2)})).parents()
