@@ -28,8 +28,14 @@ Step catalog, tried strictly in order each round (first match wins):
 Each row's du, db and profit floor are stated once, in
 `ledger.TABLE_FLOORS`; a plan names its row and attachments and takes du
 and db from there.  Only Z1.3 (db is its vertex's degree) and Z4 have no
-row.  Z4 is the driver's step: once no row applies, `next_step` returns
-None and `_run_from_base` stops if the tree spans, else calls `split_z4`.
+row.  A1 and A2, most of the steps of a run, are committed by `_expand`
+without a plan: it makes `next_step`'s choice and returns the deltas
+`apply_step` would, checked against the same rows.  Every other row is
+planned by `next_step` and committed by `apply_step`, which stay the
+public planner and commit for every row.  So each round `_run_from_base`
+tries `_expand`, then `next_step`.  Z4 is the driver's step: once no row
+applies, `next_step` returns None and `_run_from_base` stops if the tree
+spans, else calls `split_z4`.
 
 A partial tree keeps one membership set, its tree vertices.  The outside
 is implicit: the outside neighbours of v are `adj[v] - vertices`, an
@@ -47,15 +53,15 @@ sums the graph's per-vertex costs over the tree's vertices) runs on
 every base and at the end of every run, where the run also checks that
 every leaf is dead and that its running sum telescopes to 15 leaves
 minus cost(g).  A Z4 split is planned by `split_z4` and committed by
-`apply_step` like any other step, so every run ends through these
+`apply_step` like any other plan, so every run ends through these
 checks.  The test suite runs the recount, with a rescan of the fringe
 and the dead marks, on every base and after every step.
 
 Every committed step is logged in the ledger; extra dead leaves beyond a
 case's nominal count become explicit Z0 records.  A run keeps its base
-and each step as plain deltas (`StepDeltas`, for a step as `apply_step`
-returns it) and its tree as parent links only, so every check runs on
-every base; the `StepRecord`s (the base's, with its vertices sorted, and
+and each step as plain deltas (`StepDeltas`, for a step as `_expand` or
+`apply_step` returns it) and its tree as parent links only, so every
+check runs on every base; the `StepRecord`s (the base's, with its vertices sorted, and
 `step_records`) and a `SpanningTree` of the links, whose leaf count is
 checked once more, are made only for the run `build` keeps.  The final
 bound leaves >= cost + 2 (cost + 8/5 for the exceptions) is re-checked
@@ -205,7 +211,7 @@ class StepPlan(NamedTuple):
 
 
 class StepDeltas(NamedTuple):
-    """What one committed step changed, as `apply_step` returns it.
+    """What one committed step changed, as `_expand` or `apply_step` returns it.
 
     The fields of the step's catalog record (db is the case's nominal
     dead-leaf count), plus `extra_dead`, the dead leaves beyond it; each of
@@ -565,12 +571,8 @@ def apply_step(g: Graph, f: PartialTree, plan: StepPlan) -> StepDeltas:
             raise StalePlanError(f"{label}: {exc}") from exc
     du = f.leaves - leaves_before
     db_total = len(f.dead) - dead_before
-    if du != nominal_du:
-        raise EngineDefect(f"{label}: leaf delta {du} != nominal {nominal_du}")
-    if db_total < nominal_db:
-        raise EngineDefect(
-            f"{label}: only {db_total} deaths, promised {nominal_db}"
-        )
+    if du != nominal_du or db_total < nominal_db:
+        raise _row_defect(label, du, db_total, nominal_du, nominal_db)
     adj = g.adj
     dt = ds = 0
     for c in children:
@@ -582,6 +584,57 @@ def apply_step(g: Graph, f: PartialTree, plan: StepPlan) -> StepDeltas:
     return _new(
         StepDeltas, (label, du, nominal_db, dt, ds, children, db_total - nominal_db)
     )
+
+
+def _row_defect(
+    label: str, du: int, deaths: int, row_du: int, row_db: int
+) -> EngineDefect:
+    """The defect of a step whose leaf delta or deaths break its row."""
+    if du != row_du:
+        return EngineDefect(f"{label}: leaf delta {du} != nominal {row_du}")
+    return EngineDefect(f"{label}: only {deaths} deaths, promised {row_db}")
+
+
+def _expand(g: Graph, f: PartialTree) -> StepDeltas | None:
+    """Commit A1 or A2, chosen as `next_step` chooses it, and return the
+    deltas `apply_step(g, f, next_step(g, f))` returns; None when neither
+    row applies.
+
+    The engine's hot path: no plan is made.  The children are outside
+    neighbours of one tree vertex, so they are distinct and outside the
+    tree by construction; `attach` still checks each one, and du and the
+    deaths are checked against the row as `apply_step` checks them.
+    """
+    adj, tree = g.adj, f.vertices
+    inner_open, rich = f.inner_open, f.rich
+    if inner_open:
+        x = min(inner_open)
+        added = (min(adj[x] - tree),)
+        label = "A1"
+        row_du, row_db = _A1_DU, _A1_DB
+    elif rich:
+        x = min(rich)
+        y1, y2 = sorted(adj[x] - tree)[:2]
+        added = (y1, y2)
+        label = "A2"
+        row_du, row_db = _A2_DU, _A2_DB
+    else:
+        return None
+    leaves_before, dead_before = f.leaves, len(f.dead)
+    attach = f.attach
+    dt = ds = 0
+    for c in added:
+        attach(x, c)
+        d = len(adj[c])
+        if d >= 4:
+            dt += 1
+        elif d == 3:
+            ds += 1
+    du = f.leaves - leaves_before
+    deaths = len(f.dead) - dead_before
+    if du != row_du or deaths < row_db:
+        raise _row_defect(label, du, deaths, row_du, row_db)
+    return _new(StepDeltas, (label, du, row_db, dt, ds, added, deaths - row_db))
 
 
 def split_z4(g: Graph, f: PartialTree) -> tuple[StepPlan, int]:
@@ -720,13 +773,15 @@ def _run_from_base(g: Graph, f: PartialTree, case: str) -> _EngineResult:
     depth = 0
     dead = f.dead
     for _ in range(2 * g.n + 8):
-        plan = next_step(g, f)
-        if plan is None:
-            if f.spans():
-                break
-            # no catalog row applies to a tree short of spanning: split
-            plan, depth = split_z4(g, f)
-        d = apply_step(g, f, plan)
+        d = _expand(g, f)
+        if d is None:
+            plan = next_step(g, f)
+            if plan is None:
+                if f.spans():
+                    break
+                # no catalog row applies to a tree short of spanning: split
+                plan, depth = split_z4(g, f)
+            d = apply_step(g, f, plan)
         steps.append(d)
         label, du, db, dt, ds, _, extra_dead = d
         # each extra dead leaf is a Z0 record

@@ -49,11 +49,13 @@ def audit_every_step(monkeypatch):
     """Recount every partial tree from scratch after each step of every build.
 
     Production builds recount only at the base and at the end of each engine
-    run; the engine looks `apply_step` up at call time, so this wrapper sees
-    every step the tests make the engine take.  The fixture's value counts
-    the steps audited so far in the test (`.steps`).
+    run.  A step is committed by `_expand` (A1, A2) or by `apply_step`
+    (every other row); the engine looks both up at call time, so these
+    wrappers see every step the tests make the engine take.  The fixture's
+    value counts the steps audited so far in the test (`.steps`), over both
+    commit paths.
     """
-    step = builder.apply_step
+    step, expand = builder.apply_step, builder._expand
     audit = SimpleNamespace(steps=0)
 
     def audited(g, f, plan):
@@ -62,7 +64,15 @@ def audit_every_step(monkeypatch):
         audit.steps += 1
         return deltas
 
+    def audited_expand(g, f):
+        deltas = expand(g, f)
+        if deltas is not None:
+            audit_counts(g, f)
+            audit.steps += 1
+        return deltas
+
     monkeypatch.setattr(builder, "apply_step", audited)
+    monkeypatch.setattr(builder, "_expand", audited_expand)
     return audit
 
 

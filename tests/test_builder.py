@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import hashlib
 import weakref
 
@@ -27,7 +28,13 @@ from leafspan import (
     table_violations,
     verify_ledger,
 )
-from leafspan.builder import PartialTree, StalePlanError, _run_from_base, base_tree
+from leafspan.builder import (
+    EngineDefect,
+    PartialTree,
+    StalePlanError,
+    _run_from_base,
+    base_tree,
+)
 from leafspan.trees import SpanningTree, check_spanning_tree
 
 from conftest import audit_counts, make_state
@@ -655,13 +662,77 @@ def test_every_count_is_exact_after_every_attach(graph_pool, monkeypatch):
 
     monkeypatch.setattr(PartialTree, "attach", audited)
     monkeypatch.setattr(builder_mod, "split_z4", counted)
+    for g in _step_corpus(graph_pool):
+        build(g)
+    assert attaches > 0 and splits > 0
+
+
+def _step_corpus(graph_pool) -> list[Graph]:
+    """Graphs whose builds take every kind of step, a Z4 split included."""
     graphs = graph_pool[:40] + [h_graph(k) for k in (2, 3, 4)]
     graphs += [square_of_cycle(n) for n in range(6, 15)]
     # its first base reaches `split_z4`
     graphs.append(random_connected(14, 2, 13, seed=232))
-    for g in graphs:
+    return graphs
+
+
+def _tree_state(f: PartialTree) -> tuple:
+    return (
+        f.parent, f.dead, f.border, f.inner_open, f.rich, f.out, f.leaves, f.cost
+    )
+
+
+def test_expand_commits_what_next_step_and_apply_step_commit(graph_pool, monkeypatch):
+    # every run grows two copies of its base in lockstep: one through
+    # `_expand`, falling back to `next_step` + `apply_step`, the other
+    # through `next_step` + `apply_step` alone
+    real_run = builder_mod._run_from_base
+    expanded: set[str] = set()
+    planned: set[str] = set()
+
+    def commit(g, f, plan):
+        if plan is None:
+            plan, _ = split_z4(g, f)
+        return apply_step(g, f, plan)
+
+    def lockstep(g, f, case):
+        fast, slow = (copy.deepcopy(f, {id(g): g}) for _ in range(2))
+        while True:
+            plan = next_step(g, slow)
+            d = builder_mod._expand(g, fast)
+            assert (d is None) == (plan is None or plan.label not in ("A1", "A2"))
+            if plan is None and slow.spans():
+                assert d is None and fast.spans()
+                break
+            if d is None:
+                d = commit(g, fast, next_step(g, fast))
+                planned.add(d.label)
+            else:
+                expanded.add(d.label)
+            assert d == commit(g, slow, plan)
+            assert _tree_state(fast) == _tree_state(slow)
+        return real_run(g, f, case)
+
+    monkeypatch.setattr(builder_mod, "_run_from_base", lockstep)
+    for g in _step_corpus(graph_pool):
         build(g)
-    assert attaches > 0 and splits > 0
+    assert expanded == {"A1", "A2"}
+    assert "Z4" in planned and len(planned) > 3
+
+
+@pytest.mark.parametrize(
+    "row, value, message",
+    [
+        ("_A1_DU", 2, r"A1: leaf delta 1 != nominal 2"),
+        ("_A2_DB", 3, r"A2: only [0-2] deaths, promised 3"),
+    ],
+)
+def test_expand_checks_each_step_against_its_row(monkeypatch, row, value, message):
+    monkeypatch.setattr(builder_mod, row, value)
+    reduced, _ = reduce_fully(random_connected(40, 3, 4, seed=1))
+    label, a, b = choose_bases(reduced)[0]
+    with pytest.raises(EngineDefect, match=message):
+        _run_from_base(reduced, base_tree(reduced, a, b), label)
 
 
 def test_split_z4_direct():
@@ -859,8 +930,8 @@ def test_build_spanning_and_sound(graph_pool):
 
 def test_every_engine_step_is_audited(audit_every_step):
     # one base and no Z4 split, whose component builds would add audited
-    # steps of their own: each labelled record of the ledger comes from
-    # one `apply_step` call, so a fast path that skipped it would show here
+    # steps of their own: each labelled record of the ledger comes from one
+    # `_expand` or `apply_step` call, so a path that skipped both would show
     g = random_connected(32, 2, 31, seed=4)
     r = build(g)
     assert r.engine_runs == 1

@@ -1,11 +1,13 @@
 """Every step label the engine can plan has a catalog row, and every row is planned.
 
 The labels are read from `builder.py`'s source, in the functions that plan
-steps: the first argument of each `StepPlan(...)` and `_plan(...)` call,
-and the first field of each `_new(StepPlan, (...))`.  A label is a string,
-a conditional of labels, a local name bound only to labels, or `lab(...)`
-of one, which `_plan_chain` makes the M or N row of a chain sub-case.
-Anything else is refused, so no label escapes the check unseen.
+steps and in `_expand`, which commits A1 and A2 without a plan: the first
+argument of each `StepPlan(...)` and `_plan(...)` call, and the first
+field of each `_new(StepPlan, (...))` and `_new(StepDeltas, (...))`.  A
+label is a string, a conditional of labels, a local name bound only to
+labels, or `lab(...)` of one, which `_plan_chain` makes the M or N row of
+a chain sub-case.  Anything else is refused, so no label escapes the
+check unseen.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import pytest
 from leafspan.ledger import TABLE_FLOORS
 
 BUILDER = Path(__file__).resolve().parents[1] / "src" / "leafspan" / "builder.py"
-PLANNERS = ("next_step", "_plan_chain", "split_z4")
+PLANNERS = ("next_step", "_plan_chain", "split_z4", "_expand")
 
 
 def _called(call: ast.Call) -> str | None:
@@ -27,7 +29,8 @@ def _called(call: ast.Call) -> str | None:
 
 
 def _label_arg(call: ast.Call) -> ast.expr | None:
-    """The label expression of a call that makes a plan, else None."""
+    """The label expression of a call that makes a plan or a step's deltas,
+    else None."""
     name, args = _called(call), call.args
     if name in ("StepPlan", "_plan") and args:
         return args[0]
@@ -35,7 +38,7 @@ def _label_arg(call: ast.Call) -> ast.expr | None:
         name == "_new"
         and len(args) == 2
         and isinstance(args[0], ast.Name)
-        and args[0].id == "StepPlan"
+        and args[0].id in ("StepPlan", "StepDeltas")
         and isinstance(args[1], ast.Tuple)
     ):
         return args[1].elts[0]
@@ -55,7 +58,8 @@ def _labels(node: ast.expr, bound: dict[str, list[ast.expr]]) -> set[str]:
 
 
 def planned_labels(source: str) -> set[str]:
-    """Every label the planning functions in `source` can give a plan."""
+    """Every label the planning functions and `_expand` in `source` can
+    give a step."""
     found: set[str] = set()
     for fn in ast.parse(source).body:
         if not (isinstance(fn, ast.FunctionDef) and fn.name in PLANNERS):
@@ -83,14 +87,25 @@ def test_the_check_reads_every_form_of_label():
         "    return StepPlan('Z1.3', att, 0, d)\n"
         "def _plan_chain(g, f, x, kind):\n"
         "    return _plan(lab('4.1.1' if c else '4.1.2'), att)\n"
+        "def _expand(g, f):\n"
+        "    if a:\n"
+        "        label = 'A1'\n"
+        "    else:\n"
+        "        label = 'A2'\n"
+        "    return _new(StepDeltas, (label, du, db, dt, ds, added, 0))\n"
         "def not_a_planner():\n"
+        "    _new(StepDeltas, ('Q', du, db, dt, ds, added, 0))\n"
         "    return _plan('Q', att)\n"
     )
     assert planned_labels(source) == {
-        "A1", "Z2.1", "Z2.2", "Z1.3", "M4.1.1", "M4.1.2", "N4.1.1", "N4.1.2",
+        "A1", "A2", "Z2.1", "Z2.2", "Z1.3", "M4.1.1", "M4.1.2", "N4.1.1", "N4.1.2",
     }
     with pytest.raises(ValueError, match="label pick\\(\\) is not resolvable"):
         planned_labels("def next_step(g, f):\n    return _plan(pick(), att)\n")
+    with pytest.raises(ValueError, match="label pick\\(\\) is not resolvable"):
+        planned_labels(
+            "def _expand(g, f):\n    return _new(StepDeltas, (pick(), 1, 0))\n"
+        )
 
 
 def test_every_planned_label_has_a_row_and_every_row_is_planned():

@@ -80,26 +80,44 @@ def test_exclusion_path_untouched_by_engine_patch(monkeypatch):
     assert report.leaves == 4 and not report.defects
 
 
+def _tamper_after_every_step(monkeypatch, tamper):
+    """Call `tamper(f)` after every step of every run, from either commit
+    path: `_expand` (A1, A2) or `apply_step` (every other row)."""
+    real_expand, real_step = builder_mod._expand, builder_mod.apply_step
+
+    def expanding(g, f):
+        deltas = real_expand(g, f)
+        if deltas is not None:
+            tamper(f)
+        return deltas
+
+    def stepping(g, f, plan):
+        deltas = real_step(g, f, plan)
+        tamper(f)
+        return deltas
+
+    monkeypatch.setattr(builder_mod, "_expand", expanding)
+    monkeypatch.setattr(builder_mod, "apply_step", stepping)
+
+
 def test_drift_in_a_dropped_base_is_caught(monkeypatch):
     # random_graph_pool(2000, sizes=(3, 40), seed=99) index 812: seven B7
     # bases, and the driver keeps the second, the first to reach 6 leaves
     g = random_connected(14, 3, 4, 951997565)
     clean = build(g)
-    real_run, real_step = builder_mod._run_from_base, builder_mod.apply_step
+    real_run = builder_mod._run_from_base
     runs = {"n": 0}
 
     def counted(g, base, case):
         runs["n"] += 1
         return real_run(g, base, case)
 
-    def drifting(g, f, plan):
-        deltas = real_step(g, f, plan)
+    def drift(f):
         if runs["n"] == clean.engine_runs:  # the last base
             f.cost += 1  # the counts fall 1/15 behind the ledger
-        return deltas
 
     monkeypatch.setattr(builder_mod, "_run_from_base", counted)
-    monkeypatch.setattr(builder_mod, "apply_step", drifting)
+    _tamper_after_every_step(monkeypatch, drift)
     report = build(g)
     assert len(report.defects) == 1 and "potential drifted" in report.defects[0]
     assert not report.oracle_fallback and report.engine_runs == clean.engine_runs
@@ -120,7 +138,6 @@ def _fault_at_the_end_of_the_second_run(monkeypatch, *, recount=None, step=None)
     clean = build(g)
     real_run = builder_mod._run_from_base
     real_recount = builder_mod.alpha_prime
-    real_step = builder_mod.apply_step
     runs = {"n": 0}
 
     def counted(g, base, case):
@@ -132,15 +149,13 @@ def _fault_at_the_end_of_the_second_run(monkeypatch, *, recount=None, step=None)
             return recount(f, real_recount(g, f))
         return real_recount(g, f)
 
-    def stepping(g, f, plan):
-        deltas = real_step(g, f, plan)
+    def stepped(f):
         if step is not None and runs["n"] == 2 and f.spans():
             step(f)
-        return deltas
 
     monkeypatch.setattr(builder_mod, "_run_from_base", counted)
     monkeypatch.setattr(builder_mod, "alpha_prime", recounting)
-    monkeypatch.setattr(builder_mod, "apply_step", stepping)
+    _tamper_after_every_step(monkeypatch, stepped)
     report = build(g)
     assert clean.engine_runs == report.engine_runs == runs["n"] >= 2
     assert not clean.defects and not report.oracle_fallback
