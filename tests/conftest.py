@@ -277,3 +277,81 @@ def enumerate_regular_graphs(n: int, d: int) -> list[Graph]:
 @pytest.fixture(scope="session")
 def graph_pool():
     return random_graph_pool(150)
+
+
+# -- structured families ----------------------------------------------------
+# Written out here rather than taken from networkx, so the suite needs only
+# pytest and hypothesis; each returns the graph with its vertices numbered as
+# the formula in its docstring says.
+
+
+def grid(a: int, b: int) -> Graph:
+    """The a x b grid; vertex i*b + j is row i, column j."""
+    edges = [(i * b + j, i * b + j + 1) for i in range(a) for j in range(b - 1)]
+    edges += [(i * b + j, (i + 1) * b + j) for i in range(a - 1) for j in range(b)]
+    return Graph(a * b, edges)
+
+
+def torus(a: int, b: int) -> Graph:
+    """The a x b grid with both directions closed into cycles (a, b >= 3)."""
+    edges = [(i * b + j, i * b + (j + 1) % b) for i in range(a) for j in range(b)]
+    edges += [(i * b + j, (i + 1) % a * b + j) for i in range(a) for j in range(b)]
+    return Graph(a * b, edges)
+
+
+def hypercube(d: int) -> Graph:
+    """Q_d: vertices 0..2^d - 1, adjacent when they differ in one bit."""
+    n = 1 << d
+    return Graph(n, [(v, v | 1 << k) for v in range(n) for k in range(d) if not v >> k & 1])
+
+
+def complete(n: int) -> Graph:
+    return Graph(n, combinations(range(n), 2))
+
+
+def complete_bipartite(a: int, b: int) -> Graph:
+    """K_{a,b}: sides 0..a-1 and a..a+b-1."""
+    return Graph(a + b, [(u, v) for u in range(a) for v in range(a, a + b)])
+
+
+def wheel(n: int) -> Graph:
+    """W_n on n vertices: hub 0 joined to every vertex of the cycle 1..n-1."""
+    rim = range(1, n)
+    return Graph(n, [(0, v) for v in rim] + [(v, v % (n - 1) + 1) for v in rim])
+
+
+def circulant(n: int, jumps) -> Graph:
+    """C_n(jumps): vertex i adjacent to i +- j (mod n) for each jump j."""
+    return Graph(n, [(i, (i + j) % n) for i in range(n) for j in jumps])
+
+
+def generalized_petersen(n: int, k: int) -> Graph:
+    """GP(n, k): outer cycle 0..n-1, spokes i ~ n+i, inner edges n+i ~ n+(i+k)%n."""
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, n + i) for i in range(n)]
+    edges += [(n + i, n + (i + k) % n) for i in range(n)]
+    return Graph(2 * n, edges)
+
+
+def mobius_ladder(n: int) -> Graph:
+    """The Möbius ladder on n vertices (n even): C_n plus the n/2 long diagonals."""
+    return circulant(n, (1, n // 2))
+
+
+def structured_families() -> dict[str, list[tuple[str, Graph]]]:
+    """Every structured graph of the tier-1 corpus, n <= 40, by family."""
+    return {
+        "grid": [(f"grid {a}x{b}", grid(a, b))
+                 for a in range(2, 7) for b in range(a, 40 // a + 1)],
+        "torus": [(f"torus {a}x{b}", torus(a, b))
+                  for a in range(3, 7) for b in range(a, 40 // a + 1)],
+        "hypercube": [(f"Q{d}", hypercube(d)) for d in range(2, 6)],
+        "complete": [(f"K{n}", complete(n)) for n in range(4, 13)],
+        "complete-bipartite": [(f"K{a},{b}", complete_bipartite(a, b))
+                               for a in range(1, 7) for b in range(max(a, 2), 13)],
+        "wheel": [(f"W{n}", wheel(n)) for n in range(4, 41, 3)],
+        "circulant-1-2": [(f"C{n}(1,2)", circulant(n, (1, 2))) for n in range(6, 41, 2)],
+        "circulant-1-3": [(f"C{n}(1,3)", circulant(n, (1, 3))) for n in range(7, 41, 2)],
+        "petersen": [(f"GP({n},{k})", generalized_petersen(n, k))
+                     for n in range(3, 21) for k in range(1, (n + 1) // 2)],
+        "mobius": [(f"M{n}", mobius_ladder(n)) for n in range(6, 41, 2)],
+    }

@@ -2,10 +2,15 @@
 
 The pool covers the three benchmark regimes (random degree-3..4 graphs with
 64..104 vertices plus H_k and a squared cycle, a random core subdivided into
-long paths, and sweep-size graphs with 10..16 vertices) and three graphs
-that reach the rarer paths: a Z4 split from the first base, a B5 shortfall
-settled by exact search and a B7 shortfall settled by a later base.  Any
-change to a tree, a ledger line or the driver's provenance changes the hash.
+long paths, and sweep-size graphs with 10..16 vertices), three graphs that
+reach the rarer paths (a Z4 split from the first base, a B5 shortfall
+settled by exact search and a B7 shortfall settled by a later base), the
+exclusion graphs C6² and G8 met directly and after one R1, and four
+structured graphs (a grid, Q4, a wheel and GP(7, 3)).  Any change to a
+tree, a ledger line with its added vertices, the reduction trace or the
+driver's provenance changes the hash, and so does any change to the order
+in which a pool graph lists its edges: `subdivided_core` and the benchmark
+inputs place path vertices by that order.
 """
 
 from __future__ import annotations
@@ -13,7 +18,9 @@ from __future__ import annotations
 import hashlib
 import random
 
-from leafspan import Graph, build, h_graph, random_connected, square_of_cycle
+from leafspan import Graph, build, g8, h_graph, random_connected, square_of_cycle
+
+from conftest import generalized_petersen, grid, hypercube, wheel
 
 
 def subdivided_core(seed: int) -> Graph:
@@ -52,27 +59,37 @@ def pool() -> list[Graph]:
         random_connected(16, 2, 3, 73701376),  # B5 shortfall, exact search
         random_connected(14, 3, 4, 951997565),  # B7 shortfall, a later base
     ]
+    c6 = square_of_cycle(6)
+    graphs += [c6, g8(), Graph(7, [e for e in c6.edges() if e != (0, 1)] + [(0, 6), (6, 1)])]
+    graphs += [grid(4, 5), hypercube(4), wheel(8), generalized_petersen(7, 3)]
     return graphs
 
 
 def report_lines(r) -> list[str]:
     edges = " ".join(f"{u}-{v}" for u, v in sorted(r.spanning_tree.edges))
+    records = [r.ledger.base, *r.ledger.steps]
     return [
         f"{r.leaves} {r.alpha.num} {r.base_case} {r.engine_runs} {r.oracle_fallback}",
+        f"depth {r.recursion_depth} exclusion {r.exclusion}",
         f"defects {list(r.defects)}",
         edges,
-        *r.ledger.log_lines(),
+        *(f"{rec.log_line()} {list(rec.added_vertices)}" for rec in records),
+        *(
+            f"{ev.kind} {ev.x} {ev.a} {ev.b} {sorted(ev.nbrs_kept)} {sorted(ev.nbrs_dropped)}"
+            for ev in r.reduction_trace
+        ),
     ]
 
 
 def test_build_output_pinned_over_the_pool():
     digest = hashlib.sha256()
     for g in pool():
+        digest.update(f"{g.n} {g.edges()}\n".encode())
         for line in report_lines(build(g)):
             digest.update(line.encode() + b"\n")
         digest.update(b"--\n")
-    # taken before the engine stopped building step records for runs the
-    # driver drops; the output must not have moved
+    # taken before the graph's degree and cost tables were set at
+    # construction; the output must not have moved
     assert digest.hexdigest() == (
-        "e14f8f6d45a0a8aaf93e17f2ebb097a70928402b22b59a11d5e4b803c5199353"
+        "88a86c74586bcb0a3f3e0bd5d5360440fd4dd33dc6b25338ab198d96d09b4037"
     )
