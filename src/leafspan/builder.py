@@ -75,7 +75,7 @@ from dataclasses import dataclass
 from operator import countOf
 from typing import NamedTuple
 
-from .graph import Fifteenths, Graph, cost15, degree_counts, degrees, vertex_costs15
+from .graph import Fifteenths, Graph, degree_counts
 from .ledger import (
     DEAD_GAIN15,
     LEAF_GAIN15,
@@ -143,11 +143,11 @@ class PartialTree:
         self.parent: dict[int, int] = {root: -1}
         self.dead: set[int] = set()
         self.deg = [0] * g.n
-        self.out = degrees(g).copy()
+        self.out = list(g.degrees)
         for w in g.adj[root]:
             self.out[w] -= 1
         self.leaves = 0
-        self._costs15 = vertex_costs15(g)
+        self._costs15 = g.costs15
         self.cost = self._costs15[root]
         self.border: set[int] = set(g.adj[root])
         self.inner_open: set[int] = set()
@@ -289,7 +289,7 @@ def choose_bases(g: Graph) -> list[tuple[str, int, int]]:
         every degree-4 vertex.
     """
     adj = g.adj
-    deg = degrees(g)
+    deg = g.degrees
     t_set = [v for v, d in enumerate(deg) if d >= 4]
     s_set = [v for v, d in enumerate(deg) if d == 3]
     low = {v for v, d in enumerate(deg) if d <= 2}
@@ -796,7 +796,7 @@ def _run_from_base(g: Graph, f: PartialTree, case: str) -> _EngineResult:
     leaves = f.leaves
     if len(dead) != leaves:
         raise EngineDefect("a leaf of the spanning tree is not dead")
-    if 15 * leaves - cost15(g) != running15:
+    if 15 * leaves - g.cost15 != running15:
         raise EngineDefect("final potential does not telescope")
     return _EngineResult(f.parent, base, steps, depth, leaves)
 
@@ -833,7 +833,7 @@ def build(g: Graph) -> BuildReport:
         lift_trace = trace[:-1]
         case = "exclusion-direct"
         result = _exact_result(replay(g, lift_trace), case)
-    elif max(degrees(reduced), default=0) <= 2:
+    elif max(reduced.degrees, default=0) <= 2:
         # no branch vertex left: a path reduced to K2, a cycle to a triangle
         if reduced.n not in (2, 3):
             raise EngineDefect("degenerate reduced graph of unexpected size")
@@ -850,7 +850,7 @@ def build(g: Graph) -> BuildReport:
                 continue
             if result is None or res.leaves > result.leaves:
                 result = res
-        short = result is None or 15 * result.leaves < cost15(reduced) + _BOUND15
+        short = result is None or 15 * result.leaves < reduced.cost15 + _BOUND15
         if short and reduced.n <= ORACLE_MAX_N:
             exact = _exact_result(reduced, case)
             if result is None or exact.leaves > result.leaves:
@@ -864,7 +864,7 @@ def build(g: Graph) -> BuildReport:
         if gain:
             ledger.steps.append(StepRecord.make(label, gain, gain, 0, 0))
     final_leaves = lifted.leaf_count()
-    total_cost = cost15(g)
+    total_cost = g.cost15
     alpha = Fifteenths(15 * final_leaves - total_cost)
 
     return BuildReport(

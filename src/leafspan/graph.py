@@ -1,8 +1,11 @@
 """Simple undirected graphs and the exact cost arithmetic used throughout.
 
-Vertices are dense integers 0..n-1.  Graphs are immutable after
-construction; `renumbered` is the one place that re-indexes a vertex
-subset, and `Graph.induced` returns the sorted old ids beside its graph.
+Vertices are dense integers 0..n-1.  A `Graph` is immutable, and its
+constructor sets every table the layers read: the neighbour sets `adj`,
+the `degrees`, each vertex's cost `costs15` in fifteenths (2/5 for degree
+>= 4, 1/5 for degree 3, 0 otherwise) and their sum `cost15`.  `renumbered`
+is the one place that re-indexes a vertex subset, and `Graph.induced`
+returns the sorted old ids beside its graph.
 """
 
 from __future__ import annotations
@@ -34,9 +37,9 @@ class Fifteenths:
 
 
 class Graph:
-    """Undirected simple graph with per-vertex neighbor sets."""
+    """Undirected simple graph: neighbour sets, degrees and vertex costs."""
 
-    __slots__ = ("n", "adj", "_cost15", "_degrees", "_costs15")
+    __slots__ = ("n", "adj", "degrees", "costs15", "cost15")
 
     def __init__(self, n: int, edges=()) -> None:
         if n < 0:
@@ -50,16 +53,19 @@ class Graph:
             sets[u].add(v)
             sets[v].add(u)
         self.n = n
+        # `edges()` follows these sets' iteration order, which depends on how
+        # they are built (one edge at a time, then frozen); seeded inputs
+        # place vertices by that order, so a faster build must keep it
         self.adj: tuple[frozenset[int], ...] = tuple(map(frozenset, sets))
-        self._cost15: int | None = None  # cost15(self), summed on first use
-        self._degrees: list[int] | None = None  # degrees(self), listed on first use
-        self._costs15: list[int] | None = None  # vertex_costs15(self), likewise
+        self.degrees: tuple[int, ...] = tuple(map(len, sets))
+        self.costs15: tuple[int, ...] = tuple(map(degree_cost15, self.degrees))
+        self.cost15 = sum(self.costs15)
 
     # -- basic queries ------------------------------------------------
 
     def degree(self, v: int) -> int:
         self._check(v)
-        return len(self.adj[v])
+        return self.degrees[v]
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check(u)
@@ -71,7 +77,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(len(s) for s in self.adj) // 2
+        return sum(self.degrees) // 2
 
     def _check(self, v: int) -> None:
         if not (0 <= v < self.n):
@@ -91,44 +97,26 @@ class Graph:
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists, ordered by minimum."""
         seen = [False] * self.n
-        parts: list[list[int]] = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            stack = [s]
-            seen[s] = True
-            part = []
-            while stack:
-                v = stack.pop()
-                part.append(v)
-                for w in self.adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            parts.append(sorted(part))
-        return parts
+        return [sorted(self._reach(s, seen)) for s in range(self.n) if not seen[s]]
 
     def is_connected(self) -> bool:
-        """Whether every vertex is reachable from vertex 0 (true for n <= 1).
-
-        One search from vertex 0 that counts the vertices it reaches; no
-        component is listed or sorted.
-        """
+        """Whether every vertex is reachable from vertex 0 (true for n <= 1);
+        one walk from vertex 0, nothing sorted."""
         n = self.n
-        if n <= 1:
-            return True
+        return n <= 1 or len(self._reach(0, [False] * n)) == n
+
+    def _reach(self, s: int, seen: list[bool]) -> list[int]:
+        """The vertices not yet `seen` that a walk from s reaches, s first;
+        marks them seen."""
         adj = self.adj
-        seen = [False] * n
-        seen[0] = True
-        stack = [0]
-        reached = 1
-        while stack:
-            for w in adj[stack.pop()]:
+        seen[s] = True
+        part = [s]
+        for v in part:
+            for w in adj[v]:
                 if not seen[w]:
                     seen[w] = True
-                    stack.append(w)
-                    reached += 1
-        return reached == n
+                    part.append(w)
+        return part
 
     def induced(self, vertices) -> tuple["Graph", list[int]]:
         """Induced subgraph on `vertices`; new vertex i is old vertex order[i]."""
@@ -158,20 +146,6 @@ def degree_cost15(d: int) -> int:
     return 0
 
 
-def degrees(g: Graph) -> list[int]:
-    """The degree of every vertex of g, listed once per graph; copy it to change it."""
-    if g._degrees is None:
-        g._degrees = [len(nbrs) for nbrs in g.adj]
-    return g._degrees
-
-
-def vertex_costs15(g: Graph) -> list[int]:
-    """The cost of every vertex of g in fifteenths, listed once per graph; read only."""
-    if g._costs15 is None:
-        g._costs15 = [degree_cost15(len(nbrs)) for nbrs in g.adj]
-    return g._costs15
-
-
 def _in_range(g: Graph, vertices) -> list[int]:
     """`vertices` as a list, range-checked once."""
     vs = list(vertices)
@@ -183,14 +157,12 @@ def _in_range(g: Graph, vertices) -> list[int]:
 
 def degree_counts(g: Graph, vertices=None) -> tuple[int, int]:
     """(s, t): how many of `vertices` (default: all of g) have degree 3 / >= 4."""
-    costs = vertex_costs15(g)
+    costs = g.costs15
     if vertices is not None:
         costs = list(map(costs.__getitem__, _in_range(g, vertices)))
     return countOf(costs, S_COST15), countOf(costs, T_COST15)
 
 
 def cost15(g: Graph) -> int:
-    """Cost of all of g in fifteenths, summed once per graph."""
-    if g._cost15 is None:
-        g._cost15 = sum(map(degree_cost15, map(len, g.adj)))
-    return g._cost15
+    """Cost of all of g in fifteenths."""
+    return g.cost15

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import countOf
 
-from .graph import S_COST15, T_COST15, Fifteenths, Graph, cost15, vertex_costs15
+from .graph import S_COST15, T_COST15, Fifteenths, Graph
 from .trees import SpanningTree
 
 LEAF_GAIN15 = 13
@@ -89,7 +89,7 @@ def alpha_prime(g: Graph, f) -> Fifteenths:
     root_kids = countOf(links.values(), f.root)
     u = len(links.keys() - links.values()) - (root_kids == 0) + (root_kids == 1)
     b = len(f.dead)
-    cost = sum(map(vertex_costs15(g).__getitem__, f.vertices))
+    cost = sum(map(g.costs15.__getitem__, f.vertices))
     return Fifteenths(LEAF_GAIN15 * u + DEAD_GAIN15 * b - cost)
 
 
@@ -107,7 +107,7 @@ def verify_ledger(g: Graph, ledger: Ledger, final_tree: SpanningTree) -> LedgerA
     for i, rec in enumerate(ledger.steps):
         if not rec.consistent:
             return LedgerAudit(False, i, f"step {i} ({rec.label}) profit mismatch")
-    target = 15 * final_tree.leaf_count() - cost15(g)
+    target = 15 * final_tree.leaf_count() - g.cost15
     total = ledger.base.profit15 + sum(r.profit15 for r in ledger.steps)
     if total != target:
         return LedgerAudit(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .graph import Graph, degrees
+from .graph import Graph
 
 ORACLE_MAX_N = 16
 
@@ -83,7 +83,7 @@ def _search_min_cds(g: Graph) -> list[int]:
     adj = adjacency_masks(g)
     closed = [adj[v] | (1 << v) for v in range(n)]
     full = (1 << n) - 1
-    deg = degrees(g)
+    deg = g.degrees
     # the greedy start grows from the first vertex of maximum degree
     best_set = _greedy_cds(closed, full, deg.index(max(deg)))
     best = best_set.bit_count()

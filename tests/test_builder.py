@@ -35,6 +35,7 @@ from leafspan.builder import (
     _run_from_base,
     base_tree,
 )
+from leafspan.ledger import TABLE_FLOORS
 from leafspan.trees import SpanningTree, check_spanning_tree
 
 from conftest import audit_counts, make_state
@@ -298,6 +299,25 @@ def test_apply_a3_gains_two_leaves():
     recs = step_records(apply_step(g, f, plan))
     # the row's deltas (2, 0); the three pendant children die as Z0 records
     assert [rec.log_line() for rec in recs] == ["A3 2 0 1 0 20"] + ["Z0 0 1 0 0 2"] * 3
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ((3, 0), r"A3: leaf delta 2 != nominal 3"),
+        ((2, 5), r"A3: only 3 deaths, promised 5"),
+    ],
+)
+def test_apply_step_checks_the_step_against_its_row(monkeypatch, row, message):
+    # `_plan` reads the row when it plans, so a moved row is a plan whose
+    # du or deaths the committed step cannot make
+    monkeypatch.setitem(TABLE_FLOORS, "A3", (*row, TABLE_FLOORS["A3"][2]))
+    edges = [(0, 1), (0, 2), (0, 3), (4, 1), (4, 5), (4, 6), (4, 7)]
+    g, f = make_state(8, edges, [(0, 1), (0, 2), (0, 3)])
+    plan = next_step(g, f)
+    assert (plan.label, plan.nominal_du, plan.nominal_db) == ("A3", *row)
+    with pytest.raises(EngineDefect, match=message):
+        apply_step(g, f, plan)
 
 
 def test_apply_z2_adjacent_fringe_pair():

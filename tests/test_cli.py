@@ -184,6 +184,23 @@ def test_build_command_rejects_disconnected(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a b\n", "not a graph6 line"),
+        ("~\n", "graph6 inputs beyond 62 vertices are not supported"),
+        ("E\n", "truncated graph6 line"),
+        ("n 3\n0 1 2\n", "bad edge line: '0 1 2'"),
+        ("# nothing here\n\n", "empty input"),
+    ],
+    ids=["not-graph6", "graph6-63", "graph6-truncated", "bad-edge-line", "comments-only"],
+)
+def test_malformed_file_is_one_error_line(text, message, tmp_path, capsys):
+    (tmp_path / "g.txt").write_text(text)
+    assert main(["build", str(tmp_path / "g.txt")]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["build", "{tmp}/missing"],

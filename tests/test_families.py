@@ -175,6 +175,11 @@ def test_random_connected_single_edge():
     assert g.n == 2 and g.edges() == [(0, 1)]
 
 
+def test_random_connected_needs_two_vertices():
+    with pytest.raises(ValueError, match="need n >= 2"):
+        random_connected(1, 1, 1, seed=0)
+
+
 def test_random_connected_infeasible():
     with pytest.raises((GenerationError, ValueError)):
         random_connected(5, 1, 0, seed=1)

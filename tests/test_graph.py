@@ -18,7 +18,6 @@ from leafspan import (
     reduce_fully,
     square_of_cycle,
 )
-from leafspan import graph as graph_mod
 
 from conftest import common_neighbour_profile, enumerate_regular_graphs
 
@@ -78,14 +77,17 @@ def test_cost_examples():
     assert cost15(Graph(2, [(0, 1)])) == 0
 
 
-def test_whole_graph_cost_is_summed_once(monkeypatch):
-    # every engine run of a build checks its total against cost15(g)
+def test_whole_graph_cost_is_summed_once():
+    # every engine run of a build checks its total against the graph's cost,
+    # so construction sums it and `cost15` only reads it
     g = h_graph(3)
-    real = graph_mod.degree_cost15
-    seen = []
-    monkeypatch.setattr(graph_mod, "degree_cost15", lambda d: seen.append(d) or real(d))
-    assert cost15(g) == cost15(g) == 90
-    assert len(seen) == g.n
+    assert cost15(g) == g.cost15 == 90
+    # the tables are tuples (a list never equals a tuple), so no caller can
+    # change them under the graph
+    wide = Graph(7, [(0, v) for v in range(1, 7)] + [(1, 2), (2, 3), (3, 4)])
+    assert wide.degrees == (6, 2, 3, 3, 2, 1, 1)
+    assert wide.costs15 == (6, 0, 3, 3, 0, 0, 0)
+    assert wide.cost15 == 12
 
 
 def test_cost_sums_class_costs(graph_pool):

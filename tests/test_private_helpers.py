@@ -1,9 +1,13 @@
-"""No module-level private function of the package is left that only tests use.
+"""Two lints over the package's use of private names.
 
-A `_helper` defined at the top of a module in `src/leafspan` must be named
-somewhere in the package outside its own `def`: as a name, an attribute or
-an imported name.  A helper that only the tests call is code the program
-does not run.
+No module-level private function is left that only tests use: a `_helper`
+defined at the top of a module in `src/leafspan` must be named somewhere in
+the package outside its own `def`, as a name, an attribute or an imported
+name.  A helper that only the tests call is code the program does not run.
+
+No code writes another object's private attribute: an assignment to
+`x._name` is allowed only when x is `self` or `cls`.  An object's private
+state then has one writer, its own class.
 """
 
 from __future__ import annotations
@@ -59,3 +63,48 @@ def test_the_check_finds_a_helper_nothing_calls():
 def test_every_private_helper_is_used_by_the_package():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unreferenced_helpers(sources) == []
+
+
+def private_writes(sources: dict[str, str]) -> list[str]:
+    """`module:line target` of each write in `sources` to an attribute
+    starting with `_` on anything but the bare name `self` or `cls`.  Every
+    attribute an assignment, augmented or annotated assignment or loop
+    target writes is parsed with a `Store` context."""
+    return sorted(
+        f"{module}:{t.lineno} {ast.unparse(t)}"
+        for module, text in sources.items()
+        for t in ast.walk(ast.parse(text))
+        if isinstance(t, ast.Attribute)
+        and isinstance(t.ctx, ast.Store)
+        and t.attr.startswith("_")
+        and not (isinstance(t.value, ast.Name) and t.value.id in ("self", "cls"))
+    )
+
+
+def test_the_check_finds_a_private_write_from_outside():
+    source = (
+        "class A:\n"
+        "    def f(self, other):\n"
+        "        self._own = other.public = 1\n"
+        "        other._theirs = 2\n"
+        "        other._count += 1\n"
+        "        other._typed: int = 3\n"
+        "        a, self.child._deep = 4, 5\n"
+        "        for other._item in (): pass\n"
+        "        return other._theirs\n"
+        "    @classmethod\n"
+        "    def g(cls):\n"
+        "        cls._shared = 6\n"
+    )
+    assert private_writes({"m.py": source}) == [
+        "m.py:4 other._theirs",
+        "m.py:5 other._count",
+        "m.py:6 other._typed",
+        "m.py:7 self.child._deep",
+        "m.py:8 other._item",
+    ]
+
+
+def test_no_package_code_writes_another_objects_private_state():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert private_writes(sources) == []

@@ -404,6 +404,20 @@ def test_a_tree_without_vertices_is_refused():
         SpanningTree(0, frozenset()).parents()
 
 
+def test_n_minus_one_edges_with_a_cycle_and_an_isolated_vertex_are_not_a_tree():
+    # the edge count is a tree's, so only the walk from 0 can refuse it
+    with pytest.raises(ValueError, match="not a connected spanning tree"):
+        SpanningTree(4, frozenset({(0, 1), (1, 2), (0, 2)})).parents()
+
+
+def test_check_spanning_tree_refuses_a_wrong_vertex_or_edge_count():
+    path = Graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="vertex count mismatch"):
+        check_spanning_tree(path, SpanningTree(4, frozenset({(0, 1), (1, 2), (2, 3)})))
+    with pytest.raises(ValueError, match="expected 2 edges, got 1"):
+        check_spanning_tree(path, SpanningTree(3, frozenset({(0, 1)})))
+
+
 def test_a_connected_edge_set_with_a_cycle_is_not_a_tree():
     # the triangle reaches every vertex from 0, but has one edge too many
     with pytest.raises(ValueError, match="3 edges cannot be a tree on 3 vertices"):
