@@ -1,8 +1,11 @@
 """Command-line front end: build, oracle, sweep, gen.
 
 Native input is a plain edge list (`n <count>` header, one `u v` pair per
-line, `#` comments); graph6 lines are accepted read-only.  Exit code 0
-means every reported bound check passed.
+line, `#` comments); graph6 lines are accepted read-only.
+
+Exit codes: 0 every check passed, 1 a bound or oracle check failed, 2 bad
+input or an I/O error (one `error:` line on stderr), 141 the reader closed
+the pipe.
 """
 
 from __future__ import annotations
@@ -155,12 +158,8 @@ def _report_row(g: Graph, report) -> dict:
 def cmd_build(args) -> int:
     if args.json and args.log_steps:
         raise InputError("--json does not read --log-steps: its steps are always in it")
-    try:
-        g = read_graph(args.input)
-        report = build(g)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    g = read_graph(args.input)
+    report = build(g)
     if args.json:
         row = _report_row(g, report)
         row["tree_parents"] = report.spanning_tree.parents()
@@ -179,12 +178,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    try:
-        g = read_graph(args.input)
-        parents = max_leaf_tree(g)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    g = read_graph(args.input)
+    parents = max_leaf_tree(g)
     # the witness is a maximum-leaf tree, so its leaf count is exact_u(g)
     print(f"u={SpanningTree.from_parents(parents).leaf_count()}")
     print("parents=" + " ".join(str(p) for p in parents))
@@ -276,27 +271,23 @@ _SWEEP_HEADER = "  n    e   s   t     cost leaves oracle    alpha     bound excl
 def cmd_sweep(args) -> int:
     per_size = 20 if args.per_size is None else args.per_size
     failures: list[str] = []
-    try:
-        _refuse_unread(args)
-        if per_size < 0:
-            raise InputError("--per-size must not be negative")
-        if any(d is not None and d < 1 for d in (args.dmin, args.dmax)):
-            raise InputError("--dmin and --dmax must be at least 1")
-        size_text = _SWEEP_SIZES[args.family] if args.sizes is None else args.sizes
-        lo, hi = _parse_range(size_text)
-        _check_size(args.family, hi)
-        sizes = range(lo, hi + 1)
-        if args.family in _NAMED:
-            # a family refuses only too small an n: the least is made here
-            make = _NAMED[args.family]
-            graphs = chain([make(lo)], map(make, sizes[1:]))
-        elif any(_sweep_regimes(n, args.dmin, args.dmax) for n in sizes):
-            graphs = _random_graphs(args, sizes, per_size, failures)
-        else:
-            raise InputError(f"no feasible degree regime at any size in {size_text}")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    _refuse_unread(args)
+    if per_size < 0:
+        raise InputError("--per-size must not be negative")
+    if any(d is not None and d < 1 for d in (args.dmin, args.dmax)):
+        raise InputError("--dmin and --dmax must be at least 1")
+    size_text = _SWEEP_SIZES[args.family] if args.sizes is None else args.sizes
+    lo, hi = _parse_range(size_text)
+    _check_size(args.family, hi)
+    sizes = range(lo, hi + 1)
+    if args.family in _NAMED:
+        # a family refuses only too small an n: the least is made here
+        make = _NAMED[args.family]
+        graphs = chain([make(lo)], map(make, sizes[1:]))
+    elif any(_sweep_regimes(n, args.dmin, args.dmax) for n in sizes):
+        graphs = _random_graphs(args, sizes, per_size, failures)
+    else:
+        raise InputError(f"no feasible degree regime at any size in {size_text}")
     if not args.json:
         print(_SWEEP_HEADER, flush=True)
     rows: list[dict] = []
@@ -324,23 +315,19 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    try:
-        _refuse_unread(args)
-        if args.family == "g8":
-            g = families.g8()
-        elif args.n is None:
-            raise InputError(f"--family {args.family} needs --n")
+    _refuse_unread(args)
+    if args.family == "g8":
+        g = families.g8()
+    elif args.n is None:
+        raise InputError(f"--family {args.family} needs --n")
+    else:
+        _check_size(args.family, args.n)
+        if args.family in _NAMED:
+            g = _NAMED[args.family](args.n)
         else:
-            _check_size(args.family, args.n)
-            if args.family in _NAMED:
-                g = _NAMED[args.family](args.n)
-            else:
-                dmin, dmax = _degree_window(args.n, args.dmin, args.dmax)
-                seed = 0 if args.seed is None else args.seed
-                g = families.random_connected(args.n, dmin, dmax, seed)
-    except (ValueError, families.GenerationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            dmin, dmax = _degree_window(args.n, args.dmin, args.dmax)
+            seed = 0 if args.seed is None else args.seed
+            g = families.random_connected(args.n, dmin, dmax, seed)
     sys.stdout.write(render_edge_list(g))
     return 0
 
@@ -388,14 +375,16 @@ def main(argv=None) -> int:
         args = make_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
-    except InputError as exc:  # a usage error; each command reports its own
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         # the reader has gone (`| head`): send the rest, and the flush at
         # exit, to devnull instead of a traceback, and exit as SIGPIPE would
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE
+    except (OSError, ValueError, families.GenerationError) as exc:
+        # bad input or an I/O error; a RuntimeError such as EngineDefect is a
+        # bug and keeps its traceback
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -305,6 +305,16 @@ def hypercube(d: int) -> Graph:
     return Graph(n, [(v, v | 1 << k) for v in range(n) for k in range(d) if not v >> k & 1])
 
 
+def cycle(n: int) -> Graph:
+    """C_n: vertex i adjacent to i + 1 (mod n)."""
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def path(n: int) -> Graph:
+    """P_n: vertex i adjacent to i + 1."""
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
 def complete(n: int) -> Graph:
     return Graph(n, combinations(range(n), 2))
 

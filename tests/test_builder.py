@@ -38,8 +38,8 @@ from leafspan.builder import (
 from leafspan.ledger import TABLE_FLOORS
 from leafspan.trees import SpanningTree, check_spanning_tree
 
-from conftest import audit_counts, make_state
-from test_reduction import SUBDIVIDED, cycle, subdivided_core
+from conftest import audit_counts, cycle, make_state
+from test_reduction import SUBDIVIDED, subdivided_core
 
 
 def test_levels_on_c6sq():

@@ -446,6 +446,45 @@ def test_closed_pipe_ends_quietly():
     assert err == b""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "{g}"],
+        ["oracle", "{g}"],
+        ["sweep", "--sizes", "4..5", "--per-size", "1"],
+        ["gen", "--family", "c2", "--n", "50"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_failed_write_is_one_error_line(argv, tmp_path):
+    # every write to /dev/full fails with ENOSPC: an I/O error, not a bug
+    path = _write(tmp_path, square_of_cycle(8))
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "leafspan.cli", *(a.format(g=path) for a in argv)],
+            stdout=full, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    assert proc.returncode == 2
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+@pytest.mark.parametrize("command", ["build", "sweep"])
+def test_engine_defect_escapes_main(command, tmp_path, monkeypatch):
+    # a defect is a bug, not bad input: it keeps its traceback
+    def defective(g):
+        raise EngineDefect("poisoned")
+
+    monkeypatch.setattr(cli_mod, "build", defective)
+    argv = {"build": [_write(tmp_path, h_graph(2))], "sweep": ["--sizes", "4..4"]}
+    with pytest.raises(EngineDefect, match="poisoned"):
+        main([command, *argv[command]])
+
+
 def test_gen_rejects_bad_family_args(capsys):
     assert main(["gen", "--family", "c2", "--n", "4"]) == 2
     capsys.readouterr()

@@ -1,9 +1,10 @@
-"""Recovery paths of the build driver, forced via monkeypatching.
+"""Recovery paths of the build driver, most of them forced via monkeypatching.
 
-The engine raises no defect on the graphs we can generate, and it needs
-exact search only where every base of the first case falls short (see
-`test_b5_shortfall_falls_back_to_exact_search`), so the paths are also
-driven directly: per-base defects are collected and survived, and a total
+The engine raises a defect on one known graph (a line graph, pinned
+below), and it needs exact search only where every base of the first case
+falls short (see `test_b5_shortfall_falls_back_to_exact_search`), so the
+paths are also driven directly: per-base defects are collected and
+survived, and a total
 engine outage on a small graph falls back to exact search with the report
 flagged.  An exact-search tree runs through `_run_from_base` like a base,
 so an outage is forced where only the engine goes: at `base_tree`.  The
@@ -17,6 +18,7 @@ import pytest
 import leafspan.builder as builder_mod
 from leafspan import (
     Fifteenths,
+    Graph,
     build,
     h_graph,
     random_connected,
@@ -28,6 +30,29 @@ from leafspan.builder import EngineDefect
 from leafspan.trees import check_spanning_tree
 
 from conftest import tree_degrees
+
+
+def test_closing_vertex_defect_on_a_line_graph_is_swallowed():
+    # the line graph of a cubic graph, its vertices numbered by the sorted
+    # edge list: 4-regular, every edge in a triangle, so no reduction and
+    # base case B7.  One base reaches the M4.5.5 closing configuration with
+    # no vertex that closes it; the driver drops that run and keeps another.
+    # Planning that configuration (ROADMAP item 11) changes this pin.
+    cubic = sorted(random_connected(16, 3, 3, 8).edges())
+    g = Graph(len(cubic), [
+        (i, j) for i, e in enumerate(cubic) for j in range(i + 1, len(cubic))
+        if set(e) & set(cubic[j])
+    ])
+    report = build(g)
+    assert g.n == 24 and report.reduction_trace == []
+    assert report.base_case == "B7" and report.engine_runs == 24
+    assert report.defects == ("B7: closing vertex adjacency violated",)
+    assert not report.oracle_fallback
+    assert report.leaves == 13 and report.alpha == Fifteenths(51)
+    assert report.bound_ok
+    check_spanning_tree(g, report.spanning_tree)
+    assert verify_ledger(g, report.ledger, report.spanning_tree).ok
+    assert table_violations(report.ledger) == []
 
 
 def test_total_engine_outage_falls_back_to_exact_search(monkeypatch):

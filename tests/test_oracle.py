@@ -22,17 +22,11 @@ from leafspan.trees import SpanningTree, check_spanning_tree
 
 from conftest import (
     common_neighbour_profile,
+    cycle,
     enumerate_regular_graphs,
+    path,
     random_graph_pool,
 )
-
-
-def cycle(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def path(n):
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def test_cycles_have_two_leaves():

@@ -26,7 +26,7 @@ from leafspan import (
 from leafspan.oracle import ORACLE_MAX_N, _search_min_cds, adjacency_masks
 from leafspan.trees import SpanningTree, check_spanning_tree
 
-from conftest import random_graph_pool
+from conftest import complete, cycle, path, random_graph_pool
 
 
 def _is_connected_mask(mask: int, adj: list[int]) -> bool:
@@ -68,20 +68,8 @@ def reference_min_cds(g: Graph) -> list[int]:
     raise AssertionError("connected graph must have a connected dominating set")
 
 
-def cycle(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def path(n):
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
 def star(n):
     return Graph(n, [(0, i) for i in range(1, n)])
-
-
-def complete(n):
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def sweep_named_cases():

@@ -21,11 +21,7 @@ from leafspan import (
 from leafspan.trees import SpanningTree, check_spanning_tree
 
 import reduction_reference as ref
-from conftest import random_graph_pool, random_spanning_tree
-
-
-def cycle(n):
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+from conftest import cycle, random_graph_pool, random_spanning_tree
 
 
 def test_r1_on_path():
