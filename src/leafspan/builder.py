@@ -604,10 +604,13 @@ def _expand(g: Graph, f: PartialTree) -> StepDeltas | None:
     neighbours of one tree vertex, so they are distinct and outside the
     tree by construction; `attach` still checks each one, and du and the
     deaths are checked against the row as `apply_step` checks them.
-    It stays a separate path on purpose: sharing the A1/A2 choice with
-    `next_step` through one helper measured up to 8% slower on
-    ensemble-mid inputs, and routing A1/A2 through a `StepPlan` and one
-    commit helper about 14% slower (CPython 3.11, 2-core x86 VM).
+    It stays a separate path on purpose, on an under-powered reading: in
+    an in-process CPU-time A/B of this layer alone (first 30-40
+    ensemble-mid inputs, three runs, CPython 3.11, 2-core x86 VM),
+    sharing the A1/A2 choice with `next_step` through one helper read
+    0.996-1.08x this path's median time, and routing A1/A2 through a
+    `StepPlan` and one commit helper 1.14x; neither was measured end to
+    end.
     """
     adj, tree = g.adj, f.vertices
     inner_open, rich = f.inner_open, f.rich

@@ -370,20 +370,30 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stdout_to_devnull() -> None:
+    # what stdout still holds would fail again in the flush at exit, which
+    # prints "Exception ignored" and exits 120; send it to devnull instead
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv=None) -> int:
     try:
         args = make_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
     except BrokenPipeError:
-        # the reader has gone (`| head`): send the rest, and the flush at
-        # exit, to devnull instead of a traceback, and exit as SIGPIPE would
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # the reader has gone (`| head`): exit as SIGPIPE would
+        _stdout_to_devnull()
         return 141  # 128 + SIGPIPE
     except (OSError, ValueError, families.GenerationError) as exc:
-        # bad input or an I/O error; a RuntimeError such as EngineDefect is a
-        # bug and keeps its traceback
+        # bad input or an I/O error.  Only a RuntimeError, such as
+        # EngineDefect, keeps its traceback: a ValueError the library raises
+        # for a bug (StalePlanError, a failed tree check) also ends here
         print(f"error: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:  # the error was (or hit) stdout itself
+            _stdout_to_devnull()
         return 2
     return code
 

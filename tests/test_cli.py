@@ -427,16 +427,22 @@ def test_dmax_above_n_minus_one_is_clamped(capsys):
     assert payload["generation_failures"] == ["n=3: no feasible degree regime"]
 
 
-def test_closed_pipe_ends_quietly():
+def _cli_argv_env(*args):
+    """argv and environment that run the CLI from this checkout in a fresh
+    interpreter, with stdout buffered as it is by default."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src), os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return [sys.executable, "-m", "leafspan.cli", *args], env
+
+
+def test_closed_pipe_ends_quietly():
     # about 68 KB of rows, more than a pipe holds, so some write must come
     # after the close even if the rows were held back
+    argv, env = _cli_argv_env("sweep", "--sizes", "3..16", "--per-size", "80")
     proc = subprocess.Popen(
-        [sys.executable, "-m", "leafspan.cli", "sweep", "--sizes", "3..16",
-         "--per-size", "80"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
     assert proc.stdout.readline().split()[0] == b"n"
     proc.stdout.close()
@@ -460,13 +466,10 @@ def test_closed_pipe_ends_quietly():
 def test_failed_write_is_one_error_line(argv, tmp_path):
     # every write to /dev/full fails with ENOSPC: an I/O error, not a bug
     path = _write(tmp_path, square_of_cycle(8))
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src), os.environ.get("PYTHONPATH", "")]))
+    cli_argv, env = _cli_argv_env(*(a.format(g=path) for a in argv))
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
-            [sys.executable, "-m", "leafspan.cli", *(a.format(g=path) for a in argv)],
-            stdout=full, stderr=subprocess.PIPE, env=env, timeout=60,
+            cli_argv, stdout=full, stderr=subprocess.PIPE, env=env, timeout=60,
         )
     assert proc.returncode == 2
     lines = proc.stderr.decode().splitlines()
