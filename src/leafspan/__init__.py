@@ -8,20 +8,7 @@ with exact 1/15-unit arithmetic, and cross-checks against an exact
 search oracle on small graphs.
 """
 
-from .builder import (
-    BuildReport,
-    EngineDefect,
-    PartialTree,
-    StalePlanError,
-    StepDeltas,
-    StepPlan,
-    apply_step,
-    build,
-    choose_bases,
-    next_step,
-    split_z4,
-    step_records,
-)
+from .builder import BuildReport, EngineDefect, build
 from .families import (
     GenerationError,
     g8,
@@ -39,7 +26,6 @@ from .ledger import (
     Ledger,
     LedgerAudit,
     StepRecord,
-    alpha_prime,
     table_violations,
     verify_ledger,
 )
@@ -70,18 +56,11 @@ __all__ = [
     "LedgerAudit",
     "ORACLE_MAX_N",
     "OracleBudgetError",
-    "PartialTree",
     "ReductionEvent",
     "SpanningTree",
-    "StalePlanError",
-    "StepDeltas",
-    "StepPlan",
     "StepRecord",
-    "alpha_prime",
-    "apply_step",
     "build",
     "check_spanning_tree",
-    "choose_bases",
     "classify_exclusion",
     "cost15",
     "degree_counts",
@@ -90,13 +69,10 @@ __all__ = [
     "h_graph",
     "lift_tree_logged",
     "max_leaf_tree",
-    "next_step",
     "random_connected",
     "reduce_fully",
     "replay",
-    "split_z4",
     "square_of_cycle",
-    "step_records",
     "table_violations",
     "verify_ledger",
 ]

@@ -6,11 +6,12 @@ search, otherwise pick base trees by a prioritized case analysis
 (B1..B7), grow every base of the first applicable case with the
 prioritized step catalog below, keep the best result, and lift it back
 through the reduction trace.  A reduced path or cycle (K2 or a triangle)
-goes to exact search directly.  Base selection only names the bases; the
-driver builds each base tree just before growing it in place, so only one
-base is alive at a time.  An exact-search tree is attached parent first
-like a base and run as a base that already spans, so every tree a build
-returns has passed the checks of a run.
+is spanned by the star at vertex 0, a maximum-leaf tree of either.  Base
+selection only names the bases; the driver builds each base tree just
+before growing it in place, so only one base is alive at a time.  That
+star, and an exact-search tree attached parent first like a base, are
+run as bases that already span, so every tree a build returns has passed
+the checks of a run.
 
 Step catalog, tried strictly in order each round (first match wins):
 
@@ -32,7 +33,7 @@ row.  A1 and A2, most of the steps of a run, are committed by `_expand`
 without a plan: it makes `next_step`'s choice and returns the deltas
 `apply_step` would, checked against the same rows.  Every other row is
 planned by `next_step` and committed by `apply_step`, which stay the
-public planner and commit for every row.  So each round `_run_from_base`
+planner and commit for every row.  So each round `_run_from_base`
 tries `_expand`, then `next_step`.  Z4 is the driver's step: once no row
 applies, `next_step` returns None and `_run_from_base` stops if the tree
 spans, else calls `split_z4`.
@@ -398,14 +399,14 @@ def next_step(g: Graph, f: PartialTree) -> StepPlan | None:
             return StepPlan("Z1.3", att, 0, d)
         return _plan("Z1.1" if d >= 4 else "Z1.2", att)
 
-    pair = None
     for v in order:
-        mates = [w for w in adj[v] & border if w > v]
-        if mates:
-            pair = (v, min(mates))
-            break
-    if pair is not None:
-        v, w = pair
+        mates = adj[v] & border
+        if not mates:
+            continue
+        # v is the first fringe vertex with a fringe neighbour, so each of its
+        # fringe neighbours is larger: a smaller one, having v as its own
+        # fringe neighbour, would have come first
+        w = min(mates)
         dv, dw = len(adj[v]), len(adj[w])
         if dv <= 2 or dw <= 2:
             raise EngineDefect("degree-2 vertex in an adjacent fringe pair")
@@ -809,8 +810,10 @@ def _run_from_base(g: Graph, f: PartialTree, case: str) -> _EngineResult:
 
 
 def _exact_result(stage: Graph, case: str) -> _EngineResult:
-    """A maximum-leaf tree of `stage`, attached parent first to its root and
-    closed as a base that already spans, through every check of a run."""
+    """The exact search's maximum-leaf tree of `stage` (an exclusion stage,
+    or a reduced graph whose bases fell short), attached parent first to its
+    root and closed as a base that already spans, through every check of a
+    run."""
     links = max_leaf_tree(stage)
     f = PartialTree(stage, links.index(-1))
     for parent, child in parent_first(SpanningTree.from_parents(links), f.root):
@@ -841,11 +844,12 @@ def build(g: Graph) -> BuildReport:
         case = "exclusion-direct"
         result = _exact_result(replay(g, lift_trace), case)
     elif max(reduced.degrees, default=0) <= 2:
-        # no branch vertex left: a path reduced to K2, a cycle to a triangle
+        # no branch vertex left: a path reduced to K2, a cycle to a triangle,
+        # and the star at 0 spans either with the most leaves
         if reduced.n not in (2, 3):
             raise EngineDefect("degenerate reduced graph of unexpected size")
         case = "path-direct"
-        result = _exact_result(reduced, case)
+        result = _run_from_base(reduced, base_tree(reduced, 0), case)
     else:
         bases = choose_bases(reduced)
         case, engine_runs = bases[0][0], len(bases)

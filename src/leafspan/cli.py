@@ -211,11 +211,7 @@ def _sweep_regimes(n: int, dmin: int | None, dmax: int | None):
     if dmin is not None or dmax is not None:
         regimes = [_degree_window(n, dmin, dmax)]
     else:
-        regimes = [(1, n - 1), (2, n - 1)]
-        if n >= 4:
-            regimes += [(3, n - 1), (2, 3)]
-        if n >= 5:
-            regimes += [(3, 4)]
+        regimes = [(1, n - 1), (2, n - 1), (3, n - 1), (2, 3), (3, 4)]
     return [r for r in regimes if 1 <= r[0] <= r[1] < n]
 
 

@@ -10,14 +10,13 @@ import pytest
 from leafspan import (
     Graph,
     GenerationError,
-    alpha_prime,
     builder,
     random_connected,
     reduction,
 )
 from leafspan.builder import PartialTree
 from leafspan.graph import degree_cost15
-from leafspan.ledger import DEAD_GAIN15, LEAF_GAIN15
+from leafspan.ledger import DEAD_GAIN15, LEAF_GAIN15, alpha_prime
 
 
 def tree_degrees(f: PartialTree) -> Counter[int]:

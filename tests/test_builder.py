@@ -11,20 +11,15 @@ from leafspan import (
     Fifteenths,
     Graph,
     Ledger,
-    StepPlan,
     StepRecord,
-    apply_step,
     build,
-    choose_bases,
     cost15,
     exact_u,
+    g8,
     h_graph,
-    next_step,
     random_connected,
     reduce_fully,
-    split_z4,
     square_of_cycle,
-    step_records,
     table_violations,
     verify_ledger,
 )
@@ -32,13 +27,19 @@ from leafspan.builder import (
     EngineDefect,
     PartialTree,
     StalePlanError,
+    StepPlan,
     _run_from_base,
+    apply_step,
     base_tree,
+    choose_bases,
+    next_step,
+    split_z4,
+    step_records,
 )
 from leafspan.ledger import TABLE_FLOORS
 from leafspan.trees import SpanningTree, check_spanning_tree
 
-from conftest import audit_counts, cycle, make_state
+from conftest import audit_counts, cycle, make_state, path
 from test_reduction import SUBDIVIDED, subdivided_core
 
 
@@ -993,16 +994,8 @@ def test_reduced_exclusion_is_not_exempt():
     assert r.leaves >= 5 and r.alpha >= Fifteenths(30)
 
 
-@pytest.mark.parametrize(
-    "make, case",
-    [
-        pytest.param(lambda: square_of_cycle(6), "exclusion-direct", id="C6sq"),
-        pytest.param(lambda: cycle(7), "path-direct", id="cycle(7)"),
-    ],
-)
-def test_exact_tree_ends_through_the_recount(monkeypatch, make, case):
-    # an exact-search tree is run as a base that already spans: its
-    # potential is recounted when the run starts and when it ends
+def spanned_at_each_recount(monkeypatch) -> list[bool]:
+    """Whether the tree spanned, at each recount of the potential from now on."""
     recount = builder_mod.alpha_prime
     spanned = []
 
@@ -1011,8 +1004,32 @@ def test_exact_tree_ends_through_the_recount(monkeypatch, make, case):
         return recount(g, f)
 
     monkeypatch.setattr(builder_mod, "alpha_prime", counted)
+    return spanned
+
+
+@pytest.mark.parametrize("make", [lambda: square_of_cycle(6), g8], ids=["C6sq", "G8"])
+def test_exact_tree_ends_through_the_recount(monkeypatch, make):
+    # an exact-search tree is run as a base that already spans: its
+    # potential is recounted when the run starts and when it ends
+    spanned = spanned_at_each_recount(monkeypatch)
     r = build(make())
-    assert r.base_case == case and spanned == [True, True]
+    assert r.base_case == "exclusion-direct" and spanned == [True, True]
+
+
+@pytest.mark.parametrize("make", [lambda: cycle(7), lambda: path(9)], ids=["cycle(7)", "path(9)"])
+def test_path_direct_grows_the_star_at_0(monkeypatch, make):
+    # K2 and the triangle are spanned by the star at 0 without exact search;
+    # that star is run as a base that already spans, through both recounts
+    def no_search(g):
+        raise AssertionError("path-direct ran the exact search")
+
+    monkeypatch.setattr(builder_mod, "max_leaf_tree", no_search)
+    spanned = spanned_at_each_recount(monkeypatch)
+    g = make()
+    r = build(g)
+    assert r.base_case == "path-direct" and r.leaves == 2 and r.engine_runs == 0
+    assert verify_ledger(g, r.ledger, r.spanning_tree).ok
+    assert spanned == [True, True]
 
 
 def test_exact_tree_enters_through_the_attach_edge_check(monkeypatch):

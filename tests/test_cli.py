@@ -15,7 +15,6 @@ import leafspan.oracle as oracle_mod
 from leafspan import (
     EngineDefect,
     Graph,
-    choose_bases,
     exact_u,
     g8,
     h_graph,
@@ -144,7 +143,7 @@ def test_build_command_json(tmp_path, capsys, monkeypatch):
     assert payload["bound_ok"] is True
     assert len(payload["tree_parents"]) == 12
     assert payload["defects"] == []
-    assert payload["engine_runs"] == len(choose_bases(reduce_fully(h_graph(2))[0]))
+    assert payload["engine_runs"] == len(builder_mod.choose_bases(reduce_fully(h_graph(2))[0]))
 
     # a defect the driver survives still shows in the payload
     real = builder_mod._run_from_base

@@ -10,21 +10,23 @@ from leafspan import (
     Graph,
     Ledger,
     StepRecord,
-    alpha_prime,
-    apply_step,
     build,
-    choose_bases,
     h_graph,
-    next_step,
     random_connected,
     reduce_fully,
     square_of_cycle,
     table_violations,
     verify_ledger,
 )
-from leafspan.builder import PartialTree, base_tree
+from leafspan.builder import PartialTree, apply_step, base_tree, choose_bases, next_step
 from leafspan.graph import degree_cost15
-from leafspan.ledger import DEAD_GAIN15, LEAF_GAIN15, TABLE_FLOORS, profit15_of
+from leafspan.ledger import (
+    DEAD_GAIN15,
+    LEAF_GAIN15,
+    TABLE_FLOORS,
+    alpha_prime,
+    profit15_of,
+)
 
 
 def test_profit_examples():
