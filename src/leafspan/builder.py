@@ -51,12 +51,36 @@ the tree.  The potential is checked against the running sum of the
 ledger after every step from these counts.  The from-scratch recount
 (`ledger.alpha_prime`, which counts leaves from the parent links and
 sums the graph's per-vertex costs over the tree's vertices) runs on
-every base and at the end of every run, where the run also checks that
-every leaf is dead and that its running sum telescopes to 15 leaves
-minus cost(g).  A Z4 split is planned by `split_z4` and committed by
-`apply_step` like any other plan, so every run ends through these
-checks.  The test suite runs the recount, with a rescan of the fringe
-and the dead marks, on every base and after every step.
+every base and at the end of every run that does not stop at a join
+(below), where the run also checks that every leaf is dead and that its
+running sum telescopes to 15 leaves minus cost(g).  A Z4 split is
+planned by `split_z4` and committed by `apply_step` like any other plan,
+so every run that reaches its end ends through these checks.  The test
+suite runs the recount, with a rescan of the fringe and the dead marks,
+on every base and after every step.
+
+The runs of one build often meet: a later base grows into a state an
+earlier run passed through.  A state is the pair (tree vertices, tree
+vertices of tree degree >= 2).  Everything `_expand`, `next_step`,
+`_plan_chain`, `apply_step` and `split_z4` read is a function of it: the
+outside, `out`, the fringe, `inner_open`, `rich`, `dead`, the leaf count,
+the cost, and anchors taken as `min(adj[x] & tree)`.  So is every check
+after them, since the potential check after each step pins the running
+sum of the ledger to those counts, and the step budget never binds, as
+every step attaches a vertex.  A run that reaches an earlier run's state
+therefore ends as that run ended: with the same leaf count, which the
+driver's strict `>` never keeps over the result it already holds, or with
+the same `EngineDefect` text, which the driver reports under the joining
+base's own label.  `build` gives its base tier a memo of the states its
+runs visit (`_Memo`), and a run stops at such a join once an exact
+comparison confirms the state its fingerprint (`PartialTree.key`) found.
+A joined run skips the rest of its steps, its closing recount and any Z4
+split with the builds of its components, and still counts in
+`engine_runs`.  The memo lives for one build and is made only for two or
+more bases on a reduced graph of at least `_MEMO_MIN_N` vertices; the
+path-direct, exclusion-direct and exact-search runs have none.  The test
+suite finishes every joined run without the memo and checks that it ends
+as the memo said.
 
 Every committed step is logged in the ledger; extra dead leaves beyond a
 case's nominal count become explicit Z0 records.  A run keeps its base
@@ -72,7 +96,10 @@ search on reduced graphs of at most 16 vertices, flagging the report.
 
 from __future__ import annotations
 
+import random
+from array import array
 from dataclasses import dataclass
+from itertools import islice
 from operator import countOf
 from typing import NamedTuple
 
@@ -110,6 +137,22 @@ class StalePlanError(ValueError):
     """A step plan was applied to a tree state it was not produced from."""
 
 
+def _zobrist(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Random 30-bit codes for vertices 0..n-1, made from the seed n: one
+    for each vertex in the tree, one for each tree vertex of tree degree
+    >= 2.  Thirty bits keep every code and key a one-digit int, whose XOR
+    CPython does in about two thirds of the time of a 64-bit one."""
+    low30 = ((1 << 30) - 1).__and__
+    raw = array("I", random.Random(n).randbytes(8 * n))
+    return tuple(map(low30, raw[:n])), tuple(map(low30, raw[n:]))
+
+
+# the codes of every graph of at most this many vertices; a larger graph's
+# partial trees make their own, from the same generator
+_ZOBRIST_N = 1024
+_ZOBRIST = _zobrist(_ZOBRIST_N)
+
+
 class PartialTree:
     """Tree under construction: tree vertices, parent links, dead-leaf marks.
 
@@ -133,6 +176,12 @@ class PartialTree:
     a leaf dead once, when it appears: the child, if it has no outside
     neighbour, or a tree neighbour of degree 1 whose last outside
     neighbour the child was.
+
+    `key` fingerprints the pair (tree vertices, tree vertices of tree
+    degree >= 2): the XOR of one code per tree vertex and one per tree
+    vertex of degree >= 2, from `_zobrist`.  Equal pairs have equal keys;
+    unequal pairs share one only by a collision, which `_Memo` rules out by
+    an exact comparison.
     """
 
     def __init__(self, g: Graph, root: int) -> None:
@@ -153,6 +202,9 @@ class PartialTree:
         self.border: set[int] = set(g.adj[root])
         self.inner_open: set[int] = set()
         self.rich: set[int] = {root} if self.out[root] >= 2 else set()
+        codes = _ZOBRIST if g.n <= _ZOBRIST_N else _zobrist(g.n)
+        self._tree_codes, self._inner_codes = codes
+        self.key = codes[0][root]
 
     def attach(self, parent: int, child: int) -> None:
         tree = self.vertices
@@ -170,9 +222,15 @@ class PartialTree:
         deg, out = self.deg, self.out
         d = deg[parent] = deg[parent] + 1
         deg[child] = 1
-        # the child is a new leaf; the parent becomes one (the root's first
-        # child) or stops being one (its second)
-        self.leaves += 2 if d == 1 else 0 if d == 2 else 1
+        # the child is a new leaf and enters the key; the parent becomes a
+        # leaf (the root's first child) or, reaching tree degree 2, stops
+        # being one and enters the key as inner
+        key = self.key ^ self._tree_codes[child]
+        if d == 2:
+            self.key = key ^ self._inner_codes[parent]
+        else:
+            self.key = key
+            self.leaves += 2 if d == 1 else 1
         self.cost += self._costs15[child]
         border, inner_open = self.border, self.inner_open
         rich, dead = self.rich, self.dead
@@ -768,9 +826,101 @@ class _EngineResult:
         return Ledger(base, [rec for d in self.steps for rec in step_records(d)])
 
 
-def _run_from_base(g: Graph, f: PartialTree, case: str) -> _EngineResult:
+# Runs on smaller reduced graphs take too few steps for a join to save what
+# the memo costs.  Builds of reduced random_connected(n, 3, 4) graphs, 40
+# in each band of four sizes, took this many times their time without the
+# memo (paired median of 16 interleaved rounds, in-process CPU time,
+# CPython 3.11, 2-core x86 VM): 1.05 at 16-19 vertices, 1.00 at 20-23,
+# 0.98 at 24-31, 0.93-0.97 from 32 to 43.  reduce-long's cores, which
+# reduce to at most 29 vertices, read 1.03 with the memo from 24 on.
+_MEMO_MIN_N = 32
+
+# The memo files states until its arrays and states would pass this many
+# bytes, a state counted at 192: its dict slot, key and tuple, about 150 by
+# tracemalloc, plus room for the dict's growth.  Later runs still join the
+# states filed.  Without a cap the memo grows with runs times n, and the
+# ensemble makes thousands of runs on mid-degree graphs of a few thousand
+# vertices.
+_MEMO_BYTES = 8 << 20
+
+
+class _Memo:
+    """The states the base-tier runs of one build passed through, each with
+    how the run that first reached it ended: its leaf count, or the text of
+    the `EngineDefect` it raised.  See the module doc.
+
+    A run visits a state each time its tree size reaches the next multiple
+    of `step`, n/32 rounded up; whether it does depends only on the state
+    it grew from, so once two runs meet they visit the same states, and a
+    join is found at most `step` vertices after the runs met.  Visiting
+    every state finds joins sooner, but on the first 40 ensemble-mid
+    inputs (in-process CPU time, 2-core x86 VM) it saved 6% of the build
+    time against 13% for n/32, and it files a state per step, not at most
+    32 per run.
+
+    The run records each state it visits as (key, size, leaves) in
+    `pending`, and `close` files them, while `room` lasts, under two arrays
+    per run: its attach order (`f.parent`'s keys) and the parent of each
+    vertex after the root, in that order.  The state at size m is then the
+    first m attached vertices, with the parents of all but the first as its
+    vertices of tree degree >= 2: a parent has a child, and the root of a
+    star or a double star has at least two from the base on.
+    """
+
+    __slots__ = ("step", "typecode", "width", "room", "states", "pending")
+
+    def __init__(self, n: int) -> None:
+        self.step = -(-n // 32)
+        # two bytes a vertex where the ids fit
+        self.typecode, self.width = ("H", 2) if n <= 1 << 16 else ("i", 4)
+        self.room = _MEMO_BYTES
+        self.states: dict[int, tuple] = {}
+        self.pending: list[tuple[int, int, int]] = []
+
+    def visit(self, f: PartialTree) -> int | str | None:
+        """How the earlier run that reached the state of `f` ended, or None,
+        after recording the state, when no earlier run reached it."""
+        key, tree, leaves = f.key, f.vertices, f.leaves
+        m = len(tree)
+        seen = self.states.get(key)
+        if seen is not None:
+            (order, parents, end), size, seen_leaves = seen
+            # the same vertices, each of its vertices of tree degree >= 2 of
+            # degree >= 2 here, and as many of them (m minus the leaves)
+            if (
+                size == m
+                and seen_leaves == leaves
+                and tree.issuperset(islice(order, m))
+                and min(map(f.deg.__getitem__, islice(parents, m - 1))) >= 2
+            ):
+                return end
+        self.pending.append((key, m, leaves))
+        return None
+
+    def close(self, f: PartialTree, end: int | str) -> None:
+        """File the states the run that grew `f` visited under `end`."""
+        links, typecode, pending = f.parent, self.typecode, self.pending
+        size = 2 * self.width * len(links) + 192 * len(pending)
+        if size <= self.room:
+            self.room -= size
+            parents = islice(links.values(), 1, None)
+            run = (array(typecode, links), array(typecode, parents), end)
+            states = self.states
+            for key, m, leaves in pending:
+                states.setdefault(key, (run, m, leaves))
+        pending.clear()
+
+
+def _run_from_base(
+    g: Graph, f: PartialTree, case: str, memo: _Memo | None = None
+) -> _EngineResult | int:
     """Grow the base tree `f` in place until it spans g, checking the
-    potential on the way and at the end (see the module doc)."""
+    potential on the way and at the end (see the module doc).
+
+    With a `memo`, the run stops at a state an earlier run reached and ends
+    as that run ended: it raises the same defect, or returns that run's
+    leaf count in place of a result.
+    """
     vs = tuple(f.vertices)
     ds, dt = degree_counts(g, vs)
     base = _new(StepDeltas, (f"{case}-base", f.leaves, len(f.dead), dt, ds, vs, 0))
@@ -779,7 +929,10 @@ def _run_from_base(g: Graph, f: PartialTree, case: str) -> _EngineResult:
         raise EngineDefect("base profit does not match the base potential")
     steps: list[StepDeltas] = []
     depth = 0
-    dead = f.dead
+    dead, tree = f.dead, f.vertices
+    # the tree size at which the run next visits the memo; never without one
+    every = memo.step if memo is not None else g.n + 1
+    mark = (len(tree) // every + 1) * every
     for _ in range(2 * g.n + 8):
         d = _expand(g, f)
         if d is None:
@@ -797,6 +950,13 @@ def _run_from_base(g: Graph, f: PartialTree, case: str) -> _EngineResult:
         # the potential from the counts: 13 leaves + 2 dead leaves - cost
         if LEAF_GAIN15 * f.leaves + DEAD_GAIN15 * len(dead) - f.cost != running15:
             raise EngineDefect(f"potential drifted after {label}")
+        if len(tree) >= mark:
+            end = memo.visit(f)
+            if end is not None:
+                if isinstance(end, str):
+                    raise EngineDefect(end)
+                return end
+            mark = (len(tree) // every + 1) * every
     else:
         raise EngineDefect("step budget exhausted before spanning")
     if alpha_prime(g, f).num != running15:
@@ -853,14 +1013,27 @@ def build(g: Graph) -> BuildReport:
     else:
         bases = choose_bases(reduced)
         case, engine_runs = bases[0][0], len(bases)
+        memo = None
+        if engine_runs > 1 and reduced.n >= _MEMO_MIN_N:
+            memo = _Memo(reduced.n)
         for label, a, b in bases:
             try:
-                res = _run_from_base(reduced, base_tree(reduced, a, b), label)
+                f = base_tree(reduced, a, b)
+                res = _run_from_base(reduced, f, label, memo)
             except EngineDefect as exc:
                 defects.append(f"{label}: {exc}")
-                continue
-            if result is None or res.leaves > result.leaves:
-                result = res
+                end = str(exc)
+            else:
+                # a run that stopped at a join returns the leaf count of an
+                # earlier run, never more than the result kept so far
+                if isinstance(res, int):
+                    end = res
+                else:
+                    end = res.leaves
+                    if result is None or end > result.leaves:
+                        result = res
+            if memo is not None and memo.pending:
+                memo.close(f, end)
         short = result is None or 15 * result.leaves < reduced.cost15 + _BOUND15
         if short and reduced.n <= ORACLE_MAX_N:
             exact = _exact_result(reduced, case)

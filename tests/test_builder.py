@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import gc
 import hashlib
 import weakref
 
@@ -39,7 +40,8 @@ from leafspan.builder import (
 from leafspan.ledger import TABLE_FLOORS
 from leafspan.trees import SpanningTree, check_spanning_tree
 
-from conftest import audit_counts, cycle, make_state, path
+from conftest import audit_counts, cycle, make_state, path, structured_families
+from test_output_pin import report_lines
 from test_reduction import SUBDIVIDED, subdivided_core
 
 
@@ -211,9 +213,9 @@ def test_one_base_tree_alive_when_each_run_starts(monkeypatch):
         init(self, g, root)
         trees.add(self)
 
-    def counting(g, f, case):
+    def counting(g, f, case, memo=None):
         alive.append(sum(t.g is g for t in trees))
-        return run(g, f, case)
+        return run(g, f, case, memo)
 
     monkeypatch.setattr(PartialTree, "__init__", tracked)
     monkeypatch.setattr(builder_mod, "_run_from_base", counting)
@@ -228,13 +230,15 @@ def test_one_base_tree_alive_when_each_run_starts(monkeypatch):
         pytest.param(lambda: random_connected(104, 3, 4, seed=2), id="B1"),
     ],
 )
-def test_one_spanning_tree_and_two_recounts_per_build(monkeypatch, make):
-    # every run recounts its potential at its base and at its end, but only
-    # the run the driver keeps is made into a SpanningTree and given a base
-    # record
+def test_one_spanning_tree_and_two_recounts_per_build(
+    monkeypatch, audit_every_join, make
+):
+    # every run recounts its potential at its base, and at its end unless it
+    # stops at a join, but only the run the driver keeps is made into a
+    # SpanningTree and given a base record
     g = make()
     reduced, _ = reduce_fully(g)
-    made, recounts, base_records = [], [], []
+    made, recounts, base_records, bases = [], [], [], []
 
     class CountedTree(SpanningTree):
         def __init__(self, n, edges):
@@ -248,21 +252,116 @@ def test_one_spanning_tree_and_two_recounts_per_build(monkeypatch, make):
                 base_records.append(label)
             return StepRecord.make(label, *rest)
 
-    real = builder_mod.alpha_prime
+    real, make_base = builder_mod.alpha_prime, builder_mod.base_tree
 
     def recount(g, f):
         recounts.append(f)
         return real(g, f)
 
+    def based(g, a, b=-1):
+        bases.append(make_base(g, a, b))
+        return bases[-1]
+
     monkeypatch.setattr(builder_mod, "SpanningTree", CountedTree)
     monkeypatch.setattr(builder_mod, "StepRecord", CountedRecord)
     monkeypatch.setattr(builder_mod, "alpha_prime", recount)
+    monkeypatch.setattr(builder_mod, "base_tree", based)
     r = build(g)
     assert r.engine_runs == len(choose_bases(reduced)) > 1
     assert "Z4" not in [rec.label for rec in r.ledger.steps]
     assert made == [reduced.n]
     assert base_records == [r.ledger.base.label]
-    assert len(recounts) == 2 * r.engine_runs
+    # the join audit recounts copies of the joined runs, not their trees
+    runs = sum(any(f is t for t in bases) for f in recounts)
+    assert audit_every_join.joins > 0
+    assert runs == 2 * r.engine_runs - audit_every_join.joins
+
+
+def build_without_memo(monkeypatch, g):
+    """`build(g)` with every run grown to its end, none stopped at a join."""
+    real = builder_mod._run_from_base
+    with monkeypatch.context() as mp:
+        mp.setattr(
+            builder_mod, "_run_from_base",
+            lambda g, f, case, memo=None: real(g, f, case),
+        )
+        return build(g)
+
+
+def test_key_fingerprints_the_tree_and_its_inner_vertices():
+    # the paths 0-1-2-3 and 3-1-2-0 have the same vertices and the same
+    # inner vertices, so the same key; the star at 1 has other inner ones
+    edges = [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)]
+    _, f = make_state(4, edges, [(0, 1), (1, 2), (2, 3)])
+    _, same = make_state(4, edges, [(3, 1), (1, 2), (2, 0)], root=3)
+    _, other = make_state(4, edges, [(0, 1), (1, 2), (1, 3)])
+    for t in (f, same):
+        assert {v for v in t.vertices if t.deg[v] >= 2} == {1, 2}
+    assert f.key == same.key != other.key
+
+
+def test_joined_runs_change_no_report(monkeypatch, graph_pool, audit_every_join):
+    graphs = list(graph_pool)
+    graphs += [g for family in structured_families().values() for _, g in family]
+    for g in graphs:
+        joined = report_lines(build(g))
+        assert joined == report_lines(build_without_memo(monkeypatch, g))
+    assert audit_every_join.joins > 0
+
+
+def test_a_join_replays_the_defect_of_the_run_it_joins(monkeypatch):
+    # with A3 promising one leaf more than it makes, six of the 87 runs on
+    # this graph raise, and a later base reaches the state of one of them
+    # before its A3 step
+    du, db, floor = TABLE_FLOORS["A3"]
+    monkeypatch.setitem(TABLE_FLOORS, "A3", (du + 1, db, floor))
+    visit, ends = builder_mod._Memo.visit, []
+
+    def visited(memo, f):
+        ends.append(visit(memo, f))
+        return ends[-1]
+
+    monkeypatch.setattr(builder_mod._Memo, "visit", visited)
+    g = random_connected(104, 3, 4, 2)
+    report = build(g)
+    assert any(isinstance(end, str) for end in ends)
+    assert report.defects and all("A3: leaf delta" in d for d in report.defects)
+    assert report.defects == build_without_memo(monkeypatch, g).defects
+
+
+def test_a_full_memo_files_no_more_states(monkeypatch, audit_every_join):
+    # room for the states of a few of the 100 runs on h_graph(20): later
+    # runs still join those, and the report does not change
+    monkeypatch.setattr(builder_mod, "_MEMO_BYTES", 1 << 14)
+    memos, init = [], builder_mod._Memo.__init__
+
+    def spied(memo, n):
+        init(memo, n)
+        memos.append(memo)
+
+    monkeypatch.setattr(builder_mod._Memo, "__init__", spied)
+    g = h_graph(20)
+    assert report_lines(build(g)) == report_lines(build_without_memo(monkeypatch, g))
+    memo = memos[0]
+    assert 0 <= memo.room < 1 << 14 and 0 < len(memo.states) < (1 << 14) // 192
+    assert audit_every_join.joins > 0
+
+
+def test_the_join_audit_catches_a_forged_outcome(monkeypatch):
+    close = builder_mod._Memo.close
+
+    def forged(memo, f, end):
+        close(memo, f, end + 1 if isinstance(end, int) else end)
+
+    monkeypatch.setattr(builder_mod._Memo, "close", forged)
+    with pytest.raises(AssertionError, match="memo says"):
+        build(h_graph(20))
+
+
+def test_no_memo_outlives_its_build():
+    report = build(h_graph(20))
+    assert report.engine_runs > 1
+    assert not [o for o in gc.get_objects() if isinstance(o, builder_mod._Memo)]
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +815,7 @@ def test_expand_commits_what_next_step_and_apply_step_commit(graph_pool, monkeyp
             plan, _ = split_z4(g, f)
         return apply_step(g, f, plan)
 
-    def lockstep(g, f, case):
+    def lockstep(g, f, case, memo=None):
         fast, slow = (copy.deepcopy(f, {id(g): g}) for _ in range(2))
         while True:
             plan = next_step(g, slow)
@@ -732,7 +831,7 @@ def test_expand_commits_what_next_step_and_apply_step_commit(graph_pool, monkeyp
                 expanded.add(d.label)
             assert d == commit(g, slow, plan)
             assert _tree_state(fast) == _tree_state(slow)
-        return real_run(g, f, case)
+        return real_run(g, f, case, memo)
 
     monkeypatch.setattr(builder_mod, "_run_from_base", lockstep)
     for g in _step_corpus(graph_pool):

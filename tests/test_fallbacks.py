@@ -73,11 +73,11 @@ def test_single_base_defect_is_survived(monkeypatch):
     real = builder_mod._run_from_base
     calls = {"n": 0}
 
-    def flaky(g, base, case):
+    def flaky(g, base, case, memo=None):
         calls["n"] += 1
         if calls["n"] == 1:
             raise EngineDefect("first base poisoned")
-        return real(g, base, case)
+        return real(g, base, case, memo)
 
     monkeypatch.setattr(builder_mod, "_run_from_base", flaky)
     g = h_graph(2)
@@ -88,7 +88,7 @@ def test_single_base_defect_is_survived(monkeypatch):
 
 
 def test_outage_beyond_exact_search_budget_raises(monkeypatch):
-    def always_defective(g, base, case):
+    def always_defective(g, base, case, memo=None):
         raise EngineDefect("forced outage")
 
     monkeypatch.setattr(builder_mod, "_run_from_base", always_defective)
@@ -133,9 +133,9 @@ def test_drift_in_a_dropped_base_is_caught(monkeypatch):
     real_run = builder_mod._run_from_base
     runs = {"n": 0}
 
-    def counted(g, base, case):
+    def counted(g, base, case, memo=None):
         runs["n"] += 1
-        return real_run(g, base, case)
+        return real_run(g, base, case, memo)
 
     def drift(f):
         if runs["n"] == clean.engine_runs:  # the last base
@@ -158,30 +158,35 @@ def _fault_at_the_end_of_the_second_run(monkeypatch, *, recount=None, step=None)
 
     `recount(f, alpha)` returns what that run's final `alpha_prime` reports
     in place of the true `alpha`; `step(f)` tampers with its tree after its
-    last step."""
+    last step.  The second run must not stop at a join with the first, or
+    it would never reach its end."""
     g = h_graph(2)
     clean = build(g)
     real_run = builder_mod._run_from_base
     real_recount = builder_mod.alpha_prime
     runs = {"n": 0}
+    faults = []
 
-    def counted(g, base, case):
+    def counted(g, base, case, memo=None):
         runs["n"] += 1
-        return real_run(g, base, case)
+        return real_run(g, base, case, memo)
 
     def recounting(g, f):
         if recount is not None and runs["n"] == 2 and f.spans():
+            faults.append(f)
             return recount(f, real_recount(g, f))
         return real_recount(g, f)
 
     def stepped(f):
         if step is not None and runs["n"] == 2 and f.spans():
+            faults.append(f)
             step(f)
 
     monkeypatch.setattr(builder_mod, "_run_from_base", counted)
     monkeypatch.setattr(builder_mod, "alpha_prime", recounting)
     _tamper_after_every_step(monkeypatch, stepped)
     report = build(g)
+    assert len(faults) == 1
     assert clean.engine_runs == report.engine_runs == runs["n"] >= 2
     assert not clean.defects and not report.oracle_fallback
     assert report.spanning_tree == clean.spanning_tree
