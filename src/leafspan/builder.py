@@ -137,20 +137,28 @@ class StalePlanError(ValueError):
     """A step plan was applied to a tree state it was not produced from."""
 
 
+# the code table `_zobrist` hands out: (tree codes, inner codes)
+_codes: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
+
+
 def _zobrist(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Random 30-bit codes for vertices 0..n-1, made from the seed n: one
-    for each vertex in the tree, one for each tree vertex of tree degree
-    >= 2.  Thirty bits keep every code and key a one-digit int, whose XOR
-    CPython does in about two thirds of the time of a 64-bit one."""
-    low30 = ((1 << 30) - 1).__and__
-    raw = array("I", random.Random(n).randbytes(8 * n))
-    return tuple(map(low30, raw[:n])), tuple(map(low30, raw[n:]))
+    """Random 30-bit codes for at least the vertices 0..n-1: one for each
+    vertex in the tree, one for each tree vertex of tree degree >= 2.
+    Thirty bits keep every code and key a one-digit int, whose XOR CPython
+    does in about two thirds of the time of a 64-bit one.
 
-
-# the codes of every graph of at most this many vertices; a larger graph's
-# partial trees make their own, from the same generator
-_ZOBRIST_N = 1024
-_ZOBRIST = _zobrist(_ZOBRIST_N)
+    The codes live in one module table, made once and remade at twice the
+    size when a larger graph comes; vertex v's two codes are the 2v-th and
+    (2v+1)-th draws of one seeded generator, so they do not depend on the
+    table's size."""
+    global _codes
+    have = len(_codes[0])
+    if have < n:
+        size = max(n, 2 * have)
+        draw = random.Random(0).getrandbits
+        raw = [draw(30) for _ in range(2 * size)]
+        _codes = tuple(raw[0::2]), tuple(raw[1::2])
+    return _codes
 
 
 class PartialTree:
@@ -202,9 +210,8 @@ class PartialTree:
         self.border: set[int] = set(g.adj[root])
         self.inner_open: set[int] = set()
         self.rich: set[int] = {root} if self.out[root] >= 2 else set()
-        codes = _ZOBRIST if g.n <= _ZOBRIST_N else _zobrist(g.n)
-        self._tree_codes, self._inner_codes = codes
-        self.key = codes[0][root]
+        self._tree_codes, self._inner_codes = _zobrist(g.n)
+        self.key = self._tree_codes[root]
 
     def attach(self, parent: int, child: int) -> None:
         tree = self.vertices

@@ -300,6 +300,22 @@ def test_key_fingerprints_the_tree_and_its_inner_vertices():
     assert f.key == same.key != other.key
 
 
+def test_one_code_table_serves_every_graph_size(monkeypatch):
+    # a larger graph remakes the table once, keeping every smaller vertex's
+    # codes; a smaller one after it takes the same table
+    monkeypatch.setattr(builder_mod, "_codes", ((), ()))
+    small = builder_mod._zobrist(5)
+    m = len(small[0])
+    big = builder_mod._zobrist(3 * m)
+    assert len(big[0]) == len(big[1]) >= 3 * m
+    assert (big[0][:m], big[1][:m]) == small
+    assert builder_mod._zobrist(m) is big
+    f = PartialTree(path(2 * m), 0)
+    assert (f._tree_codes, f._inner_codes) == big
+    assert len(set(big[0] + big[1])) == 2 * len(big[0])
+    assert max(big[0] + big[1]) < 1 << 30
+
+
 def test_joined_runs_change_no_report(monkeypatch, graph_pool, audit_every_join):
     graphs = list(graph_pool)
     graphs += [g for family in structured_families().values() for _, g in family]
