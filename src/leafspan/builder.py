@@ -3,15 +3,17 @@
 A build runs: reduce the graph to a fixpoint of the degree-preserving
 rules, handle the three small 4-regular exception graphs by exact
 search, otherwise pick base trees by a prioritized case analysis
-(B1..B7), grow every base of the first applicable case with the
+(B1..B7), grow the bases of the first applicable case in turn with the
 prioritized step catalog below, keep the best result, and lift it back
-through the reduction trace.  A reduced path or cycle (K2 or a triangle)
-is spanned by the star at vertex 0, a maximum-leaf tree of either.  Base
-selection only names the bases; the driver builds each base tree just
-before growing it in place, so only one base is alive at a time.  That
-star, and an exact-search tree attached parent first like a base, are
-run as bases that already span, so every tree a build returns has passed
-the checks of a run.
+through the reduction trace.  On a reduced graph past the exact search's
+reach (more than `ORACLE_MAX_N` vertices) the first run that meets +2
+ends the tier; at or below it every base runs.  A reduced path or cycle
+(K2 or a triangle) is spanned by the star at vertex 0, a maximum-leaf
+tree of either.  Base selection only names the bases; the driver builds
+each base tree just before growing it in place, so only one base is
+alive at a time.  That star, and an exact-search tree attached parent
+first like a base, are run as bases that already span, so every tree a
+build returns has passed the checks of a run.
 
 Step catalog, tried strictly in order each round (first match wins):
 
@@ -51,36 +53,12 @@ the tree.  The potential is checked against the running sum of the
 ledger after every step from these counts.  The from-scratch recount
 (`ledger.alpha_prime`, which counts leaves from the parent links and
 sums the graph's per-vertex costs over the tree's vertices) runs on
-every base and at the end of every run that does not stop at a join
-(below), where the run also checks that every leaf is dead and that its
-running sum telescopes to 15 leaves minus cost(g).  A Z4 split is
-planned by `split_z4` and committed by `apply_step` like any other plan,
-so every run that reaches its end ends through these checks.  The test
-suite runs the recount, with a rescan of the fringe and the dead marks,
-on every base and after every step.
-
-The runs of one build often meet: a later base grows into a state an
-earlier run passed through.  A state is the pair (tree vertices, tree
-vertices of tree degree >= 2).  Everything `_expand`, `next_step`,
-`_plan_chain`, `apply_step` and `split_z4` read is a function of it: the
-outside, `out`, the fringe, `inner_open`, `rich`, `dead`, the leaf count,
-the cost, and anchors taken as `min(adj[x] & tree)`.  So is every check
-after them, since the potential check after each step pins the running
-sum of the ledger to those counts, and the step budget never binds, as
-every step attaches a vertex.  A run that reaches an earlier run's state
-therefore ends as that run ended: with the same leaf count, which the
-driver's strict `>` never keeps over the result it already holds, or with
-the same `EngineDefect` text, which the driver reports under the joining
-base's own label.  `build` gives its base tier a memo of the states its
-runs visit (`_Memo`), and a run stops at such a join once an exact
-comparison confirms the state its fingerprint (`PartialTree.key`) found.
-A joined run skips the rest of its steps, its closing recount and any Z4
-split with the builds of its components, and still counts in
-`engine_runs`.  The memo lives for one build and is made only for two or
-more bases on a reduced graph of at least `_MEMO_MIN_N` vertices; the
-path-direct, exclusion-direct and exact-search runs have none.  The test
-suite finishes every joined run without the memo and checks that it ends
-as the memo said.
+every base and at the end of every run, where the run also checks that
+every leaf is dead and that its running sum telescopes to 15 leaves
+minus cost(g).  A Z4 split is planned by `split_z4` and committed by
+`apply_step` like any other plan, so every run ends through these
+checks.  The test suite runs the recount, with a rescan of the fringe and
+the dead marks, on every base and after every step.
 
 Every committed step is logged in the ledger; extra dead leaves beyond a
 case's nominal count become explicit Z0 records.  A run keeps its base
@@ -96,10 +74,7 @@ search on reduced graphs of at most 16 vertices, flagging the report.
 
 from __future__ import annotations
 
-import random
-from array import array
 from dataclasses import dataclass
-from itertools import islice
 from operator import countOf
 from typing import NamedTuple
 
@@ -137,30 +112,6 @@ class StalePlanError(ValueError):
     """A step plan was applied to a tree state it was not produced from."""
 
 
-# the code table `_zobrist` hands out: (tree codes, inner codes)
-_codes: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
-
-
-def _zobrist(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Random 30-bit codes for at least the vertices 0..n-1: one for each
-    vertex in the tree, one for each tree vertex of tree degree >= 2.
-    Thirty bits keep every code and key a one-digit int, whose XOR CPython
-    does in about two thirds of the time of a 64-bit one.
-
-    The codes live in one module table, made once and remade at twice the
-    size when a larger graph comes; vertex v's two codes are the 2v-th and
-    (2v+1)-th draws of one seeded generator, so they do not depend on the
-    table's size."""
-    global _codes
-    have = len(_codes[0])
-    if have < n:
-        size = max(n, 2 * have)
-        draw = random.Random(0).getrandbits
-        raw = [draw(30) for _ in range(2 * size)]
-        _codes = tuple(raw[0::2]), tuple(raw[1::2])
-    return _codes
-
-
 class PartialTree:
     """Tree under construction: tree vertices, parent links, dead-leaf marks.
 
@@ -184,12 +135,6 @@ class PartialTree:
     a leaf dead once, when it appears: the child, if it has no outside
     neighbour, or a tree neighbour of degree 1 whose last outside
     neighbour the child was.
-
-    `key` fingerprints the pair (tree vertices, tree vertices of tree
-    degree >= 2): the XOR of one code per tree vertex and one per tree
-    vertex of degree >= 2, from `_zobrist`.  Equal pairs have equal keys;
-    unequal pairs share one only by a collision, which `_Memo` rules out by
-    an exact comparison.
     """
 
     def __init__(self, g: Graph, root: int) -> None:
@@ -210,8 +155,6 @@ class PartialTree:
         self.border: set[int] = set(g.adj[root])
         self.inner_open: set[int] = set()
         self.rich: set[int] = {root} if self.out[root] >= 2 else set()
-        self._tree_codes, self._inner_codes = _zobrist(g.n)
-        self.key = self._tree_codes[root]
 
     def attach(self, parent: int, child: int) -> None:
         tree = self.vertices
@@ -229,15 +172,9 @@ class PartialTree:
         deg, out = self.deg, self.out
         d = deg[parent] = deg[parent] + 1
         deg[child] = 1
-        # the child is a new leaf and enters the key; the parent becomes a
-        # leaf (the root's first child) or, reaching tree degree 2, stops
-        # being one and enters the key as inner
-        key = self.key ^ self._tree_codes[child]
-        if d == 2:
-            self.key = key ^ self._inner_codes[parent]
-        else:
-            self.key = key
-            self.leaves += 2 if d == 1 else 1
+        # the child is a new leaf; the parent becomes one (the root's first
+        # child) or stops being one (its second)
+        self.leaves += 2 if d == 1 else 0 if d == 2 else 1
         self.cost += self._costs15[child]
         border, inner_open = self.border, self.inner_open
         rich, dead = self.rich, self.dead
@@ -788,8 +725,8 @@ class BuildReport:
     spanning_tree: SpanningTree
     oracle_fallback: bool = False
     defects: tuple[str, ...] = ()
-    # growth-engine runs this build made, one per base (the builds of a Z4
-    # split's outside components count in their own reports)
+    # growth-engine runs this build made, one per base it grew (the builds
+    # of a Z4 split's outside components count in their own reports)
     engine_runs: int = 0
 
     @property
@@ -833,101 +770,9 @@ class _EngineResult:
         return Ledger(base, [rec for d in self.steps for rec in step_records(d)])
 
 
-# Runs on smaller reduced graphs take too few steps for a join to save what
-# the memo costs.  Builds of reduced random_connected(n, 3, 4) graphs, 40
-# in each band of four sizes, took this many times their time without the
-# memo (paired median of 16 interleaved rounds, in-process CPU time,
-# CPython 3.11, 2-core x86 VM): 1.05 at 16-19 vertices, 1.00 at 20-23,
-# 0.98 at 24-31, 0.93-0.97 from 32 to 43.  reduce-long's cores, which
-# reduce to at most 29 vertices, read 1.03 with the memo from 24 on.
-_MEMO_MIN_N = 32
-
-# The memo files states until its arrays and states would pass this many
-# bytes, a state counted at 192: its dict slot, key and tuple, about 150 by
-# tracemalloc, plus room for the dict's growth.  Later runs still join the
-# states filed.  Without a cap the memo grows with runs times n, and the
-# ensemble makes thousands of runs on mid-degree graphs of a few thousand
-# vertices.
-_MEMO_BYTES = 8 << 20
-
-
-class _Memo:
-    """The states the base-tier runs of one build passed through, each with
-    how the run that first reached it ended: its leaf count, or the text of
-    the `EngineDefect` it raised.  See the module doc.
-
-    A run visits a state each time its tree size reaches the next multiple
-    of `step`, n/32 rounded up; whether it does depends only on the state
-    it grew from, so once two runs meet they visit the same states, and a
-    join is found at most `step` vertices after the runs met.  Visiting
-    every state finds joins sooner, but on the first 40 ensemble-mid
-    inputs (in-process CPU time, 2-core x86 VM) it saved 6% of the build
-    time against 13% for n/32, and it files a state per step, not at most
-    32 per run.
-
-    The run records each state it visits as (key, size, leaves) in
-    `pending`, and `close` files them, while `room` lasts, under two arrays
-    per run: its attach order (`f.parent`'s keys) and the parent of each
-    vertex after the root, in that order.  The state at size m is then the
-    first m attached vertices, with the parents of all but the first as its
-    vertices of tree degree >= 2: a parent has a child, and the root of a
-    star or a double star has at least two from the base on.
-    """
-
-    __slots__ = ("step", "typecode", "width", "room", "states", "pending")
-
-    def __init__(self, n: int) -> None:
-        self.step = -(-n // 32)
-        # two bytes a vertex where the ids fit
-        self.typecode, self.width = ("H", 2) if n <= 1 << 16 else ("i", 4)
-        self.room = _MEMO_BYTES
-        self.states: dict[int, tuple] = {}
-        self.pending: list[tuple[int, int, int]] = []
-
-    def visit(self, f: PartialTree) -> int | str | None:
-        """How the earlier run that reached the state of `f` ended, or None,
-        after recording the state, when no earlier run reached it."""
-        key, tree, leaves = f.key, f.vertices, f.leaves
-        m = len(tree)
-        seen = self.states.get(key)
-        if seen is not None:
-            (order, parents, end), size, seen_leaves = seen
-            # the same vertices, each of its vertices of tree degree >= 2 of
-            # degree >= 2 here, and as many of them (m minus the leaves)
-            if (
-                size == m
-                and seen_leaves == leaves
-                and tree.issuperset(islice(order, m))
-                and min(map(f.deg.__getitem__, islice(parents, m - 1))) >= 2
-            ):
-                return end
-        self.pending.append((key, m, leaves))
-        return None
-
-    def close(self, f: PartialTree, end: int | str) -> None:
-        """File the states the run that grew `f` visited under `end`."""
-        links, typecode, pending = f.parent, self.typecode, self.pending
-        size = 2 * self.width * len(links) + 192 * len(pending)
-        if size <= self.room:
-            self.room -= size
-            parents = islice(links.values(), 1, None)
-            run = (array(typecode, links), array(typecode, parents), end)
-            states = self.states
-            for key, m, leaves in pending:
-                states.setdefault(key, (run, m, leaves))
-        pending.clear()
-
-
-def _run_from_base(
-    g: Graph, f: PartialTree, case: str, memo: _Memo | None = None
-) -> _EngineResult | int:
+def _run_from_base(g: Graph, f: PartialTree, case: str) -> _EngineResult:
     """Grow the base tree `f` in place until it spans g, checking the
-    potential on the way and at the end (see the module doc).
-
-    With a `memo`, the run stops at a state an earlier run reached and ends
-    as that run ended: it raises the same defect, or returns that run's
-    leaf count in place of a result.
-    """
+    potential on the way and at the end (see the module doc)."""
     vs = tuple(f.vertices)
     ds, dt = degree_counts(g, vs)
     base = _new(StepDeltas, (f"{case}-base", f.leaves, len(f.dead), dt, ds, vs, 0))
@@ -936,10 +781,7 @@ def _run_from_base(
         raise EngineDefect("base profit does not match the base potential")
     steps: list[StepDeltas] = []
     depth = 0
-    dead, tree = f.dead, f.vertices
-    # the tree size at which the run next visits the memo; never without one
-    every = memo.step if memo is not None else g.n + 1
-    mark = (len(tree) // every + 1) * every
+    dead = f.dead
     for _ in range(2 * g.n + 8):
         d = _expand(g, f)
         if d is None:
@@ -957,13 +799,6 @@ def _run_from_base(
         # the potential from the counts: 13 leaves + 2 dead leaves - cost
         if LEAF_GAIN15 * f.leaves + DEAD_GAIN15 * len(dead) - f.cost != running15:
             raise EngineDefect(f"potential drifted after {label}")
-        if len(tree) >= mark:
-            end = memo.visit(f)
-            if end is not None:
-                if isinstance(end, str):
-                    raise EngineDefect(end)
-                return end
-            mark = (len(tree) // every + 1) * every
     else:
         raise EngineDefect("step budget exhausted before spanning")
     if alpha_prime(g, f).num != running15:
@@ -1019,29 +854,22 @@ def build(g: Graph) -> BuildReport:
         result = _run_from_base(reduced, base_tree(reduced, 0), case)
     else:
         bases = choose_bases(reduced)
-        case, engine_runs = bases[0][0], len(bases)
-        memo = None
-        if engine_runs > 1 and reduced.n >= _MEMO_MIN_N:
-            memo = _Memo(reduced.n)
+        case = bases[0][0]
+        short = True
         for label, a, b in bases:
+            engine_runs += 1
             try:
-                f = base_tree(reduced, a, b)
-                res = _run_from_base(reduced, f, label, memo)
+                res = _run_from_base(reduced, base_tree(reduced, a, b), label)
             except EngineDefect as exc:
                 defects.append(f"{label}: {exc}")
-                end = str(exc)
-            else:
-                # a run that stopped at a join returns the leaf count of an
-                # earlier run, never more than the result kept so far
-                if isinstance(res, int):
-                    end = res
-                else:
-                    end = res.leaves
-                    if result is None or end > result.leaves:
-                        result = res
-            if memo is not None and memo.pending:
-                memo.close(f, end)
-        short = result is None or 15 * result.leaves < reduced.cost15 + _BOUND15
+                continue
+            if result is None or res.leaves > result.leaves:
+                result = res
+                short = 15 * res.leaves < reduced.cost15 + _BOUND15
+                # past the exact search's reach one base that meets +2 is
+                # enough, as the paper's case analysis needs only one
+                if not short and reduced.n > ORACLE_MAX_N:
+                    break
         if short and reduced.n <= ORACLE_MAX_N:
             exact = _exact_result(reduced, case)
             if result is None or exact.leaves > result.leaves:

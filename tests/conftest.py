@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import copy
 import random
 from collections import Counter
 from itertools import combinations
@@ -15,7 +14,7 @@ from leafspan import (
     random_connected,
     reduction,
 )
-from leafspan.builder import EngineDefect, PartialTree
+from leafspan.builder import PartialTree
 from leafspan.graph import degree_cost15
 from leafspan.ledger import DEAD_GAIN15, LEAF_GAIN15, alpha_prime
 
@@ -96,50 +95,6 @@ def audit_every_base(monkeypatch):
         return f
 
     monkeypatch.setattr(builder, "base_tree", audited)
-    return audit
-
-
-# taken at import, so a test's own wrapper of `_run_from_base`, which may
-# count runs or fault one, does not see the audit's runs
-_real_run = builder._run_from_base
-
-
-def finish(f: PartialTree) -> int | str:
-    """How a run from a copy of `f` ends with no memo: its leaf count, or
-    the text of the `EngineDefect` it raises."""
-    g = f.g
-    try:
-        return _real_run(g, copy.deepcopy(f, {id(g): g}), "finish").leaves
-    except EngineDefect as exc:
-        return str(exc)
-
-
-@pytest.fixture(autouse=True)
-def audit_every_join(monkeypatch):
-    """Finish every run that stops at a join without the memo, and check
-    that it ends as the memo says.
-
-    `build` stops a run at a state an earlier run of the same build
-    reached and ends it as that run ended; `_run_from_base` learns how from
-    `_Memo.visit`, which this wrapper sees on every visit the tests make.
-    On a join it finishes a copy of the run from that state through the
-    unwrapped `_run_from_base` with no memo, and asserts the same leaf count
-    or the same `EngineDefect` text.  The fixture's value counts the joins
-    audited so far in the test (`.joins`).
-    """
-    visit = builder._Memo.visit
-    audit = SimpleNamespace(joins=0)
-
-    def audited(memo, f):
-        end = visit(memo, f)
-        if end is not None:
-            finished = finish(f)
-            if finished != end:
-                raise AssertionError(f"memo says {end!r}, the run ends {finished!r}")
-            audit.joins += 1
-        return end
-
-    monkeypatch.setattr(builder._Memo, "visit", audited)
     return audit
 
 
@@ -389,6 +344,25 @@ def generalized_petersen(n: int, k: int) -> Graph:
 def mobius_ladder(n: int) -> Graph:
     """The Möbius ladder on n vertices (n even): C_n plus the n/2 long diagonals."""
     return circulant(n, (1, n // 2))
+
+
+def closing_defect_line_graph(swap: bool = False) -> Graph:
+    """The line graph of `random_connected(16, 3, 3, 8)`, its vertices
+    numbered by the sorted edge list: 4-regular on 24 vertices, every edge
+    in a triangle, so no reduction and 24 B7 bases.  The run from the star
+    at vertex 10 reaches the M4.5.5 closing configuration with no vertex
+    that closes it and raises (ROADMAP item 11); the other 23 end with 13
+    leaves, which meets +2.  `swap` exchanges vertices 0 and 10, so the
+    first base is the one that raises."""
+    cubic = sorted(random_connected(16, 3, 3, 8).edges())
+    edges = [
+        (i, j) for i, e in enumerate(cubic) for j in range(i + 1, len(cubic))
+        if set(e) & set(cubic[j])
+    ]
+    if swap:
+        name = {0: 10, 10: 0}
+        edges = [(name.get(u, u), name.get(v, v)) for u, v in edges]
+    return Graph(len(cubic), edges)
 
 
 def structured_families() -> dict[str, list[tuple[str, Graph]]]:

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import copy
-import gc
 import hashlib
 import weakref
 
@@ -40,8 +39,13 @@ from leafspan.builder import (
 from leafspan.ledger import TABLE_FLOORS
 from leafspan.trees import SpanningTree, check_spanning_tree
 
-from conftest import audit_counts, cycle, make_state, path, structured_families
-from test_output_pin import report_lines
+from conftest import (
+    audit_counts,
+    closing_defect_line_graph,
+    cycle,
+    make_state,
+    path,
+)
 from test_reduction import SUBDIVIDED, subdivided_core
 
 
@@ -179,8 +183,18 @@ def test_base_tree_rejects_a_b_not_adjacent_to_a():
             base_tree(path, 0, b)
 
 
-def test_suite_audit_sees_every_base(audit_every_base):
-    r = build(h_graph(20))
+# builds that grow several bases: every base of H_2, which reduces to 10
+# vertices, and past 16 vertices a first base that raises before the second,
+# which meets +2, ends the tier
+SEVERAL_RUNS = [
+    pytest.param(lambda: h_graph(2), id="h_graph(2)"),
+    pytest.param(lambda: closing_defect_line_graph(swap=True), id="line-graph"),
+]
+
+
+@pytest.mark.parametrize("make", SEVERAL_RUNS)
+def test_suite_audit_sees_every_base(audit_every_base, make):
+    r = build(make())
     assert audit_every_base.bases == r.engine_runs > 1
 
 
@@ -202,7 +216,8 @@ def test_suite_audit_refuses_a_base_with_a_wrong_count(corrupt):
         audit_counts(g, f)
 
 
-def test_one_base_tree_alive_when_each_run_starts(monkeypatch):
+@pytest.mark.parametrize("make", SEVERAL_RUNS)
+def test_one_base_tree_alive_when_each_run_starts(monkeypatch, make):
     # bases are named, not built: the driver builds each base tree just
     # before its run, so no other base of the same graph is alive then
     run, init = builder_mod._run_from_base, PartialTree.__init__
@@ -213,32 +228,31 @@ def test_one_base_tree_alive_when_each_run_starts(monkeypatch):
         init(self, g, root)
         trees.add(self)
 
-    def counting(g, f, case, memo=None):
+    def counting(g, f, case):
         alive.append(sum(t.g is g for t in trees))
-        return run(g, f, case, memo)
+        return run(g, f, case)
 
     monkeypatch.setattr(PartialTree, "__init__", tracked)
     monkeypatch.setattr(builder_mod, "_run_from_base", counting)
-    r = build(h_graph(20))
+    r = build(make())
     assert r.engine_runs > 1 and alive == [1] * r.engine_runs
 
 
 @pytest.mark.parametrize(
-    "make",
+    "make, runs",
     [
-        pytest.param(lambda: h_graph(20), id="h_graph(20)"),
-        pytest.param(lambda: random_connected(104, 3, 4, seed=2), id="B1"),
+        pytest.param(lambda: h_graph(2), 10, id="h_graph(2)"),
+        pytest.param(lambda: random_connected(10, 3, 5, seed=6), 3, id="B1"),
+        pytest.param(lambda: closing_defect_line_graph(swap=True), 2, id="line-graph"),
     ],
 )
-def test_one_spanning_tree_and_two_recounts_per_build(
-    monkeypatch, audit_every_join, make
-):
+def test_one_spanning_tree_and_two_recounts_per_build(monkeypatch, make, runs):
     # every run recounts its potential at its base, and at its end unless it
-    # stops at a join, but only the run the driver keeps is made into a
+    # raises first, but only the run the driver keeps is made into a
     # SpanningTree and given a base record
     g = make()
     reduced, _ = reduce_fully(g)
-    made, recounts, base_records, bases = [], [], [], []
+    made, recounts, base_records = [], [], []
 
     class CountedTree(SpanningTree):
         def __init__(self, n, edges):
@@ -252,132 +266,21 @@ def test_one_spanning_tree_and_two_recounts_per_build(
                 base_records.append(label)
             return StepRecord.make(label, *rest)
 
-    real, make_base = builder_mod.alpha_prime, builder_mod.base_tree
+    real = builder_mod.alpha_prime
 
     def recount(g, f):
         recounts.append(f)
         return real(g, f)
 
-    def based(g, a, b=-1):
-        bases.append(make_base(g, a, b))
-        return bases[-1]
-
     monkeypatch.setattr(builder_mod, "SpanningTree", CountedTree)
     monkeypatch.setattr(builder_mod, "StepRecord", CountedRecord)
     monkeypatch.setattr(builder_mod, "alpha_prime", recount)
-    monkeypatch.setattr(builder_mod, "base_tree", based)
     r = build(g)
-    assert r.engine_runs == len(choose_bases(reduced)) > 1
+    assert r.engine_runs == runs > 1
     assert "Z4" not in [rec.label for rec in r.ledger.steps]
     assert made == [reduced.n]
     assert base_records == [r.ledger.base.label]
-    # the join audit recounts copies of the joined runs, not their trees
-    runs = sum(any(f is t for t in bases) for f in recounts)
-    assert audit_every_join.joins > 0
-    assert runs == 2 * r.engine_runs - audit_every_join.joins
-
-
-def build_without_memo(monkeypatch, g):
-    """`build(g)` with every run grown to its end, none stopped at a join."""
-    real = builder_mod._run_from_base
-    with monkeypatch.context() as mp:
-        mp.setattr(
-            builder_mod, "_run_from_base",
-            lambda g, f, case, memo=None: real(g, f, case),
-        )
-        return build(g)
-
-
-def test_key_fingerprints_the_tree_and_its_inner_vertices():
-    # the paths 0-1-2-3 and 3-1-2-0 have the same vertices and the same
-    # inner vertices, so the same key; the star at 1 has other inner ones
-    edges = [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)]
-    _, f = make_state(4, edges, [(0, 1), (1, 2), (2, 3)])
-    _, same = make_state(4, edges, [(3, 1), (1, 2), (2, 0)], root=3)
-    _, other = make_state(4, edges, [(0, 1), (1, 2), (1, 3)])
-    for t in (f, same):
-        assert {v for v in t.vertices if t.deg[v] >= 2} == {1, 2}
-    assert f.key == same.key != other.key
-
-
-def test_one_code_table_serves_every_graph_size(monkeypatch):
-    # a larger graph remakes the table once, keeping every smaller vertex's
-    # codes; a smaller one after it takes the same table
-    monkeypatch.setattr(builder_mod, "_codes", ((), ()))
-    small = builder_mod._zobrist(5)
-    m = len(small[0])
-    big = builder_mod._zobrist(3 * m)
-    assert len(big[0]) == len(big[1]) >= 3 * m
-    assert (big[0][:m], big[1][:m]) == small
-    assert builder_mod._zobrist(m) is big
-    f = PartialTree(path(2 * m), 0)
-    assert (f._tree_codes, f._inner_codes) == big
-    assert len(set(big[0] + big[1])) == 2 * len(big[0])
-    assert max(big[0] + big[1]) < 1 << 30
-
-
-def test_joined_runs_change_no_report(monkeypatch, graph_pool, audit_every_join):
-    graphs = list(graph_pool)
-    graphs += [g for family in structured_families().values() for _, g in family]
-    for g in graphs:
-        joined = report_lines(build(g))
-        assert joined == report_lines(build_without_memo(monkeypatch, g))
-    assert audit_every_join.joins > 0
-
-
-def test_a_join_replays_the_defect_of_the_run_it_joins(monkeypatch):
-    # with A3 promising one leaf more than it makes, six of the 87 runs on
-    # this graph raise, and a later base reaches the state of one of them
-    # before its A3 step
-    du, db, floor = TABLE_FLOORS["A3"]
-    monkeypatch.setitem(TABLE_FLOORS, "A3", (du + 1, db, floor))
-    visit, ends = builder_mod._Memo.visit, []
-
-    def visited(memo, f):
-        ends.append(visit(memo, f))
-        return ends[-1]
-
-    monkeypatch.setattr(builder_mod._Memo, "visit", visited)
-    g = random_connected(104, 3, 4, 2)
-    report = build(g)
-    assert any(isinstance(end, str) for end in ends)
-    assert report.defects and all("A3: leaf delta" in d for d in report.defects)
-    assert report.defects == build_without_memo(monkeypatch, g).defects
-
-
-def test_a_full_memo_files_no_more_states(monkeypatch, audit_every_join):
-    # room for the states of a few of the 100 runs on h_graph(20): later
-    # runs still join those, and the report does not change
-    monkeypatch.setattr(builder_mod, "_MEMO_BYTES", 1 << 14)
-    memos, init = [], builder_mod._Memo.__init__
-
-    def spied(memo, n):
-        init(memo, n)
-        memos.append(memo)
-
-    monkeypatch.setattr(builder_mod._Memo, "__init__", spied)
-    g = h_graph(20)
-    assert report_lines(build(g)) == report_lines(build_without_memo(monkeypatch, g))
-    memo = memos[0]
-    assert 0 <= memo.room < 1 << 14 and 0 < len(memo.states) < (1 << 14) // 192
-    assert audit_every_join.joins > 0
-
-
-def test_the_join_audit_catches_a_forged_outcome(monkeypatch):
-    close = builder_mod._Memo.close
-
-    def forged(memo, f, end):
-        close(memo, f, end + 1 if isinstance(end, int) else end)
-
-    monkeypatch.setattr(builder_mod._Memo, "close", forged)
-    with pytest.raises(AssertionError, match="memo says"):
-        build(h_graph(20))
-
-
-def test_no_memo_outlives_its_build():
-    report = build(h_graph(20))
-    assert report.engine_runs > 1
-    assert not [o for o in gc.get_objects() if isinstance(o, builder_mod._Memo)]
+    assert len(recounts) == 2 * r.engine_runs - len(r.defects)
 
 
 # ---------------------------------------------------------------------------
@@ -831,7 +734,7 @@ def test_expand_commits_what_next_step_and_apply_step_commit(graph_pool, monkeyp
             plan, _ = split_z4(g, f)
         return apply_step(g, f, plan)
 
-    def lockstep(g, f, case, memo=None):
+    def lockstep(g, f, case):
         fast, slow = (copy.deepcopy(f, {id(g): g}) for _ in range(2))
         while True:
             plan = next_step(g, slow)
@@ -847,7 +750,7 @@ def test_expand_commits_what_next_step_and_apply_step_commit(graph_pool, monkeyp
                 expanded.add(d.label)
             assert d == commit(g, slow, plan)
             assert _tree_state(fast) == _tree_state(slow)
-        return real_run(g, f, case, memo)
+        return real_run(g, f, case)
 
     monkeypatch.setattr(builder_mod, "_run_from_base", lockstep)
     for g in _step_corpus(graph_pool):
@@ -980,6 +883,75 @@ def test_b7_shortfall_is_settled_by_a_later_base():
     assert verify_ledger(g, r.ledger, r.spanning_tree).ok
 
 
+def recorded_runs(monkeypatch) -> list[tuple[list[int], int | None]]:
+    """Wrap `_run_from_base`; the list returned gets, for each run, its
+    base vertices, sorted, and its leaf count, None for a run that raised."""
+    real, runs = builder_mod._run_from_base, []
+
+    def recording(g, f, case):
+        runs.append((sorted(f.vertices), None))
+        res = real(g, f, case)
+        runs[-1] = (runs[-1][0], res.leaves)
+        return res
+
+    monkeypatch.setattr(builder_mod, "_run_from_base", recording)
+    return runs
+
+
+def test_base_tier_at_most_16_vertices_runs_every_base(graph_pool):
+    for g in graph_pool:
+        reduced, _ = reduce_fully(g)
+        r = build(g)
+        if r.base_case in ("exclusion-direct", "path-direct"):
+            continue
+        assert reduced.n <= 16 and r.engine_runs == len(choose_bases(reduced))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: random_connected(160, 3, 4, 7), id="rc(160,3,4,7)"),
+        pytest.param(lambda: random_connected(64, 3, 4, 1), id="rc(64,3,4,1)"),
+        pytest.param(lambda: random_connected(40, 2, 39, 3), id="rc(40,2,39,3)"),
+        pytest.param(lambda: h_graph(20), id="h_graph(20)"),
+        pytest.param(lambda: closing_defect_line_graph(swap=True), id="line-graph"),
+    ],
+)
+def test_past_16_vertices_no_run_follows_the_first_that_meets_the_bound(
+    monkeypatch, make
+):
+    g = make()
+    reduced, _ = reduce_fully(g)
+    runs = recorded_runs(monkeypatch)
+    r = build(g)
+    assert reduced.n > 16 and len(choose_bases(reduced)) > 1
+    met = [
+        leaves is not None and 15 * leaves >= reduced.cost15 + 30
+        for _, leaves in runs
+    ]
+    assert met[-1] and not any(met[:-1])
+    assert r.engine_runs == len(runs) == len(r.defects) + 1
+    assert r.bound_ok and not r.oracle_fallback
+
+
+def test_past_16_vertices_every_base_runs_when_none_meets_the_bound(monkeypatch):
+    # with a bound no tree meets, the tier grows all eleven bases of the
+    # 18-vertex reduced graph and keeps the first with the most leaves, the
+    # last (12 leaves against 10 or 11)
+    g = random_connected(24, 3, 4, 3)
+    reduced, _ = reduce_fully(g)
+    bases = choose_bases(reduced)
+    monkeypatch.setattr(builder_mod, "_BOUND15", 10**6)
+    runs = recorded_runs(monkeypatch)
+    r = build(g)
+    assert reduced.n == 18 and r.engine_runs == len(runs) == len(bases) == 11
+    best = max(leaves for _, leaves in runs)
+    kept = next(vs for vs, leaves in runs if leaves == best)
+    assert best == 12 and kept == runs[-1][0]
+    assert list(r.ledger.base.added_vertices) == kept
+    assert not r.bound_ok and not r.oracle_fallback
+
+
 def test_first_base_reaches_split_z4():
     g = random_connected(14, 2, 13, seed=232)
     reduced, _ = reduce_fully(g)
@@ -1023,10 +995,10 @@ def test_run_with_a_split_ends_through_the_recount(monkeypatch):
     [
         pytest.param(
             lambda: random_connected(160, 3, 4, seed=7),
-            77,
-            435,
+            75,
+            405,
             "B1",
-            "1ff430f8aa79af76da66f65925ed6eeb7ca545fcb081d449ad99b46e2a5ffb9b",
+            "40ca11b7470996473a1dacaa0d9bb4d8ff7b6d194c047fdbb2338962f67a1448",
             id="random_connected(160,3,4,seed=7)",
         ),
         pytest.param(
@@ -1046,9 +1018,9 @@ def test_engine_output_pinned_beyond_the_oracle(make, leaves, alpha15, base, log
     assert (r.leaves, r.alpha, r.base_case) == (leaves, Fifteenths(alpha15), base)
     log = "\n".join(r.ledger.log_lines()).encode()
     assert hashlib.sha256(log).hexdigest() == log_sha256
-    # settled on the first tier: one engine run per base of the first case
+    # past 16 vertices the first base meets +2 and ends the tier
     assert not r.oracle_fallback and not r.defects
-    assert r.engine_runs == len(choose_bases(reduce_fully(g)[0]))
+    assert r.engine_runs == 1 < len(choose_bases(reduce_fully(g)[0]))
 
 
 def test_build_spanning_and_sound(graph_pool):

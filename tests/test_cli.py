@@ -149,11 +149,11 @@ def test_build_command_json(tmp_path, capsys, monkeypatch):
     real = builder_mod._run_from_base
     calls = []
 
-    def flaky(g, base, case, memo=None):
+    def flaky(g, base, case):
         calls.append(case)
         if len(calls) == 1:
             raise EngineDefect("first base poisoned")
-        return real(g, base, case, memo)
+        return real(g, base, case)
 
     monkeypatch.setattr(builder_mod, "_run_from_base", flaky)
     assert main(["build", path, "--json"]) == 0

@@ -18,7 +18,6 @@ import pytest
 import leafspan.builder as builder_mod
 from leafspan import (
     Fifteenths,
-    Graph,
     build,
     h_graph,
     random_connected,
@@ -29,23 +28,27 @@ from leafspan import (
 from leafspan.builder import EngineDefect
 from leafspan.trees import check_spanning_tree
 
-from conftest import tree_degrees
+from conftest import closing_defect_line_graph, tree_degrees
 
 
 def test_closing_vertex_defect_on_a_line_graph_is_swallowed():
-    # the line graph of a cubic graph, its vertices numbered by the sorted
-    # edge list: 4-regular, every edge in a triangle, so no reduction and
-    # base case B7.  One base reaches the M4.5.5 closing configuration with
-    # no vertex that closes it; the driver drops that run and keeps another.
-    # Planning that configuration (ROADMAP item 11) changes this pin.
-    cubic = sorted(random_connected(16, 3, 3, 8).edges())
-    g = Graph(len(cubic), [
-        (i, j) for i, e in enumerate(cubic) for j in range(i + 1, len(cubic))
-        if set(e) & set(cubic[j])
-    ])
+    # the run from the star at vertex 10 reaches the M4.5.5 closing
+    # configuration with no vertex that closes it.  Under the edge-list
+    # numbering the first base already meets +2, so that run never starts;
+    # with vertices 0 and 10 swapped it is the first, and the driver drops
+    # it and keeps the second.  Planning that configuration (ROADMAP item
+    # 11) changes this pin.
+    g = closing_defect_line_graph()
+    with pytest.raises(EngineDefect, match="^closing vertex adjacency violated$"):
+        builder_mod._run_from_base(g, builder_mod.base_tree(g, 10), "B7")
     report = build(g)
     assert g.n == 24 and report.reduction_trace == []
-    assert report.base_case == "B7" and report.engine_runs == 24
+    assert report.base_case == "B7" and report.engine_runs == 1
+    assert report.defects == () and report.leaves == 13
+
+    g = closing_defect_line_graph(swap=True)
+    report = build(g)
+    assert report.base_case == "B7" and report.engine_runs == 2
     assert report.defects == ("B7: closing vertex adjacency violated",)
     assert not report.oracle_fallback
     assert report.leaves == 13 and report.alpha == Fifteenths(51)
@@ -73,11 +76,11 @@ def test_single_base_defect_is_survived(monkeypatch):
     real = builder_mod._run_from_base
     calls = {"n": 0}
 
-    def flaky(g, base, case, memo=None):
+    def flaky(g, base, case):
         calls["n"] += 1
         if calls["n"] == 1:
             raise EngineDefect("first base poisoned")
-        return real(g, base, case, memo)
+        return real(g, base, case)
 
     monkeypatch.setattr(builder_mod, "_run_from_base", flaky)
     g = h_graph(2)
@@ -88,7 +91,7 @@ def test_single_base_defect_is_survived(monkeypatch):
 
 
 def test_outage_beyond_exact_search_budget_raises(monkeypatch):
-    def always_defective(g, base, case, memo=None):
+    def always_defective(g, base, case):
         raise EngineDefect("forced outage")
 
     monkeypatch.setattr(builder_mod, "_run_from_base", always_defective)
@@ -133,9 +136,9 @@ def test_drift_in_a_dropped_base_is_caught(monkeypatch):
     real_run = builder_mod._run_from_base
     runs = {"n": 0}
 
-    def counted(g, base, case, memo=None):
+    def counted(g, base, case):
         runs["n"] += 1
-        return real_run(g, base, case, memo)
+        return real_run(g, base, case)
 
     def drift(f):
         if runs["n"] == clean.engine_runs:  # the last base
@@ -158,8 +161,7 @@ def _fault_at_the_end_of_the_second_run(monkeypatch, *, recount=None, step=None)
 
     `recount(f, alpha)` returns what that run's final `alpha_prime` reports
     in place of the true `alpha`; `step(f)` tampers with its tree after its
-    last step.  The second run must not stop at a join with the first, or
-    it would never reach its end."""
+    last step."""
     g = h_graph(2)
     clean = build(g)
     real_run = builder_mod._run_from_base
@@ -167,9 +169,9 @@ def _fault_at_the_end_of_the_second_run(monkeypatch, *, recount=None, step=None)
     runs = {"n": 0}
     faults = []
 
-    def counted(g, base, case, memo=None):
+    def counted(g, base, case):
         runs["n"] += 1
-        return real_run(g, base, case, memo)
+        return real_run(g, base, case)
 
     def recounting(g, f):
         if recount is not None and runs["n"] == 2 and f.spans():
