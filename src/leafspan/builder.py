@@ -31,12 +31,11 @@ Step catalog, tried strictly in order each round (first match wins):
 Each row's du, db and profit floor are stated once, in
 `ledger.TABLE_FLOORS`; a plan names its row and attachments and takes du
 and db from there.  Only Z1.3 (db is its vertex's degree) and Z4 have no
-row.  A1 and A2, most of the steps of a run, are committed by `_expand`
-without a plan: it makes `next_step`'s choice and returns the deltas
-`apply_step` would, checked against the same rows.  Every other row is
-planned by `next_step` and committed by `apply_step`, which stay the
-planner and commit for every row.  So each round `_run_from_base`
-tries `_expand`, then `next_step`.  Z4 is the driver's step: once no row
+row.  A1 and A2, most of the steps of a run, are chosen and committed by
+`_expand` alone, without a plan; `next_step` plans every later row and
+`apply_step` commits the plan.  Both commit through `_commit`, which
+checks each step against its row.  So each round `_run_from_base` tries
+`_expand`, then `next_step`.  Z4 is the driver's step: once no row
 applies, `next_step` returns None and `_run_from_base` stops if the tree
 spans, else calls `split_z4`.
 
@@ -351,21 +350,12 @@ _A2_DU, _A2_DB, _ = TABLE_FLOORS["A2"]
 
 
 def next_step(g: Graph, f: PartialTree) -> StepPlan | None:
-    """First applicable row of the catalog, fully planned; None when no row
-    applies: the tree spans, or only a Z4 split (`split_z4`) is left."""
+    """First applicable catalog row past A1 and A2, fully planned; None when
+    no row applies: the tree spans, or only a Z4 split (`split_z4`) is left.
+    Raises EngineDefect while A1 or A2 applies: `_expand` commits those."""
+    if f.inner_open or f.rich:
+        raise EngineDefect("next_step called while A1 or A2 applies")
     adj, tree = g.adj, f.vertices
-
-    inner_open = f.inner_open
-    if inner_open:
-        x = min(inner_open)
-        return _new(StepPlan, ("A1", ((x, min(adj[x] - tree)),), _A1_DU, _A1_DB))
-
-    rich = f.rich
-    if rich:
-        x = min(rich)
-        y1, y2 = sorted(adj[x] - tree)[:2]
-        return _new(StepPlan, ("A2", ((x, y1), (x, y2)), _A2_DU, _A2_DB))
-
     out, border = f.out, f.border
     order = sorted(border)
 
@@ -558,93 +548,61 @@ def _plan_chain(g: Graph, f: PartialTree, x: int, kind: str) -> StepPlan:
 # committing steps
 
 
-def apply_step(g: Graph, f: PartialTree, plan: StepPlan) -> StepDeltas:
-    """Commit a plan; returns its deltas, checked against the plan's nominal ones."""
-    label, attachments, nominal_du, nominal_db = plan
-    children = tuple([c for _, c in attachments])
-    if len(set(children)) != len(children) or not f.vertices.isdisjoint(children):
-        raise StalePlanError(f"{label}: plan does not match the tree state")
-    leaves_before = f.leaves
-    dead_before = len(f.dead)
-    attach = f.attach
-    for parent, child in attachments:
-        try:
-            attach(parent, child)
-        except ValueError as exc:
-            raise StalePlanError(f"{label}: {exc}") from exc
-    du = f.leaves - leaves_before
-    db_total = len(f.dead) - dead_before
-    if du != nominal_du or db_total < nominal_db:
-        raise _row_defect(label, du, db_total, nominal_du, nominal_db)
-    adj = g.adj
-    dt = ds = 0
-    for c in children:
-        d = len(adj[c])
-        if d >= 4:
-            dt += 1
-        elif d == 3:
-            ds += 1
-    return _new(
-        StepDeltas, (label, du, nominal_db, dt, ds, children, db_total - nominal_db)
-    )
-
-
-def _row_defect(
-    label: str, du: int, deaths: int, row_du: int, row_db: int
-) -> EngineDefect:
-    """The defect of a step whose leaf delta or deaths break its row."""
-    if du != row_du:
-        return EngineDefect(f"{label}: leaf delta {du} != nominal {row_du}")
-    return EngineDefect(f"{label}: only {deaths} deaths, promised {row_db}")
-
-
-def _expand(g: Graph, f: PartialTree) -> StepDeltas | None:
-    """Commit A1 or A2, chosen as `next_step` chooses it, and return the
-    deltas `apply_step(g, f, next_step(g, f))` returns; None when neither
-    row applies.
-
-    The engine's hot path: no plan is made.  The children are outside
-    neighbours of one tree vertex, so they are distinct and outside the
-    tree by construction; `attach` still checks each one, and du and the
-    deaths are checked against the row as `apply_step` checks them.
-    It stays a separate path on purpose, on an under-powered reading: in
-    an in-process CPU-time A/B of this layer alone (first 30-40
-    ensemble-mid inputs, three runs, CPython 3.11, 2-core x86 VM),
-    sharing the A1/A2 choice with `next_step` through one helper read
-    0.996-1.08x this path's median time, and routing A1/A2 through a
-    `StepPlan` and one commit helper 1.14x; neither was measured end to
-    end.
-    """
-    adj, tree = g.adj, f.vertices
-    inner_open, rich = f.inner_open, f.rich
-    if inner_open:
-        x = min(inner_open)
-        added = (min(adj[x] - tree),)
-        label = "A1"
-        row_du, row_db = _A1_DU, _A1_DB
-    elif rich:
-        x = min(rich)
-        y1, y2 = sorted(adj[x] - tree)[:2]
-        added = (y1, y2)
-        label = "A2"
-        row_du, row_db = _A2_DU, _A2_DB
-    else:
-        return None
+def _commit(
+    g: Graph, f: PartialTree, label: str, attachments, children, row_du, row_db
+) -> StepDeltas:
+    """Make the attachments in order, check du and the deaths against the
+    row and return the step's deltas; `children` are the attached vertices."""
     leaves_before, dead_before = f.leaves, len(f.dead)
-    attach = f.attach
+    attach, adj = f.attach, g.adj
     dt = ds = 0
-    for c in added:
-        attach(x, c)
-        d = len(adj[c])
+    for parent, child in attachments:
+        attach(parent, child)
+        d = len(adj[child])
         if d >= 4:
             dt += 1
         elif d == 3:
             ds += 1
     du = f.leaves - leaves_before
     deaths = len(f.dead) - dead_before
-    if du != row_du or deaths < row_db:
-        raise _row_defect(label, du, deaths, row_du, row_db)
-    return _new(StepDeltas, (label, du, row_db, dt, ds, added, deaths - row_db))
+    if du != row_du:
+        raise EngineDefect(f"{label}: leaf delta {du} != nominal {row_du}")
+    if deaths < row_db:
+        raise EngineDefect(f"{label}: only {deaths} deaths, promised {row_db}")
+    return _new(StepDeltas, (label, du, row_db, dt, ds, children, deaths - row_db))
+
+
+def apply_step(g: Graph, f: PartialTree, plan: StepPlan) -> StepDeltas:
+    """Commit a plan; returns its deltas, checked against the plan's nominal ones."""
+    label, attachments, nominal_du, nominal_db = plan
+    children = tuple([c for _, c in attachments])
+    if len(set(children)) != len(children) or not f.vertices.isdisjoint(children):
+        raise StalePlanError(f"{label}: plan does not match the tree state")
+    try:
+        return _commit(g, f, label, attachments, children, nominal_du, nominal_db)
+    except ValueError as exc:  # an attachment `attach` refuses
+        raise StalePlanError(f"{label}: {exc}") from exc
+
+
+def _expand(g: Graph, f: PartialTree) -> StepDeltas | None:
+    """Commit A1 or A2, the catalog's first two rows; None when neither applies.
+
+    The only code that chooses A1 or A2, and the engine's hot path: no plan
+    is made.  The children are outside neighbours of one tree vertex, so
+    distinct and outside the tree; `attach` still checks each one.  Routing
+    A1 and A2 through a `StepPlan` and `apply_step` made ensemble-mid's
+    `build` 4.8% slower end to end (in-process CPU-time A/B, 60 rounds,
+    faster in 1 of 60; CPython 3.11, 2-core x86 VM)."""
+    adj, tree = g.adj, f.vertices
+    if f.inner_open:
+        x = min(f.inner_open)
+        c = min(adj[x] - tree)
+        return _commit(g, f, "A1", ((x, c),), (c,), _A1_DU, _A1_DB)
+    if f.rich:
+        x = min(f.rich)
+        y1, y2 = sorted(adj[x] - tree)[:2]
+        return _commit(g, f, "A2", ((x, y1), (x, y2)), (y1, y2), _A2_DU, _A2_DB)
+    return None
 
 
 def split_z4(g: Graph, f: PartialTree) -> tuple[StepPlan, int]:

@@ -26,16 +26,16 @@ class SpanningTree:
     def degrees(self) -> list[int]:
         """Each vertex's tree degree; ValueError names an end outside 0..n-1."""
         n = self.n
-        # such an end counts in the upper half (a negative one wraps there)
-        # or runs off the list, so no edge is range-tested on its own
-        deg = [0] * (2 * n)
+        deg = [0] * n
         try:
             for u, v in self.edges:
+                if u < 0 or v < 0:  # as an index it would count from the end
+                    break
                 deg[u] += 1
                 deg[v] += 1
-            if not any(deg[n:]):
-                return deg[:n]
-        except IndexError:
+            else:
+                return deg
+        except IndexError:  # an end past n - 1
             pass
         bad = next(w for e in self.edges for w in e if not 0 <= w < n)
         raise ValueError(f"tree vertex {bad} out of range for n={n}")

@@ -14,7 +14,7 @@ from leafspan import (
     random_connected,
     reduction,
 )
-from leafspan.builder import PartialTree
+from leafspan.builder import PartialTree, StepDeltas
 from leafspan.graph import degree_cost15
 from leafspan.ledger import DEAD_GAIN15, LEAF_GAIN15, alpha_prime
 
@@ -48,30 +48,21 @@ def audit_every_step(monkeypatch):
     """Recount every partial tree from scratch after each step of every build.
 
     Production builds recount only at the base and at the end of each engine
-    run.  A step is committed by `_expand` (A1, A2) or by `apply_step`
-    (every other row); the engine looks both up at call time, so these
-    wrappers see every step the tests make the engine take.  The fixture's
-    value counts the steps audited so far in the test (`.steps`), over both
-    commit paths.
+    run.  Every step is committed by `_commit`, from `_expand` (A1, A2) or
+    from `apply_step` (every other row); both look it up at call time, so
+    this wrapper sees every step the tests make the engine take.  The
+    fixture's value counts the steps audited so far in the test (`.steps`).
     """
-    step, expand = builder.apply_step, builder._expand
+    commit = builder._commit
     audit = SimpleNamespace(steps=0)
 
-    def audited(g, f, plan):
-        deltas = step(g, f, plan)
+    def audited(g, f, *step):
+        deltas = commit(g, f, *step)
         audit_counts(g, f)
         audit.steps += 1
         return deltas
 
-    def audited_expand(g, f):
-        deltas = expand(g, f)
-        if deltas is not None:
-            audit_counts(g, f)
-            audit.steps += 1
-        return deltas
-
-    monkeypatch.setattr(builder, "apply_step", audited)
-    monkeypatch.setattr(builder, "_expand", audited_expand)
+    monkeypatch.setattr(builder, "_commit", audited)
     return audit
 
 
@@ -166,6 +157,19 @@ def make_state(n, edges, tree_edges, root=0) -> tuple[Graph, PartialTree]:
         if not progressed:
             raise ValueError("tree edges do not connect to the root")
     return g, f
+
+
+def engine_step(g: Graph, f: PartialTree) -> StepDeltas | None:
+    """Take one engine step as `_run_from_base` takes it: `_expand` commits
+    A1 or A2, else `next_step` plans the step and `apply_step` commits it.
+    Returns its deltas, None when no row applies (a Z4 split is not taken).
+
+    Each is looked up on the module at call time, so the audit fixtures see
+    every step taken here."""
+    deltas = builder._expand(g, f)
+    if deltas is None and (plan := builder.next_step(g, f)) is not None:
+        deltas = builder.apply_step(g, f, plan)
+    return deltas
 
 
 def random_graph_pool(count, sizes=(3, 12), seed=20240601, generate=random_connected):

@@ -43,8 +43,10 @@ from conftest import (
     audit_counts,
     closing_defect_line_graph,
     cycle,
+    engine_step,
     make_state,
     path,
+    tree_degrees,
 )
 from test_reduction import SUBDIVIDED, subdivided_core
 
@@ -60,8 +62,7 @@ def test_levels_spanning_tree_empty():
     g = square_of_cycle(6)
     f2 = base_tree(g, 0)
     while not f2.spans():
-        plan = next_step(g, f2)
-        apply_step(g, f2, plan)
+        assert engine_step(g, f2) is not None
     assert f2.border == set()
 
 
@@ -286,16 +287,25 @@ def test_one_spanning_tree_and_two_recounts_per_build(monkeypatch, make, runs):
 # step catalog on engineered states
 
 
-def test_next_step_a1():
+def test_expand_a1():
+    # the root has two children and one outside neighbour, 3
     g, f = make_state(4, [(0, 1), (0, 2), (0, 3), (1, 3)], [(0, 1), (0, 2)])
-    plan = next_step(g, f)
-    assert plan.label == "A1" and plan.attachments == ((0, 3),)
+    with pytest.raises(EngineDefect, match="while A1 or A2 applies"):
+        next_step(g, f)
+    d = builder_mod._expand(g, f)
+    assert (d.label, d.du, d.db, d.added) == ("A1", *TABLE_FLOORS["A1"][:2], (3,))
+    assert f.parent[3] == 0
 
 
-def test_next_step_a2():
+def test_expand_a2():
+    # leaf 1 has two outside neighbours, and no tree vertex of degree 2 has one
     g, f = make_state(5, [(0, 1), (0, 2), (1, 3), (1, 4)], [(0, 1), (0, 2)])
-    plan = next_step(g, f)
-    assert plan.label == "A2" and plan.attachments == ((1, 3), (1, 4))
+    with pytest.raises(EngineDefect, match="while A1 or A2 applies"):
+        next_step(g, f)
+    d = builder_mod._expand(g, f)
+    assert (d.label, d.du, d.db, d.added) == ("A2", *TABLE_FLOORS["A2"][:2], (3, 4))
+    assert f.parent[3] == f.parent[4] == 1
+    assert builder_mod._expand(g, f) is None and next_step(g, f) is None
 
 
 def test_next_step_z1_1():
@@ -637,8 +647,10 @@ def test_chain_case_resolution(case):
 
 
 def test_apply_step_rejects_stale_plan():
-    g, f = make_state(5, [(0, 1), (0, 2), (1, 3), (1, 4)], [(0, 1), (0, 2)])
+    edges = [(0, 1), (0, 2), (0, 3), (4, 1), (4, 5), (4, 6), (4, 7)]
+    g, f = make_state(8, edges, [(0, 1), (0, 2), (0, 3)])
     plan = next_step(g, f)
+    assert plan.label == "A3"
     apply_step(g, f, plan)
     with pytest.raises(StalePlanError):
         apply_step(g, f, plan)
@@ -678,7 +690,7 @@ def test_partial_tree_rejects_a_root_out_of_range():
 
 
 def test_every_count_is_exact_after_every_attach(graph_pool, monkeypatch):
-    # `base_tree` and `apply_step` bind `f.attach` at call time, so patching
+    # `base_tree` and `_commit` bind `f.attach` at call time, so patching
     # the class attribute audits every attach of every base and every step,
     # a Z4 split's included
     attach = PartialTree.attach
@@ -720,13 +732,35 @@ def _tree_state(f: PartialTree) -> tuple:
     )
 
 
+def _reference_a1_a2(g: Graph, f: PartialTree) -> StepPlan | None:
+    """A1 or A2 planned from the parent links and the graph alone: A1
+    attaches the least outside neighbour of the least tree vertex of tree
+    degree >= 2 that has one; else A2 the two least outside neighbours of
+    the least tree vertex with two.  None when neither row applies."""
+    tree = set(f.parent)
+    deg = tree_degrees(f)
+    outside = {v: sorted(g.adj[v] - tree) for v in sorted(tree)}
+    for label, fits, k in (
+        ("A1", lambda v: deg[v] >= 2 and outside[v], 1),
+        ("A2", lambda v: len(outside[v]) >= 2, 2),
+    ):
+        x = next((v for v in outside if fits(v)), None)
+        if x is not None:
+            du, db, _ = TABLE_FLOORS[label]
+            return StepPlan(label, tuple((x, y) for y in outside[x][:k]), du, db)
+    return None
+
+
 def test_expand_commits_what_next_step_and_apply_step_commit(graph_pool, monkeypatch):
-    # every run grows two copies of its base in lockstep: one through
-    # `_expand`, falling back to `next_step` + `apply_step`, the other
-    # through `next_step` + `apply_step` alone
+    # every run grows two copies of its base in lockstep: one as the engine
+    # does, through `_expand`, falling back to `next_step` + `apply_step`;
+    # the other commits every step with `apply_step`, its A1 and A2 planned
+    # by `_reference_a1_a2`, while `next_step` refuses to plan them
     real_run = builder_mod._run_from_base
     expanded: set[str] = set()
     planned: set[str] = set()
+    # the A1 and A2 rows met with more outside neighbours than they attach
+    chose: set[str] = set()
 
     def commit(g, f, plan):
         if plan is None:
@@ -736,25 +770,33 @@ def test_expand_commits_what_next_step_and_apply_step_commit(graph_pool, monkeyp
     def lockstep(g, f, case):
         fast, slow = (copy.deepcopy(f, {id(g): g}) for _ in range(2))
         while True:
-            plan = next_step(g, slow)
+            plan = _reference_a1_a2(g, slow)
             d = builder_mod._expand(g, fast)
-            assert (d is None) == (plan is None or plan.label not in ("A1", "A2"))
-            if plan is None and slow.spans():
-                assert d is None and fast.spans()
-                break
-            if d is None:
+            assert (d is None) == (plan is None)
+            if plan is None:
+                plan = next_step(g, slow)
+                if plan is None and slow.spans():
+                    assert fast.spans()
+                    break
                 d = commit(g, fast, next_step(g, fast))
                 planned.add(d.label)
             else:
+                with pytest.raises(EngineDefect, match="while A1 or A2 applies"):
+                    next_step(g, slow)
                 expanded.add(d.label)
+                x = plan.attachments[0][0]
+                if len(g.adj[x] - slow.vertices) > len(plan.attachments):
+                    chose.add(plan.label)
             assert d == commit(g, slow, plan)
             assert _tree_state(fast) == _tree_state(slow)
         return real_run(g, f, case)
 
     monkeypatch.setattr(builder_mod, "_run_from_base", lockstep)
-    for g in _step_corpus(graph_pool):
+    # the corpus's A1 steps each have one child to take; these do not
+    wide = [random_connected(40, 3, 8, seed=s) for s in (0, 1)]
+    for g in _step_corpus(graph_pool) + wide:
         build(g)
-    assert expanded == {"A1", "A2"}
+    assert expanded == chose == {"A1", "A2"}
     assert "Z4" in planned and len(planned) > 3
 
 
@@ -1038,7 +1080,7 @@ def test_build_spanning_and_sound(graph_pool):
 def test_every_engine_step_is_audited(audit_every_step):
     # one base and no Z4 split, whose component builds would add audited
     # steps of their own: each labelled record of the ledger comes from one
-    # `_expand` or `apply_step` call, so a path that skipped both would show
+    # `_commit` call, so a path that skipped it would show
     g = random_connected(32, 2, 31, seed=4)
     r = build(g)
     assert r.engine_runs == 1

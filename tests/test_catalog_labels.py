@@ -2,12 +2,12 @@
 
 The labels are read from `builder.py`'s source, in the functions that plan
 steps and in `_expand`, which commits A1 and A2 without a plan: the first
-argument of each `StepPlan(...)` and `_plan(...)` call, and the first
-field of each `_new(StepPlan, (...))` and `_new(StepDeltas, (...))`.  A
-label is a string, a conditional of labels, a local name bound only to
-labels, or `lab(...)` of one, which `_plan_chain` makes the M or N row of
-a chain sub-case.  Anything else is refused, so no label escapes the
-check unseen.
+argument of each `StepPlan(...)` and `_plan(...)` call, the first field of
+each `_new(StepPlan, (...))`, and the label argument of each
+`_commit(g, f, label, ...)`.  A label is a string, a conditional of
+labels, a local name bound only to labels, or `lab(...)` of one, which
+`_plan_chain` makes the M or N row of a chain sub-case.  Anything else is
+refused, so no label escapes the check unseen.
 """
 
 from __future__ import annotations
@@ -29,16 +29,18 @@ def _called(call: ast.Call) -> str | None:
 
 
 def _label_arg(call: ast.Call) -> ast.expr | None:
-    """The label expression of a call that makes a plan or a step's deltas,
+    """The label expression of a call that makes a plan or commits a step,
     else None."""
     name, args = _called(call), call.args
     if name in ("StepPlan", "_plan") and args:
         return args[0]
+    if name == "_commit" and len(args) >= 3:
+        return args[2]
     if (
         name == "_new"
         and len(args) == 2
         and isinstance(args[0], ast.Name)
-        and args[0].id in ("StepPlan", "StepDeltas")
+        and args[0].id == "StepPlan"
         and isinstance(args[1], ast.Tuple)
     ):
         return args[1].elts[0]
@@ -92,9 +94,9 @@ def test_the_check_reads_every_form_of_label():
         "        label = 'A1'\n"
         "    else:\n"
         "        label = 'A2'\n"
-        "    return _new(StepDeltas, (label, du, db, dt, ds, added, 0))\n"
+        "    return _commit(g, f, label, att, added, du, db)\n"
         "def not_a_planner():\n"
-        "    _new(StepDeltas, ('Q', du, db, dt, ds, added, 0))\n"
+        "    _commit(g, f, 'Q', att, added, du, db)\n"
         "    return _plan('Q', att)\n"
     )
     assert planned_labels(source) == {
@@ -104,8 +106,19 @@ def test_the_check_reads_every_form_of_label():
         planned_labels("def next_step(g, f):\n    return _plan(pick(), att)\n")
     with pytest.raises(ValueError, match="label pick\\(\\) is not resolvable"):
         planned_labels(
-            "def _expand(g, f):\n    return _new(StepDeltas, (pick(), 1, 0))\n"
+            "def _expand(g, f):\n    return _commit(g, f, pick(), att, added, 1, 0)\n"
         )
+
+
+def test_an_unknown_label_committed_by_expand_is_caught():
+    # the check below, on builder.py with A2's `_commit` renamed to a
+    # label that has no row
+    source = BUILDER.read_text()
+    call = '_commit(g, f, "A2", '
+    assert source.count(call) == 1
+    planned = planned_labels(source.replace(call, '_commit(g, f, "A9", '))
+    assert planned - TABLE_FLOORS.keys() == {"Z1.3", "Z4", "A9"}
+    assert TABLE_FLOORS.keys() - planned == {"Z0", "A2"}
 
 
 def test_every_planned_label_has_a_row_and_every_row_is_planned():

@@ -109,23 +109,16 @@ def test_exclusion_path_untouched_by_engine_patch(monkeypatch):
 
 
 def _tamper_after_every_step(monkeypatch, tamper):
-    """Call `tamper(f)` after every step of every run, from either commit
-    path: `_expand` (A1, A2) or `apply_step` (every other row)."""
-    real_expand, real_step = builder_mod._expand, builder_mod.apply_step
+    """Call `tamper(f)` after every step of every run: each is committed by
+    `_commit`, from `_expand` (A1, A2) or `apply_step` (every other row)."""
+    real_commit = builder_mod._commit
 
-    def expanding(g, f):
-        deltas = real_expand(g, f)
-        if deltas is not None:
-            tamper(f)
-        return deltas
-
-    def stepping(g, f, plan):
-        deltas = real_step(g, f, plan)
+    def committing(g, f, *step):
+        deltas = real_commit(g, f, *step)
         tamper(f)
         return deltas
 
-    monkeypatch.setattr(builder_mod, "_expand", expanding)
-    monkeypatch.setattr(builder_mod, "apply_step", stepping)
+    monkeypatch.setattr(builder_mod, "_commit", committing)
 
 
 def test_drift_in_a_dropped_base_is_caught(monkeypatch):

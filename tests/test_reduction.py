@@ -192,9 +192,10 @@ def test_lift_rejects_invalid_tree():
         lift_tree_logged(trace, SpanningTree(3, frozenset({(0, 1)})))
 
 
-@pytest.mark.parametrize("bad", [-1, 3])
+@pytest.mark.parametrize("bad", [-1, 3, -4, -6])
 def test_tree_edges_outside_the_vertex_range_are_refused(bad):
-    # -1 would be read as vertex 2, and 3 would run off the end
+    # ends on every side of 0..2: as a list index -1 would be read as
+    # vertex 2, 3 lies past the end, and -4 and -6 lie below -n
     tree = SpanningTree(3, frozenset({(0, 1), (0, bad)}))
     checks = [tree.parents, tree.degrees, tree.leaf_count]
     for check in [*checks, lambda: lift_tree_logged([], tree)]:
