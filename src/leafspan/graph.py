@@ -52,7 +52,18 @@ class Graph:
                 raise ValueError(f"self-loop at {u}")
             sets[u].add(v)
             sets[v].add(u)
-        self.n = n
+        self._set_tables(sets)
+
+    @classmethod
+    def _from_sets(cls, sets: list[set[int]]) -> "Graph":
+        """The graph with neighbour sets `sets`, taken as they are: the caller
+        makes them symmetric, in range and loop-free, unchecked here."""
+        g = cls.__new__(cls)
+        g._set_tables(sets)
+        return g
+
+    def _set_tables(self, sets: list[set[int]]) -> None:
+        self.n = len(sets)
         # `edges()` follows these sets' iteration order, which depends on how
         # they are built (one edge at a time, then frozen); seeded inputs
         # place vertices by that order, so a faster build must keep it
@@ -128,13 +139,26 @@ class Graph:
 
 
 def renumbered(adj, ids: list[int]) -> Graph:
-    """The graph the neighbour sets `adj` induce on `ids`, old vertex ids[i]
-    numbered i.  `ids` ascends, so new[v] > i picks each kept edge once."""
+    """The graph the neighbour sets `adj` (symmetric, loop-free) induce on
+    `ids`, old vertex ids[i] numbered i.
+
+    `ids` ascends, so new[v] > i picks each kept edge once.  The new sets
+    are filled directly, edge by edge in the order `Graph(n, edges)` would
+    take the edge list (i ascending, each old set in its own order), so
+    they iterate as that graph's would; no edge list is made or checked.
+    """
     new = [-1] * len(adj)
     for i, v in enumerate(ids):
         new[v] = i
-    edges = [(i, new[v]) for i, u in enumerate(ids) for v in adj[u] if new[v] > i]
-    return Graph(len(ids), edges)
+    sets: list[set[int]] = [set() for _ in ids]
+    for i, u in enumerate(ids):
+        mine = sets[i]
+        for v in adj[u]:
+            j = new[v]
+            if j > i:
+                mine.add(j)
+                sets[j].add(i)
+    return Graph._from_sets(sets)
 
 
 def degree_cost15(d: int) -> int:

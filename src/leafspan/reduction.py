@@ -2,12 +2,13 @@
 
 Two rules apply to a connected graph, each keeping the cost function
 unchanged and never decreasing the best achievable leaf count.  Each is
-stated once, by its matcher: the scan makes every event with it, and
-`replay` accepts an event only if the matcher makes the same one.
+stated once, by the function that matches it and, on a match, applies it:
+`reduce_fully` makes every event by calling it, and `replay` accepts an
+event only if the function makes the same one.
 
-* R1 (`_r1_at`): a degree-2 vertex x whose two neighbors a,b are
+* R1 (`_r1`): a degree-2 vertex x whose two neighbors a,b are
   non-adjacent is removed and replaced by the edge ab.
-* R2 (`_r2_on`): two adjacent degree-3 vertices with disjoint
+* R2 (`_r2`): two adjacent degree-3 vertices with disjoint
   neighborhoods are contracted into a single degree-4 vertex, the one
   with the smaller id.
 
@@ -16,8 +17,9 @@ ids in the input graph.  The rules run on one mutable copy of the input's
 adjacency sets (a removed vertex's set is emptied), and the survivors are
 re-indexed once, at the end, in increasing input-id order: one `Graph` is
 built from their renumbered sets.  A spanning tree of the reduced graph
-lifts back through the events in reverse order without ever losing a leaf.
-An R1 costs a few set operations to apply and to undo.
+lifts back through the events in reverse order without ever losing a leaf;
+`_undo` undoes one event and returns its leaf gain.  An R1 costs a few set
+operations to apply and to undo.
 
 The next event is always the smallest-x R1, else the lexicographically
 first R2 pair (a1, a2).  Neither rule makes a vertex match that did not
@@ -36,11 +38,21 @@ over R1 and then one over R2 find every event in that order in O(n):
   a1); otherwise z's set is unchanged and w traded a2, not adjacent to z,
   for a1, so the pair matched before.  R2 never makes an R1 match, so
   after the first R2 none follows.
+
+Both rules keep the number of connected components, so `reduce_fully`
+checks connectivity once, on the reduced graph, which is usually far
+smaller than the input.  An event splits no component: a path through x
+(R1) runs through the new edge ab instead, and a path through a2 (R2)
+through a1, which takes over a2's edges.  It joins no two components
+either, as every edge it adds ends at two vertices of one component (a
+and b are both x's neighbors; a1 and its new neighbors were all a2's).
+And no component vanishes, as an event removes one vertex and keeps a
+neighbor of it.  So the reduced graph is connected exactly when the input
+is.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from typing import NamedTuple
 
 from .graph import Graph, renumbered
@@ -76,70 +88,49 @@ class ReductionEvent(NamedTuple):
 # every R1 shares one empty neighbor set.
 _new = tuple.__new__
 _NO_NBRS: frozenset[int] = frozenset()
+_UNDONE = {"R1": "R1-undo", "R2": "R2-undo"}  # the lift log's label of each kind
 
 
-def _r1_at(adj, x: int) -> ReductionEvent | None:
-    if len(adj[x]) == 2:
-        a, b = adj[x]
+def _r1(adj: list[set[int]], x: int) -> ReductionEvent | None:
+    """R1 at x: when x has degree 2 and its neighbors a < b are not
+    adjacent, remove x, join a and b, and return the event; else None."""
+    nx = adj[x]
+    if len(nx) == 2:
+        a, b = nx
         if a > b:
             a, b = b, a
-        if b not in adj[a]:
+        na = adj[a]
+        if b not in na:
+            nx.clear()
+            nb = adj[b]
+            na.remove(x)
+            na.add(b)
+            nb.remove(x)
+            nb.add(a)
             return _new(ReductionEvent, ("R1", x, a, b, _NO_NBRS, _NO_NBRS))
     return None
 
 
-def _r2_on(adj, a1: int, a2: int) -> ReductionEvent | None:
-    """R2 contracting a2 into a1, or None unless a1 < a2 and they are
-    adjacent, both of degree 3 and without a common neighbor."""
+def _r2(adj: list[set[int]], a1: int, a2: int) -> ReductionEvent | None:
+    """R2 on (a1, a2): when a1 < a2 are adjacent, both of degree 3 and
+    without a common neighbor, move a2's other edges to a1, empty a2's set
+    and return the event; else None."""
     n1, n2 = adj[a1], adj[a2]
     if a1 < a2 and a2 in n1 and len(n1) == len(n2) == 3 and not n1 & n2:
-        kept, dropped = frozenset(n1 - {a2}), frozenset(n2 - {a1})
-        return ReductionEvent("R2", a1, a2, -1, kept, dropped)
+        moved = n2 - {a1}
+        ev = ReductionEvent("R2", a1, a2, -1, frozenset(n1 - {a2}), frozenset(moved))
+        adj[a2] = set()
+        for w in n2:
+            adj[w].remove(a2)
+        for w in moved:
+            _link(adj, a1, w)
+        return ev
     return None
-
-
-def _r2_at(adj, a1: int) -> ReductionEvent | None:
-    """The first R2 pair (a1, a2), in scan order."""
-    if len(adj[a1]) == 3:
-        for a2 in sorted(adj[a1]):
-            if (ev := _r2_on(adj, a1, a2)) is not None:
-                return ev
-    return None
-
-
-def _events(adj) -> Iterator[ReductionEvent]:
-    """Yield events in scan order; the caller applies each to adj before resuming.
-
-    An applied event leaves its vertex unmatched (R1 empties x, R2 gives a1
-    degree 4), and no event makes a vertex behind the cursor match again.
-    """
-    for match in (_r1_at, _r2_at):
-        for v in range(len(adj)):
-            if (ev := match(adj, v)) is not None:
-                yield ev
 
 
 def _link(adj: list[set[int]], u: int, v: int) -> None:
     adj[u].add(v)
     adj[v].add(u)
-
-
-def _apply(adj: list[set[int]], ev: ReductionEvent) -> None:
-    """Empty the removed vertex's set; R1 joins a and b, R2 moves a2's edges to a1."""
-    kind, x, a, b, _, _ = ev
-    if kind == "R1":
-        adj[x].clear()
-        na, nb = adj[a], adj[b]
-        na.remove(x)
-        na.add(b)
-        nb.remove(x)
-        nb.add(a)
-        return
-    nbrs, adj[a] = adj[a], set()
-    for w in nbrs:
-        adj[w].remove(a)
-    for w in nbrs - {x}:
-        _link(adj, x, w)
 
 
 def _compact(adj: list[set[int]], events: list[ReductionEvent]) -> Graph:
@@ -152,51 +143,67 @@ def _compact(adj: list[set[int]], events: list[ReductionEvent]) -> Graph:
     return renumbered(adj, [v for v in range(len(adj)) if v not in removed])
 
 
-def _check_replayable(adj: list[set[int]], i: int, ev: ReductionEvent) -> None:
-    """Raise ValueError unless event i is what its rule's matcher makes on adj."""
-    kind, x, a, b, _, _ = ev
-    if kind == "R1":
-        ok = 0 <= x < len(adj) and _r1_at(adj, x) == ev
-        want = f"x={x} of degree 2 with non-adjacent neighbors {a} < {b}"
-    else:
-        ok = 0 <= x < len(adj) and 0 <= a < len(adj) and _r2_on(adj, x, a) == ev
-        want = f"adjacent degree-3 vertices {x} < {a} with disjoint neighborhoods"
-    if not ok:
-        raise ValueError(f"event {i} ({kind}) does not match the graph: needs {want}")
-
-
 def replay(g: Graph, events: list[ReductionEvent]) -> Graph:
     """The graph reached from g through `events`, re-indexed once.
 
-    Each event must equal what its rule's matcher makes on the graph reached
-    before it (for R2, disjoint neighborhoods included), so a trace of
-    another graph, or an event no rule makes, fails with a ValueError naming
-    the event.
+    Each event must equal what its rule makes on the graph reached before
+    it (for R2, disjoint neighborhoods included), so a trace of another
+    graph, or an event no rule makes, fails with a ValueError naming the
+    event.
     """
     adj = [set(s) for s in g.adj]
+    n = len(adj)
     for i, ev in enumerate(events):
-        _check_replayable(adj, i, ev)
-        _apply(adj, ev)
+        kind, x, a, b, _, _ = ev
+        if kind == "R1":
+            made = _r1(adj, x) if 0 <= x < n else None
+        else:
+            made = _r2(adj, x, a) if 0 <= x < n and 0 <= a < n else None
+        if made != ev:
+            want = (
+                f"x={x} of degree 2 with non-adjacent neighbors {a} < {b}" if kind == "R1"
+                else f"adjacent degree-3 vertices {x} < {a} with disjoint neighborhoods"
+            )
+            raise ValueError(f"event {i} ({kind}) does not match the graph: needs {want}")
     return _compact(adj, events)
 
 
 def reduce_fully(g: Graph) -> tuple[Graph, list[ReductionEvent]]:
-    """Apply events until neither rule matches.
+    """Apply events until neither rule matches; raise ValueError unless g
+    is connected.
 
-    Both rules keep every touched vertex's cost by construction, so the cost
-    is not rechecked here; the test suite checks it on every applied event.
+    One forward pass tries R1 at every degree-2 vertex, then one tries R2
+    at every degree-3 vertex (see the module docstring).  Both rules keep
+    every touched vertex's cost by construction, so the cost is not
+    rechecked here; the test suite checks it on every applied event.
     """
-    if not g.is_connected():
-        raise ValueError("graph must be connected")
     adj = [set(s) for s in g.adj]
     trace: list[ReductionEvent] = []
-    for ev in _events(adj):
-        _apply(adj, ev)
-        trace.append(ev)
-    return _compact(adj, trace), trace
+    add = trace.append
+    r1, r2 = _r1, _r2
+    for x, nx in enumerate(adj):
+        if len(nx) == 2 and (ev := r1(adj, x)) is not None:
+            add(ev)
+    for a1, n1 in enumerate(adj):
+        if len(n1) == 3:
+            for a2 in sorted(n1):
+                if (ev := r2(adj, a1, a2)) is not None:
+                    add(ev)
+                    break
+    reduced = _compact(adj, trace)
+    if not reduced.is_connected():
+        raise ValueError("graph must be connected")
+    return reduced, trace
 
 
-def _undo(adj: list[set[int]], ev: ReductionEvent) -> None:
+def _undo(adj: list[set[int]], ev: ReductionEvent) -> int:
+    """Undo `ev` on the lifted tree's sets; returns the leaf gain.
+
+    R1 gains nothing when the tree uses the edge ab (x goes between a and
+    b); otherwise x re-enters as a leaf hanging off a, a gain of 1, or 0
+    if a was a leaf.  `_lift_ids` has made sure x is out of the tree and
+    a and b are in it.
+    """
     kind, x, a, b, kept, dropped = ev
     if kind == "R1":
         nx, na = adj[x], adj[a]
@@ -206,10 +213,13 @@ def _undo(adj: list[set[int]], ev: ReductionEvent) -> None:
             nb.remove(a)
             nx.add(b)
             nb.add(x)
-        # otherwise x re-enters as a leaf; it hangs off a by convention
+            gain = 0
+        else:
+            gain = 0 if len(na) == 1 else 1
         nx.add(a)
         na.add(x)
-        return
+        return gain
+    before = (len(adj[x]) == 1) + (len(adj[a]) == 1)
     for w in list(adj[x]):
         if w in dropped:
             adj[x].remove(w)
@@ -218,23 +228,47 @@ def _undo(adj: list[set[int]], ev: ReductionEvent) -> None:
         elif w not in kept:
             raise ValueError(f"tree edge to {w} matches neither split endpoint")
     _link(adj, x, a)
+    return (len(adj[x]) == 1) + (len(adj[a]) == 1) - before
 
 
 def _lift_ids(trace: list[ReductionEvent], n: int) -> list[int]:
     """The input ids of the reduced graph's vertices, 0..n-1 minus the removed.
 
-    Raises ValueError, naming the event, when an event names a vertex outside
-    0..n-1 or removes one that an earlier event removed.
+    Raises ValueError, naming the event, unless every event names vertices
+    of 0..n-1, none of them twice and none that an earlier event removed.
+    Undone in reverse, each event then finds the vertex it removed out of
+    the tree and the others in it.
     """
-    removed: set[int] = set()
-    for i, (kind, x, a, b, _, _) in enumerate(trace):
-        gone = x if kind == "R1" else a
-        if not (0 <= x < n and 0 <= a < n and (kind != "R1" or 0 <= b < n)):
-            raise ValueError(f"event {i} ({kind}) names a vertex outside 0..{n - 1}")
-        if gone in removed:
-            raise ValueError(f"event {i} ({kind}) removes vertex {gone} a second time")
-        removed.add(gone)
-    return [v for v in range(n) if v not in removed]
+    gone = bytearray(n)
+    for i, ev in enumerate(trace):
+        kind, x, a, b, _, _ = ev
+        if kind == "R1":
+            if (
+                not (0 <= x < n and 0 <= a < n and 0 <= b < n and x != a != b != x)
+                or gone[x] or gone[a] or gone[b]
+            ):
+                raise ValueError(f"event {i} ({kind}) {_refusal(ev, gone)}")
+            gone[x] = 1
+        else:
+            if not (kind == "R2" and 0 <= x < n and 0 <= a < n and x != a) or gone[x] or gone[a]:
+                raise ValueError(f"event {i} ({kind}) {_refusal(ev, gone)}")
+            gone[a] = 1
+    return [v for v in range(n) if not gone[v]]
+
+
+def _refusal(ev: ReductionEvent, gone: bytearray) -> str:
+    """Why `_lift_ids` refuses `ev`, given the vertices earlier events removed."""
+    if ev.kind not in ("R1", "R2"):
+        return "is neither R1 nor R2"
+    named = ev.touched
+    if not all(0 <= v < len(gone) for v in named):
+        return f"names a vertex outside 0..{len(gone) - 1}"
+    if gone[ev.removed]:
+        return f"removes vertex {ev.removed} a second time"
+    if len(set(named)) < len(named):
+        return f"names one vertex twice: {named}"
+    v = next(v for v in named if gone[v])
+    return f"names vertex {v}, which an earlier event removed"
 
 
 def lift_tree_logged(
@@ -247,20 +281,7 @@ def lift_tree_logged(
     adj: list[set[int]] = [set() for _ in range(n)]
     for u, v in tree.edges:
         _link(adj, ids[u], ids[v])
-    log: list[tuple[str, int]] = []
-    for ev in reversed(trace):
-        kind, x, a, b, _, _ = ev
-        # the leaves among the touched vertices, before and after the undo
-        if kind == "R1":
-            before = (len(adj[x]) == 1) + (len(adj[a]) == 1) + (len(adj[b]) == 1)
-            _undo(adj, ev)
-            gain = (len(adj[x]) == 1) + (len(adj[a]) == 1) + (len(adj[b]) == 1) - before
-        else:
-            before = (len(adj[x]) == 1) + (len(adj[a]) == 1)
-            _undo(adj, ev)
-            gain = (len(adj[x]) == 1) + (len(adj[a]) == 1) - before
-        if gain < 0:
-            raise AssertionError(f"{kind} undo lost a leaf")
-        log.append((f"{kind}-undo", gain))
+    undo = _undo
+    log = [(_UNDONE[ev.kind], undo(adj, ev)) for ev in reversed(trace)]
     edges = frozenset([(u, v) for u in range(n) for v in adj[u] if u < v])
     return SpanningTree(n, edges), log

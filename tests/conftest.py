@@ -89,49 +89,75 @@ def audit_every_base(monkeypatch):
     return audit
 
 
+def cost_audited(rule, audit: SimpleNamespace):
+    """`rule` (`reduction._r1` or `reduction._r2`) wrapped to raise
+    AssertionError when an event it applies changes the summed cost of the
+    vertices the event touches, and to count its events in `audit.events`.
+
+    A rule reads and changes only the sets of the vertices it is called at
+    and of their neighbors, so their degrees are read before the call.
+    """
+
+    def audited(adj, *at):
+        degrees = {v: len(adj[v]) for u in at for v in (u, *adj[u])}
+        ev = rule(adj, *at)
+        if ev is not None:
+            before = sum(degree_cost15(degrees[v]) for v in ev.touched)
+            if sum(degree_cost15(len(adj[v])) for v in ev.touched) != before:
+                raise AssertionError(f"{ev.kind} changed the cost")
+            audit.events += 1
+        return ev
+
+    return audited
+
+
 @pytest.fixture(autouse=True)
 def audit_every_event(monkeypatch):
     """Check that every reduction event of every build and replay keeps the cost.
 
     Production relies on both rules keeping the cost by construction;
-    `reduce_fully` and `replay` look `_apply` up at call time, so this
-    wrapper sees every event the tests apply.
+    `reduce_fully` and `replay` look the rules `_r1` and `_r2` up at call
+    time, so these wrappers see every event the tests apply.  The fixture's
+    value counts the events audited so far in the test (`.events`).
     """
-    apply = reduction._apply
-
-    def audited(adj, ev):
-        before = sum(degree_cost15(len(adj[v])) for v in ev.touched)
-        apply(adj, ev)
-        if sum(degree_cost15(len(adj[v])) for v in ev.touched) != before:
-            raise AssertionError(f"{ev.kind} changed the cost")
-
-    monkeypatch.setattr(reduction, "_apply", audited)
+    audit = SimpleNamespace(events=0)
+    for name in ("_r1", "_r2"):
+        monkeypatch.setattr(reduction, name, cost_audited(getattr(reduction, name), audit))
+    return audit
 
 
 @pytest.fixture(autouse=True)
 def audit_every_undo(monkeypatch):
-    """Check that every undo of every lift adds one tree edge and re-attaches
-    the vertex its event removed.
+    """Check that every undo of every lift adds one tree edge, re-attaches
+    the vertex its event removed and returns the leaf gain it made, never
+    negative.
 
     `lift_tree_logged` looks `_undo` up at call time, so this wrapper sees
     every event the tests undo.  An undo changes only the sets of the
-    touched vertices and, for R2, of a2's former neighbors, so the tree's
-    degree sum is read over those.  The fixture's value counts the undos
-    audited so far in the test (`.undos`).
+    touched vertices and, for R2, of a2's former neighbors, whose tree
+    degree it keeps; so the tree's degree sum is read over those and its
+    leaves over the touched.  The fixture's value counts the undos audited
+    so far in the test (`.undos`).
     """
     undo = reduction._undo
     audit = SimpleNamespace(undos=0)
 
     def audited(adj, ev):
-        seen = {*ev.touched, *ev.nbrs_dropped}
+        touched = set(ev.touched)
+        seen = touched | ev.nbrs_dropped
         before = sum(len(adj[v]) for v in seen)
-        undo(adj, ev)
+        leaves = sum(len(adj[v]) == 1 for v in touched)
+        gain = undo(adj, ev)
         added = sum(len(adj[v]) for v in seen) - before
         if added != 2:
             raise AssertionError(f"{ev.kind} undo changed the degree sum by {added}")
         if not adj[ev.removed]:
             raise AssertionError(f"{ev.kind} undo left {ev.removed} out of the tree")
+        made = sum(len(adj[v]) == 1 for v in touched) - leaves
+        if gain != made or gain < 0:
+            raise AssertionError(f"{ev.kind} undo returned gain {gain}, made {made}")
         audit.undos += 1
+        return gain
 
     monkeypatch.setattr(reduction, "_undo", audited)
     return audit

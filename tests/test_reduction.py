@@ -2,12 +2,17 @@ from __future__ import annotations
 
 import hashlib
 import random
+from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leafspan import (
     Graph,
     ReductionEvent,
+    build,
     classify_exclusion,
     cost15,
     h_graph,
@@ -21,7 +26,7 @@ from leafspan import (
 from leafspan.trees import SpanningTree, check_spanning_tree
 
 import reduction_reference as ref
-from conftest import cycle, random_graph_pool, random_spanning_tree
+from conftest import cost_audited, cycle, path, random_graph_pool, random_spanning_tree
 
 
 def test_r1_on_path():
@@ -35,12 +40,33 @@ def test_r1_on_path():
 
 def test_suite_audit_refuses_an_event_that_changes_the_cost():
     # contracting two vertices of K4 that share neighbours drops them to
-    # degrees 2 and 0; the autouse audit around every applied event sees it
-    # (replay refuses the event before applying it, so it is applied here)
+    # degrees 2 and 0; `_r2` refuses the pair, so a copy of it that skips
+    # the disjointness check runs under the suite's cost audit here
+    def careless_r2(adj, a1, a2):
+        nbrs, adj[a2] = adj[a2], set()
+        for w in nbrs:
+            adj[w].remove(a2)
+        for w in nbrs - {a1}:
+            adj[a1].add(w)
+            adj[w].add(a1)
+        return ReductionEvent("R2", a1, a2, -1, frozenset(adj[a1]), frozenset(nbrs - {a1}))
+
     adj = [{j for j in range(4) if j != i} for i in range(4)]
-    bad = ReductionEvent("R2", 0, 1, -1, frozenset({2, 3}), frozenset({2, 3}))
+    audit = SimpleNamespace(events=0)
     with pytest.raises(AssertionError, match="R2 changed the cost"):
-        reduction._apply(adj, bad)
+        cost_audited(careless_r2, audit)(adj, 0, 1)
+    assert audit.events == 0
+
+
+@pytest.mark.parametrize("kind", ["R1", "R2"])
+def test_suite_audit_sees_every_event(kind, audit_every_event):
+    # a subdivided core makes R1 events (and a few R2), H_2 makes R2 events
+    g = subdivided_core(*SUBDIVIDED[0]) if kind == "R1" else h_graph(2)
+    _, trace = reduce_fully(g)
+    assert kind in {ev.kind for ev in trace}
+    assert audit_every_event.events == len(trace)
+    replay(g, trace)
+    assert audit_every_event.events == 2 * len(trace)
 
 
 def swap_r2_ends(ev: ReductionEvent) -> ReductionEvent:
@@ -242,10 +268,51 @@ def test_suite_audit_sees_every_undo(audit_every_undo):
 
 def test_suite_audit_refuses_an_undo_that_adds_no_edge():
     # an R1 whose removed vertex is also its neighbor a re-enters through a
-    # self-loop: one new set entry, not a new edge
+    # self-loop: one new set entry, not a new edge (the lift refuses the
+    # event, so the audited undo is called on the tree's sets directly)
     bad = ReductionEvent("R1", 2, 2, 0, frozenset(), frozenset())
+    adj = [{1}, {0}, set()]
     with pytest.raises(AssertionError, match="R1 undo changed the degree sum by 1"):
-        lift_tree_logged([bad], SpanningTree(2, frozenset({(0, 1)})))
+        reduction._undo(adj, bad)
+
+
+def test_suite_audit_refuses_an_undo_whose_gain_is_not_the_leaves_it_made():
+    # a, out of the tree, becomes a leaf beside x: 2 leaves made where the
+    # undo, which the lift only lets meet a tree vertex a, counts 1
+    bad = ReductionEvent("R1", 3, 0, 1, frozenset(), frozenset())
+    adj = [set(), {2}, {1}, set()]
+    with pytest.raises(AssertionError, match="R1 undo returned gain 1, made 2"):
+        reduction._undo(adj, bad)
+
+
+@pytest.mark.parametrize(
+    "ev",
+    [
+        ReductionEvent("R1", 2, 2, 0, frozenset(), frozenset()),
+        ReductionEvent("R2", 0, 0, -1, frozenset({1}), frozenset()),
+        ReductionEvent("R1", 2, 0, 0, frozenset(), frozenset()),
+    ],
+    ids=["R1-x-is-a", "R2-a1-is-a2", "R1-a-is-b"],
+)
+def test_lift_refuses_an_event_that_names_one_vertex_twice(ev):
+    with pytest.raises(ValueError, match=r"event 0 \(R[12]\) names one vertex twice"):
+        lift_tree_logged([ev], SpanningTree(2, frozenset({(0, 1)})))
+
+
+def test_lift_refuses_an_event_of_neither_kind():
+    ev = ReductionEvent("R3", 2, 0, 1, frozenset(), frozenset())
+    with pytest.raises(ValueError, match=r"event 0 \(R3\) is neither R1 nor R2"):
+        lift_tree_logged([ev], SpanningTree(2, frozenset({(0, 1)})))
+
+
+def test_lift_refuses_an_event_that_names_a_vertex_an_earlier_event_removed():
+    # cycle(5) first removes vertex 0; an R1 at 1 that names 0 comes too late
+    first = reduce_fully(cycle(5))[1][0]
+    assert first.x == 0
+    late = ReductionEvent("R1", 1, 0, 3, frozenset(), frozenset())
+    tree = SpanningTree(3, frozenset({(0, 1), (1, 2)}))
+    with pytest.raises(ValueError, match="event 1 .* names vertex 0, which an earlier"):
+        lift_tree_logged([first, late], tree)
 
 
 def subdivided(core, n, seed):
@@ -272,6 +339,45 @@ SUBDIVIDED = [(20, 200), (24, 330), (28, 450), (32, 580), (26, 700)]
 def subdivided_core(k, n):
     """A k-vertex degree-3..4 core subdivided to n vertices."""
     return subdivided(random_connected(k, 3, 4, n), n, n)
+
+
+def disjoint_union(*graphs: Graph) -> Graph:
+    """The graphs side by side, each one's vertices numbered after the last's."""
+    edges, base = [], 0
+    for h in graphs:
+        edges += [(u + base, v + base) for u, v in h.edges()]
+        base += h.n
+    return Graph(base, edges)
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [
+        (cycle(7), cycle(9)),
+        (subdivided_core(*SUBDIVIDED[0]), path(30)),
+        (cycle(12), Graph(1)),
+    ],
+    ids=["C7+C9", "subdivided-core+path", "C12+isolated-vertex"],
+)
+def test_a_disconnected_graph_whose_parts_reduce_is_refused(parts):
+    # the check runs on the reduced graph, where each part has shrunk
+    assert all(reduce_fully(h)[1] for h in parts if h.n > 1)
+    g = disjoint_union(*parts)
+    for run in (reduce_fully, build):
+        with pytest.raises(ValueError, match="graph must be connected"):
+            run(g)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 30), st.floats(0.0, 0.3), st.integers(0, (1 << 32) - 1))
+def test_reduce_fully_refuses_exactly_the_disconnected_graphs(n, p, seed):
+    rng = random.Random(seed)
+    g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+    if g.is_connected():
+        assert reduce_fully(g)[0].is_connected()
+    else:
+        with pytest.raises(ValueError, match="graph must be connected"):
+            reduce_fully(g)
 
 
 @pytest.mark.parametrize(
