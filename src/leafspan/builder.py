@@ -30,14 +30,14 @@ Step catalog, tried strictly in order each round (first match wins):
 
 Each row's du, db and profit floor are stated once, in
 `ledger.TABLE_FLOORS`; a plan names its row and attachments and takes du
-and db from there.  Only Z1.3 (db is its vertex's degree) and Z4 have no
-row.  A1 and A2, most of the steps of a run, are chosen and committed by
-`_expand` alone, without a plan; `next_step` plans every later row and
-`apply_step` commits the plan.  Both commit through `_commit`, which
-checks each step against its row.  So each round `_run_from_base` tries
-`_expand`, then `next_step`.  Z4 is the driver's step: once no row
-applies, `next_step` returns None and `_run_from_base` stops if the tree
-spans, else calls `split_z4`.
+and db from there, but for Z4, whose row states only its floor:
+`split_z4` measures a split's du and db.  A1 and A2, most of the steps of
+a run, are chosen and committed by `_expand` alone, without a plan;
+`next_step` plans every later row and `apply_step` commits the plan.
+Both commit through `_commit`, which checks each step against its row.
+So each round `_run_from_base` tries `_expand`, then `next_step`.  Z4 is
+the driver's step: once no row applies, `next_step` returns None and
+`_run_from_base` stops if the tree spans, else calls `split_z4`.
 
 A partial tree keeps one membership set, its tree vertices.  The outside
 is implicit: the outside neighbours of v are `adj[v] - vertices`, an
@@ -105,10 +105,6 @@ _EXCLUSION_BOUND15 = 24
 
 class EngineDefect(RuntimeError):
     """A case guarantee failed at runtime; signals an implementation bug."""
-
-
-class StalePlanError(ValueError):
-    """A step plan was applied to a tree state it was not produced from."""
 
 
 class PartialTree:
@@ -385,11 +381,11 @@ def next_step(g: Graph, f: PartialTree) -> StepPlan | None:
     for w in order:
         if out[w]:
             continue
-        att = ((min(adj[w] & tree), w),)
         d = len(adj[w])
-        if d <= 2:  # no row: db is the degree of w
-            return StepPlan("Z1.3", att, 0, d)
-        return _plan("Z1.1" if d >= 4 else "Z1.2", att)
+        return _plan(
+            "Z1.1" if d >= 4 else "Z1.2" if d == 3 else "Z1.3.2" if d == 2 else "Z1.3.1",
+            ((min(adj[w] & tree), w),),
+        )
 
     for v in order:
         mates = adj[v] & border
@@ -573,15 +569,14 @@ def _commit(
 
 
 def apply_step(g: Graph, f: PartialTree, plan: StepPlan) -> StepDeltas:
-    """Commit a plan; returns its deltas, checked against the plan's nominal ones."""
+    """Commit a plan; returns its deltas, checked against the plan's nominal
+    ones.  EngineDefect when `attach` refuses an attachment: a stale plan."""
     label, attachments, nominal_du, nominal_db = plan
     children = tuple([c for _, c in attachments])
-    if len(set(children)) != len(children) or not f.vertices.isdisjoint(children):
-        raise StalePlanError(f"{label}: plan does not match the tree state")
     try:
         return _commit(g, f, label, attachments, children, nominal_du, nominal_db)
-    except ValueError as exc:  # an attachment `attach` refuses
-        raise StalePlanError(f"{label}: {exc}") from exc
+    except ValueError as exc:
+        raise EngineDefect(f"{label}: {exc}") from exc
 
 
 def _expand(g: Graph, f: PartialTree) -> StepDeltas | None:
@@ -659,7 +654,7 @@ def split_z4(g: Graph, f: PartialTree) -> tuple[StepPlan, int]:
     leaves = countOf(deg, 1)
     du, db = leaves - f.leaves, leaves - len(f.dead)
     ds, dt = degree_counts(g, added)
-    if profit15_of(du, db, dt, ds) < 0:
+    if profit15_of(du, db, dt, ds) < TABLE_FLOORS["Z4"][2]:
         raise EngineDefect("split lost potential")
     return StepPlan("Z4", tuple(attachments), du, db), child_depth + 1
 

@@ -382,9 +382,9 @@ def main(argv=None) -> int:
         _stdout_to_devnull()
         return 141  # 128 + SIGPIPE
     except (OSError, ValueError, families.GenerationError) as exc:
-        # bad input or an I/O error.  Only a RuntimeError, such as
-        # EngineDefect, keeps its traceback: a ValueError the library raises
-        # for a bug (StalePlanError, a failed tree check) also ends here
+        # bad input or an I/O error.  Only a RuntimeError, such as the
+        # EngineDefect of a stale plan, keeps its traceback: a ValueError the
+        # library raises for a bug (a failed tree check) also ends here
         print(f"error: {exc}", file=sys.stderr)
         try:
             sys.stdout.flush()

@@ -116,10 +116,15 @@ def verify_ledger(g: Graph, ledger: Ledger, final_tree: SpanningTree) -> LedgerA
     return LedgerAudit(True)
 
 
-# The step catalog: per label (exact du, nominal db, minimum 15*profit).  The
-# engine plans each step with its row's du and db; profit can only exceed the
-# floor (added vertices may be cheaper than the worst case).
-TABLE_FLOORS: dict[str, tuple[int, int, int]] = {
+# The step catalog, one row for every label a ledger step may carry: (exact
+# du, nominal db, minimum 15*profit).  The engine plans each step with its
+# row's du and db; profit can only exceed the floor (added vertices may be
+# cheaper than the worst case).  Z1.3.1 and Z1.3.2 add a dead-end fringe
+# vertex of degree 1 and 2.  The lift logs an undo only when it gains a leaf,
+# with du = db = its gain, and every gain is 0 or 1: the two vertices an undo
+# touches end adjacent, so at most one of them is a leaf.  Z4 states only its
+# floor: `split_z4` measures a split's du and db.
+TABLE_FLOORS: dict[str, tuple[int | None, int | None, int]] = {
     "A1": (1, 0, 7),
     "A2": (1, 0, 1),
     "A3": (2, 0, 2),
@@ -143,10 +148,15 @@ TABLE_FLOORS: dict[str, tuple[int, int, int]] = {
     "Z0": (0, 1, 2),
     "Z1.1": (0, 4, 2),
     "Z1.2": (0, 3, 3),
+    "Z1.3.1": (0, 1, 2),
+    "Z1.3.2": (0, 2, 4),
     "Z2.1": (0, 5, 1),
     "Z2.2": (0, 6, 0),
     "Z3.1": (0, 2, 1),
     "Z3.2": (0, 3, 0),
+    "Z4": (None, None, 0),
+    "R1-undo": (1, 1, 15),
+    "R2-undo": (1, 1, 15),
 }
 # An N case is its M case with a degree-3 root: one prefix death fewer and
 # 3/15 less cost, so the floor is 1/15 higher (-2 + 3).
@@ -159,26 +169,20 @@ TABLE_FLOORS |= {
 def table_violations(ledger: Ledger) -> list[tuple[int, str]]:
     """Catalog-conformance failures as (step index, description) pairs.
 
-    Checks, for every record whose label has a catalog row: the row's exact
-    du and db, and the profit floor.  An M or N label must have a row, and
-    no M/N floor is negative, so every composite lands with non-negative
-    profit.  Other labels without a row (Z4 splits, lift undo records) are
-    audited by the telescoping check instead; Z1.3 has its own floor.
+    One rule for every step record: its label has a row, its du and db equal
+    the row's wherever the row states them (every row but Z4's states both),
+    and its profit reaches the row's floor.  No M/N floor is negative, so
+    every composite lands with non-negative profit.
     """
     bad: list[tuple[int, str]] = []
     for i, rec in enumerate(ledger.steps):
         label = rec.label
-        if label == "Z1.3":
-            if rec.du != 0 or rec.profit15 < 2 * rec.db:
-                bad.append((i, "Z1.3: deltas below floor"))
-            continue
         row = TABLE_FLOORS.get(label)
         if row is None:
-            if label.startswith(("M", "N")):
-                bad.append((i, f"{label}: no catalog row"))
+            bad.append((i, f"{label}: no catalog row"))
             continue
         du, db, floor = row
-        if (rec.du, rec.db) != (du, db):
+        if du is not None and (rec.du, rec.db) != (du, db):
             bad.append((i, f"{label}: du, db {rec.du}, {rec.db} != row {du}, {db}"))
         if rec.profit15 < floor:
             bad.append((i, f"{label}: profit {rec.profit15} < floor {floor}"))

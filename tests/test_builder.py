@@ -26,7 +26,6 @@ from leafspan import (
 from leafspan.builder import (
     EngineDefect,
     PartialTree,
-    StalePlanError,
     StepPlan,
     _run_from_base,
     apply_step,
@@ -652,8 +651,32 @@ def test_apply_step_rejects_stale_plan():
     plan = next_step(g, f)
     assert plan.label == "A3"
     apply_step(g, f, plan)
-    with pytest.raises(StalePlanError):
+    vertices, parent = set(f.vertices), dict(f.parent)
+    with pytest.raises(EngineDefect, match="A3: child 4 not outside the tree"):
         apply_step(g, f, plan)
+    assert f.vertices == vertices and f.parent == parent
+
+
+def test_a_stale_plan_is_a_defect_of_its_run_and_later_bases_still_run(monkeypatch):
+    # the first plan of the build names a tree vertex as its first child:
+    # that run is a defect, and the six other B7 bases run and meet +2
+    honest = builder_mod.next_step
+    calls = 0
+
+    def stale_first_plan(g, f):
+        nonlocal calls
+        calls += 1
+        plan = honest(g, f)
+        if calls == 1:
+            (parent, _), *rest = plan.attachments
+            plan = plan._replace(attachments=((parent, max(f.vertices)), *rest))
+        return plan
+
+    monkeypatch.setattr(builder_mod, "next_step", stale_first_plan)
+    report = build(random_connected(14, 3, 4, 951997565))
+    assert report.defects == ("B7: M1: child 8 not outside the tree",)
+    assert report.engine_runs == 7
+    assert report.bound_ok and not report.oracle_fallback
 
 
 def test_attach_rejects_bad_attachments():
@@ -674,7 +697,7 @@ def test_attach_and_apply_step_reject_a_child_out_of_range():
     for child in (-1, 4):
         with pytest.raises(ValueError, match="is not a vertex"):
             f.attach(0, child)
-    with pytest.raises(StalePlanError):
+    with pytest.raises(EngineDefect, match="A1: child -1 is not a vertex"):
         apply_step(g, f, StepPlan("A1", ((0, -1),), 2, 0))
     assert f.vertices == {0} and f.parent == {0: -1}
 

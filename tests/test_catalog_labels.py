@@ -1,4 +1,5 @@
-"""Every step label the engine can plan has a catalog row, and every row is planned.
+"""Every step label the engine can plan has a catalog row, and every row but Z0
+and the lift's two is planned.
 
 The labels are read from `builder.py`'s source, in the functions that plan
 steps and in `_expand`, which commits A1 and A2 without a plan: the first
@@ -86,7 +87,7 @@ def test_the_check_reads_every_form_of_label():
         "    label = 'Z2.2' if b else 'Z2.1'\n"
         "    if c:\n"
         "        return _plan(label, att)\n"
-        "    return StepPlan('Z1.3', att, 0, d)\n"
+        "    return StepPlan('Z4', att, du, db)\n"
         "def _plan_chain(g, f, x, kind):\n"
         "    return _plan(lab('4.1.1' if c else '4.1.2'), att)\n"
         "def _expand(g, f):\n"
@@ -100,7 +101,7 @@ def test_the_check_reads_every_form_of_label():
         "    return _plan('Q', att)\n"
     )
     assert planned_labels(source) == {
-        "A1", "A2", "Z2.1", "Z2.2", "Z1.3", "M4.1.1", "M4.1.2", "N4.1.1", "N4.1.2",
+        "A1", "A2", "Z2.1", "Z2.2", "Z4", "M4.1.1", "M4.1.2", "N4.1.1", "N4.1.2",
     }
     with pytest.raises(ValueError, match="label pick\\(\\) is not resolvable"):
         planned_labels("def next_step(g, f):\n    return _plan(pick(), att)\n")
@@ -117,13 +118,13 @@ def test_an_unknown_label_committed_by_expand_is_caught():
     call = '_commit(g, f, "A2", '
     assert source.count(call) == 1
     planned = planned_labels(source.replace(call, '_commit(g, f, "A9", '))
-    assert planned - TABLE_FLOORS.keys() == {"Z1.3", "Z4", "A9"}
-    assert TABLE_FLOORS.keys() - planned == {"Z0", "A2"}
+    assert planned - TABLE_FLOORS.keys() == {"A9"}
+    assert TABLE_FLOORS.keys() - planned == {"Z0", "R1-undo", "R2-undo", "A2"}
 
 
 def test_every_planned_label_has_a_row_and_every_row_is_planned():
     planned = planned_labels(BUILDER.read_text())
-    # Z1.3's db is its vertex's degree and a Z4 split's deltas are measured
-    assert planned - TABLE_FLOORS.keys() == {"Z1.3", "Z4"}
-    # a Z0 record is logged for each death beyond a row's db, never planned
-    assert TABLE_FLOORS.keys() - planned == {"Z0"}
+    assert planned - TABLE_FLOORS.keys() == set()
+    # a Z0 record is logged for each death beyond a row's db, and the lift
+    # logs the undo records; neither is planned
+    assert TABLE_FLOORS.keys() - planned == {"Z0", "R1-undo", "R2-undo"}

@@ -14,6 +14,7 @@ from leafspan import (
     h_graph,
     random_connected,
     reduce_fully,
+    reduction,
     square_of_cycle,
     table_violations,
     verify_ledger,
@@ -196,6 +197,37 @@ def test_table_violations_flags_a_composite_label_without_a_row():
         assert rec.profit15 >= 0
         ledger = Ledger(StepRecord.make("B7-base", 4, 0, 5, 0), [rec])
         assert table_violations(ledger) == [(0, f"{label}: no catalog row")]
+
+
+def test_table_violations_refuses_forged_records_by_name():
+    base = StepRecord.make("B7-base", 4, 0, 5, 0)
+    a1 = StepRecord.make("A1", 1, 0, 1, 0)
+    z4 = StepRecord.make("Z4", 0, 1, 0, 1)  # one S vertex and one death: -1/15
+    assert z4.profit15 == -1
+    forged = [
+        (dataclasses.replace(a1, label="Q"), "Q: no catalog row"),
+        (dataclasses.replace(a1, label="A9"), "A9: no catalog row"),
+        (StepRecord.make("R1-undo", 2, 2, 0, 0), "R1-undo: du, db 2, 2 != row 1, 1"),
+        (z4, "Z4: profit -1 < floor 0"),
+    ]
+    for rec, why in forged:
+        assert table_violations(Ledger(base, [a1, rec])) == [(1, why)]
+    # a Z4 row states no du or db: any split that keeps its potential passes
+    split = StepRecord.make("Z4", 3, 5, 2, 1)
+    assert table_violations(Ledger(base, [split])) == []
+
+
+@pytest.mark.parametrize("seed, label", [(10, "Z1.3.1"), (2, "Z1.3.2")])
+def test_a_dead_end_fringe_vertex_of_degree_one_or_two_has_its_row(seed, label):
+    g = random_connected(5, 1, 4, seed)
+    report = build(g)
+    assert label in [rec.label for rec in report.ledger.steps]
+    assert verify_ledger(g, report.ledger, report.spanning_tree).ok
+    assert table_violations(report.ledger) == []
+
+
+def test_every_lift_label_has_a_row():
+    assert set(reduction._UNDONE.values()) <= TABLE_FLOORS.keys()
 
 
 def test_mn_steps_nonnegative_in_builds(graph_pool):
