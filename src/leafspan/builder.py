@@ -57,18 +57,18 @@ every leaf is dead and that its running sum telescopes to 15 leaves
 minus cost(g).  A Z4 split is planned by `split_z4` and committed by
 `apply_step` like any other plan, so every run ends through these
 checks.  The test suite runs the recount, with a rescan of the fringe and
-the dead marks, on every base and after every step.
+the dead marks, on every base and after every step, and audits the ledger
+of every run.
 
-Every committed step is logged in the ledger; extra dead leaves beyond a
-case's nominal count become explicit Z0 records.  A run keeps its base
-and each step as plain deltas (`StepDeltas`, for a step as `_expand` or
-`apply_step` returns it) and its tree as parent links only, so every
-check runs on every base; the `StepRecord`s (the base's, with its vertices sorted, and
-`step_records`) and a `SpanningTree` of the links, whose leaf count is
-checked once more, are made only for the run `build` keeps.  The final
-bound leaves >= cost + 2 (cost + 8/5 for the exceptions) is re-checked
-on every build; if no base meets it, the driver falls back to exact
-search on reduced graphs of at most 16 vertices, flagging the report.
+Every committed step is logged in the ledger: `_commit` makes the step's
+`StepRecord` as it commits it, and each dead leaf beyond the row's
+nominal count becomes an explicit Z0 record.  Every run keeps its ledger,
+whose profits the running sum above adds, and its tree as parent links
+only; a `SpanningTree` of the links, whose leaf count is checked once
+more, is made only for the run `build` keeps.  The final bound leaves >=
+cost + 2 (cost + 8/5 for the exceptions) is re-checked on every build; if
+no base meets it, the driver falls back to exact search on reduced graphs
+of at most 16 vertices, flagging the report.
 """
 
 from __future__ import annotations
@@ -208,38 +208,8 @@ class StepPlan(NamedTuple):
     nominal_db: int
 
 
-class StepDeltas(NamedTuple):
-    """What one committed step changed, as `_expand` or `apply_step` returns it.
-
-    The fields of the step's catalog record (db is the case's nominal
-    dead-leaf count), plus `extra_dead`, the dead leaves beyond it; each of
-    those becomes a Z0 record.  `step_records` turns this into records.
-    A run keeps its base the same way: its leaves and dead leaves as du
-    and db, its vertices, unsorted, as `added`, and no extra deaths.
-    """
-
-    label: str
-    du: int
-    db: int
-    dt: int
-    ds: int
-    added: tuple[int, ...]
-    extra_dead: int
-
-
-# A NamedTuple's own __new__ is a Python function; the steps that run most
-# often make theirs from a tuple of every field with this one instead.
-_new = tuple.__new__
-
 # Every Z0 record is the same value; StepRecord is frozen, so one is shared.
 Z0_RECORD = StepRecord.make("Z0", *TABLE_FLOORS["Z0"][:2], 0, 0)
-
-
-def step_records(d: StepDeltas) -> list[StepRecord]:
-    """The ledger records of one committed step: its catalog record, then
-    one Z0 record per extra dead leaf."""
-    rec = StepRecord.make(d.label, d.du, d.db, d.dt, d.ds, d.added)
-    return [rec] + [Z0_RECORD] * d.extra_dead
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +307,7 @@ def choose_bases(g: Graph) -> list[tuple[str, int, int]]:
 def _plan(label: str, attachments) -> StepPlan:
     """The plan of catalog row `label`: its attachments and the row's du, db."""
     du, db, _ = TABLE_FLOORS[label]
-    return _new(StepPlan, (label, tuple(attachments), du, db))
+    return StepPlan(label, tuple(attachments), du, db)
 
 
 # the rows of the two most frequent steps, looked up once
@@ -546,9 +516,11 @@ def _plan_chain(g: Graph, f: PartialTree, x: int, kind: str) -> StepPlan:
 
 def _commit(
     g: Graph, f: PartialTree, label: str, attachments, children, row_du, row_db
-) -> StepDeltas:
+) -> list[StepRecord]:
     """Make the attachments in order, check du and the deaths against the
-    row and return the step's deltas; `children` are the attached vertices."""
+    row and return the step's records: its catalog record, with the row's
+    db and `children`, the attached vertices, then one Z0 record per death
+    beyond the row's."""
     leaves_before, dead_before = f.leaves, len(f.dead)
     attach, adj = f.attach, g.adj
     dt = ds = 0
@@ -565,12 +537,15 @@ def _commit(
         raise EngineDefect(f"{label}: leaf delta {du} != nominal {row_du}")
     if deaths < row_db:
         raise EngineDefect(f"{label}: only {deaths} deaths, promised {row_db}")
-    return _new(StepDeltas, (label, du, row_db, dt, ds, children, deaths - row_db))
+    profit15 = profit15_of(du, row_db, dt, ds)
+    rec = StepRecord(label, du, row_db, dt, ds, profit15, children)
+    return [rec] + [Z0_RECORD] * (deaths - row_db)
 
 
-def apply_step(g: Graph, f: PartialTree, plan: StepPlan) -> StepDeltas:
-    """Commit a plan; returns its deltas, checked against the plan's nominal
-    ones.  EngineDefect when `attach` refuses an attachment: a stale plan."""
+def apply_step(g: Graph, f: PartialTree, plan: StepPlan) -> list[StepRecord]:
+    """Commit a plan; returns its records, checked against the plan's
+    nominal deltas.  EngineDefect when `attach` refuses an attachment: a
+    stale plan."""
     label, attachments, nominal_du, nominal_db = plan
     children = tuple([c for _, c in attachments])
     try:
@@ -579,7 +554,7 @@ def apply_step(g: Graph, f: PartialTree, plan: StepPlan) -> StepDeltas:
         raise EngineDefect(f"{label}: {exc}") from exc
 
 
-def _expand(g: Graph, f: PartialTree) -> StepDeltas | None:
+def _expand(g: Graph, f: PartialTree) -> list[StepRecord] | None:
     """Commit A1 or A2, the catalog's first two rows; None when neither applies.
 
     The only code that chooses A1 or A2, and the engine's hot path: no plan
@@ -695,16 +670,15 @@ class BuildReport:
 class _EngineResult:
     """One run of `_run_from_base`, from an engine base or an exact tree.
 
-    `parent` holds the spanning tree as parent links, -1 at the root: every
-    run keeps only these, so only the result `build` keeps is made into a
-    `SpanningTree` (`tree`), and only its step deltas, a closing Z4 split's
-    among them, into ledger records (`ledger`).  Every run has checked its
+    Every run keeps its ledger, a closing Z4 split's record among its
+    steps.  `parent` holds the spanning tree as parent links, -1 at the
+    root: every run keeps only these, so only the result `build` keeps is
+    made into a `SpanningTree` (`tree`).  Every run has checked its
     potential before it returns (see the module doc).
     """
 
     parent: dict[int, int]
-    base: StepDeltas
-    steps: list[StepDeltas]
+    ledger: Ledger
     depth: int  # recursion depth of the closing Z4 split, 0 without one
     leaves: int
 
@@ -716,42 +690,35 @@ class _EngineResult:
             raise EngineDefect("kept tree's leaf count differs from its run's")
         return tree
 
-    def ledger(self) -> Ledger:
-        """The run's ledger; `build` makes it only for the result it keeps."""
-        label, du, db, dt, ds, added, _ = self.base
-        base = StepRecord.make(label, du, db, dt, ds, sorted(added))
-        return Ledger(base, [rec for d in self.steps for rec in step_records(d)])
-
 
 def _run_from_base(g: Graph, f: PartialTree, case: str) -> _EngineResult:
     """Grow the base tree `f` in place until it spans g, checking the
     potential on the way and at the end (see the module doc)."""
-    vs = tuple(f.vertices)
+    vs = sorted(f.vertices)
     ds, dt = degree_counts(g, vs)
-    base = _new(StepDeltas, (f"{case}-base", f.leaves, len(f.dead), dt, ds, vs, 0))
-    running15 = profit15_of(f.leaves, len(f.dead), dt, ds)
+    base = StepRecord.make(f"{case}-base", f.leaves, len(f.dead), dt, ds, vs)
+    running15 = base.profit15
     if running15 != alpha_prime(g, f).num:
         raise EngineDefect("base profit does not match the base potential")
-    steps: list[StepDeltas] = []
+    steps: list[StepRecord] = []
     depth = 0
     dead = f.dead
     for _ in range(2 * g.n + 8):
-        d = _expand(g, f)
-        if d is None:
+        records = _expand(g, f)
+        if records is None:
             plan = next_step(g, f)
             if plan is None:
                 if f.spans():
                     break
                 # no catalog row applies to a tree short of spanning: split
                 plan, depth = split_z4(g, f)
-            d = apply_step(g, f, plan)
-        steps.append(d)
-        label, du, db, dt, ds, _, extra_dead = d
-        # each extra dead leaf is a Z0 record
-        running15 += profit15_of(du, db, dt, ds) + extra_dead * Z0_RECORD.profit15
+            records = apply_step(g, f, plan)
+        steps += records
+        for rec in records:
+            running15 += rec.profit15
         # the potential from the counts: 13 leaves + 2 dead leaves - cost
         if LEAF_GAIN15 * f.leaves + DEAD_GAIN15 * len(dead) - f.cost != running15:
-            raise EngineDefect(f"potential drifted after {label}")
+            raise EngineDefect(f"potential drifted after {records[0].label}")
     else:
         raise EngineDefect("step budget exhausted before spanning")
     if alpha_prime(g, f).num != running15:
@@ -761,7 +728,7 @@ def _run_from_base(g: Graph, f: PartialTree, case: str) -> _EngineResult:
         raise EngineDefect("a leaf of the spanning tree is not dead")
     if 15 * leaves - g.cost15 != running15:
         raise EngineDefect("final potential does not telescope")
-    return _EngineResult(f.parent, base, steps, depth, leaves)
+    return _EngineResult(f.parent, Ledger(base, steps), depth, leaves)
 
 
 def _exact_result(stage: Graph, case: str) -> _EngineResult:
@@ -831,7 +798,7 @@ def build(g: Graph) -> BuildReport:
             raise EngineDefect("; ".join(defects) or "no base tree produced a result")
 
     lifted, lift_log = lift_tree_logged(lift_trace, result.tree())
-    ledger = result.ledger()
+    ledger = result.ledger
     for label, gain in lift_log:
         if gain:
             ledger.steps.append(StepRecord.make(label, gain, gain, 0, 0))

@@ -383,8 +383,9 @@ def main(argv=None) -> int:
         return 141  # 128 + SIGPIPE
     except (OSError, ValueError, families.GenerationError) as exc:
         # bad input or an I/O error.  Only a RuntimeError, such as the
-        # EngineDefect of a stale plan, keeps its traceback: a ValueError the
-        # library raises for a bug (a failed tree check) also ends here
+        # EngineDefect of a build past the exact search's reach whose every
+        # base raised, keeps its traceback: a ValueError the library raises
+        # for a bug (a failed tree check) also ends here
         print(f"error: {exc}", file=sys.stderr)
         try:
             sys.stdout.flush()

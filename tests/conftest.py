@@ -14,9 +14,17 @@ from leafspan import (
     random_connected,
     reduction,
 )
-from leafspan.builder import PartialTree, StepDeltas
+from leafspan.builder import PartialTree
 from leafspan.graph import degree_cost15
-from leafspan.ledger import DEAD_GAIN15, LEAF_GAIN15, alpha_prime
+from leafspan.ledger import (
+    DEAD_GAIN15,
+    LEAF_GAIN15,
+    StepRecord,
+    alpha_prime,
+    table_violations,
+    verify_ledger,
+)
+from leafspan.trees import SpanningTree
 
 
 def tree_degrees(f: PartialTree) -> Counter[int]:
@@ -57,10 +65,10 @@ def audit_every_step(monkeypatch):
     audit = SimpleNamespace(steps=0)
 
     def audited(g, f, *step):
-        deltas = commit(g, f, *step)
+        records = commit(g, f, *step)
         audit_counts(g, f)
         audit.steps += 1
-        return deltas
+        return records
 
     monkeypatch.setattr(builder, "_commit", audited)
     return audit
@@ -86,6 +94,45 @@ def audit_every_base(monkeypatch):
         return f
 
     monkeypatch.setattr(builder, "base_tree", audited)
+    return audit
+
+
+def audit_run(g: Graph, res) -> None:
+    """The ledger of a run of `_run_from_base` on g passes `verify_ledger`
+    against the run's tree and `table_violations` finds nothing in it.
+
+    The tree is made from the run's parent links here, with the
+    `SpanningTree` of `leafspan.trees`, not the builder's name for it, so a
+    test that counts the trees the builder makes counts none of these."""
+    links = res.parent
+    tree = SpanningTree.from_parents([links[v] for v in range(len(links))])
+    audit = verify_ledger(g, res.ledger, tree)
+    assert audit.ok, audit.reason
+    assert table_violations(res.ledger) == []
+
+
+@pytest.fixture(autouse=True)
+def audit_every_run(monkeypatch):
+    """Audit the ledger of every engine run of every build.
+
+    A caller of `build` can audit only the ledger of the run it keeps, the
+    one its report carries; every run checks its potential against its
+    records as it goes, but not their rows.
+    The driver and `_exact_result` look `_run_from_base` up at call time,
+    so this wrapper sees every run the tests make, each base and each
+    exact-search tree.  The fixture's value counts the runs audited so far
+    in the test (`.runs`).
+    """
+    run = builder._run_from_base
+    audit = SimpleNamespace(runs=0)
+
+    def audited(g, f, case):
+        res = run(g, f, case)
+        audit_run(g, res)
+        audit.runs += 1
+        return res
+
+    monkeypatch.setattr(builder, "_run_from_base", audited)
     return audit
 
 
@@ -185,17 +232,17 @@ def make_state(n, edges, tree_edges, root=0) -> tuple[Graph, PartialTree]:
     return g, f
 
 
-def engine_step(g: Graph, f: PartialTree) -> StepDeltas | None:
+def engine_step(g: Graph, f: PartialTree) -> list[StepRecord] | None:
     """Take one engine step as `_run_from_base` takes it: `_expand` commits
     A1 or A2, else `next_step` plans the step and `apply_step` commits it.
-    Returns its deltas, None when no row applies (a Z4 split is not taken).
+    Returns its records, None when no row applies (a Z4 split is not taken).
 
     Each is looked up on the module at call time, so the audit fixtures see
     every step taken here."""
-    deltas = builder._expand(g, f)
-    if deltas is None and (plan := builder.next_step(g, f)) is not None:
-        deltas = builder.apply_step(g, f, plan)
-    return deltas
+    records = builder._expand(g, f)
+    if records is None and (plan := builder.next_step(g, f)) is not None:
+        records = builder.apply_step(g, f, plan)
+    return records
 
 
 def random_graph_pool(count, sizes=(3, 12), seed=20240601, generate=random_connected):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import weakref
 
@@ -33,13 +34,13 @@ from leafspan.builder import (
     choose_bases,
     next_step,
     split_z4,
-    step_records,
 )
 from leafspan.ledger import TABLE_FLOORS
 from leafspan.trees import SpanningTree, check_spanning_tree
 
 from conftest import (
     audit_counts,
+    audit_run,
     closing_defect_line_graph,
     cycle,
     engine_step,
@@ -214,6 +215,43 @@ def test_suite_audit_refuses_a_base_with_a_wrong_count(corrupt):
         audit_counts(g, f)
 
 
+def test_suite_audit_sees_every_run(audit_every_run):
+    # a run that raises returns no ledger, and an exact-search tree is run
+    # like a base: the line graph's first base raises, and the bases of the
+    # B5 graph fall short, so its build ends with an exact-search run
+    seen = []
+    for make in [*SEVERAL_RUNS, lambda: random_connected(17, 2, 3, 208233642)]:
+        audit_every_run.runs = 0
+        r = build(make())
+        seen.append((r.engine_runs, len(r.defects), r.oracle_fallback))
+        assert audit_every_run.runs == r.engine_runs - len(r.defects) + r.oracle_fallback
+    assert seen == [(10, 0, False), (2, 1, False), (2, 0, True)]
+
+
+@pytest.mark.parametrize(
+    "forge, message",
+    [
+        pytest.param(
+            lambda rec: dataclasses.replace(rec, profit15=rec.profit15 + 1),
+            "profit mismatch",
+            id="profit",
+        ),
+        pytest.param(
+            lambda rec: dataclasses.replace(rec, label="Q"), "no catalog row", id="label"
+        ),
+    ],
+)
+def test_suite_audit_refuses_a_run_with_a_forged_record(forge, message):
+    g, _ = reduce_fully(h_graph(2))
+    label, a, b = choose_bases(g)[0]
+    res = _run_from_base(g, base_tree(g, a, b), label)
+    audit_run(g, res)
+    steps = res.ledger.steps
+    steps[0] = forge(steps[0])
+    with pytest.raises(AssertionError, match=message):
+        audit_run(g, res)
+
+
 def test_one_base_tree_alive_when_each_run_starts(monkeypatch):
     # bases are named, not built: the driver builds each base tree just
     # before its run, so no other base of the same graph is alive then
@@ -246,9 +284,9 @@ def test_one_base_tree_alive_when_each_run_starts(monkeypatch):
     ],
 )
 def test_one_spanning_tree_and_two_recounts_per_build(monkeypatch, make, runs):
-    # every run recounts its potential at its base, and at its end unless it
-    # raises first, but only the run the driver keeps is made into a
-    # SpanningTree and given a base record
+    # every run makes its base record and recounts its potential at its
+    # base, and at its end unless it raises first, but only the run the
+    # driver keeps is made into a SpanningTree
     g = make()
     reduced, _ = reduce_fully(g)
     made, recounts, base_records = [], [], []
@@ -278,7 +316,7 @@ def test_one_spanning_tree_and_two_recounts_per_build(monkeypatch, make, runs):
     assert r.engine_runs == runs > 1
     assert "Z4" not in [rec.label for rec in r.ledger.steps]
     assert made == [reduced.n]
-    assert base_records == [r.ledger.base.label]
+    assert base_records == [r.ledger.base.label] * r.engine_runs
     assert len(recounts) == 2 * r.engine_runs - len(r.defects)
 
 
@@ -291,9 +329,11 @@ def test_expand_a1():
     g, f = make_state(4, [(0, 1), (0, 2), (0, 3), (1, 3)], [(0, 1), (0, 2)])
     with pytest.raises(EngineDefect, match="while A1 or A2 applies"):
         next_step(g, f)
-    d = builder_mod._expand(g, f)
-    assert (d.label, d.du, d.db, d.added) == ("A1", *TABLE_FLOORS["A1"][:2], (3,))
-    assert f.parent[3] == 0
+    rec, *z0 = builder_mod._expand(g, f)
+    assert (rec.label, rec.du, rec.db) == ("A1", *TABLE_FLOORS["A1"][:2])
+    assert rec.added_vertices == (3,) and f.parent[3] == 0
+    # 3 and 1 die, beyond the row's db of 0
+    assert z0 == [builder_mod.Z0_RECORD] * 2
 
 
 def test_expand_a2():
@@ -301,9 +341,11 @@ def test_expand_a2():
     g, f = make_state(5, [(0, 1), (0, 2), (1, 3), (1, 4)], [(0, 1), (0, 2)])
     with pytest.raises(EngineDefect, match="while A1 or A2 applies"):
         next_step(g, f)
-    d = builder_mod._expand(g, f)
-    assert (d.label, d.du, d.db, d.added) == ("A2", *TABLE_FLOORS["A2"][:2], (3, 4))
-    assert f.parent[3] == f.parent[4] == 1
+    rec, *z0 = builder_mod._expand(g, f)
+    assert (rec.label, rec.du, rec.db) == ("A2", *TABLE_FLOORS["A2"][:2])
+    assert rec.added_vertices == (3, 4) and f.parent[3] == f.parent[4] == 1
+    # the two pendant children die, beyond the row's db of 0
+    assert z0 == [builder_mod.Z0_RECORD] * 2
     assert builder_mod._expand(g, f) is None and next_step(g, f) is None
 
 
@@ -313,7 +355,7 @@ def test_next_step_z1_1():
     g, f = make_state(6, edges, [(0, i) for i in range(1, 5)])
     plan = next_step(g, f)
     assert plan.label == "Z1.1" and plan.nominal_db == 4
-    recs = step_records(apply_step(g, f, plan))
+    recs = apply_step(g, f, plan)
     assert recs[0].log_line() == "Z1.1 0 4 1 0 2"
     assert f.spans()
 
@@ -323,7 +365,7 @@ def test_apply_a3_gains_two_leaves():
     g, f = make_state(8, edges, [(0, 1), (0, 2), (0, 3)])
     plan = next_step(g, f)
     assert plan.label == "A3"
-    recs = step_records(apply_step(g, f, plan))
+    recs = apply_step(g, f, plan)
     # the row's deltas (2, 0); the three pendant children die as Z0 records
     assert [rec.log_line() for rec in recs] == ["A3 2 0 1 0 20"] + ["Z0 0 1 0 0 2"] * 3
 
@@ -354,7 +396,7 @@ def test_apply_z2_adjacent_fringe_pair():
     g, f = make_state(8, edges, [(0, i) for i in range(1, 6)])
     plan = next_step(g, f)
     assert plan.label == "Z2.1"
-    recs = step_records(apply_step(g, f, plan))
+    recs = apply_step(g, f, plan)
     assert recs[0].log_line() == "Z2.1 0 5 1 1 1"
     assert len(recs) == 1 and f.spans()
 
@@ -364,7 +406,7 @@ def test_apply_z3_absorbs_pendant():
     g, f = make_state(6, edges, [(0, 1), (0, 2), (0, 3)])
     plan = next_step(g, f)
     assert plan.label == "Z3.1"
-    recs = step_records(apply_step(g, f, plan))
+    recs = apply_step(g, f, plan)
     assert recs[0].log_line() == "Z3.1 0 2 0 1 1"
     assert f.spans()
 
@@ -374,7 +416,7 @@ def test_apply_z3_2_absorbs_the_pendant_of_a_degree_4_vertex():
     g, f = make_state(6, edges, [(0, 1), (0, 2), (0, 3)])
     plan = next_step(g, f)
     assert plan.label == "Z3.2" and plan.attachments == ((1, 4), (4, 5))
-    recs = step_records(apply_step(g, f, plan))
+    recs = apply_step(g, f, plan)
     assert [rec.log_line() for rec in recs] == ["Z3.2 0 3 1 0 0"]
     assert f.spans()
 
@@ -385,7 +427,7 @@ def test_apply_z2_both_rich():
     g, f = make_state(9, edges, [(0, i) for i in range(1, 7)])
     plan = next_step(g, f)
     assert plan.label == "Z2.2"
-    recs = step_records(apply_step(g, f, plan))
+    recs = apply_step(g, f, plan)
     assert recs[0].log_line() == "Z2.2 0 6 2 0 0"
     assert f.spans()
 
@@ -635,7 +677,7 @@ def test_chain_case_resolution(case):
     plan = next_step(g, f)
     assert plan.label == label
     assert plan.attachments == attachments
-    records = step_records(apply_step(g, f, plan))
+    records = apply_step(g, f, plan)
     rec = records[0]
     assert rec.label == label
     assert rec.du - rec.db == want_dudb
@@ -802,11 +844,11 @@ def test_expand_commits_what_next_step_and_apply_step_commit(graph_pool, monkeyp
                     assert fast.spans()
                     break
                 d = commit(g, fast, next_step(g, fast))
-                planned.add(d.label)
+                planned.add(d[0].label)
             else:
                 with pytest.raises(EngineDefect, match="while A1 or A2 applies"):
                     next_step(g, slow)
-                expanded.add(d.label)
+                expanded.add(d[0].label)
                 x = plan.attachments[0][0]
                 if len(g.adj[x] - slow.vertices) > len(plan.attachments):
                     chose.add(plan.label)
@@ -846,11 +888,11 @@ def test_split_z4_direct():
     f = base_tree(g, 0)
     plan, depth = split_z4(g, f)
     assert plan.label == "Z4" and depth == 1
-    d = apply_step(g, f, plan)
+    rec, *z0 = apply_step(g, f, plan)
     check_spanning_tree(g, SpanningTree.from_parents([f.parent[v] for v in range(10)]))
     # every leaf of the spanning tree is dead, so no Z0 record follows
-    assert d.extra_dead == 0
-    assert [rec.log_line() for rec in step_records(d)] == ["Z4 2 5 2 3 15"]
+    assert z0 == []
+    assert rec.log_line() == "Z4 2 5 2 3 15"
     # reattaching one component costs exactly two leaves against the parts
     assert f.leaves == 6
 
@@ -866,9 +908,9 @@ def test_split_z4_two_components():
     f = base_tree(g, 0)
     u_before = f.leaves
     plan, depth = split_z4(g, f)
-    d = apply_step(g, f, plan)
+    _, *z0 = apply_step(g, f, plan)
     check_spanning_tree(g, SpanningTree.from_parents([f.parent[v] for v in range(17)]))
-    assert d.extra_dead == 0 and f.spans()
+    assert z0 == [] and f.spans()
     # each of the two reattachments loses exactly two leaves
     parts_leaves = u_before + 4 + 4  # each room spans with 4 leaves
     assert f.leaves == parts_leaves - 2 * 2
@@ -1023,7 +1065,7 @@ def test_first_base_reaches_split_z4():
     label, a, b = bases[0]
     assert reduced.n == 11 and label == "B2"
     res = _run_from_base(reduced, base_tree(reduced, a, b), label)
-    assert "Z4" in [rec.label for rec in res.ledger().steps]
+    assert "Z4" in [rec.label for rec in res.ledger.steps]
     r = build(g)
     assert "Z4" in [rec.label for rec in r.ledger.steps]
     assert r.bound_ok and not r.oracle_fallback and r.recursion_depth == 1

@@ -3,12 +3,11 @@ and the lift's two is planned.
 
 The labels are read from `builder.py`'s source, in the functions that plan
 steps and in `_expand`, which commits A1 and A2 without a plan: the first
-argument of each `StepPlan(...)` and `_plan(...)` call, the first field of
-each `_new(StepPlan, (...))`, and the label argument of each
-`_commit(g, f, label, ...)`.  A label is a string, a conditional of
-labels, a local name bound only to labels, or `lab(...)` of one, which
-`_plan_chain` makes the M or N row of a chain sub-case.  Anything else is
-refused, so no label escapes the check unseen.
+argument of each `StepPlan(...)` and `_plan(...)` call and the label
+argument of each `_commit(g, f, label, ...)`.  A label is a string, a
+conditional of labels, a local name bound only to labels, or `lab(...)` of
+one, which `_plan_chain` makes the M or N row of a chain sub-case.
+Anything else is refused, so no label escapes the check unseen.
 """
 
 from __future__ import annotations
@@ -37,14 +36,6 @@ def _label_arg(call: ast.Call) -> ast.expr | None:
         return args[0]
     if name == "_commit" and len(args) >= 3:
         return args[2]
-    if (
-        name == "_new"
-        and len(args) == 2
-        and isinstance(args[0], ast.Name)
-        and args[0].id == "StepPlan"
-        and isinstance(args[1], ast.Tuple)
-    ):
-        return args[1].elts[0]
     return None
 
 
@@ -82,8 +73,6 @@ def planned_labels(source: str) -> set[str]:
 def test_the_check_reads_every_form_of_label():
     source = (
         "def next_step(g, f):\n"
-        "    if a:\n"
-        "        return _new(StepPlan, ('A1', att, 1, 0))\n"
         "    label = 'Z2.2' if b else 'Z2.1'\n"
         "    if c:\n"
         "        return _plan(label, att)\n"

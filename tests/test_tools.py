@@ -37,3 +37,19 @@ def test_ab_names_the_first_input_whose_result_differs(tmp_path):
     assert done.returncode == 1, done.stderr
     assert done.stdout.startswith("ensemble-mid seed 7: input 0 (")
     assert done.stdout.rstrip().endswith(") differs")
+
+
+def test_ab_compares_the_records_inside_a_ledger(tmp_path):
+    # a change that lists the base record's vertices in descending order
+    # alters only a record inside each report's ledger
+    shutil.copytree(ROOT / "src" / "leafspan", tmp_path / "leafspan")
+    builder = tmp_path / "leafspan" / "builder.py"
+    text = builder.read_text()
+    assert text.count("vs = sorted(f.vertices)") == 1
+    builder.write_text(
+        text.replace("vs = sorted(f.vertices)", "vs = sorted(f.vertices, reverse=True)")
+    )
+    done = run_ab(ROOT / "src", tmp_path)
+    assert done.returncode == 1, done.stderr
+    assert done.stdout.startswith("ensemble-mid seed 7: input 0 (")
+    assert done.stdout.rstrip().endswith(") differs")
