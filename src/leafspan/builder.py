@@ -29,12 +29,13 @@ Step catalog, tried strictly in order each round (first match wins):
   Z4  cut the fringe, recursively span the outside, reattach components
 
 Each row's du, db and profit floor are stated once, in
-`ledger.TABLE_FLOORS`; a plan names its row and attachments and takes du
-and db from there, but for Z4, whose row states only its floor:
-`split_z4` measures a split's du and db.  A1 and A2, most of the steps of
-a run, are chosen and committed by `_expand` alone, without a plan;
+`ledger.TABLE_FLOORS`, and read by `_commit` alone, which makes every
+step and checks it against its row: its du and deaths against the row's
+du and db, its profit against the row's floor.  Z4's row states only its
+floor, so a split takes the du and deaths its commit measures.  A plan is
+a row's label and its attachments.  A1 and A2, most of the steps of a
+run, are chosen and committed by `_expand` alone, without a plan;
 `next_step` plans every later row and `apply_step` commits the plan.
-Both commit through `_commit`, which checks each step against its row.
 So each round `_run_from_base` tries `_expand`, then `next_step`.  Z4 is
 the driver's step: once no row applies, `next_step` returns None and
 `_run_from_base` stops if the tree spans, else calls `split_z4`.
@@ -74,7 +75,6 @@ of at most 16 vertices, flagging the report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import countOf
 from typing import NamedTuple
 
 from .graph import Fifteenths, Graph, degree_counts
@@ -200,12 +200,11 @@ class PartialTree:
 
 
 class StepPlan(NamedTuple):
-    """A fully resolved step: ordered attachments plus nominal deltas."""
+    """A fully resolved step: its catalog row's label and its attachments
+    in order.  The row's du and db are read when the step is committed."""
 
     label: str
     attachments: tuple[tuple[int, int], ...]
-    nominal_du: int
-    nominal_db: int
 
 
 # Every Z0 record is the same value; StepRecord is frozen, so one is shared.
@@ -304,17 +303,6 @@ def choose_bases(g: Graph) -> list[tuple[str, int, int]]:
 # step selection
 
 
-def _plan(label: str, attachments) -> StepPlan:
-    """The plan of catalog row `label`: its attachments and the row's du, db."""
-    du, db, _ = TABLE_FLOORS[label]
-    return StepPlan(label, tuple(attachments), du, db)
-
-
-# the rows of the two most frequent steps, looked up once
-_A1_DU, _A1_DB, _ = TABLE_FLOORS["A1"]
-_A2_DU, _A2_DB, _ = TABLE_FLOORS["A2"]
-
-
 def next_step(g: Graph, f: PartialTree) -> StepPlan | None:
     """First applicable catalog row past A1 and A2, fully planned; None when
     no row applies: the tree spans, or only a Z4 split (`split_z4`) is left.
@@ -330,7 +318,7 @@ def next_step(g: Graph, f: PartialTree) -> StepPlan | None:
             frontier = sorted(adj[x] - tree)
             anchor = min(adj[x] & tree)
             att = ((anchor, x), (x, frontier[0]), (x, frontier[1]), (x, frontier[2]))
-            return _plan("A3", att)
+            return StepPlan("A3", att)
 
     for x in order:
         if len(adj[x]) != 3 or out[x] != 1:
@@ -339,7 +327,7 @@ def next_step(g: Graph, f: PartialTree) -> StepPlan | None:
         if len(adj[y]) >= 4 and y not in border:
             grand = sorted(adj[y] - {x})[:3]
             anchor = min(adj[x] & tree)
-            return _plan("A4", [(anchor, x), (x, y)] + [(y, w) for w in grand])
+            return StepPlan("A4", ((anchor, x), (x, y), *((y, w) for w in grand)))
 
     for kind, wants_t in (("M", True), ("N", False)):
         for x in order:
@@ -352,7 +340,7 @@ def next_step(g: Graph, f: PartialTree) -> StepPlan | None:
         if out[w]:
             continue
         d = len(adj[w])
-        return _plan(
+        return StepPlan(
             "Z1.1" if d >= 4 else "Z1.2" if d == 3 else "Z1.3.2" if d == 2 else "Z1.3.1",
             ((min(adj[w] & tree), w),),
         )
@@ -375,7 +363,7 @@ def next_step(g: Graph, f: PartialTree) -> StepPlan | None:
         if anchor_v == anchor_w:
             raise EngineDefect("fringe pair shares an anchor leaf")
         label = "Z2.2" if (dv >= 4 and dw >= 4) else "Z2.1"
-        return _plan(label, ((anchor_v, v), (anchor_w, w)))
+        return StepPlan(label, ((anchor_v, v), (anchor_w, w)))
 
     for w in order:
         if out[w] != 1:
@@ -386,7 +374,7 @@ def next_step(g: Graph, f: PartialTree) -> StepPlan | None:
             if dw <= 2:
                 raise EngineDefect("degree-2 fringe vertex at Z3")
             att = ((min(adj[w] & tree), w), (w, v))
-            return _plan("Z3.1" if dw == 3 else "Z3.2", att)
+            return StepPlan("Z3.1" if dw == 3 else "Z3.2", att)
 
     return None
 
@@ -405,13 +393,12 @@ def _plan_chain(g: Graph, f: PartialTree, x: int, kind: str) -> StepPlan:
     anchors = adj[x] & tree_v
     if kind == "M" and len(anchors) < 2:
         raise EngineDefect("composite root should touch two tree leaves")
-    base_att = [(min(anchors), x)]
     y1, y2 = sorted(adj[x] - tree_v)
-    base_att += [(x, y1), (x, y2)]
+    base_att = ((min(anchors), x), (x, y1), (x, y2))
     lab = lambda case: kind + case  # noqa: E731
 
     if not in_t(y1) and not in_t(y2):
-        return _plan(lab("1"), base_att)
+        return StepPlan(lab("1"), base_att)
 
     # the chain vertices planned so far; `deeper(v)` is v's outside
     # neighbourhood beyond them, in O(deg v)
@@ -425,24 +412,24 @@ def _plan_chain(g: Graph, f: PartialTree, x: int, kind: str) -> StepPlan:
 
     deep1 = sorted(deeper(y1))
     if len(deep1) >= 3:
-        return _plan(lab("2"), base_att + [(y1, w) for w in deep1[:3]])
+        return StepPlan(lab("2"), (*base_att, *((y1, w) for w in deep1[:3])))
     if len(deep1) <= 1:
         if not (adj[y1] & tree_v):
             raise EngineDefect("shallow branch vertex must touch the tree")
-        return _plan(lab("3.1" if in_t(y2) else "3.2"), base_att)
+        return StepPlan(lab("3.1" if in_t(y2) else "3.2"), base_att)
 
     z1, z2 = deep1
-    att4 = base_att + [(y1, z1), (y1, z2)]
+    att4 = (*base_att, (y1, z1), (y1, z2))
 
     touching = [v for v in sorted({y2, z1, z2}) if adj[v] & tree_v]
     if touching:
-        return _plan(lab("4.1.1" if in_t(touching[0]) else "4.1.2"), att4)
+        return StepPlan(lab("4.1.1" if in_t(touching[0]) else "4.1.2"), att4)
 
     if any(not in_t(v) for v in (y2, z1, z2)):
-        return _plan(lab("4.2"), att4)
+        return StepPlan(lab("4.2"), att4)
 
     if adj[y2] == frozenset({x, y1, z1, z2}):
-        return _plan(lab("4.3"), att4)
+        return StepPlan(lab("4.3"), att4)
 
     if y2 not in adj[y1] or len(adj[y1]) != 4 or len(adj[y2]) != 4:
         raise EngineDefect("branch pair structure violated past case 4.3")
@@ -451,7 +438,7 @@ def _plan_chain(g: Graph, f: PartialTree, x: int, kind: str) -> StepPlan:
     for z in (z1, z2):
         grown = sorted(deeper(z))
         if len(grown) >= 3:
-            return _plan(lab("4.4"), att4 + [(z, w) for w in grown[:3]])
+            return StepPlan(lab("4.4"), (*att4, *((z, w) for w in grown[:3])))
 
     eligible = [z for z in (z1, z2) if z not in adj[y2]]
     if not eligible:
@@ -462,27 +449,27 @@ def _plan_chain(g: Graph, f: PartialTree, x: int, kind: str) -> StepPlan:
     if len(deep_a) != 2:
         raise EngineDefect("selected chord vertex lost its two deep neighbors")
     p1, p2 = deep_a
-    att45 = att4 + [(z_a, p1), (z_a, p2)]
+    att45 = (*att4, (z_a, p1), (z_a, p2))
 
     for p in (p1, p2):
         if in_t(p) and (adj[p] & tree_v):
-            return _plan(lab("4.5.1"), att45)
+            return StepPlan(lab("4.5.1"), att45)
     if any(not in_t(p) for p in (p1, p2)):
-        return _plan(lab("4.5.2"), att45)
+        return StepPlan(lab("4.5.2"), att45)
 
     taken |= {p1, p2}
     if any(not deeper(v) for v in (y2, z_b, p1, p2)):
-        return _plan(lab("4.5.3"), att45)
+        return StepPlan(lab("4.5.3"), att45)
 
     deep = [p for p in (p1, p2) if len(deeper(p)) >= 2]
     if deep:
         p = deep[0]
         grand = sorted(deeper(p))[:2]
-        att = att45 + [(p, q) for q in grand]
+        att = (*att45, *((p, q) for q in grand))
         anchored = [q for q in grand if adj[q] & tree_v]
         if not anchored:
-            return _plan(lab("4.5.4"), att)
-        return _plan(lab("4.5.4.1" if in_t(anchored[0]) else "4.5.4.2"), att)
+            return StepPlan(lab("4.5.4"), att)
+        return StepPlan(lab("4.5.4.1" if in_t(anchored[0]) else "4.5.4.2"), att)
 
     # closing configuration: both deep vertices see exactly one vertex
     # further out, and the neighborhood chase pins the whole 4-regular blob
@@ -507,7 +494,7 @@ def _plan_chain(g: Graph, f: PartialTree, x: int, kind: str) -> StepPlan:
     if any(r not in adj[v] for v in (p_a, p_b, z_b)) or (adj[r] & tree_v):
         raise EngineDefect("closing vertex adjacency violated")
     r_parent = min(v for v in (y2, z_b, p1, p2) if r in adj[v])
-    return _plan(lab("4.5.5"), att45 + [(r_parent, r)])
+    return StepPlan(lab("4.5.5"), (*att45, (r_parent, r)))
 
 
 # ---------------------------------------------------------------------------
@@ -515,12 +502,15 @@ def _plan_chain(g: Graph, f: PartialTree, x: int, kind: str) -> StepPlan:
 
 
 def _commit(
-    g: Graph, f: PartialTree, label: str, attachments, children, row_du, row_db
+    g: Graph, f: PartialTree, label: str, attachments, children
 ) -> list[StepRecord]:
-    """Make the attachments in order, check du and the deaths against the
-    row and return the step's records: its catalog record, with the row's
-    db and `children`, the attached vertices, then one Z0 record per death
-    beyond the row's."""
+    """Make the attachments in order, check the step against its row of
+    `TABLE_FLOORS` and return the step's records: its catalog record, with
+    the row's db and `children`, the attached vertices, then one Z0 record
+    per death beyond the row's.  The step's du must equal the row's, its
+    deaths reach the row's db and its profit the row's floor; a row that
+    states no du or db (Z4's) takes the step's measured du and deaths."""
+    row_du, row_db, floor = TABLE_FLOORS[label]
     leaves_before, dead_before = f.leaves, len(f.dead)
     attach, adj = f.attach, g.adj
     dt = ds = 0
@@ -533,23 +523,27 @@ def _commit(
             ds += 1
     du = f.leaves - leaves_before
     deaths = len(f.dead) - dead_before
+    if row_du is None:
+        row_du, row_db = du, deaths
     if du != row_du:
         raise EngineDefect(f"{label}: leaf delta {du} != nominal {row_du}")
     if deaths < row_db:
         raise EngineDefect(f"{label}: only {deaths} deaths, promised {row_db}")
     profit15 = profit15_of(du, row_db, dt, ds)
+    if profit15 < floor:
+        raise EngineDefect(f"{label}: profit {profit15} < floor {floor}")
     rec = StepRecord(label, du, row_db, dt, ds, profit15, children)
     return [rec] + [Z0_RECORD] * (deaths - row_db)
 
 
 def apply_step(g: Graph, f: PartialTree, plan: StepPlan) -> list[StepRecord]:
-    """Commit a plan; returns its records, checked against the plan's
-    nominal deltas.  EngineDefect when `attach` refuses an attachment: a
-    stale plan."""
-    label, attachments, nominal_du, nominal_db = plan
+    """Commit a plan; returns its records, checked against its row by
+    `_commit`.  EngineDefect when `attach` refuses an attachment: a stale
+    plan."""
+    label, attachments = plan
     children = tuple([c for _, c in attachments])
     try:
-        return _commit(g, f, label, attachments, children, nominal_du, nominal_db)
+        return _commit(g, f, label, attachments, children)
     except ValueError as exc:
         raise EngineDefect(f"{label}: {exc}") from exc
 
@@ -567,11 +561,11 @@ def _expand(g: Graph, f: PartialTree) -> list[StepRecord] | None:
     if f.inner_open:
         x = min(f.inner_open)
         c = min(adj[x] - tree)
-        return _commit(g, f, "A1", ((x, c),), (c,), _A1_DU, _A1_DB)
+        return _commit(g, f, "A1", ((x, c),), (c,))
     if f.rich:
         x = min(f.rich)
         y1, y2 = sorted(adj[x] - tree)[:2]
-        return _commit(g, f, "A2", ((x, y1), (x, y2)), (y1, y2), _A2_DU, _A2_DB)
+        return _commit(g, f, "A2", ((x, y1), (x, y2)), (y1, y2))
     return None
 
 
@@ -582,9 +576,10 @@ def split_z4(g: Graph, f: PartialTree) -> tuple[StepPlan, int]:
     one outside neighbor, and at least three tree-leaf neighbors.  `build`
     spans each outside component, and the plan attaches it by one cut edge
     (a, w), tree leaf a to fringe vertex w, then by its tree's edges
-    oriented away from w in BFS order.  Returns the plan, whose nominal
-    du/db are the deltas to the spanning tree it makes (all of its leaves
-    dead), and the maximum child recursion depth plus one.
+    oriented away from w in BFS order.  Returns the plan and the maximum
+    child recursion depth plus one.  `_commit` measures the plan's du and
+    db, the deltas to the spanning tree it makes (every leaf dead), and
+    checks its profit against Z4's floor.
     """
     border = f.border
     if not border:
@@ -621,17 +616,7 @@ def split_z4(g: Graph, f: PartialTree) -> tuple[StepPlan, int]:
         attachments += [(comp_old[u], comp_old[v]) for u, v in links]
     if len(attachments) != len(added):
         raise EngineDefect("split does not span the outside")
-
-    deg = f.deg.copy()
-    for parent, child in attachments:
-        deg[parent] += 1
-        deg[child] += 1
-    leaves = countOf(deg, 1)
-    du, db = leaves - f.leaves, leaves - len(f.dead)
-    ds, dt = degree_counts(g, added)
-    if profit15_of(du, db, dt, ds) < TABLE_FLOORS["Z4"][2]:
-        raise EngineDefect("split lost potential")
-    return StepPlan("Z4", tuple(attachments), du, db), child_depth + 1
+    return StepPlan("Z4", tuple(attachments)), child_depth + 1
 
 
 # ---------------------------------------------------------------------------
@@ -775,7 +760,6 @@ def build(g: Graph) -> BuildReport:
     else:
         bases = choose_bases(reduced)
         case = bases[0][0]
-        short = True
         for label, a, b in bases:
             engine_runs += 1
             try:
@@ -785,17 +769,20 @@ def build(g: Graph) -> BuildReport:
                 continue
             if result is None or res.leaves > result.leaves:
                 result = res
-                short = 15 * res.leaves < reduced.cost15 + _BOUND15
                 # past the exact search's reach one base that meets +2 is
                 # enough, as the paper's case analysis needs only one
-                if not short and reduced.n > ORACLE_MAX_N:
+                if reduced.n > ORACLE_MAX_N and (
+                    15 * result.leaves >= reduced.cost15 + _BOUND15
+                ):
                     break
-        if short and reduced.n <= ORACLE_MAX_N:
+        if reduced.n <= ORACLE_MAX_N and (
+            result is None or 15 * result.leaves < reduced.cost15 + _BOUND15
+        ):
             exact = _exact_result(reduced, case)
             if result is None or exact.leaves > result.leaves:
                 result, oracle_fallback = exact, True
         if result is None:
-            raise EngineDefect("; ".join(defects) or "no base tree produced a result")
+            raise EngineDefect("; ".join(defects))
 
     lifted, lift_log = lift_tree_logged(lift_trace, result.tree())
     ledger = result.ledger

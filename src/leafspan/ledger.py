@@ -117,13 +117,14 @@ def verify_ledger(g: Graph, ledger: Ledger, final_tree: SpanningTree) -> LedgerA
 
 
 # The step catalog, one row for every label a ledger step may carry: (exact
-# du, nominal db, minimum 15*profit).  The engine plans each step with its
-# row's du and db; profit can only exceed the floor (added vertices may be
+# du, nominal db, minimum 15*profit).  The engine's `_commit` reads the row
+# of each step it commits and checks the step's du, deaths and profit
+# against it; profit can only exceed the floor (added vertices may be
 # cheaper than the worst case).  Z1.3.1 and Z1.3.2 add a dead-end fringe
 # vertex of degree 1 and 2.  The lift logs an undo only when it gains a leaf,
 # with du = db = its gain, and every gain is 0 or 1: the two vertices an undo
 # touches end adjacent, so at most one of them is a leaf.  Z4 states only its
-# floor: `split_z4` measures a split's du and db.
+# floor: a split's du and db are measured when it is committed.
 TABLE_FLOORS: dict[str, tuple[int | None, int | None, int]] = {
     "A1": (1, 0, 7),
     "A2": (1, 0, 1),

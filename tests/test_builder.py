@@ -252,6 +252,15 @@ def test_suite_audit_refuses_a_run_with_a_forged_record(forge, message):
         audit_run(g, res)
 
 
+def test_a_kept_tree_is_checked_against_its_runs_leaf_count():
+    g, _ = reduce_fully(h_graph(2))
+    label, a, b = choose_bases(g)[0]
+    res = _run_from_base(g, base_tree(g, a, b), label)
+    assert res.tree().leaf_count() == res.leaves
+    with pytest.raises(EngineDefect, match="leaf count differs"):
+        dataclasses.replace(res, leaves=res.leaves + 1).tree()
+
+
 def test_one_base_tree_alive_when_each_run_starts(monkeypatch):
     # bases are named, not built: the driver builds each base tree just
     # before its run, so no other base of the same graph is alive then
@@ -354,7 +363,7 @@ def test_next_step_z1_1():
     edges = [(0, i) for i in range(1, 5)] + [(5, 1), (5, 2), (5, 3), (5, 4)]
     g, f = make_state(6, edges, [(0, i) for i in range(1, 5)])
     plan = next_step(g, f)
-    assert plan.label == "Z1.1" and plan.nominal_db == 4
+    assert plan.label == "Z1.1" and TABLE_FLOORS[plan.label][1] == 4
     recs = apply_step(g, f, plan)
     assert recs[0].log_line() == "Z1.1 0 4 1 0 2"
     assert f.spans()
@@ -378,13 +387,13 @@ def test_apply_a3_gains_two_leaves():
     ],
 )
 def test_apply_step_checks_the_step_against_its_row(monkeypatch, row, message):
-    # `_plan` reads the row when it plans, so a moved row is a plan whose
+    # `_commit` reads the row when it commits, so a moved row is one whose
     # du or deaths the committed step cannot make
     monkeypatch.setitem(TABLE_FLOORS, "A3", (*row, TABLE_FLOORS["A3"][2]))
     edges = [(0, 1), (0, 2), (0, 3), (4, 1), (4, 5), (4, 6), (4, 7)]
     g, f = make_state(8, edges, [(0, 1), (0, 2), (0, 3)])
     plan = next_step(g, f)
-    assert (plan.label, plan.nominal_du, plan.nominal_db) == ("A3", *row)
+    assert (plan.label, *TABLE_FLOORS[plan.label][:2]) == ("A3", *row)
     with pytest.raises(EngineDefect, match=message):
         apply_step(g, f, plan)
 
@@ -740,7 +749,7 @@ def test_attach_and_apply_step_reject_a_child_out_of_range():
         with pytest.raises(ValueError, match="is not a vertex"):
             f.attach(0, child)
     with pytest.raises(EngineDefect, match="A1: child -1 is not a vertex"):
-        apply_step(g, f, StepPlan("A1", ((0, -1),), 2, 0))
+        apply_step(g, f, StepPlan("A1", ((0, -1),)))
     assert f.vertices == {0} and f.parent == {0: -1}
 
 
@@ -811,8 +820,7 @@ def _reference_a1_a2(g: Graph, f: PartialTree) -> StepPlan | None:
     ):
         x = next((v for v in outside if fits(v)), None)
         if x is not None:
-            du, db, _ = TABLE_FLOORS[label]
-            return StepPlan(label, tuple((x, y) for y in outside[x][:k]), du, db)
+            return StepPlan(label, tuple((x, y) for y in outside[x][:k]))
     return None
 
 
@@ -866,26 +874,31 @@ def test_expand_commits_what_next_step_and_apply_step_commit(graph_pool, monkeyp
 
 
 @pytest.mark.parametrize(
-    "row, value, message",
+    "label, row, message",
     [
-        ("_A1_DU", 2, r"A1: leaf delta 1 != nominal 2"),
-        ("_A2_DB", 3, r"A2: only [0-2] deaths, promised 3"),
+        ("A1", (2, 0), r"A1: leaf delta 1 != nominal 2"),
+        ("A2", (1, 3), r"A2: only [0-2] deaths, promised 3"),
     ],
 )
-def test_expand_checks_each_step_against_its_row(monkeypatch, row, value, message):
-    monkeypatch.setattr(builder_mod, row, value)
+def test_expand_checks_each_step_against_its_row(monkeypatch, label, row, message):
+    monkeypatch.setitem(TABLE_FLOORS, label, (*row, TABLE_FLOORS[label][2]))
     reduced, _ = reduce_fully(random_connected(40, 3, 4, seed=1))
-    label, a, b = choose_bases(reduced)[0]
+    case, a, b = choose_bases(reduced)[0]
     with pytest.raises(EngineDefect, match=message):
-        _run_from_base(reduced, base_tree(reduced, a, b), label)
+        _run_from_base(reduced, base_tree(reduced, a, b), case)
 
 
-def test_split_z4_direct():
+def _z4_state() -> tuple[Graph, PartialTree]:
+    """A star at 0 whose fringe vertex 5 leads to a K4 outside: a Z4 split."""
     edges = [(0, 1), (0, 2), (0, 3), (0, 4)]
     edges += [(5, 1), (5, 2), (5, 3), (5, 6)]
     edges += [(6, 7), (6, 8), (6, 9), (7, 8), (7, 9), (8, 9)]
     g = Graph(10, edges)
-    f = base_tree(g, 0)
+    return g, base_tree(g, 0)
+
+
+def test_split_z4_direct():
+    g, f = _z4_state()
     plan, depth = split_z4(g, f)
     assert plan.label == "Z4" and depth == 1
     rec, *z0 = apply_step(g, f, plan)
@@ -895,6 +908,21 @@ def test_split_z4_direct():
     assert rec.log_line() == "Z4 2 5 2 3 15"
     # reattaching one component costs exactly two leaves against the parts
     assert f.leaves == 6
+
+
+@pytest.mark.parametrize("floor", [16, 15])
+def test_commit_checks_a_split_against_the_z4_floor(monkeypatch, floor):
+    # the split's profit is 15: a floor one above it is a defect of the
+    # commit, and at 15, as at the real floor (`test_split_z4_direct`), the
+    # same split commits
+    monkeypatch.setitem(TABLE_FLOORS, "Z4", (None, None, floor))
+    g, f = _z4_state()
+    plan, _ = split_z4(g, f)
+    if floor > 15:
+        with pytest.raises(EngineDefect, match=r"Z4: profit 15 < floor 16"):
+            apply_step(g, f, plan)
+    else:
+        assert apply_step(g, f, plan)[0].log_line() == "Z4 2 5 2 3 15"
 
 
 def test_split_z4_two_components():
