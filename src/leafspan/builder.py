@@ -32,13 +32,16 @@ Each row's du, db and profit floor are stated once, in
 `ledger.TABLE_FLOORS`, and read by `_commit` alone, which makes every
 step and checks it against its row: its du and deaths against the row's
 du and db, its profit against the row's floor.  Z4's row states only its
-floor, so a split takes the du and deaths its commit measures.  A plan is
-a row's label and its attachments.  A1 and A2, most of the steps of a
-run, are chosen and committed by `_expand` alone, without a plan;
-`next_step` plans every later row and `apply_step` commits the plan.
-So each round `_run_from_base` tries `_expand`, then `next_step`.  Z4 is
-the driver's step: once no row applies, `next_step` returns None and
-`_run_from_base` stops if the tree spans, else calls `split_z4`.
+floor, so a split takes the du and deaths its commit measures.  A step
+is a row's label and its attachments, all that `_commit(g, f, label,
+attachments)` takes; an attachment that `attach` refuses is an
+EngineDefect of the run, whichever row made it.  A1 and A2, most of the
+steps of a run, are chosen and committed by `_expand` alone, without a
+plan; `next_step` and `split_z4` return every later step as a
+`StepPlan`, and `apply_step` commits it.  So each round `_run_from_base`
+tries `_expand`, then `next_step`.  Z4 is the driver's step: once no row
+applies, `next_step` returns None and `_run_from_base` stops if the tree
+spans, else calls `split_z4`.
 
 A partial tree keeps one membership set, its tree vertices.  The outside
 is implicit: the outside neighbours of v are `adj[v] - vertices`, an
@@ -200,8 +203,9 @@ class PartialTree:
 
 
 class StepPlan(NamedTuple):
-    """A fully resolved step: its catalog row's label and its attachments
-    in order.  The row's du and db are read when the step is committed."""
+    """A fully resolved step, from `next_step` or `split_z4`: its catalog
+    row's label and its attachments in order, `_commit`'s two arguments
+    past the graph and the tree.  The row is read when it is committed."""
 
     label: str
     attachments: tuple[tuple[int, int], ...]
@@ -501,26 +505,30 @@ def _plan_chain(g: Graph, f: PartialTree, x: int, kind: str) -> StepPlan:
 # committing steps
 
 
-def _commit(
-    g: Graph, f: PartialTree, label: str, attachments, children
-) -> list[StepRecord]:
+def _commit(g: Graph, f: PartialTree, label: str, attachments) -> list[StepRecord]:
     """Make the attachments in order, check the step against its row of
     `TABLE_FLOORS` and return the step's records: its catalog record, with
-    the row's db and `children`, the attached vertices, then one Z0 record
-    per death beyond the row's.  The step's du must equal the row's, its
-    deaths reach the row's db and its profit the row's floor; a row that
-    states no du or db (Z4's) takes the step's measured du and deaths."""
+    the row's db and the attached vertices, then one Z0 record per death
+    beyond the row's.  The step's du must equal the row's, its deaths reach
+    the row's db and its profit the row's floor; a row that states no du or
+    db (Z4's) takes the step's measured du and deaths.  An attachment that
+    `attach` refuses (a stale plan) is an EngineDefect of the step."""
     row_du, row_db, floor = TABLE_FLOORS[label]
     leaves_before, dead_before = f.leaves, len(f.dead)
     attach, adj = f.attach, g.adj
     dt = ds = 0
-    for parent, child in attachments:
-        attach(parent, child)
-        d = len(adj[child])
-        if d >= 4:
-            dt += 1
-        elif d == 3:
-            ds += 1
+    added: list[int] = []
+    try:
+        for parent, child in attachments:
+            attach(parent, child)
+            added.append(child)
+            d = len(adj[child])
+            if d >= 4:
+                dt += 1
+            elif d == 3:
+                ds += 1
+    except ValueError as exc:
+        raise EngineDefect(f"{label}: {exc}") from exc
     du = f.leaves - leaves_before
     deaths = len(f.dead) - dead_before
     if row_du is None:
@@ -532,20 +540,13 @@ def _commit(
     profit15 = profit15_of(du, row_db, dt, ds)
     if profit15 < floor:
         raise EngineDefect(f"{label}: profit {profit15} < floor {floor}")
-    rec = StepRecord(label, du, row_db, dt, ds, profit15, children)
+    rec = StepRecord(label, du, row_db, dt, ds, profit15, tuple(added))
     return [rec] + [Z0_RECORD] * (deaths - row_db)
 
 
 def apply_step(g: Graph, f: PartialTree, plan: StepPlan) -> list[StepRecord]:
-    """Commit a plan; returns its records, checked against its row by
-    `_commit`.  EngineDefect when `attach` refuses an attachment: a stale
-    plan."""
-    label, attachments = plan
-    children = tuple([c for _, c in attachments])
-    try:
-        return _commit(g, f, label, attachments, children)
-    except ValueError as exc:
-        raise EngineDefect(f"{label}: {exc}") from exc
+    """Commit a plan; returns its records, made and checked by `_commit`."""
+    return _commit(g, f, *plan)
 
 
 def _expand(g: Graph, f: PartialTree) -> list[StepRecord] | None:
@@ -561,25 +562,25 @@ def _expand(g: Graph, f: PartialTree) -> list[StepRecord] | None:
     if f.inner_open:
         x = min(f.inner_open)
         c = min(adj[x] - tree)
-        return _commit(g, f, "A1", ((x, c),), (c,))
+        return _commit(g, f, "A1", ((x, c),))
     if f.rich:
         x = min(f.rich)
         y1, y2 = sorted(adj[x] - tree)[:2]
-        return _commit(g, f, "A2", ((x, y1), (x, y2)), (y1, y2))
+        return _commit(g, f, "A2", ((x, y1), (x, y2)))
     return None
 
 
-def split_z4(g: Graph, f: PartialTree) -> tuple[StepPlan, int]:
+def split_z4(g: Graph, f: PartialTree) -> StepPlan:
     """Terminal split: span the outside recursively, plan its reattachment.
 
     Precondition (checked): every fringe vertex has degree >= 4, exactly
     one outside neighbor, and at least three tree-leaf neighbors.  `build`
     spans each outside component, and the plan attaches it by one cut edge
     (a, w), tree leaf a to fringe vertex w, then by its tree's edges
-    oriented away from w in BFS order.  Returns the plan and the maximum
-    child recursion depth plus one.  `_commit` measures the plan's du and
-    db, the deltas to the spanning tree it makes (every leaf dead), and
-    checks its profit against Z4's floor.
+    oriented away from w in BFS order.  Returns the plan, a `StepPlan` like
+    any other row's; `_commit` measures its du and db, the deltas to the
+    spanning tree it makes (every leaf dead), and checks its profit against
+    Z4's floor.
     """
     border = f.border
     if not border:
@@ -597,7 +598,6 @@ def split_z4(g: Graph, f: PartialTree) -> tuple[StepPlan, int]:
     tree = f.vertices
     sub, added = g.induced(v for v in range(g.n) if v not in tree)
     attachments: list[tuple[int, int]] = []
-    child_depth = 0
     for comp in sub.components():
         h, comp_old = g.induced(added[v] for v in comp)
         if h.n < 2:
@@ -605,7 +605,6 @@ def split_z4(g: Graph, f: PartialTree) -> tuple[StepPlan, int]:
         if classify_exclusion(h) is not None:
             raise EngineDefect("outside component is an exception graph")
         report = build(h)
-        child_depth = max(child_depth, report.recursion_depth)
         if report.alpha.num < _BOUND15:
             raise EngineDefect("component build missed the recursion bound")
         w, a = min(
@@ -616,7 +615,7 @@ def split_z4(g: Graph, f: PartialTree) -> tuple[StepPlan, int]:
         attachments += [(comp_old[u], comp_old[v]) for u, v in links]
     if len(attachments) != len(added):
         raise EngineDefect("split does not span the outside")
-    return StepPlan("Z4", tuple(attachments)), child_depth + 1
+    return StepPlan("Z4", tuple(attachments))
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +632,6 @@ class BuildReport:
     ledger: Ledger
     reduction_trace: list[ReductionEvent]
     base_case: str
-    recursion_depth: int
     exclusion: ExclusionKind | None
     spanning_tree: SpanningTree
     oracle_fallback: bool = False
@@ -656,7 +654,8 @@ class _EngineResult:
     """One run of `_run_from_base`, from an engine base or an exact tree.
 
     Every run keeps its ledger, a closing Z4 split's record among its
-    steps.  `parent` holds the spanning tree as parent links, -1 at the
+    steps (the nested `build` reports of the split's components are not
+    kept).  `parent` holds the spanning tree as parent links, -1 at the
     root: every run keeps only these, so only the result `build` keeps is
     made into a `SpanningTree` (`tree`).  Every run has checked its
     potential before it returns (see the module doc).
@@ -664,7 +663,6 @@ class _EngineResult:
 
     parent: dict[int, int]
     ledger: Ledger
-    depth: int  # recursion depth of the closing Z4 split, 0 without one
     leaves: int
 
     def tree(self) -> SpanningTree:
@@ -686,7 +684,6 @@ def _run_from_base(g: Graph, f: PartialTree, case: str) -> _EngineResult:
     if running15 != alpha_prime(g, f).num:
         raise EngineDefect("base profit does not match the base potential")
     steps: list[StepRecord] = []
-    depth = 0
     dead = f.dead
     for _ in range(2 * g.n + 8):
         records = _expand(g, f)
@@ -696,7 +693,7 @@ def _run_from_base(g: Graph, f: PartialTree, case: str) -> _EngineResult:
                 if f.spans():
                     break
                 # no catalog row applies to a tree short of spanning: split
-                plan, depth = split_z4(g, f)
+                plan = split_z4(g, f)
             records = apply_step(g, f, plan)
         steps += records
         for rec in records:
@@ -713,7 +710,7 @@ def _run_from_base(g: Graph, f: PartialTree, case: str) -> _EngineResult:
         raise EngineDefect("a leaf of the spanning tree is not dead")
     if 15 * leaves - g.cost15 != running15:
         raise EngineDefect("final potential does not telescope")
-    return _EngineResult(f.parent, Ledger(base, steps), depth, leaves)
+    return _EngineResult(f.parent, Ledger(base, steps), leaves)
 
 
 def _exact_result(stage: Graph, case: str) -> _EngineResult:
@@ -800,7 +797,6 @@ def build(g: Graph) -> BuildReport:
         ledger=ledger,
         reduction_trace=trace,
         base_case=case,
-        recursion_depth=result.depth,
         exclusion=input_kind,
         spanning_tree=lifted,
         oracle_fallback=oracle_fallback,

