@@ -10,10 +10,11 @@ reach (more than `ORACLE_MAX_N` vertices) the first run that meets +2
 ends the tier; at or below it every base runs.  A reduced path or cycle
 (K2 or a triangle) is spanned by the star at vertex 0, a maximum-leaf
 tree of either.  Base selection only names the bases; the driver builds
-each base tree just before growing it in place, so only one base is
-alive at a time.  That star, and an exact-search tree attached parent
-first like a base, are run as bases that already span, so every tree a
-build returns has passed the checks of a run.
+each base tree just before growing it in place, so when a run starts
+only its base and the tree of the run kept so far are alive.  That star,
+and an exact-search tree attached parent first like a base, are run as
+bases that already span, so every tree a build returns has passed the
+checks of a run.
 
 Step catalog, tried strictly in order each round (first match wins):
 
@@ -66,13 +67,15 @@ of every run.
 
 Every committed step is logged in the ledger: `_commit` makes the step's
 `StepRecord` as it commits it, and each dead leaf beyond the row's
-nominal count becomes an explicit Z0 record.  Every run keeps its ledger,
-whose profits the running sum above adds, and its tree as parent links
-only; a `SpanningTree` of the links, whose leaf count is checked once
-more, is made only for the run `build` keeps.  The final bound leaves >=
-cost + 2 (cost + 8/5 for the exceptions) is re-checked on every build; if
-no base meets it, the driver falls back to exact search on reduced graphs
-of at most 16 vertices, flagging the report.
+nominal count becomes an explicit Z0 record.  A run hands back its
+ledger, whose profits the running sum above adds, and the driver keeps
+the tree the run grew in place.  `build` keeps the tree and ledger of
+the run with the most leaves, and makes a `SpanningTree` of that tree
+alone (`PartialTree.spanning_tree`, which checks its leaf count once
+more).  The final bound leaves >= cost + 2 (cost + 8/5 for the
+exceptions) is re-checked on every build; if no base meets it, the
+driver falls back to exact search on reduced graphs of at most 16
+vertices, flagging the report.
 """
 
 from __future__ import annotations
@@ -200,6 +203,15 @@ class PartialTree:
 
     def spans(self) -> bool:
         return len(self.vertices) == self.g.n
+
+    def spanning_tree(self) -> SpanningTree:
+        """The `SpanningTree` of a spanning tree's parent links, its leaf
+        count re-checked against the count `attach` kept."""
+        links = self.parent
+        tree = SpanningTree.from_parents([links[v] for v in range(self.g.n)])
+        if tree.leaf_count() != self.leaves:
+            raise EngineDefect("kept tree's leaf count differs from its run's")
+        return tree
 
 
 class StepPlan(NamedTuple):
@@ -649,34 +661,11 @@ class BuildReport:
         return self.alpha >= self.required_alpha
 
 
-@dataclass
-class _EngineResult:
-    """One run of `_run_from_base`, from an engine base or an exact tree.
-
-    Every run keeps its ledger, a closing Z4 split's record among its
-    steps (the nested `build` reports of the split's components are not
-    kept).  `parent` holds the spanning tree as parent links, -1 at the
-    root: every run keeps only these, so only the result `build` keeps is
-    made into a `SpanningTree` (`tree`).  Every run has checked its
-    potential before it returns (see the module doc).
-    """
-
-    parent: dict[int, int]
-    ledger: Ledger
-    leaves: int
-
-    def tree(self) -> SpanningTree:
-        """The spanning tree of the links, with its leaf count re-checked."""
-        links = self.parent
-        tree = SpanningTree.from_parents([links[v] for v in range(len(links))])
-        if tree.leaf_count() != self.leaves:
-            raise EngineDefect("kept tree's leaf count differs from its run's")
-        return tree
-
-
-def _run_from_base(g: Graph, f: PartialTree, case: str) -> _EngineResult:
+def _run_from_base(g: Graph, f: PartialTree, case: str) -> Ledger:
     """Grow the base tree `f` in place until it spans g, checking the
-    potential on the way and at the end (see the module doc)."""
+    potential on the way and at the end (see the module doc).  Returns the
+    run's ledger, a closing Z4 split's record among its steps; the caller
+    keeps `f`."""
     vs = sorted(f.vertices)
     ds, dt = degree_counts(g, vs)
     base = StepRecord.make(f"{case}-base", f.leaves, len(f.dead), dt, ds, vs)
@@ -710,19 +699,19 @@ def _run_from_base(g: Graph, f: PartialTree, case: str) -> _EngineResult:
         raise EngineDefect("a leaf of the spanning tree is not dead")
     if 15 * leaves - g.cost15 != running15:
         raise EngineDefect("final potential does not telescope")
-    return _EngineResult(f.parent, Ledger(base, steps), leaves)
+    return Ledger(base, steps)
 
 
-def _exact_result(stage: Graph, case: str) -> _EngineResult:
+def _exact_result(stage: Graph, case: str) -> tuple[PartialTree, Ledger]:
     """The exact search's maximum-leaf tree of `stage` (an exclusion stage,
     or a reduced graph whose bases fell short), attached parent first to its
     root and closed as a base that already spans, through every check of a
-    run."""
+    run; returns the tree and the run's ledger."""
     links = max_leaf_tree(stage)
     f = PartialTree(stage, links.index(-1))
     for parent, child in parent_first(SpanningTree.from_parents(links), f.root):
         f.attach(parent, child)
-    return _run_from_base(stage, f, case)
+    return f, _run_from_base(stage, f, case)
 
 
 def build(g: Graph) -> BuildReport:
@@ -737,7 +726,7 @@ def build(g: Graph) -> BuildReport:
     oracle_fallback = False
     engine_runs = 0
     lift_trace = trace
-    result: _EngineResult | None = None
+    kept: PartialTree | None = None
 
     if kind is not None:
         # Exact search on the exception graph itself, or (when reductions
@@ -746,43 +735,45 @@ def build(g: Graph) -> BuildReport:
         # that stage has at most 9 vertices.
         lift_trace = trace[:-1]
         case = "exclusion-direct"
-        result = _exact_result(replay(g, lift_trace), case)
+        kept, ledger = _exact_result(replay(g, lift_trace), case)
     elif max(reduced.degrees, default=0) <= 2:
         # no branch vertex left: a path reduced to K2, a cycle to a triangle,
         # and the star at 0 spans either with the most leaves
         if reduced.n not in (2, 3):
             raise EngineDefect("degenerate reduced graph of unexpected size")
         case = "path-direct"
-        result = _run_from_base(reduced, base_tree(reduced, 0), case)
+        kept = base_tree(reduced, 0)
+        ledger = _run_from_base(reduced, kept, case)
     else:
         bases = choose_bases(reduced)
         case = bases[0][0]
         for label, a, b in bases:
             engine_runs += 1
             try:
-                res = _run_from_base(reduced, base_tree(reduced, a, b), label)
+                f = base_tree(reduced, a, b)
+                run = _run_from_base(reduced, f, label)
             except EngineDefect as exc:
                 defects.append(f"{label}: {exc}")
                 continue
-            if result is None or res.leaves > result.leaves:
-                result = res
+            if kept is None or f.leaves > kept.leaves:
+                kept, ledger = f, run
                 # past the exact search's reach one base that meets +2 is
                 # enough, as the paper's case analysis needs only one
                 if reduced.n > ORACLE_MAX_N and (
-                    15 * result.leaves >= reduced.cost15 + _BOUND15
+                    15 * kept.leaves >= reduced.cost15 + _BOUND15
                 ):
                     break
+        f = None  # the last run's tree, unless kept, is not alive past the loop
         if reduced.n <= ORACLE_MAX_N and (
-            result is None or 15 * result.leaves < reduced.cost15 + _BOUND15
+            kept is None or 15 * kept.leaves < reduced.cost15 + _BOUND15
         ):
-            exact = _exact_result(reduced, case)
-            if result is None or exact.leaves > result.leaves:
-                result, oracle_fallback = exact, True
-        if result is None:
+            exact, exact_ledger = _exact_result(reduced, case)
+            if kept is None or exact.leaves > kept.leaves:
+                kept, ledger, oracle_fallback = exact, exact_ledger, True
+        if kept is None:
             raise EngineDefect("; ".join(defects))
 
-    lifted, lift_log = lift_tree_logged(lift_trace, result.tree())
-    ledger = result.ledger
+    lifted, lift_log = lift_tree_logged(lift_trace, kept.spanning_tree())
     for label, gain in lift_log:
         if gain:
             ledger.steps.append(StepRecord.make(label, gain, gain, 0, 0))

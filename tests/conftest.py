@@ -97,23 +97,25 @@ def audit_every_base(monkeypatch):
     return audit
 
 
-def audit_run(g: Graph, res) -> None:
-    """The ledger of a run of `_run_from_base` on g passes `verify_ledger`
-    against the run's tree and `table_violations` finds nothing in it.
+def audit_run(g: Graph, f: PartialTree, ledger) -> None:
+    """The ledger a run of `_run_from_base` returned for the tree f it grew
+    on g passes `verify_ledger` against that tree, and `table_violations`
+    finds nothing in it.
 
-    The tree is made from the run's parent links here, with the
-    `SpanningTree` of `leafspan.trees`, not the builder's name for it, so a
-    test that counts the trees the builder makes counts none of these."""
-    links = res.parent
+    The tree is made from f's parent links here, with the `SpanningTree` of
+    `leafspan.trees`, not the builder's name for it, so a test that counts
+    the trees the builder makes counts none of these."""
+    links = f.parent
     tree = SpanningTree.from_parents([links[v] for v in range(len(links))])
-    audit = verify_ledger(g, res.ledger, tree)
+    audit = verify_ledger(g, ledger, tree)
     assert audit.ok, audit.reason
-    assert table_violations(res.ledger) == []
+    assert table_violations(ledger) == []
 
 
 @pytest.fixture(autouse=True)
 def audit_every_run(monkeypatch):
-    """Audit the ledger of every engine run of every build.
+    """Audit the ledger of every engine run of every build against the tree
+    the run grew.
 
     A caller of `build` can audit only the ledger of the run it keeps, the
     one its report carries; every run checks its potential against its
@@ -127,10 +129,10 @@ def audit_every_run(monkeypatch):
     audit = SimpleNamespace(runs=0)
 
     def audited(g, f, case):
-        res = run(g, f, case)
-        audit_run(g, res)
+        ledger = run(g, f, case)
+        audit_run(g, f, ledger)
         audit.runs += 1
-        return res
+        return ledger
 
     monkeypatch.setattr(builder, "_run_from_base", audited)
     return audit

@@ -28,6 +28,8 @@ from leafspan.builder import (
     EngineDefect,
     PartialTree,
     StepPlan,
+    Z0_RECORD,
+    _commit,
     _run_from_base,
     apply_step,
     base_tree,
@@ -244,26 +246,33 @@ def test_suite_audit_sees_every_run(audit_every_run):
 def test_suite_audit_refuses_a_run_with_a_forged_record(forge, message):
     g, _ = reduce_fully(h_graph(2))
     label, a, b = choose_bases(g)[0]
-    res = _run_from_base(g, base_tree(g, a, b), label)
-    audit_run(g, res)
-    steps = res.ledger.steps
+    f = base_tree(g, a, b)
+    ledger = _run_from_base(g, f, label)
+    audit_run(g, f, ledger)
+    steps = ledger.steps
     steps[0] = forge(steps[0])
     with pytest.raises(AssertionError, match=message):
-        audit_run(g, res)
+        audit_run(g, f, ledger)
 
 
 def test_a_kept_tree_is_checked_against_its_runs_leaf_count():
     g, _ = reduce_fully(h_graph(2))
     label, a, b = choose_bases(g)[0]
-    res = _run_from_base(g, base_tree(g, a, b), label)
-    assert res.tree().leaf_count() == res.leaves
+    f = base_tree(g, a, b)
+    _run_from_base(g, f, label)
+    assert f.spanning_tree().leaf_count() == f.leaves
+    f.leaves += 1
     with pytest.raises(EngineDefect, match="leaf count differs"):
-        dataclasses.replace(res, leaves=res.leaves + 1).tree()
+        f.spanning_tree()
 
 
 def test_one_base_tree_alive_when_each_run_starts(monkeypatch):
     # bases are named, not built: the driver builds each base tree just
-    # before its run, so no other base of the same graph is alive then
+    # before its run and keeps no finished run's tree but the best, so when
+    # a run starts the trees of its graph are its base, which does not span
+    # yet unless it is the exact search's, and at most one spanning tree,
+    # the kept run's; the last graph's bases fall short of the bound, and
+    # the exact search runs after them
     run, init = builder_mod._run_from_base, PartialTree.__init__
     trees: weakref.WeakSet[PartialTree] = weakref.WeakSet()
     alive = []
@@ -273,15 +282,19 @@ def test_one_base_tree_alive_when_each_run_starts(monkeypatch):
         trees.add(self)
 
     def counting(g, f, case):
-        alive.append(sum(t.g is g for t in trees))
+        others = [t.spans() for t in trees if t.g is g and t is not f]
+        alive.append((f.spans(), others))
         return run(g, f, case)
 
     monkeypatch.setattr(PartialTree, "__init__", tracked)
     monkeypatch.setattr(builder_mod, "_run_from_base", counting)
-    for make in SEVERAL_RUNS:
+    for make in [*SEVERAL_RUNS, lambda: random_connected(17, 2, 3, 208233642)]:
         alive.clear()
         r = build(make())
-        assert r.engine_runs > 1 and alive == [1] * r.engine_runs
+        exact = [True] * r.oracle_fallback
+        assert [spans for spans, _ in alive] == [False] * r.engine_runs + exact
+        assert r.engine_runs > 1 and alive[0][1] == []
+        assert all(others in ([], [True]) for _, others in alive)
 
 
 @pytest.mark.parametrize(
@@ -1009,6 +1022,57 @@ def test_a_run_that_stops_growing_exhausts_its_step_budget(monkeypatch):
         _run_from_base(*_first_base())
 
 
+# The two forged commits below wrap `_commit` as this module imported it,
+# before the audit fixtures patch the builder's: the audits would refuse
+# the forged counts at once.
+
+
+def test_a_run_that_leaves_a_leaf_unmarked_is_a_defect(monkeypatch):
+    # the first step that kills a leaf beyond its row's deaths loses one dead
+    # mark and that death's Z0 record: the counts, the records and the
+    # recount still agree, but the spanning tree has a leaf not marked dead
+    forged = []
+
+    def unmark(g, f, *step):
+        records = _commit(g, f, *step)
+        if not forged and Z0_RECORD in records:
+            forged.append(f.dead.pop())
+            records.remove(Z0_RECORD)
+        return records
+
+    monkeypatch.setattr(builder_mod, "_commit", unmark)
+    with pytest.raises(EngineDefect, match="a leaf of the spanning tree is not dead"):
+        _run_from_base(*_first_base())
+    assert forged
+
+
+def test_a_run_whose_leaf_and_cost_counts_err_together_fails_to_telescope(monkeypatch):
+    # after the first step the counts take one leaf too many, mark the root
+    # (of tree degree >= 2, so never a leaf) dead, add 13/15 to the cost, and
+    # a Z0 record logs the extra death: the counts, the records and the
+    # recount, which counts leaves from the links, still agree and every
+    # leaf counted is marked dead, but 15 leaves - cost(g) is 13/15 above
+    # the ledger's sum; with a true recount only such paired errors reach
+    # the telescoping check
+    forged = []
+
+    def miscount(g, f, *step):
+        records = _commit(g, f, *step)
+        if not forged:
+            assert f.deg[f.root] >= 2
+            forged.append(f.root)
+            f.leaves += 1
+            f.dead.add(f.root)
+            f.cost += 13
+            records.append(Z0_RECORD)
+        return records
+
+    monkeypatch.setattr(builder_mod, "_commit", miscount)
+    with pytest.raises(EngineDefect, match="final potential does not telescope"):
+        _run_from_base(*_first_base())
+    assert forged
+
+
 # ---------------------------------------------------------------------------
 # full builds
 
@@ -1030,6 +1094,13 @@ def test_build_rejects_bad_input():
         build(Graph(4, [(0, 1), (2, 3)]))
 
 
+def grown_leaves(g: Graph, label: str, a: int, b: int) -> int:
+    """The leaves of the tree a run grows on g from the base (a, b)."""
+    f = base_tree(g, a, b)
+    _run_from_base(g, f, label)
+    return f.leaves
+
+
 @pytest.mark.parametrize(
     "args, leaves, alpha15",
     [
@@ -1048,9 +1119,7 @@ def test_b5_shortfall_falls_back_to_exact_search(args, leaves, alpha15):
     assert reduced.n == 9 and {label for label, _, _ in bases} == {"B5"}
     required15 = cost15(reduced) + 30
     assert all(
-        15 * _run_from_base(reduced, base_tree(reduced, a, b), label).leaves
-        < required15
-        for label, a, b in bases
+        15 * grown_leaves(reduced, label, a, b) < required15 for label, a, b in bases
     )
     r = build(g)
     assert r.base_case == "B5" and r.ledger.base.label == "B5-base"
@@ -1069,9 +1138,7 @@ def test_b7_shortfall_is_settled_by_a_later_base():
     assert reduced.n == 9 and [label for label, _, _ in bases] == ["B7"] * 7
     required15 = cost15(reduced) + 30
     reached = [
-        15 * _run_from_base(reduced, base_tree(reduced, a, b), label).leaves
-        >= required15
-        for label, a, b in bases
+        15 * grown_leaves(reduced, label, a, b) >= required15 for label, a, b in bases
     ]
     assert reached == [False] + [True] * 6
     r = build(g)
@@ -1089,9 +1156,9 @@ def recorded_runs(monkeypatch) -> list[tuple[list[int], int | None]]:
 
     def recording(g, f, case):
         runs.append((sorted(f.vertices), None))
-        res = real(g, f, case)
-        runs[-1] = (runs[-1][0], res.leaves)
-        return res
+        ledger = real(g, f, case)
+        runs[-1] = (runs[-1][0], f.leaves)
+        return ledger
 
     monkeypatch.setattr(builder_mod, "_run_from_base", recording)
     return runs
@@ -1157,8 +1224,8 @@ def test_first_base_reaches_split_z4(monkeypatch):
     bases = choose_bases(reduced)
     label, a, b = bases[0]
     assert reduced.n == 11 and label == "B2"
-    res = _run_from_base(reduced, base_tree(reduced, a, b), label)
-    assert "Z4" in [rec.label for rec in res.ledger.steps]
+    ledger = _run_from_base(reduced, base_tree(reduced, a, b), label)
+    assert "Z4" in [rec.label for rec in ledger.steps]
     # `split_z4` looks `build` up at call time, so this counts the nested
     # builds: one, for the graph's one outside component, and none deeper
     real_build = builder_mod.build

@@ -34,6 +34,11 @@ def test_fifteenths_exact_arithmetic():
     assert str(Fifteenths(24)) == "24/15"
 
 
+def test_graph_rejects_a_negative_vertex_count():
+    with pytest.raises(ValueError, match="vertex count must be non-negative"):
+        Graph(-1)
+
+
 def test_graph_rejects_bad_edges():
     with pytest.raises(ValueError):
         Graph(3, [(0, 3)])

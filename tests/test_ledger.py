@@ -137,6 +137,16 @@ def test_verify_ledger_detects_tampering():
     assert not audit.ok and audit.first_bad_index == 0
 
 
+def test_verify_ledger_detects_a_forged_base_record():
+    g = h_graph(2)
+    report = build(g)
+    ledger = report.ledger
+    bad = dataclasses.replace(ledger.base, profit15=ledger.base.profit15 + 1)
+    audit = verify_ledger(g, Ledger(bad, ledger.steps), report.spanning_tree)
+    assert not audit.ok and audit.first_bad_index == -1
+    assert audit.reason == "base record profit mismatch"
+
+
 def test_verify_ledger_detects_total_mismatch():
     g = h_graph(2)
     report = build(g)

@@ -315,6 +315,21 @@ def test_lift_refuses_an_event_that_names_a_vertex_an_earlier_event_removed():
         lift_tree_logged([first, late], tree)
 
 
+def test_lift_refuses_an_r2_whose_kept_neighbours_miss_a_tree_edge():
+    # h_graph(2) reduces by two R2 events; the last merges 10 into 5, which
+    # keeps its neighbours 2 and 3.  With those forgotten, the undo finds
+    # the tree edge 5-2 on neither side of the split
+    g, trace = reduce_fully(h_graph(2))
+    last = trace[-1]
+    assert (last.kind, last.x, last.nbrs_kept) == ("R2", 5, frozenset({2, 3}))
+    edges = {(0, 1), (0, 2), (0, 3), (0, 4), (2, 5), (4, 8), (4, 9), (6, 8), (7, 8)}
+    tree = SpanningTree(g.n, frozenset(edges))
+    check_spanning_tree(g, tree)
+    forged = [*trace[:-1], last._replace(nbrs_kept=frozenset())]
+    with pytest.raises(ValueError, match="tree edge to 2 matches neither split endpoint"):
+        lift_tree_logged(forged, tree)
+
+
 def subdivided(core, n, seed):
     """`core` with n - core.n new vertices spread over its edges, ids shuffled."""
     rng = random.Random(seed)

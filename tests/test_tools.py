@@ -36,7 +36,7 @@ def test_ab_names_the_first_input_whose_result_differs(tmp_path):
     done = run_ab(ROOT / "src", tmp_path)
     assert done.returncode == 1, done.stderr
     assert done.stdout.startswith("ensemble-mid seed 7: input 0 (")
-    assert done.stdout.rstrip().endswith(") differs")
+    assert done.stdout.rstrip().endswith(") differs at [0].engine_runs")
 
 
 def test_ab_compares_the_records_inside_a_ledger(tmp_path):
@@ -52,4 +52,4 @@ def test_ab_compares_the_records_inside_a_ledger(tmp_path):
     done = run_ab(ROOT / "src", tmp_path)
     assert done.returncode == 1, done.stderr
     assert done.stdout.startswith("ensemble-mid seed 7: input 0 (")
-    assert done.stdout.rstrip().endswith(") differs")
+    assert done.stdout.rstrip().endswith(") differs at [0].ledger.base.added_vertices")

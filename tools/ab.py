@@ -13,7 +13,8 @@ the benchmark does in its checkout.  An operation is the benchmark's own
 
 First every input runs once on each side, and the change's results must
 equal the parent's field by field (sets compared as sets); the first input
-that differs is named and the tool exits 1.  That pass also warms both
+that differs is named, with the path to the first field where it differs
+(say `[0].ledger.base.added_vertices`), and the tool exits 1.  That pass also warms both
 sides.  Then each round times one pass over the pool per side in CPU time
 (`time.process_time`), the side that goes first alternating from round to
 round, and the tool prints each round's ratio change/parent, their median
@@ -76,6 +77,32 @@ def canonical(x):
     return (kind.__name__, *((f.name, canonical(getattr(x, f.name))) for f in fields))
 
 
+def first_difference(x, y, path: str = "") -> str | None:
+    """The path from `x` to the first place where `canonical(x)` and
+    `canonical(y)` differ, None when they are equal: `.name` steps into a
+    dataclass field, `[i]` into an item of a list or tuple.  A field that
+    one side lacks, a set, a plain value or a sequence of plain values ends
+    the path."""
+    if canonical(x) == canonical(y):
+        return None
+    if dataclasses.is_dataclass(x) and dataclasses.is_dataclass(y):
+        ours, theirs = ([f.name for f in dataclasses.fields(v)] for v in (x, y))
+        for name in dict.fromkeys(ours + theirs):
+            at = f"{path}.{name}"
+            if name not in ours or name not in theirs:
+                return at
+            if found := first_difference(getattr(x, name), getattr(y, name), at):
+                return found
+    elif (
+        isinstance(x, (list, tuple)) and isinstance(y, (list, tuple))
+        and any(type(v) not in _PLAIN for v in x)
+    ):
+        for i, (u, v) in enumerate(zip(x, y)):
+            if found := first_difference(u, v, f"{path}[{i}]"):
+                return found
+    return path
+
+
 def timed_pass(operate, lf, workload: str, graphs) -> float:
     gc.collect()
     t0 = process_time()
@@ -107,12 +134,12 @@ def main(argv=None) -> int:
     pools = {side: [x.graph for x in pool] for side, pool in inputs.items()}
     names = [x.name for x in inputs["parent"]]
     for k, name in enumerate(names):
-        before, after = (
-            canonical(perfbench.operate(packages[side], args.workload, pools[side][k]))
+        results = (
+            perfbench.operate(packages[side], args.workload, pools[side][k])
             for side in SIDES
         )
-        if before != after:
-            print(f"{args.workload} seed {args.seed}: input {k} ({name}) differs")
+        if (at := first_difference(*results)) is not None:
+            print(f"{args.workload} seed {args.seed}: input {k} ({name}) differs at {at}")
             return 1
     print(f"{args.workload} seed {args.seed}: {len(names)} inputs, results identical")
 
