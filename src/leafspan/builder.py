@@ -30,12 +30,11 @@ Step catalog, tried strictly in order each round (first match wins):
   Z4  cut the fringe, recursively span the outside, reattach components
 
 Each row's du, db and profit floor are stated once, in
-`ledger.TABLE_FLOORS`, and read by `_commit` alone, which makes every
-step and checks it against its row: its du and deaths against the row's
-du and db, its profit against the row's floor.  Z4's row states only its
-floor, so a split takes the du and deaths its commit measures.  A step
-is a row's label and its attachments, all that `_commit(g, f, label,
-attachments)` takes; an attachment that `attach` refuses is an
+`ledger.TABLE_FLOORS`, and its rule once, in `ledger.row_faults`.
+`_commit` makes every step, records its measured deltas, every leaf it
+killed counted in its db, and holds the record to its row by that rule.
+A step is a row's label and its attachments, all that `_commit(g, f,
+label, attachments)` takes; an attachment that `attach` refuses is an
 EngineDefect of the run, whichever row made it.  A1 and A2, most of the
 steps of a run, are chosen and committed by `_expand` alone, without a
 plan; `next_step` and `split_z4` return every later step as a
@@ -65,11 +64,11 @@ checks.  The test suite runs the recount, with a rescan of the fringe and
 the dead marks, on every base and after every step, and audits the ledger
 of every run.
 
-Every committed step is logged in the ledger: `_commit` makes the step's
-`StepRecord` as it commits it, and each dead leaf beyond the row's
-nominal count becomes an explicit Z0 record.  A run hands back its
-ledger, whose profits the running sum above adds, and the driver keeps
-the tree the run grew in place.  `build` keeps the tree and ledger of
+Every committed step is logged in the ledger as one `StepRecord`, which
+`_commit` makes as it commits the step, so each record's profit is the
+exact potential change of its step.  A run hands back its ledger, whose
+profits the running sum above adds, and the driver keeps the tree the
+run grew in place.  `build` keeps the tree and ledger of
 the run with the most leaves, and makes a `SpanningTree` of that tree
 alone (`PartialTree.spanning_tree`, which checks its leaf count once
 more).  The final bound leaves >= cost + 2 (cost + 8/5 for the
@@ -87,11 +86,10 @@ from .graph import Fifteenths, Graph, degree_counts
 from .ledger import (
     DEAD_GAIN15,
     LEAF_GAIN15,
-    TABLE_FLOORS,
     Ledger,
     StepRecord,
     alpha_prime,
-    profit15_of,
+    row_faults,
 )
 from .oracle import (
     ORACLE_MAX_N,
@@ -221,10 +219,6 @@ class StepPlan(NamedTuple):
 
     label: str
     attachments: tuple[tuple[int, int], ...]
-
-
-# Every Z0 record is the same value; StepRecord is frozen, so one is shared.
-Z0_RECORD = StepRecord.make("Z0", *TABLE_FLOORS["Z0"][:2], 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -517,15 +511,12 @@ def _plan_chain(g: Graph, f: PartialTree, x: int, kind: str) -> StepPlan:
 # committing steps
 
 
-def _commit(g: Graph, f: PartialTree, label: str, attachments) -> list[StepRecord]:
-    """Make the attachments in order, check the step against its row of
-    `TABLE_FLOORS` and return the step's records: its catalog record, with
-    the row's db and the attached vertices, then one Z0 record per death
-    beyond the row's.  The step's du must equal the row's, its deaths reach
-    the row's db and its profit the row's floor; a row that states no du or
-    db (Z4's) takes the step's measured du and deaths.  An attachment that
-    `attach` refuses (a stale plan) is an EngineDefect of the step."""
-    row_du, row_db, floor = TABLE_FLOORS[label]
+def _commit(g: Graph, f: PartialTree, label: str, attachments) -> StepRecord:
+    """Make the attachments in order and return the step's record: its
+    measured du, its deaths as db, its dt, ds and the attached vertices.
+    The first fault `row_faults` finds against the label's row, and an
+    attachment that `attach` refuses (a stale plan), is an EngineDefect of
+    the step."""
     leaves_before, dead_before = f.leaves, len(f.dead)
     attach, adj = f.attach, g.adj
     dt = ds = 0
@@ -541,27 +532,21 @@ def _commit(g: Graph, f: PartialTree, label: str, attachments) -> list[StepRecor
                 ds += 1
     except ValueError as exc:
         raise EngineDefect(f"{label}: {exc}") from exc
-    du = f.leaves - leaves_before
-    deaths = len(f.dead) - dead_before
-    if row_du is None:
-        row_du, row_db = du, deaths
-    if du != row_du:
-        raise EngineDefect(f"{label}: leaf delta {du} != nominal {row_du}")
-    if deaths < row_db:
-        raise EngineDefect(f"{label}: only {deaths} deaths, promised {row_db}")
-    profit15 = profit15_of(du, row_db, dt, ds)
-    if profit15 < floor:
-        raise EngineDefect(f"{label}: profit {profit15} < floor {floor}")
-    rec = StepRecord(label, du, row_db, dt, ds, profit15, tuple(added))
-    return [rec] + [Z0_RECORD] * (deaths - row_db)
+    rec = StepRecord.make(
+        label, f.leaves - leaves_before, len(f.dead) - dead_before, dt, ds, added
+    )
+    faults = row_faults(rec)
+    if faults:
+        raise EngineDefect(faults[0])
+    return rec
 
 
-def apply_step(g: Graph, f: PartialTree, plan: StepPlan) -> list[StepRecord]:
-    """Commit a plan; returns its records, made and checked by `_commit`."""
+def apply_step(g: Graph, f: PartialTree, plan: StepPlan) -> StepRecord:
+    """Commit a plan; returns its record, made and checked by `_commit`."""
     return _commit(g, f, *plan)
 
 
-def _expand(g: Graph, f: PartialTree) -> list[StepRecord] | None:
+def _expand(g: Graph, f: PartialTree) -> StepRecord | None:
     """Commit A1 or A2, the catalog's first two rows; None when neither applies.
 
     The only code that chooses A1 or A2, and the engine's hot path: no plan
@@ -675,21 +660,20 @@ def _run_from_base(g: Graph, f: PartialTree, case: str) -> Ledger:
     steps: list[StepRecord] = []
     dead = f.dead
     for _ in range(2 * g.n + 8):
-        records = _expand(g, f)
-        if records is None:
+        rec = _expand(g, f)
+        if rec is None:
             plan = next_step(g, f)
             if plan is None:
                 if f.spans():
                     break
                 # no catalog row applies to a tree short of spanning: split
                 plan = split_z4(g, f)
-            records = apply_step(g, f, plan)
-        steps += records
-        for rec in records:
-            running15 += rec.profit15
+            rec = apply_step(g, f, plan)
+        steps.append(rec)
+        running15 += rec.profit15
         # the potential from the counts: 13 leaves + 2 dead leaves - cost
         if LEAF_GAIN15 * f.leaves + DEAD_GAIN15 * len(dead) - f.cost != running15:
-            raise EngineDefect(f"potential drifted after {records[0].label}")
+            raise EngineDefect(f"potential drifted after {rec.label}")
     else:
         raise EngineDefect("step budget exhausted before spanning")
     if alpha_prime(g, f).num != running15:

@@ -216,7 +216,8 @@ def _sweep_regimes(n: int, dmin: int | None, dmax: int | None):
 
 
 def _random_graphs(args, sizes: range, per_size: int, failures: list[str]):
-    """A random sweep's graphs, drawn one at a time; failed draws go to `failures`."""
+    """A random sweep's graphs, drawn one at a time; each distinct message of
+    the failed draws goes to `failures` once."""
     seed = 0 if args.seed is None else args.seed
     for n in sizes:
         regimes = _sweep_regimes(n, args.dmin, args.dmax)
@@ -232,7 +233,10 @@ def _random_graphs(args, sizes: range, per_size: int, failures: list[str]):
             try:
                 g = families.random_connected(n, dmin, dmax, row_seed)
             except families.GenerationError as exc:
-                failures.append(f"n={n} ({dmin},{dmax}): {exc}")
+                # a regime refused outright fails the same way on every attempt
+                msg = f"n={n} ({dmin},{dmax}): {exc}"
+                if msg not in failures:
+                    failures.append(msg)
                 continue
             yield g
             made += 1

@@ -9,18 +9,12 @@ and every construction step changes it by exactly
     13/15 * du + 2/15 * db - 2/5 * dt - 1/5 * ds,
 
 the step's profit (du/db: leaf and dead-leaf deltas; dt/ds: added
-vertices of degree >=4 / degree 3).  Records store their profit
-explicitly so tampering with any count is detectable, and the catalog
-table lets an audit confirm each executed step made exactly its row's
-deltas and performed at least as well as its case analysis promises.
-
-Bookkeeping convention: a labeled record carries its case's nominal
-dead-leaf count and exact structural leaf delta; every dead leaf beyond
-the nominal count is logged as its own Z0 record (a row of the table:
-one death, nothing else).  Under this convention the quantity
-profit + 2*(du - db) is invariant, which makes the stricter end-game
-rate table (where the guaranteed late death is folded into the row)
-equivalent to the base catalog floors checked here.
+vertices of degree >=4 / degree 3).  A step's record holds its measured
+deltas, every leaf the step killed among them, and stores its profit
+explicitly so tampering with any count is detectable.  The catalog table
+and its one rule, `row_faults`, let an audit confirm each executed step
+made its row's leaf delta and at least its row's deaths, and performed
+at least as well as its case analysis promises.
 """
 
 from __future__ import annotations
@@ -117,14 +111,16 @@ def verify_ledger(g: Graph, ledger: Ledger, final_tree: SpanningTree) -> LedgerA
 
 
 # The step catalog, one row for every label a ledger step may carry: (exact
-# du, nominal db, minimum 15*profit).  The engine's `_commit` reads the row
-# of each step it commits and checks the step's du, deaths and profit
-# against it; profit can only exceed the floor (added vertices may be
-# cheaper than the worst case).  Z1.3.1 and Z1.3.2 add a dead-end fringe
-# vertex of degree 1 and 2.  The lift logs an undo only when it gains a leaf,
-# with du = db = its gain, and every gain is 0 or 1: the two vertices an undo
-# touches end adjacent, so at most one of them is a leaf.  Z4 states only its
-# floor: a split's du and db are measured when it is committed.
+# du, least db, minimum 15*profit at that db).  A step's db counts every leaf
+# it killed, and a death beyond the row's db adds 2/15 that the row's case
+# analysis does not count on, so the floor is checked on the profit without
+# it; profit can only exceed the floor (added vertices may be cheaper than
+# the worst case).  `row_faults` states the rule; the engine's `_commit`
+# applies it to each step it commits.  Z1.3.1 and Z1.3.2 add a dead-end
+# fringe vertex of degree 1 and 2.  The lift logs an undo only when it gains
+# a leaf, with du = db = its gain, and every gain is 0 or 1: the two vertices
+# an undo touches end adjacent, so at most one of them is a leaf.  Z4 states
+# only its floor: a split's du and db are measured when it is committed.
 TABLE_FLOORS: dict[str, tuple[int | None, int | None, int]] = {
     "A1": (1, 0, 7),
     "A2": (1, 0, 1),
@@ -146,7 +142,6 @@ TABLE_FLOORS: dict[str, tuple[int | None, int | None, int]] = {
     "M4.5.4.1": (4, 3, 4),
     "M4.5.4.2": (4, 2, 5),
     "M4.5.5": (3, 5, 1),
-    "Z0": (0, 1, 2),
     "Z1.1": (0, 4, 2),
     "Z1.2": (0, 3, 3),
     "Z1.3.1": (0, 1, 2),
@@ -167,24 +162,37 @@ TABLE_FLOORS |= {
 }
 
 
-def table_violations(ledger: Ledger) -> list[tuple[int, str]]:
-    """Catalog-conformance failures as (step index, description) pairs.
+def row_faults(rec: StepRecord) -> list[str]:
+    """How a step record breaks its catalog row, [] when it keeps it.
 
-    One rule for every step record: its label has a row, its du and db equal
-    the row's wherever the row states them (every row but Z4's states both),
-    and its profit reaches the row's floor.  No M/N floor is negative, so
-    every composite lands with non-negative profit.
+    The one row rule: the label has a row, du equals the row's du wherever
+    the row states one (every row but Z4's), db is at least the row's db,
+    and the nominal profit, the profit less 2/15 for each death beyond the
+    row's db, reaches the row's floor.  Z4 states no db, so its nominal
+    profit is its whole profit.  No M/N floor is negative, so every
+    composite lands with non-negative profit.
     """
-    bad: list[tuple[int, str]] = []
-    for i, rec in enumerate(ledger.steps):
-        label = rec.label
-        row = TABLE_FLOORS.get(label)
-        if row is None:
-            bad.append((i, f"{label}: no catalog row"))
-            continue
-        du, db, floor = row
-        if du is not None and (rec.du, rec.db) != (du, db):
-            bad.append((i, f"{label}: du, db {rec.du}, {rec.db} != row {du}, {db}"))
-        if rec.profit15 < floor:
-            bad.append((i, f"{label}: profit {rec.profit15} < floor {floor}"))
-    return bad
+    label = rec.label
+    row = TABLE_FLOORS.get(label)
+    if row is None:
+        return [f"{label}: no catalog row"]
+    du, db, floor = row
+    faults = []
+    if du is not None and rec.du != du:
+        faults.append(f"{label}: leaf delta {rec.du} != nominal {du}")
+    if db is None:
+        db = rec.db
+    elif rec.db < db:
+        faults.append(f"{label}: only {rec.db} deaths, promised {db}")
+    nominal = rec.profit15 - DEAD_GAIN15 * (rec.db - db)
+    if nominal < floor:
+        faults.append(f"{label}: nominal profit {nominal} < floor {floor}")
+    return faults
+
+
+def table_violations(ledger: Ledger) -> list[tuple[int, str]]:
+    """Catalog-conformance failures as (step index, description) pairs:
+    every fault `row_faults` finds in every step record."""
+    return [
+        (i, fault) for i, rec in enumerate(ledger.steps) for fault in row_faults(rec)
+    ]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import Counter
 from itertools import combinations
@@ -19,6 +20,7 @@ from leafspan.graph import degree_cost15
 from leafspan.ledger import (
     DEAD_GAIN15,
     LEAF_GAIN15,
+    TABLE_FLOORS,
     StepRecord,
     alpha_prime,
     table_violations,
@@ -65,10 +67,10 @@ def audit_every_step(monkeypatch):
     audit = SimpleNamespace(steps=0)
 
     def audited(g, f, *step):
-        records = commit(g, f, *step)
+        rec = commit(g, f, *step)
         audit_counts(g, f)
         audit.steps += 1
-        return records
+        return rec
 
     monkeypatch.setattr(builder, "_commit", audited)
     return audit
@@ -234,17 +236,30 @@ def make_state(n, edges, tree_edges, root=0) -> tuple[Graph, PartialTree]:
     return g, f
 
 
-def engine_step(g: Graph, f: PartialTree) -> list[StepRecord] | None:
+def at_row_db(rec: StepRecord) -> tuple[StepRecord, int]:
+    """`rec` with its deaths beyond its row's db taken out, and how many:
+    the record as the ledger logged it while each such death was a Z0
+    record of its own, of one death and 2/15 of profit.  A label with no
+    row, or a row that states no db (Z4's), keeps its record whole."""
+    row = TABLE_FLOORS.get(rec.label)
+    extra = 0 if row is None or row[1] is None else rec.db - row[1]
+    at_row = dataclasses.replace(
+        rec, db=rec.db - extra, profit15=rec.profit15 - DEAD_GAIN15 * extra
+    )
+    return at_row, extra
+
+
+def engine_step(g: Graph, f: PartialTree) -> StepRecord | None:
     """Take one engine step as `_run_from_base` takes it: `_expand` commits
     A1 or A2, else `next_step` plans the step and `apply_step` commits it.
-    Returns its records, None when no row applies (a Z4 split is not taken).
+    Returns its record, None when no row applies (a Z4 split is not taken).
 
     Each is looked up on the module at call time, so the audit fixtures see
     every step taken here."""
-    records = builder._expand(g, f)
-    if records is None and (plan := builder.next_step(g, f)) is not None:
-        records = builder.apply_step(g, f, plan)
-    return records
+    rec = builder._expand(g, f)
+    if rec is None and (plan := builder.next_step(g, f)) is not None:
+        rec = builder.apply_step(g, f, plan)
+    return rec
 
 
 def random_graph_pool(count, sizes=(3, 12), seed=20240601, generate=random_connected):

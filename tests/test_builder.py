@@ -28,7 +28,6 @@ from leafspan.builder import (
     EngineDefect,
     PartialTree,
     StepPlan,
-    Z0_RECORD,
     _commit,
     _run_from_base,
     apply_step,
@@ -37,10 +36,11 @@ from leafspan.builder import (
     next_step,
     split_z4,
 )
-from leafspan.ledger import TABLE_FLOORS
+from leafspan.ledger import DEAD_GAIN15, TABLE_FLOORS
 from leafspan.trees import SpanningTree, check_spanning_tree
 
 from conftest import (
+    at_row_db,
     audit_counts,
     audit_run,
     closing_defect_line_graph,
@@ -117,6 +117,14 @@ def test_choose_bases_cubic_is_b6():
     bases = choose_bases(g)
     assert all(label == "B6" for label, _, _ in bases)
     assert len(bases) == 10
+
+
+def test_choose_bases_refuses_a_graph_with_no_branch_vertex():
+    # `build` spans such a graph by its path-direct case before it would
+    # ask for bases
+    c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    with pytest.raises(EngineDefect, match="low-degree vertex survived the base"):
+        choose_bases(c4)
 
 
 def test_every_base_has_exact_counts(graph_pool):
@@ -351,11 +359,11 @@ def test_expand_a1():
     g, f = make_state(4, [(0, 1), (0, 2), (0, 3), (1, 3)], [(0, 1), (0, 2)])
     with pytest.raises(EngineDefect, match="while A1 or A2 applies"):
         next_step(g, f)
-    rec, *z0 = builder_mod._expand(g, f)
-    assert (rec.label, rec.du, rec.db) == ("A1", *TABLE_FLOORS["A1"][:2])
+    rec = builder_mod._expand(g, f)
+    assert (rec.label, rec.du) == ("A1", TABLE_FLOORS["A1"][0])
     assert rec.added_vertices == (3,) and f.parent[3] == 0
-    # 3 and 1 die, beyond the row's db of 0
-    assert z0 == [builder_mod.Z0_RECORD] * 2
+    # 3 and 1 die, beyond the row's db of 0: the record counts both
+    assert rec.db == TABLE_FLOORS["A1"][1] + 2
 
 
 def test_expand_a2():
@@ -363,11 +371,12 @@ def test_expand_a2():
     g, f = make_state(5, [(0, 1), (0, 2), (1, 3), (1, 4)], [(0, 1), (0, 2)])
     with pytest.raises(EngineDefect, match="while A1 or A2 applies"):
         next_step(g, f)
-    rec, *z0 = builder_mod._expand(g, f)
-    assert (rec.label, rec.du, rec.db) == ("A2", *TABLE_FLOORS["A2"][:2])
+    rec = builder_mod._expand(g, f)
+    assert (rec.label, rec.du) == ("A2", TABLE_FLOORS["A2"][0])
     assert rec.added_vertices == (3, 4) and f.parent[3] == f.parent[4] == 1
-    # the two pendant children die, beyond the row's db of 0
-    assert z0 == [builder_mod.Z0_RECORD] * 2
+    # the two pendant children die, beyond the row's db of 0: the record
+    # counts both
+    assert rec.db == TABLE_FLOORS["A2"][1] + 2
     assert builder_mod._expand(g, f) is None and next_step(g, f) is None
 
 
@@ -377,8 +386,8 @@ def test_next_step_z1_1():
     g, f = make_state(6, edges, [(0, i) for i in range(1, 5)])
     plan = next_step(g, f)
     assert plan.label == "Z1.1" and TABLE_FLOORS[plan.label][1] == 4
-    recs = apply_step(g, f, plan)
-    assert recs[0].log_line() == "Z1.1 0 4 1 0 2"
+    rec = apply_step(g, f, plan)
+    assert rec.log_line() == "Z1.1 0 4 1 0 2"
     assert f.spans()
 
 
@@ -387,9 +396,10 @@ def test_apply_a3_gains_two_leaves():
     g, f = make_state(8, edges, [(0, 1), (0, 2), (0, 3)])
     plan = next_step(g, f)
     assert plan.label == "A3"
-    recs = apply_step(g, f, plan)
-    # the row's deltas (2, 0); the three pendant children die as Z0 records
-    assert [rec.log_line() for rec in recs] == ["A3 2 0 1 0 20"] + ["Z0 0 1 0 0 2"] * 3
+    rec = apply_step(g, f, plan)
+    # the row's du, 2; the three pendant children die beyond the row's db of
+    # 0, and the record counts them
+    assert rec.log_line() == "A3 2 3 1 0 26"
 
 
 @pytest.mark.parametrize(
@@ -418,9 +428,9 @@ def test_apply_z2_adjacent_fringe_pair():
     g, f = make_state(8, edges, [(0, i) for i in range(1, 6)])
     plan = next_step(g, f)
     assert plan.label == "Z2.1"
-    recs = apply_step(g, f, plan)
-    assert recs[0].log_line() == "Z2.1 0 5 1 1 1"
-    assert len(recs) == 1 and f.spans()
+    rec = apply_step(g, f, plan)
+    assert rec.log_line() == "Z2.1 0 5 1 1 1"
+    assert f.spans()
 
 
 def test_apply_z3_absorbs_pendant():
@@ -428,8 +438,8 @@ def test_apply_z3_absorbs_pendant():
     g, f = make_state(6, edges, [(0, 1), (0, 2), (0, 3)])
     plan = next_step(g, f)
     assert plan.label == "Z3.1"
-    recs = apply_step(g, f, plan)
-    assert recs[0].log_line() == "Z3.1 0 2 0 1 1"
+    rec = apply_step(g, f, plan)
+    assert rec.log_line() == "Z3.1 0 2 0 1 1"
     assert f.spans()
 
 
@@ -438,8 +448,8 @@ def test_apply_z3_2_absorbs_the_pendant_of_a_degree_4_vertex():
     g, f = make_state(6, edges, [(0, 1), (0, 2), (0, 3)])
     plan = next_step(g, f)
     assert plan.label == "Z3.2" and plan.attachments == ((1, 4), (4, 5))
-    recs = apply_step(g, f, plan)
-    assert [rec.log_line() for rec in recs] == ["Z3.2 0 3 1 0 0"]
+    rec = apply_step(g, f, plan)
+    assert rec.log_line() == "Z3.2 0 3 1 0 0"
     assert f.spans()
 
 
@@ -449,8 +459,8 @@ def test_apply_z2_both_rich():
     g, f = make_state(9, edges, [(0, i) for i in range(1, 7)])
     plan = next_step(g, f)
     assert plan.label == "Z2.2"
-    recs = apply_step(g, f, plan)
-    assert recs[0].log_line() == "Z2.2 0 6 2 0 0"
+    rec = apply_step(g, f, plan)
+    assert rec.log_line() == "Z2.2 0 6 2 0 0"
     assert f.spans()
 
 
@@ -699,11 +709,10 @@ def test_chain_case_resolution(case):
     plan = next_step(g, f)
     assert plan.label == label
     assert plan.attachments == attachments
-    records = apply_step(g, f, plan)
-    rec = records[0]
+    rec = apply_step(g, f, plan)
     assert rec.label == label
-    assert rec.du - rec.db == want_dudb
-    ledger = Ledger(StepRecord.make("test-base", 0, 0, 0, 0), records)
+    assert rec.du - TABLE_FLOORS[label][1] == want_dudb
+    ledger = Ledger(StepRecord.make("test-base", 0, 0, 0, 0), [rec])
     assert table_violations(ledger) == []
     if label.startswith(("M", "N")):
         assert rec.profit15 >= 0
@@ -892,11 +901,11 @@ def test_expand_commits_what_next_step_and_apply_step_commit(graph_pool, monkeyp
                     assert fast.spans()
                     break
                 d = commit(g, fast, next_step(g, fast))
-                planned.add(d[0].label)
+                planned.add(d.label)
             else:
                 with pytest.raises(EngineDefect, match="while A1 or A2 applies"):
                     next_step(g, slow)
-                expanded.add(d[0].label)
+                expanded.add(d.label)
                 x = plan.attachments[0][0]
                 if len(g.adj[x] - slow.vertices) > len(plan.attachments):
                     chose.add(plan.label)
@@ -941,10 +950,11 @@ def test_split_z4_direct():
     g, f = _z4_state()
     plan = split_z4(g, f)
     assert plan.label == "Z4"
-    rec, *z0 = apply_step(g, f, plan)
+    dead_before = len(f.dead)
+    rec = apply_step(g, f, plan)
     check_spanning_tree(g, SpanningTree.from_parents([f.parent[v] for v in range(10)]))
-    # every leaf of the spanning tree is dead, so no Z0 record follows
-    assert z0 == []
+    # every leaf of the spanning tree is dead, and the record counts each death
+    assert len(f.dead) == f.leaves and rec.db == len(f.dead) - dead_before
     assert rec.log_line() == "Z4 2 5 2 3 15"
     # reattaching one component costs exactly two leaves against the parts
     assert f.leaves == 6
@@ -959,10 +969,10 @@ def test_commit_checks_a_split_against_the_z4_floor(monkeypatch, floor):
     g, f = _z4_state()
     plan = split_z4(g, f)
     if floor > 15:
-        with pytest.raises(EngineDefect, match=r"Z4: profit 15 < floor 16"):
+        with pytest.raises(EngineDefect, match=r"Z4: nominal profit 15 < floor 16"):
             apply_step(g, f, plan)
     else:
-        assert apply_step(g, f, plan)[0].log_line() == "Z4 2 5 2 3 15"
+        assert apply_step(g, f, plan).log_line() == "Z4 2 5 2 3 15"
 
 
 def test_split_z4_two_components():
@@ -974,11 +984,11 @@ def test_split_z4_two_components():
     edges += [(13, 14), (13, 15), (13, 16), (14, 15), (14, 16), (15, 16)]
     g = Graph(17, edges)
     f = base_tree(g, 0)
-    u_before = f.leaves
+    u_before, dead_before = f.leaves, len(f.dead)
     plan = split_z4(g, f)
-    _, *z0 = apply_step(g, f, plan)
+    rec = apply_step(g, f, plan)
     check_spanning_tree(g, SpanningTree.from_parents([f.parent[v] for v in range(17)]))
-    assert z0 == [] and f.spans()
+    assert rec.db == len(f.dead) - dead_before and f.spans()
     # each of the two reattachments loses exactly two leaves
     parts_leaves = u_before + 4 + 4  # each room spans with 4 leaves
     assert f.leaves == parts_leaves - 2 * 2
@@ -1017,7 +1027,8 @@ def test_a_base_off_its_potential_is_a_defect(monkeypatch):
 
 def test_a_run_that_stops_growing_exhausts_its_step_budget(monkeypatch):
     # a step that commits nothing leaves the tree where it was, round after round
-    monkeypatch.setattr(builder_mod, "_expand", lambda g, f: [])
+    idle = StepRecord.make("A1", 0, 0, 0, 0)
+    monkeypatch.setattr(builder_mod, "_expand", lambda g, f: idle)
     with pytest.raises(EngineDefect, match="step budget exhausted before spanning"):
         _run_from_base(*_first_base())
 
@@ -1028,17 +1039,19 @@ def test_a_run_that_stops_growing_exhausts_its_step_budget(monkeypatch):
 
 
 def test_a_run_that_leaves_a_leaf_unmarked_is_a_defect(monkeypatch):
-    # the first step that kills a leaf beyond its row's deaths loses one dead
-    # mark and that death's Z0 record: the counts, the records and the
-    # recount still agree, but the spanning tree has a leaf not marked dead
+    # the first step that kills a leaf loses one dead mark, and its record
+    # loses that death: the counts, the records and the recount still agree,
+    # but the spanning tree has a leaf not marked dead
     forged = []
 
     def unmark(g, f, *step):
-        records = _commit(g, f, *step)
-        if not forged and Z0_RECORD in records:
+        rec = _commit(g, f, *step)
+        if not forged and rec.db:
             forged.append(f.dead.pop())
-            records.remove(Z0_RECORD)
-        return records
+            rec = dataclasses.replace(
+                rec, db=rec.db - 1, profit15=rec.profit15 - DEAD_GAIN15
+            )
+        return rec
 
     monkeypatch.setattr(builder_mod, "_commit", unmark)
     with pytest.raises(EngineDefect, match="a leaf of the spanning tree is not dead"):
@@ -1049,23 +1062,25 @@ def test_a_run_that_leaves_a_leaf_unmarked_is_a_defect(monkeypatch):
 def test_a_run_whose_leaf_and_cost_counts_err_together_fails_to_telescope(monkeypatch):
     # after the first step the counts take one leaf too many, mark the root
     # (of tree degree >= 2, so never a leaf) dead, add 13/15 to the cost, and
-    # a Z0 record logs the extra death: the counts, the records and the
-    # recount, which counts leaves from the links, still agree and every
+    # the step's record counts the extra death: the counts, the records and
+    # the recount, which counts leaves from the links, still agree and every
     # leaf counted is marked dead, but 15 leaves - cost(g) is 13/15 above
     # the ledger's sum; with a true recount only such paired errors reach
     # the telescoping check
     forged = []
 
     def miscount(g, f, *step):
-        records = _commit(g, f, *step)
+        rec = _commit(g, f, *step)
         if not forged:
             assert f.deg[f.root] >= 2
             forged.append(f.root)
             f.leaves += 1
             f.dead.add(f.root)
             f.cost += 13
-            records.append(Z0_RECORD)
-        return records
+            rec = dataclasses.replace(
+                rec, db=rec.db + 1, profit15=rec.profit15 + DEAD_GAIN15
+            )
+        return rec
 
     monkeypatch.setattr(builder_mod, "_commit", miscount)
     with pytest.raises(EngineDefect, match="final potential does not telescope"):
@@ -1269,13 +1284,14 @@ def test_run_with_a_split_ends_through_the_recount(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "make, leaves, alpha15, base, log_sha256",
+    "make, leaves, alpha15, base, log_sha256, z0_log_sha256",
     [
         pytest.param(
             lambda: random_connected(160, 3, 4, seed=7),
             75,
             405,
             "B1",
+            "ee12a6af0aece7a7b9e745cb06d1b3b069d86b7dfc6b360c73e2d10e0bc4099e",
             "40ca11b7470996473a1dacaa0d9bb4d8ff7b6d194c047fdbb2338962f67a1448",
             id="random_connected(160,3,4,seed=7)",
         ),
@@ -1284,18 +1300,28 @@ def test_run_with_a_split_ends_through_the_recount(monkeypatch):
             42,
             30,
             "B7",
+            "9868a3fa0fde9db33660e68cdcad793a567c51c8e7cd7f1fbc19410c59697772",
             "6d4226bfc922a0dba22893beaf058e27500f7809a4170b15387e3c836238cb4b",
             id="h_graph(20)",
         ),
     ],
 )
-def test_engine_output_pinned_beyond_the_oracle(make, leaves, alpha15, base, log_sha256):
-    # every step choice shows in the ledger log, so its hash pins the whole run
+def test_engine_output_pinned_beyond_the_oracle(
+    make, leaves, alpha15, base, log_sha256, z0_log_sha256
+):
+    # every step choice shows in the ledger log, so its hash pins the whole
+    # run; each death beyond a row's db unfolded into a Z0 record gives the
+    # log's hash from before a record counted every death of its step
     g = make()
     r = build(g)
     assert (r.leaves, r.alpha, r.base_case) == (leaves, Fifteenths(alpha15), base)
     log = "\n".join(r.ledger.log_lines()).encode()
     assert hashlib.sha256(log).hexdigest() == log_sha256
+    z0_log = [r.ledger.base.log_line()]
+    for rec in r.ledger.steps:
+        at_row, extra = at_row_db(rec)
+        z0_log += [at_row.log_line()] + ["Z0 0 1 0 0 2"] * extra
+    assert hashlib.sha256("\n".join(z0_log).encode()).hexdigest() == z0_log_sha256
     # past 16 vertices the first base meets +2 and ends the tier
     assert not r.oracle_fallback and not r.defects
     assert r.engine_runs == 1 < len(choose_bases(reduce_fully(g)[0]))
@@ -1316,15 +1342,13 @@ def test_build_spanning_and_sound(graph_pool):
 
 def test_every_engine_step_is_audited(audit_every_step):
     # one base and no Z4 split, whose component builds would add audited
-    # steps of their own: each labelled record of the ledger comes from one
-    # `_commit` call, so a path that skipped it would show
+    # steps of their own: each record of the ledger but the lift's comes
+    # from one `_commit` call, so a path that skipped it would show
     g = random_connected(32, 2, 31, seed=4)
     r = build(g)
     assert r.engine_runs == 1
     labelled = [
-        rec.label
-        for rec in r.ledger.steps
-        if rec.label != "Z0" and not rec.label.endswith("-undo")
+        rec.label for rec in r.ledger.steps if not rec.label.endswith("-undo")
     ]
     assert "Z4" not in labelled
     assert len(labelled) >= 4 and audit_every_step.steps == len(labelled)

@@ -1,6 +1,6 @@
-"""Every step label the engine can plan has a catalog row, every row but Z0
-and the lift's two is planned, and `builder.py` reads a row only in
-`_commit` and where it makes the shared Z0 record.
+"""Every step label the engine can plan has a catalog row, every row but
+the lift's two is planned, `builder.py` reads no row, and `ledger.py` reads
+one only in its row rule, `row_faults`.
 
 The labels are read from `builder.py`'s source, in the functions that plan
 steps and in `_expand`, which commits A1 and A2 without a plan: the first
@@ -26,7 +26,8 @@ import pytest
 from leafspan.builder import StepPlan
 from leafspan.ledger import TABLE_FLOORS
 
-BUILDER = Path(__file__).resolve().parents[1] / "src" / "leafspan" / "builder.py"
+SRC = Path(__file__).resolve().parents[1] / "src" / "leafspan"
+BUILDER, LEDGER = SRC / "builder.py", SRC / "ledger.py"
 # the functions that make plans, and `_expand`, which commits A1 and A2
 # without one
 PLAN_MAKERS = ("next_step", "_plan_chain", "split_z4")
@@ -117,21 +118,21 @@ def test_an_unknown_label_committed_by_expand_is_caught():
     assert source.count(call) == 1
     planned = planned_labels(source.replace(call, '_commit(g, f, "A9", '))
     assert planned - TABLE_FLOORS.keys() == {"A9"}
-    assert TABLE_FLOORS.keys() - planned == {"Z0", "R1-undo", "R2-undo", "A2"}
+    assert TABLE_FLOORS.keys() - planned == {"R1-undo", "R2-undo", "A2"}
 
 
 def test_every_planned_label_has_a_row_and_every_row_is_planned():
     planned = planned_labels(BUILDER.read_text())
     assert planned - TABLE_FLOORS.keys() == set()
-    # a Z0 record is logged for each death beyond a row's db, and the lift
-    # logs the undo records; neither is planned
-    assert TABLE_FLOORS.keys() - planned == {"Z0", "R1-undo", "R2-undo"}
+    # the lift logs the undo records; they are not planned
+    assert TABLE_FLOORS.keys() - planned == {"R1-undo", "R2-undo"}
 
 
 def row_readers(source: str) -> set[str]:
     """The top-level statements of `source` that name `TABLE_FLOORS`: a
-    function or class by its name, an assignment to one name by that name,
-    any other statement by its line."""
+    function or class by its name, an assignment to a name (plain,
+    annotated or augmented) by the first name it assigns, any other
+    statement by its line."""
     found: set[str] = set()
     for stmt in ast.parse(source).body:
         names = (node.id for node in ast.walk(stmt) if isinstance(node, ast.Name))
@@ -141,6 +142,10 @@ def row_readers(source: str) -> set[str]:
             found.add(stmt.name)
         elif isinstance(stmt, ast.Assign) and isinstance(stmt.targets[0], ast.Name):
             found.add(stmt.targets[0].id)
+        elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)) and isinstance(
+            stmt.target, ast.Name
+        ):
+            found.add(stmt.target.id)
         else:
             found.add(f"line {stmt.lineno}")
     return found
@@ -149,7 +154,7 @@ def row_readers(source: str) -> set[str]:
 def test_the_row_check_finds_a_row_read_anywhere():
     source = (
         "from .ledger import TABLE_FLOORS\n"
-        "Z0_RECORD = StepRecord.make('Z0', *TABLE_FLOORS['Z0'][:2], 0, 0)\n"
+        "A1_RECORD = StepRecord.make('A1', *TABLE_FLOORS['A1'][:2], 0, 0)\n"
         "_A1_DU, _A1_DB, _ = TABLE_FLOORS['A1']\n"
         "class StepPlan(NamedTuple):\n"
         "    rows = TABLE_FLOORS\n"
@@ -158,16 +163,21 @@ def test_the_row_check_finds_a_row_read_anywhere():
         "def split_z4(g, f):\n"
         "    if profit < TABLE_FLOORS['Z4'][2]:\n"
         "        raise EngineDefect('split lost potential')\n"
+        "ROWS: dict = dict(TABLE_FLOORS)\n"
+        "ROWS |= {k: r for k, r in TABLE_FLOORS.items()}\n"
+        "print(TABLE_FLOORS)\n"
     )
     assert row_readers(source) == {
-        "Z0_RECORD", "line 3", "StepPlan", "_commit", "split_z4",
+        "A1_RECORD", "line 3", "StepPlan", "_commit", "split_z4", "ROWS", "line 13",
     }
 
 
-def test_only_commit_reads_a_row():
-    # every step takes its du, db and floor from its row in `_commit`; the
-    # shared Z0 record is made from Z0's row once
-    assert row_readers(BUILDER.read_text()) == {"_commit", "Z0_RECORD"}
+def test_only_the_row_rule_reads_a_row():
+    # `_commit` holds each step to its row through `row_faults`, so the
+    # builder names no row; in the ledger, only the table's own definition
+    # and its one rule do
+    assert row_readers(BUILDER.read_text()) == set()
+    assert row_readers(LEDGER.read_text()) == {"TABLE_FLOORS", "row_faults"}
 
 
 def _returns_a_plan(value: ast.expr | None) -> bool:

@@ -303,6 +303,19 @@ def test_sweep_small(capsys):
     assert "bound_violations=0" in out and "oracle_violations=0" in out
 
 
+def test_sweep_records_a_refused_regime_once(capsys):
+    # no 3-regular graph has 5 vertices, so every attempt fails alike
+    argv = ["sweep", "--sizes", "5", "--dmin", "3", "--dmax", "3", "--per-size", "1"]
+    failure = "n=5 (3,3): no graph with n=5, degrees in [3,3]"
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "rows=0 " in out and "generation_failures=1" in out
+    assert out.count(failure) == 1
+    assert main([*argv, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["rows"] == [] and payload["generation_failures"] == [failure]
+
+
 def test_sweep_fills_the_oracle_column_up_to_the_budget(capsys):
     code = main(["sweep", "--sizes", "12..12", "--per-size", "1", "--json"])
     (row,) = json.loads(capsys.readouterr().out)["rows"]

@@ -114,9 +114,9 @@ def _tamper_after_every_step(monkeypatch, tamper):
     real_commit = builder_mod._commit
 
     def committing(g, f, *step):
-        records = real_commit(g, f, *step)
+        rec = real_commit(g, f, *step)
         tamper(f)
-        return records
+        return rec
 
     monkeypatch.setattr(builder_mod, "_commit", committing)
 

@@ -35,8 +35,8 @@ from conftest import engine_step
 def test_profit_examples():
     # one expensive vertex becoming a new leaf
     assert StepRecord.make("A1", 1, 0, 1, 0).profit15 == 7
-    # a bookkeeping death
-    assert StepRecord.make("Z0", 0, 1, 0, 0).profit15 == 2
+    # one death alone
+    assert StepRecord.make("Z1.3.1", 0, 1, 0, 0).profit15 == 2
     # dead-end absorption of a rich fringe vertex
     assert StepRecord.make("Z1.1", 0, 4, 1, 0).profit15 == 2
 
@@ -183,7 +183,7 @@ def test_table_violations_flags_bad_rows():
     assert table_violations(good) == []
     bad = Ledger(
         StepRecord.make("B7-base", 4, 0, 5, 0),
-        [StepRecord.make("A1", 1, 1, 1, 0)],  # du-db off the row
+        [StepRecord.make("A4", 2, 0, 1, 1)],  # fewer deaths than the row's db
     )
     assert table_violations(bad)
     costly = Ledger(
@@ -194,11 +194,36 @@ def test_table_violations_flags_bad_rows():
 
 
 def test_table_violations_checks_du_and_db_each_against_the_row():
-    # du and db one above A1's row: du - db and the floor still hold
+    # du and db one above A1's row: du - db and the floor still hold, but du
+    # must be the row's
     shifted = StepRecord.make("A1", 2, 1, 1, 0)
     assert shifted.du - shifted.db == 1 and shifted.profit15 >= 7
-    ledger = Ledger(StepRecord.make("B7-base", 4, 0, 5, 0), [shifted])
-    assert table_violations(ledger) == [(0, "A1: du, db 2, 1 != row 1, 0")]
+    base = StepRecord.make("B7-base", 4, 0, 5, 0)
+    assert table_violations(Ledger(base, [shifted])) == [
+        (0, "A1: leaf delta 2 != nominal 1")
+    ]
+    # A4's du with one death fewer than its row's db: the nominal profit,
+    # at the row's db, reaches the floor, but db may not fall below the row's
+    short = StepRecord.make("A4", 2, 0, 1, 1)
+    assert short.profit15 + DEAD_GAIN15 >= TABLE_FLOORS["A4"][2]
+    assert table_violations(Ledger(base, [short])) == [
+        (0, "A4: only 0 deaths, promised 1")
+    ]
+
+
+def test_deaths_beyond_the_row_count_in_db_but_not_toward_the_floor():
+    # A3 with its three pendant children dead: the row's du, three deaths
+    # beyond its db of 0, and 6/15 of profit the floor does not count on
+    base = StepRecord.make("B7-base", 4, 0, 5, 0)
+    a3 = StepRecord.make("A3", 2, 3, 1, 0)
+    assert table_violations(Ledger(base, [a3])) == []
+    # a forged record with five added vertices, four of them T: a profit of
+    # 5/15 reaches the floor, but -1/15 without the deaths does not
+    costly = StepRecord.make("A3", 2, 3, 4, 1)
+    assert costly.profit15 == 5 >= TABLE_FLOORS["A3"][2]
+    assert table_violations(Ledger(base, [costly])) == [
+        (0, "A3: nominal profit -1 < floor 2")
+    ]
 
 
 def test_table_violations_flags_a_composite_label_without_a_row():
@@ -217,8 +242,8 @@ def test_table_violations_refuses_forged_records_by_name():
     forged = [
         (dataclasses.replace(a1, label="Q"), "Q: no catalog row"),
         (dataclasses.replace(a1, label="A9"), "A9: no catalog row"),
-        (StepRecord.make("R1-undo", 2, 2, 0, 0), "R1-undo: du, db 2, 2 != row 1, 1"),
-        (z4, "Z4: profit -1 < floor 0"),
+        (StepRecord.make("R1-undo", 2, 2, 0, 0), "R1-undo: leaf delta 2 != nominal 1"),
+        (z4, "Z4: nominal profit -1 < floor 0"),
     ]
     for rec, why in forged:
         assert table_violations(Ledger(base, [a1, rec])) == [(1, why)]

@@ -21,7 +21,7 @@ import re
 
 from leafspan import Graph, build, g8, h_graph, random_connected, square_of_cycle
 
-from conftest import generalized_petersen, grid, hypercube, wheel
+from conftest import at_row_db, generalized_petersen, grid, hypercube, wheel
 
 
 def subdivided_core(seed: int) -> Graph:
@@ -66,7 +66,11 @@ def pool() -> list[Graph]:
     return graphs
 
 
-def report_lines(r) -> list[str]:
+def record_lines(rec) -> list[str]:
+    return [f"{rec.log_line()} {list(rec.added_vertices)}"]
+
+
+def report_lines(r, record_lines=record_lines) -> list[str]:
     edges = " ".join(f"{u}-{v}" for u, v in sorted(r.spanning_tree.edges))
     records = [r.ledger.base, *r.ledger.steps]
     # the split depth, 1 when the kept run closed with a Z4 split: no pool
@@ -77,7 +81,7 @@ def report_lines(r) -> list[str]:
         f"depth {depth} exclusion {r.exclusion}",
         f"defects {list(r.defects)}",
         edges,
-        *(f"{rec.log_line()} {list(rec.added_vertices)}" for rec in records),
+        *(line for rec in records for line in record_lines(rec)),
         *(
             f"{ev.kind} {ev.x} {ev.a} {ev.b} {sorted(ev.nbrs_kept)} {sorted(ev.nbrs_dropped)}"
             for ev in r.reduction_trace
@@ -97,17 +101,36 @@ def pool_digest(lines=report_lines) -> str:
 
 
 def test_build_output_pinned_over_the_pool():
-    # taken once a dead-end fringe vertex of degree 1 or 2 got its own row,
-    # Z1.3.1 or Z1.3.2
+    # taken once a step's record counted every leaf the step killed
     assert pool_digest() == (
+        "d712a4253aacfb86f199a0f0a3a5a2e801ca997eb69873f39c7ba2a2365deb85"
+    )
+
+
+def z0_lines(rec) -> list[str]:
+    """A record's lines as they were logged while a death beyond its row's db
+    was a Z0 record of its own: the record at its row's db and profit, then
+    one `Z0 0 1 0 0 2 []` line for each such death."""
+    at_row, extra = at_row_db(rec)
+    return record_lines(at_row) + ["Z0 0 1 0 0 2 []"] * extra
+
+
+def test_only_the_dead_leaf_counts_moved_at_the_last_pin():
+    # each death beyond a row's db, unfolded into its Z0 record, gives the
+    # previous pin
+    assert pool_digest(lambda r: report_lines(r, z0_lines)) == (
         "8136655e87a9eef163d2e77dad1c364c96895c392f7b002c41327ce1721756d1"
     )
 
 
-def test_only_the_z1_3_labels_moved_at_the_last_pin():
-    # the labels the two rows replaced, mapped back, give the previous pin
+def test_only_the_z1_3_labels_moved_at_the_pin_before():
+    # on top of the unfolding, the labels the two Z1.3 rows replaced, mapped
+    # back, give the pin before that
     def one_z1_3_label(r) -> list[str]:
-        return [re.sub(r"^Z1\.3\.[12] ", "Z1.3 ", line) for line in report_lines(r)]
+        return [
+            re.sub(r"^Z1\.3\.[12] ", "Z1.3 ", line)
+            for line in report_lines(r, z0_lines)
+        ]
 
     assert pool_digest(one_z1_3_label) == (
         "b656f01b2f629ac9468b9f31390fe0e4cda1faf73af22a92523847297e84b35b"
